@@ -225,6 +225,8 @@ GOLDEN_CASES = {
     "analyze_fiber_1_1.txt": ["analyze", "fiber?genera=1,1"],
     "analyze_fiber_1_1_1.txt": ["analyze", "fiber?genera=1,1,1"],
     "theorem_b_d2q_q3.txt": ["theorem-b", "d2q?q=3"],
+    "search_d2q_q5.txt": ["search", "d2q?q=5", "--max-t", "3"],
+    "search_d2q_q3_dedupe.txt": ["search", "d2q?q=3", "--max-t", "2", "--dedupe-conjugates"],
 }
 
 
