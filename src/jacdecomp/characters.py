@@ -418,8 +418,7 @@ def permutation_character(group: FiniteGroup, subgroup: Subgroup) -> ClassFuncti
     e = group.exponent
     values = []
     for rep in classes.representatives:
-        perm = action.perm(rep)
-        fixed = sum(1 for i in range(action.degree) if perm(i) == i)
+        fixed = sum(1 for i in range(action.degree) if action.image(rep, i) == i)
         values.append(Cyclotomic.from_rational(fixed, e))
     result = ClassFunction(group, tuple(values))
     group._perm_chars[subgroup.members] = result

@@ -165,9 +165,6 @@ def orbit_count(group: FiniteGroup, stabilizer: Subgroup, cosets, subgroup: Subg
     degree = cosets.degree
     seen = [False] * degree
     count = 0
-    gen_perms = [cosets.perm(g) for g in stabilizer.generators if g != 0] or [
-        cosets.perm(0)
-    ]
     for start in range(degree):
         if seen[start]:
             continue
@@ -176,8 +173,8 @@ def orbit_count(group: FiniteGroup, stabilizer: Subgroup, cosets, subgroup: Subg
         seen[start] = True
         while frontier:
             x = frontier.pop()
-            for perm in gen_perms:
-                y = perm(x)
+            for g in stabilizer.generators:
+                y = cosets.image(g, x)
                 if not seen[y]:
                     seen[y] = True
                     frontier.append(y)

@@ -243,8 +243,9 @@ class ActionAnalysis:
 
     Built either from a validated action (the acting group as given) or from
     induced branch data (a subgroup reinterpreted as the acting group).  All
-    heavy artifacts are computed lazily and cached; instances are immutable
-    from the outside and safe to share.
+    heavy artifacts are computed lazily and cached; the caches fill without
+    locks, so concurrent callers may compute an entry twice, but every entry
+    is deterministic and they all see equal results.
     """
 
     def __init__(

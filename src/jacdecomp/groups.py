@@ -1,20 +1,31 @@
-"""Finite permutation groups: construction, presets, classes, subgroups, cosets.
+"""Finite groups: construction, presets, classes, subgroups, cosets.
 
-Groups are immutable after construction and carry lazily computed caches
-(conjugacy classes, subgroup lattice, coset actions), so they are safe to
-share across concurrent readers.  Elements are indexed 0..|G|-1 with the
-identity at index 0; all higher layers speak element indices.
+A group is one flat Cayley table over the element indices 0..|G|-1, with the
+identity at index 0: every product, inverse, element order, power and
+conjugate is an index lookup, and all higher layers speak element indices.
+Permutations are only the input format.  Generators are closed under
+composition once, and the constructor composes each ordered pair of elements
+once to fill the table.
+
+The table never changes after construction.  The lazy caches on a group
+(conjugacy classes, subgroup lattice, coset actions, and the character
+caches kept by characters.py) fill without locks: concurrent callers may
+compute the same entry twice, but every entry is deterministic, so they all
+see equal results.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 DEFAULT_ORDER_CAP = 2048
 DEFAULT_SUBGROUP_CAP = 512
+TABLE_ORDER_LIMIT = 1 << 16  # element indices must fit the table's unsigned shorts
 
 
 class GroupError(Exception):
@@ -63,67 +74,22 @@ class Permutation:
     def degree(self) -> int:
         return len(self.images)
 
-    def __call__(self, point: int) -> int:
-        return self.images[point]
-
     def __mul__(self, other: "Permutation") -> "Permutation":
         # (p*q)(x) = p(q(x)): q acts first.
         if self.degree != other.degree:
             raise DegreeMismatch(f"degrees differ: {self.degree} vs {other.degree}")
         return Permutation(tuple(self.images[x] for x in other.images))
 
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.degree
-        for i, v in enumerate(self.images):
-            inv[v] = i
-        return Permutation(tuple(inv))
-
     def is_identity(self) -> bool:
         return all(v == i for i, v in enumerate(self.images))
 
-    def order(self) -> int:
-        n = 1
-        current = self
-        while not current.is_identity():
-            current = current * self
-            n += 1
-        return n
-
-    def cycle_count(self) -> int:
-        """Number of cycles, fixed points included."""
-        seen = [False] * self.degree
-        count = 0
-        for start in range(self.degree):
-            if seen[start]:
-                continue
-            count += 1
-            j = start
-            while not seen[j]:
-                seen[j] = True
-                j = self.images[j]
-        return count
-
-    def cycle_string(self) -> str:
-        seen = [False] * self.degree
-        parts = []
-        for start in range(self.degree):
-            if seen[start]:
-                continue
-            cycle = []
-            j = start
-            while not seen[j]:
-                seen[j] = True
-                cycle.append(j)
-                j = self.images[j]
-            if len(cycle) > 1:
-                parts.append("(" + " ".join(map(str, cycle)) + ")")
-        return "".join(parts) if parts else "()"
-
 
 class FiniteGroup:
-    """Finite permutation group with a fixed element order (identity first).
+    """Finite group given by its Cayley table, with a fixed element order.
 
-    Use :func:`build_group` or one of the presets; the constructor trusts the
+    ``elements`` keeps the permutations the group was built from (identity
+    first); after construction every operation reads the table.  Use
+    :func:`build_group` or one of the presets; the constructor trusts the
     element list to be closed.
     """
 
@@ -132,33 +98,45 @@ class FiniteGroup:
         if not self.elements or not self.elements[0].is_identity():
             raise GroupError("element list must start with the identity")
         self.generator_names: dict[str, int] = dict(generator_names)
-        self._index: dict[tuple[int, ...], int] = {
-            p.images: i for i, p in enumerate(self.elements)
-        }
-        if len(self._index) != len(self.elements):
+        n = self.order = len(self.elements)
+        if n > TABLE_ORDER_LIMIT:
+            raise OrderCapExceeded(f"order {n} exceeds the Cayley table limit {TABLE_ORDER_LIMIT}")
+        base = _base(self.elements)
+        key = itemgetter(*base)
+        index = {key(p.images): i for i, p in enumerate(self.elements)}
+        if len(index) != n:
             raise GroupError("duplicate elements in group construction")
-        self._inverse = tuple(self._index[p.inverse().images] for p in self.elements)
-        self._orders = tuple(p.order() for p in self.elements)
+        # (p*q)(b) = p(q(b)): row p, column q reads p at the points q(base).
+        # key and every column return a bare int alike when the base is one point.
+        columns = [itemgetter(*[q.images[b] for b in base]) for q in self.elements]
+        table = self._table = array("H")
+        for p in self.elements:
+            table.extend([index[column(p.images)] for column in columns])
+        self._inverse = tuple(table.index(0, i * n, i * n + n) - i * n for i in range(n))
+        orders = []
+        for i in range(n):
+            k, x = 1, i
+            while x:
+                x = table[x * n + i]
+                k += 1
+            orders.append(k)
+        self._orders = tuple(orders)
         self.exponent = math.lcm(*self._orders)
         # lazy caches
         self._classes = None
         self._character_table = None
-        self._subgroups: dict[int, tuple] = {}
+        self._subgroups: tuple | None = None
         self._coset_actions: dict[tuple[int, ...], "CosetAction"] = {}
         self._perm_chars: dict[tuple[int, ...], object] = {}
         self._fixed_dims: dict[tuple, int] = {}
         self._words: tuple[str, ...] | None = None
 
     @property
-    def order(self) -> int:
-        return len(self.elements)
-
-    @property
     def degree(self) -> int:
         return self.elements[0].degree
 
     def mul(self, i: int, j: int) -> int:
-        return self._index[(self.elements[i] * self.elements[j]).images]
+        return self._table[i * self.order + j]
 
     def inv(self, i: int) -> int:
         return self._inverse[i]
@@ -167,26 +145,19 @@ class FiniteGroup:
         return self._orders[i]
 
     def power(self, i: int, n: int) -> int:
-        if n < 0:
-            return self.power(self._inverse[i], -n)
+        n %= self._orders[i]  # i^n = i^(n mod order), negative n included
         result = 0
-        base = i
         while n:
             if n & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
+                result = self.mul(result, i)
+            i = self.mul(i, i)
             n >>= 1
         return result
 
     def conjugate(self, i: int, by: int) -> int:
         """Index of by * i * by^-1."""
-        return self.mul(self.mul(by, i), self._inverse[by])
-
-    def index_of(self, perm: Permutation) -> int:
-        try:
-            return self._index[perm.images]
-        except KeyError:
-            raise InvalidElementIndex(f"permutation {perm.images} is not in the group") from None
+        table, n = self._table, self.order
+        return table[table[by * n + i] * n + self._inverse[by]]
 
     def check_index(self, i: int) -> int:
         if not isinstance(i, int) or not 0 <= i < self.order:
@@ -223,6 +194,24 @@ class FiniteGroup:
         return f"<FiniteGroup order={self.order} degree={self.degree} gens=[{gens}]>"
 
 
+def _base(elements: Sequence[Permutation]) -> list[int]:
+    """Points whose images already tell every element apart.
+
+    A product is then determined by its images on these points alone, so
+    filling the table composes short tuples instead of whole permutations.
+    """
+    base: list[int] = []
+    distinct = 0
+    for point in range(elements[0].degree):
+        if distinct == len(elements):
+            break
+        trial = base + [point]
+        count = len({tuple(p.images[b] for b in trial) for p in elements})
+        if count > distinct:
+            base, distinct = trial, count
+    return base
+
+
 def _compress_word(letters: tuple[str, ...]) -> str:
     if not letters:
         return "1"
@@ -247,6 +236,8 @@ def build_group(
     if not generators:
         raise EmptyGeneratorList("need at least one generator permutation")
     degree = generators[0].degree
+    if degree == 0:
+        raise GroupError("generators must act on at least one point")
     for p in generators[1:]:
         if p.degree != degree:
             raise DegreeMismatch(f"degrees differ: {degree} vs {p.degree}")
@@ -257,7 +248,7 @@ def build_group(
 
     identity = Permutation.identity(degree)
     elements = [identity]
-    seen = {identity.images}
+    seen = {identity.images: 0}
     frontier = [identity]
     while frontier:
         nxt = []
@@ -265,7 +256,7 @@ def build_group(
             for gen in generators:
                 new = cur * gen
                 if new.images not in seen:
-                    seen.add(new.images)
+                    seen[new.images] = len(elements)
                     elements.append(new)
                     nxt.append(new)
                     if len(elements) > order_cap:
@@ -273,10 +264,7 @@ def build_group(
                             f"closure exceeded order cap {order_cap}"
                         )
         frontier = nxt
-    name_map = {}
-    index = {p.images: i for i, p in enumerate(elements)}
-    for name, gen in zip(names, generators):
-        name_map[name] = index[gen.images]
+    name_map = {name: seen[gen.images] for name, gen in zip(names, generators)}
     return FiniteGroup(elements, name_map)
 
 
@@ -298,8 +286,8 @@ def preset_dihedral(q: int, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     """Dihedral group <r, s : r^(2q) = s^2 = (sr)^2 = 1> of order 4q.
 
     Realized on the 2q-gon for q >= 2; the q = 1 (Klein) case needs 4 points.
-    Instances are shared: groups are immutable, so repeated preset calls
-    return the same object and its lazily built caches.
+    Instances are shared: a group's table never changes, so repeated preset
+    calls return the same object and its lazily built caches.
     """
     if q < 1:
         raise GroupError(f"q must be a positive integer, got {q}")
@@ -490,8 +478,8 @@ def enumerate_subgroups(group: FiniteGroup, order_cap: int = DEFAULT_SUBGROUP_CA
         raise OrderCapExceeded(
             f"subgroup enumeration capped at order {order_cap}, group has {group.order}"
         )
-    if order_cap in group._subgroups:
-        return group._subgroups[order_cap]
+    if group._subgroups is not None:
+        return group._subgroups
     found: dict[tuple[int, ...], tuple[int, ...]] = {(0,): (0,)}  # members -> generators
     layer = [(0,)]
     while layer:
@@ -512,9 +500,8 @@ def enumerate_subgroups(group: FiniteGroup, order_cap: int = DEFAULT_SUBGROUP_CA
         Subgroup(group, members, generators=gens) for members, gens in found.items()
     ]
     subgroups.sort(key=lambda h: (h.order, h.members))
-    result = tuple(subgroups)
-    group._subgroups[order_cap] = result
-    return result
+    group._subgroups = tuple(subgroups)
+    return group._subgroups
 
 
 @dataclass(frozen=True)
@@ -529,14 +516,14 @@ class CosetAction:
     subgroup_members: tuple[int, ...]
     representatives: tuple[int, ...]
     coset_of: tuple[int, ...]
-    perms: tuple[Permutation, ...]
 
     @property
     def degree(self) -> int:
         return len(self.representatives)
 
-    def perm(self, g: int) -> Permutation:
-        return self.perms[g]
+    def image(self, g: int, coset: int) -> int:
+        """The coset that g sends the given coset to: the one holding g * rep."""
+        return self.coset_of[self.group.mul(g, self.representatives[coset])]
 
 
 def _require_subgroup(group: FiniteGroup, subgroup: Subgroup) -> None:
@@ -560,16 +547,11 @@ def coset_action(group: FiniteGroup, subgroup: Subgroup) -> CosetAction:
         reps.append(coset[0])
         for x in coset:
             coset_of[x] = idx
-    perms = tuple(
-        Permutation(tuple(coset_of[group.mul(g, rep)] for rep in reps))
-        for g in range(group.order)
-    )
     action = CosetAction(
         group=group,
         subgroup_members=members,
         representatives=tuple(reps),
         coset_of=tuple(coset_of),
-        perms=perms,
     )
     group._coset_actions[subgroup.members] = action
     return action

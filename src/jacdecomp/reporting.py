@@ -25,11 +25,11 @@ from .decomposition import (
     TheoremBReport,
     TheoremCReport,
 )
+from . import __version__ as ENGINE_VERSION
 from .groups import FiniteGroup
 from .scenario import ScenarioFile
 
 ENGINE_NAME = "jacdecomp"
-ENGINE_VERSION = "0.1.0"
 
 
 @dataclass

@@ -9,6 +9,7 @@ from jacdecomp.groups import (
     DegreeMismatch,
     EmptyGeneratorList,
     FiniteGroup,
+    GroupError,
     InvalidElementIndex,
     NotASubgroup,
     OrderCapExceeded,
@@ -35,6 +36,15 @@ def hexagon_generators():
     rotation = Permutation(tuple((i + 1) % 6 for i in range(6)))
     reflection = Permutation(tuple((-i) % 6 for i in range(6)))
     return rotation, reflection
+
+
+A4_GENERATORS = [(1, 2, 0, 3), (0, 2, 3, 1)]
+S4_GENERATORS = [(1, 0, 2, 3), (1, 2, 3, 0)]
+FROBENIUS_20_GENERATORS = [(1, 2, 3, 4, 0), (0, 2, 4, 1, 3)]  # x+1 and 2x on Z/5
+
+
+def group_from_images(generators):
+    return build_group([Permutation(images) for images in generators])
 
 
 # -- construction -------------------------------------------------------------
@@ -65,6 +75,8 @@ def test_build_group_errors():
         build_group([], [])
     with pytest.raises(DegreeMismatch):
         build_group([Permutation((1, 0)), Permutation((0, 1, 2))], ["a", "b"])
+    with pytest.raises(GroupError):
+        build_group([Permutation(())], ["e"])
     rotation, reflection = hexagon_generators()
     with pytest.raises(OrderCapExceeded):
         build_group([rotation, reflection], ["r", "s"], order_cap=8)
@@ -158,6 +170,32 @@ def test_product_table_axioms_random_for_larger_group():
     for _ in range(500):
         a, b, c = (rng.randrange(group.order) for _ in range(3))
         assert group.mul(group.mul(a, b), c) == group.mul(a, group.mul(b, c))
+
+
+def compose(p, q):
+    """Images of p*q, where q acts first."""
+    return tuple(p[x] for x in q)
+
+
+@pytest.mark.parametrize("generators,order", [
+    (A4_GENERATORS, 12),
+    (S4_GENERATORS, 24),
+    (FROBENIUS_20_GENERATORS, 20),
+], ids=["A4", "S4", "F20"])
+def test_cayley_table_matches_permutation_composition(generators, order):
+    group = group_from_images(generators)
+    assert group.order == order
+    images = [p.images for p in group.elements]
+    index = {p: i for i, p in enumerate(images)}
+    identity = images[0]
+    for i, p in enumerate(images):
+        for j, q in enumerate(images):
+            assert group.mul(i, j) == index[compose(p, q)]
+        powers = [p]
+        while powers[-1] != identity:
+            powers.append(compose(powers[-1], p))
+        assert group.element_order(i) == len(powers)
+        assert group.inv(i) == index[powers[-2] if len(powers) > 1 else identity]
 
 
 def test_element_orders_divide_exponent():
@@ -326,8 +364,7 @@ def test_coset_action_trivial_subgroup_is_regular():
     action = coset_action(group, trivial_subgroup(group))
     assert action.degree == group.order
     for g in range(1, group.order):
-        perm = action.perm(g)
-        assert all(perm(i) != i for i in range(group.order))
+        assert all(action.image(g, i) != i for i in range(group.order))
 
 
 def test_coset_action_reflection_subgroup_transitive_degree_6():
@@ -337,7 +374,7 @@ def test_coset_action_reflection_subgroup_transitive_degree_6():
     assert action.degree == 6
     reached = {0}
     for g in range(group.order):
-        reached.add(action.perm(g)(0))
+        reached.add(action.image(g, 0))
     assert reached == set(range(6))
 
 
@@ -345,23 +382,22 @@ def test_coset_action_stabilizer_of_base_coset():
     group = preset_dihedral(3)
     subgroup = subgroup_generate(group, (group.generator_names["s"],))
     action = coset_action(group, subgroup)
-    stabilizer = {g for g in range(group.order) if action.perm(g)(0) == 0}
+    stabilizer = {g for g in range(group.order) if action.image(g, 0) == 0}
     assert stabilizer == set(subgroup.members)
 
 
 def test_coset_action_fixed_point_count_formula():
-    group = preset_dihedral(3)
-    for subgroup in enumerate_subgroups(group):
-        action = coset_action(group, subgroup)
-        for g in range(group.order):
-            perm = action.perm(g)
-            fixed = sum(1 for i in range(action.degree) if perm(i) == i)
-            by_membership = sum(
-                1
-                for x in action.representatives
-                if group.mul(group.mul(group.inv(x), g), x) in subgroup
-            )
-            assert fixed == by_membership
+    for group in (preset_dihedral(3), group_from_images(S4_GENERATORS)):
+        for subgroup in enumerate_subgroups(group):
+            action = coset_action(group, subgroup)
+            for g in range(group.order):
+                fixed = sum(1 for i in range(action.degree) if action.image(g, i) == i)
+                by_membership = sum(
+                    1
+                    for x in action.representatives
+                    if group.mul(group.mul(group.inv(x), g), x) in subgroup
+                )
+                assert fixed == by_membership
 
 
 def test_coset_action_requires_matching_parent():
