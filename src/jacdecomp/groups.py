@@ -20,7 +20,6 @@ import math
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import itemgetter
 from typing import Iterable, Sequence
 
 DEFAULT_ORDER_CAP = 2048
@@ -101,17 +100,12 @@ class FiniteGroup:
         n = self.order = len(self.elements)
         if n > TABLE_ORDER_LIMIT:
             raise OrderCapExceeded(f"order {n} exceeds the Cayley table limit {TABLE_ORDER_LIMIT}")
-        base = _base(self.elements)
-        key = itemgetter(*base)
-        index = {key(p.images): i for i, p in enumerate(self.elements)}
+        index = {p.images: i for i, p in enumerate(self.elements)}
         if len(index) != n:
             raise GroupError("duplicate elements in group construction")
-        # (p*q)(b) = p(q(b)): row p, column q reads p at the points q(base).
-        # key and every column return a bare int alike when the base is one point.
-        columns = [itemgetter(*[q.images[b] for b in base]) for q in self.elements]
         table = self._table = array("H")
         for p in self.elements:
-            table.extend([index[column(p.images)] for column in columns])
+            table.extend([index[(p * q).images] for q in self.elements])
         self._inverse = tuple(table.index(0, i * n, i * n + n) - i * n for i in range(n))
         orders = []
         for i in range(n):
@@ -156,8 +150,7 @@ class FiniteGroup:
 
     def conjugate(self, i: int, by: int) -> int:
         """Index of by * i * by^-1."""
-        table, n = self._table, self.order
-        return table[table[by * n + i] * n + self._inverse[by]]
+        return self.mul(self.mul(by, i), self._inverse[by])
 
     def check_index(self, i: int) -> int:
         if not isinstance(i, int) or not 0 <= i < self.order:
@@ -194,24 +187,6 @@ class FiniteGroup:
         return f"<FiniteGroup order={self.order} degree={self.degree} gens=[{gens}]>"
 
 
-def _base(elements: Sequence[Permutation]) -> list[int]:
-    """Points whose images already tell every element apart.
-
-    A product is then determined by its images on these points alone, so
-    filling the table composes short tuples instead of whole permutations.
-    """
-    base: list[int] = []
-    distinct = 0
-    for point in range(elements[0].degree):
-        if distinct == len(elements):
-            break
-        trial = base + [point]
-        count = len({tuple(p.images[b] for b in trial) for p in elements})
-        if count > distinct:
-            base, distinct = trial, count
-    return base
-
-
 def _compress_word(letters: tuple[str, ...]) -> str:
     if not letters:
         return "1"
@@ -236,8 +211,6 @@ def build_group(
     if not generators:
         raise EmptyGeneratorList("need at least one generator permutation")
     degree = generators[0].degree
-    if degree == 0:
-        raise GroupError("generators must act on at least one point")
     for p in generators[1:]:
         if p.degree != degree:
             raise DegreeMismatch(f"degrees differ: {degree} vs {p.degree}")

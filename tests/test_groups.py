@@ -9,7 +9,6 @@ from jacdecomp.groups import (
     DegreeMismatch,
     EmptyGeneratorList,
     FiniteGroup,
-    GroupError,
     InvalidElementIndex,
     NotASubgroup,
     OrderCapExceeded,
@@ -75,8 +74,6 @@ def test_build_group_errors():
         build_group([], [])
     with pytest.raises(DegreeMismatch):
         build_group([Permutation((1, 0)), Permutation((0, 1, 2))], ["a", "b"])
-    with pytest.raises(GroupError):
-        build_group([Permutation(())], ["e"])
     rotation, reflection = hexagon_generators()
     with pytest.raises(OrderCapExceeded):
         build_group([rotation, reflection], ["r", "s"], order_cap=8)
