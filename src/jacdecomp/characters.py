@@ -163,24 +163,43 @@ def _kernel_mod(matrix: list[list[int]], p: int) -> list[list[int]]:
 
 
 def _charpoly_mod(matrix: list[list[int]], p: int) -> list[int]:
-    """Characteristic polynomial over F_p (Faddeev-LeVerrier), low degree first."""
+    """Characteristic polynomial over F_p, low degree first, in O(n^3).
+
+    Hessenberg reduction by similarity, then the recurrence on its leading
+    minors (Cohen, A Course in Computational Algebraic Number Theory, 2.2.9).
+    """
     n = len(matrix)
-    coeffs = [0] * (n + 1)
-    coeffs[n] = 1
-    m = [row[:] for row in matrix]
-    for k in range(1, n + 1):
-        tr = sum(m[i][i] for i in range(n)) % p
-        ck = (-tr * pow(k, -1, p)) % p
-        coeffs[n - k] = ck
-        if k == n:
-            break
-        for i in range(n):
-            m[i][i] = (m[i][i] + ck) % p
-        m = [
-            [sum(matrix[i][l] * m[l][j] for l in range(n)) % p for j in range(n)]
-            for i in range(n)
-        ]
-    return coeffs
+    h = [[x % p for x in row] for row in matrix]
+    for m in range(1, n - 1):
+        pivot = next((i for i in range(m, n) if h[i][m - 1]), None)
+        if pivot is None:
+            continue
+        if pivot != m:
+            h[m], h[pivot] = h[pivot], h[m]
+            for row in h:
+                row[m], row[pivot] = row[pivot], row[m]
+        inv = pow(h[m][m - 1], -1, p)
+        for i in range(m + 1, n):
+            u = h[i][m - 1] * inv % p
+            if u:
+                h[i] = [(x - u * y) % p for x, y in zip(h[i], h[m])]
+                for row in h:
+                    row[m] = (row[m] + u * row[i]) % p
+    # polys[m] is the charpoly of the leading m x m block of h
+    polys = [[1]]
+    for m in range(n):
+        nxt = [0] + polys[m]
+        for i, c in enumerate(polys[m]):
+            nxt[i] -= h[m][m] * c
+        t = 1
+        for i in range(m - 1, -1, -1):
+            t = t * h[i + 1][i] % p
+            f = h[i][m] * t % p
+            if f:
+                for j, c in enumerate(polys[i]):
+                    nxt[j] -= f * c
+        polys.append([c % p for c in nxt])
+    return polys[n]
 
 
 def _poly_roots_mod(coeffs: list[int], p: int) -> list[int]:

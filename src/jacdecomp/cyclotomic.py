@@ -1,9 +1,11 @@
 """Exact arithmetic in the cyclotomic field Q(zeta_e).
 
-A value is stored in reduced power-basis form: phi(e) rational coordinates
-over 1, z, ..., z^(phi(e)-1), where z = zeta_e and reduction is by the e-th
-cyclotomic polynomial.  Canonical form is unique, so equality of values is
-equality of coordinate tuples.  Everything here is exact; no floats.
+A value is stored in reduced power-basis form: phi(e) coordinates over
+1, z, ..., z^(phi(e)-1), where z = zeta_e and reduction is by the e-th
+cyclotomic polynomial.  Coordinates are ints for algebraic integers (every
+character value is one) and Fractions only after a real division: a Fraction
+scalar or `inverse()`.  Canonical form is unique and Fraction(n) == n, so
+equality of values is equality of coordinate tuples.  No floats anywhere.
 
 One analysis session fixes a single conductor (the exponent of the acting
 group) and embeds every character value there, which keeps all arithmetic in
@@ -109,7 +111,7 @@ def cyclotomic_polynomial(e: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-def _reduce_coeffs(coeffs: list[Fraction], e: int) -> tuple[Fraction, ...]:
+def _reduce_coeffs(coeffs: list[Scalar], e: int) -> tuple[Scalar, ...]:
     """Remainder of a coefficient list modulo Phi_e, padded to length phi(e)."""
     phi = cyclotomic_polynomial(e)
     deg = len(phi) - 1
@@ -120,31 +122,29 @@ def _reduce_coeffs(coeffs: list[Fraction], e: int) -> tuple[Fraction, ...]:
             for j in range(len(phi)):
                 rem[i - deg + j] -= c * phi[j]
     rem = rem[:deg]
-    rem.extend([Fraction(0)] * (deg - len(rem)))
+    rem.extend([0] * (deg - len(rem)))
     return tuple(rem)
 
 
-def _as_fraction(x: Scalar) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
+def _as_scalar(x: Scalar) -> Scalar:
+    if isinstance(x, (int, Fraction)):
+        return x if isinstance(x, Fraction) else int(x)
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
 class Cyclotomic:
-    """An element of Q(zeta_e) in reduced power-basis form (immutable)."""
+    """Immutable element of Q(zeta_e): int coordinates, Fraction only after a division."""
 
     __slots__ = ("conductor", "coeffs")
 
-    def __init__(self, conductor: int, coeffs: Sequence[Fraction]):
+    def __init__(self, conductor: int, coeffs: Sequence[Scalar]):
         if conductor < 1:
             raise ZeroConductor(f"conductor must be positive, got {conductor}")
         coeffs = tuple(coeffs)
-        if len(coeffs) != euler_phi(conductor):
+        phi = len(cyclotomic_polynomial(conductor)) - 1
+        if len(coeffs) != phi:
             raise ValueError(
-                f"need phi({conductor}) = {euler_phi(conductor)} coordinates, "
-                f"got {len(coeffs)}"
+                f"need phi({conductor}) = {phi} coordinates, got {len(coeffs)}"
             )
         object.__setattr__(self, "conductor", conductor)
         object.__setattr__(self, "coeffs", coeffs)
@@ -156,7 +156,7 @@ class Cyclotomic:
 
     @classmethod
     def zero(cls, e: int) -> "Cyclotomic":
-        return cls(e, [Fraction(0)] * euler_phi(e))
+        return cls(e, [0] * (len(cyclotomic_polynomial(e)) - 1))
 
     @classmethod
     def one(cls, e: int) -> "Cyclotomic":
@@ -164,8 +164,8 @@ class Cyclotomic:
 
     @classmethod
     def from_rational(cls, x: Scalar, e: int) -> "Cyclotomic":
-        coeffs = [Fraction(0)] * euler_phi(e)
-        coeffs[0] = _as_fraction(x)
+        coeffs = [0] * (len(cyclotomic_polynomial(e)) - 1)
+        coeffs[0] = _as_scalar(x)
         return cls(e, coeffs)
 
     @classmethod
@@ -178,9 +178,9 @@ class Cyclotomic:
         """Sum of a_k * zeta_e^k over the given exponents (any integers)."""
         if e < 1:
             raise ZeroConductor(f"conductor must be positive, got {e}")
-        raw = [Fraction(0)] * e
+        raw = [0] * e
         for k, a in terms.items():
-            raw[k % e] += _as_fraction(a)
+            raw[k % e] += _as_scalar(a)
         return cls(e, _reduce_coeffs(raw, e))
 
     # -- ring / field structure -------------------------------------------
@@ -227,7 +227,7 @@ class Cyclotomic:
         if o is None:
             return NotImplemented
         n = len(self.coeffs)
-        prod = [Fraction(0)] * (2 * n - 1)
+        prod = [0] * (2 * n - 1)
         for i, a in enumerate(self.coeffs):
             if not a:
                 continue
@@ -256,7 +256,7 @@ class Cyclotomic:
             raise ZeroDivisionError("inverse of zero cyclotomic value")
         phi = [Fraction(c) for c in cyclotomic_polynomial(self.conductor)]
         # extended Euclid in Q[x]: u*self + v*phi = gcd
-        r0, r1 = phi, list(self.coeffs)
+        r0, r1 = phi, [Fraction(c) for c in self.coeffs]
         u0, u1 = [Fraction(0)], [Fraction(1)]
         while any(r1):
             q, r = _poly_divmod(r0, r1)
@@ -282,10 +282,10 @@ class Cyclotomic:
         e = self.conductor
         if math.gcd(k, e) != 1:
             raise NotCoprime(f"sigma_{k} is not an automorphism of Q(zeta_{e})")
-        terms: dict[int, Fraction] = {}
+        terms: dict[int, Scalar] = {}
         for i, a in enumerate(self.coeffs):
             if a:
-                terms[(i * k) % e] = terms.get((i * k) % e, Fraction(0)) + a
+                terms[(i * k) % e] = terms.get((i * k) % e, 0) + a
         return Cyclotomic.from_terms(terms, e)
 
     def conjugate(self) -> "Cyclotomic":
@@ -302,7 +302,7 @@ class Cyclotomic:
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"not a rational value: {self}")
-        return self.coeffs[0]
+        return Fraction(self.coeffs[0])
 
     def as_integer(self) -> int:
         q = self.as_rational()

@@ -1,5 +1,6 @@
 """Character tables, inner products, fixed subspaces, rational classes."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from jacdecomp.characters import (
     rational_classes,
     regular_character,
     trivial_character,
+    _charpoly_mod,
 )
 from jacdecomp.cyclotomic import Cyclotomic
 from jacdecomp.groups import (
@@ -79,10 +81,16 @@ def test_table_axioms(group):
     assert len(table.irreducibles) == k
     assert sum(d * d for d in table.degrees) == group.order
     assert table.irreducibles[0] == trivial_character(group)
+    # character values are algebraic integers: int coordinates, never Fraction
+    for row in table.irreducibles:
+        for value in row.values:
+            assert all(type(c) is int for c in value.coeffs)
     # exact row orthonormality
     for i, a in enumerate(table.irreducibles):
         for j, b in enumerate(table.irreducibles):
-            assert inner_product(a, b) == (1 if i == j else 0)
+            product = inner_product(a, b)
+            assert type(product) is Fraction
+            assert product == (1 if i == j else 0)
     # exact column orthogonality: sum over rows of chi(g) conj(chi(h))
     e = group.exponent
     sizes = table.classes.sizes
@@ -93,6 +101,49 @@ def test_table_axioms(group):
                 total = total + row.values[c1] * row.values[c2].conjugate()
             expected = Fraction(group.order, sizes[c1]) if c1 == c2 else 0
             assert total == Cyclotomic.from_rational(expected, e)
+
+
+def det_mod(matrix, p):
+    """Determinant over F_p by plain Gaussian elimination."""
+    m = [[x % p for x in row] for row in matrix]
+    det = 1
+    for c in range(len(m)):
+        pivot = next((r for r in range(c, len(m)) if m[r][c]), None)
+        if pivot is None:
+            return 0
+        if pivot != c:
+            m[c], m[pivot] = m[pivot], m[c]
+            det = -det
+        det = det * m[c][c] % p
+        inv = pow(m[c][c], -1, p)
+        for r in range(c + 1, len(m)):
+            f = m[r][c] * inv % p
+            m[r] = [(x - f * y) % p for x, y in zip(m[r], m[c])]
+    return det % p
+
+
+def test_charpoly_mod_matches_determinant_oracle():
+    """charpoly(M) evaluated at every lam in F_p equals det(lam*I - M) mod p."""
+    p = 13
+    rng = random.Random(2026)
+    matrices = [
+        [[0] * 4 for _ in range(4)],
+        # zero subdiagonal entry with a nonzero one below it: pivot swap
+        [[1, 2, 3, 4], [0, 5, 6, 7], [8, 9, 10, 11], [12, 0, 1, 2]],
+        # first column zero below the diagonal: nothing to eliminate there
+        [[1, 2, 3, 4], [0, 5, 6, 7], [0, 8, 9, 10], [0, 11, 12, 0]],
+    ]
+    for n in range(1, 7):
+        for _ in range(6):
+            matrices.append([[rng.randrange(-p, 2 * p) for _ in range(n)] for _ in range(n)])
+    for m in matrices:
+        n = len(m)
+        coeffs = _charpoly_mod(m, p)
+        assert len(coeffs) == n + 1 and coeffs[n] == 1
+        for lam in range(p):
+            value = sum(c * pow(lam, i, p) for i, c in enumerate(coeffs)) % p
+            shifted = [[((lam if i == j else 0) - m[i][j]) for j in range(n)] for i in range(n)]
+            assert value == det_mod(shifted, p)
 
 
 @pytest.mark.parametrize("group", LIBRARY, ids=lambda g: f"order{g.order}")
@@ -179,13 +230,13 @@ def closed_form_dihedral_rows(q):
     return rows
 
 
-@pytest.mark.parametrize("q", [3, 5, 7])
+@pytest.mark.parametrize("q", [3, 5, 7, 31])
 def test_dihedral_table_matches_closed_form(q):
     table = character_table(preset_dihedral(q))
     assert {row.values for row in table.irreducibles} == closed_form_dihedral_rows(q)
 
 
-@pytest.mark.parametrize("t", [1, 2, 3, 4])
+@pytest.mark.parametrize("t", [1, 2, 3, 4, 6])
 def test_elementary_abelian_table_matches_closed_form(t):
     """Rows are exactly the sign characters determined on the generators."""
     import itertools

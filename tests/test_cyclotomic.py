@@ -123,6 +123,20 @@ def test_field_axioms_on_random_values():
             assert a - a == Cyclotomic.zero(e)
 
 
+def test_integer_inputs_keep_int_coordinates():
+    """Fractions appear only after a real division, never from int arithmetic."""
+    a = Cyclotomic.from_terms({0: 2, 1: -1, 5: 3}, 12)
+    b = Cyclotomic.from_terms({2: 1, 7: -4}, 12)
+    for value in (a + b, a - b, a * b, 3 * a - 1, -a, a.galois(5), a.conjugate()):
+        assert all(type(c) is int for c in value.coeffs)
+    half = a * Fraction(1, 2)
+    assert all(type(c) is Fraction for c in half.coeffs if c)
+    assert half.coeffs == tuple(Fraction(c, 2) for c in a.coeffs)
+    assert half + half == a
+    rational = Cyclotomic.from_rational(7, 12)
+    assert type(rational.as_rational()) is Fraction and rational.as_rational() == 7
+
+
 def test_division_and_powers():
     x = Cyclotomic.from_terms({1: 2, 3: -1}, 8)
     assert (x / x) == Cyclotomic.one(8)
