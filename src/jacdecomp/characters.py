@@ -12,10 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, isqrt
 from typing import Mapping
 
-from .cyclotomic import Cyclotomic, is_prime
+from .cyclotomic import ConductorMismatch, Cyclotomic, _reduce_coeffs, is_prime
 from .groups import (
     ConjugacyClassPartition,
     FiniteGroup,
@@ -64,6 +65,15 @@ class ClassFunction:
     def classes(self) -> ConjugacyClassPartition:
         return conjugacy_classes(self.group)
 
+    @cached_property
+    def coords(self) -> tuple[tuple, ...]:
+        """The coordinate tuple of each value; every value must lie in Q(zeta_exp(G))."""
+        e = self.group.exponent
+        for v in self.values:
+            if v.conductor != e:
+                raise ConductorMismatch(f"conductors differ: {v.conductor} vs {e}")
+        return tuple(v.coeffs for v in self.values)
+
     def value_on_element(self, i: int) -> Cyclotomic:
         return self.values[self.classes.class_of[i]]
 
@@ -94,16 +104,33 @@ class ClassFunction:
         return ClassFunction(self.group, tuple(v.galois(k) for v in self.values))
 
 
+def _combine(weights, vectors) -> tuple:
+    """sum of w * v over paired weights and reduced coordinate vectors, itself reduced."""
+    total = [0] * len(vectors[0])
+    for w, v in zip(weights, vectors):
+        if w:
+            total = [t + w * x for t, x in zip(total, v)]
+    return tuple(total)
+
+
 def inner_product(a: ClassFunction, b: ClassFunction) -> Fraction:
-    """(1/|G|) sum over G of a(g) * conj(b(g)), returned exactly."""
+    """(1/|G|) sum over G of a(g) * conj(b(g)), returned exactly.
+
+    Every a_i z^i * conj(b_j z^j) = a_i b_j z^(i-j) adds into one raw list, reduced once.
+    """
     if a.group is not b.group:
         raise GroupMismatch("class functions on different groups")
     group = a.group
-    sizes = conjugacy_classes(group).sizes
-    total = Cyclotomic.zero(group.exponent)
-    for size, va, vb in zip(sizes, a.values, b.values):
-        total = total + va * vb.conjugate() * size
-    return total.as_rational() / group.order
+    e = group.exponent
+    raw = [0] * e
+    for size, xs, ys in zip(conjugacy_classes(group).sizes, a.coords, b.coords):
+        for i, x in enumerate(xs):
+            if x:
+                x *= size
+                for j, y in enumerate(ys):
+                    if y:
+                        raw[(i - j) % e] += x * y
+    return Cyclotomic(e, _reduce_coeffs(raw, e)).as_rational() / group.order
 
 
 @dataclass(frozen=True)
@@ -344,8 +371,17 @@ def character_table(group: FiniteGroup) -> CharacterTable:
         )
 
     inv_class = [class_of[group.inv(rep)] for rep in reps]
+    inv_sizes = [pow(size, -1, p) for size in classes.sizes]
+    # root_pow[t] = z^t mod p for a primitive e-th root z; zeta_n^i is z^(i*e/n)
     z_root = _primitive_root_of_unity(p, e)
-    sizes = classes.sizes
+    root_pow = [1] * e
+    for t in range(1, e):
+        root_pow[t] = root_pow[t - 1] * z_root % p
+    # per class: element order n, its pow(n, -1, p) and the classes of rep^i, i < n
+    cyclic = []
+    for rep in reps:
+        n = group.element_order(rep)
+        cyclic.append((n, pow(n, -1, p), [class_of[group.power(rep, i)] for i in range(n)]))
 
     rows: list[ClassFunction] = []
     for vec in eigenvectors:
@@ -353,25 +389,20 @@ def character_table(group: FiniteGroup) -> CharacterTable:
             raise CharacterError("eigenvector vanishes on the identity class")
         norm = pow(vec[0], -1, p)
         omega = [(v * norm) % p for v in vec]
-        sigma = sum(
-            omega[l] * omega[inv_class[l]] * pow(sizes[l], -1, p) for l in range(k)
-        ) % p
+        sigma = sum(omega[l] * omega[inv_class[l]] * inv_sizes[l] for l in range(k)) % p
         d_squared = (order * pow(sigma, -1, p)) % p
         d = isqrt(d_squared)
         if d * d != d_squared or not 1 <= d * d <= order:
             raise CharacterError("degree reconstruction failed")
         # character values mod p per class
-        cvals = [(d * omega[l] * pow(sizes[l], -1, p)) % p for l in range(k)]
+        cvals = [(d * omega[l] * inv_sizes[l]) % p for l in range(k)]
         values = []
-        for l, rep in enumerate(reps):
-            n = group.element_order(rep)
-            zn = pow(z_root, e // n, p)
-            powers = [class_of[group.power(rep, i)] for i in range(n)]
-            inv_n = pow(n, -1, p)
+        for n, inv_n, powers in cyclic:
+            step = e // n
             terms: dict[int, int] = {}
             total = 0
             for j in range(n):
-                m_j = sum(cvals[powers[i]] * pow(zn, (-i * j) % n, p) for i in range(n))
+                m_j = sum(cvals[powers[i]] * root_pow[(-i * j * step) % e] for i in range(n))
                 m_j = (m_j * inv_n) % p
                 if m_j > d:
                     raise CharacterError("eigenvalue multiplicity exceeds the degree")
@@ -450,24 +481,26 @@ def fixed_dim(chi: ClassFunction, subgroup: Subgroup) -> int:
     Computed as the average of the character over the subgroup, then
     cross-checked against the Frobenius-reciprocity route through the
     permutation character; the two independent computations must agree.
+    The cache key holds coordinate tuples, so a lookup hashes no Cyclotomic.
     """
     group = chi.group
     if subgroup.parent is not group:
         raise GroupMismatch("subgroup belongs to a different group")
-    key = (chi, subgroup.members)
+    coords = chi.coords
+    key = (coords, subgroup.members)
     cached = group._fixed_dims.get(key)
     if cached is not None:
         return cached
     class_of = conjugacy_classes(group).class_of
-    total = Cyclotomic.zero(group.exponent)
+    counts = [0] * len(coords)
     for h in subgroup.members:
-        total = total + chi.values[class_of[h]]
-    average = total * Fraction(1, subgroup.order)
-    if not average.is_rational() or average.as_rational().denominator != 1:
+        counts[class_of[h]] += 1
+    total = Cyclotomic(group.exponent, _combine(counts, coords))
+    if not total.is_rational() or total.coeffs[0] % subgroup.order:
         raise NonIntegralAverage(
-            f"average over subgroup is {average}; not a character"
+            f"average over subgroup is {total * Fraction(1, subgroup.order)}; not a character"
         )
-    dim = average.as_rational().numerator
+    dim = total.coeffs[0] // subgroup.order
     via_induction = inner_product(permutation_character(group, subgroup), chi)
     if via_induction != dim:
         raise CharacterError(
@@ -484,11 +517,12 @@ def frobenius_schur(chi: ClassFunction) -> int:
     if inner_product(chi, chi) != 1:
         raise NotIrreducible("Frobenius-Schur indicator needs an irreducible character")
     group = chi.group
+    coords = chi.coords
     class_of = conjugacy_classes(group).class_of
-    total = Cyclotomic.zero(group.exponent)
+    counts = [0] * len(coords)
     for g in range(group.order):
-        total = total + chi.values[class_of[group.mul(g, g)]]
-    value = (total * Fraction(1, group.order)).as_rational()
+        counts[class_of[group.mul(g, g)]] += 1
+    value = Cyclotomic(group.exponent, _combine(counts, coords)).as_rational() / group.order
     if value.denominator != 1 or value.numerator not in (-1, 0, 1):
         raise CharacterError(f"indicator {value} outside -1, 0, 1")
     return value.numerator
@@ -543,18 +577,22 @@ def rational_classes(
     overrides = dict(overrides or {})
     rows = table.irreducibles
     e = table.conductor
-    row_index = {row.values: i for i, row in enumerate(rows)}
-    orbit_of: dict[int, set[int]] = {}
+    coords = [row.coords for row in rows]
+    row_index = {c: i for i, c in enumerate(coords)}
+    # one list per Galois automorphism sigma_k: basis z^i goes to reduced z^(ik)
+    galois_maps = [
+        [_reduce_coeffs([0] * (i * k % e) + [1], e) for i in range(len(coords[0][0]))]
+        for k in range(1, e + 1)
+        if gcd(k, e) == 1
+    ]
     assigned: set[int] = set()
     orbits: list[tuple[int, ...]] = []
     for i in range(len(rows)):
         if i in assigned:
             continue
         orbit = {i}
-        for k in range(1, e + 1):
-            if gcd(k, e) != 1:
-                continue
-            image = tuple(v.galois(k) for v in rows[i].values)
+        for basis_images in galois_maps:
+            image = tuple(_combine(xs, basis_images) for xs in coords[i])
             j = row_index.get(image)
             if j is None:
                 raise CharacterError("Galois action left the character table")

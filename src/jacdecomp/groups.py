@@ -444,8 +444,12 @@ def subgroup_join(a: Subgroup, b: Subgroup) -> Subgroup:
 def enumerate_subgroups(group: FiniteGroup, order_cap: int = DEFAULT_SUBGROUP_CAP) -> tuple[Subgroup, ...]:
     """All subgroups, unique, sorted by (order, members).
 
-    Walks the lattice by adjoining one cyclic generator at a time, layered by
-    subgroup order, which is the classical cyclic-extension strategy.
+    Breadth-first from the trivial subgroup: each subgroup P found is extended
+    by every g outside it, in index order, and <P, g> is recorded the first
+    time its members appear, generated by P's generators (identity dropped)
+    and then g.  As <P, x> = <P, g> for all x in the double coset PgP, only
+    the smallest g of each double coset is closed; the rest would only
+    rediscover that subgroup, so the recorded generators do not change.
     """
     if group.order > order_cap:
         raise OrderCapExceeded(
@@ -459,10 +463,21 @@ def enumerate_subgroups(group: FiniteGroup, order_cap: int = DEFAULT_SUBGROUP_CA
         next_layer = []
         for members in layer:
             gens = found[members]
-            member_set = set(members)
+            done = bytearray(group.order)  # marks P and every double coset closed
+            for h in members:
+                done[h] = 1
             for g in range(1, group.order):
-                if g in member_set:
+                if done[g]:
                     continue
+                done[g] = 1
+                frontier = [g]
+                while frontier:
+                    x = frontier.pop()
+                    for s in gens:
+                        for y in (group.mul(s, x), group.mul(x, s)):
+                            if not done[y]:
+                                done[y] = 1
+                                frontier.append(y)
                 new_gens = tuple(sorted(set(gens) - {0})) + (g,)
                 new_members = _closure_from_generators(group, new_gens)
                 if new_members not in found:

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from jacdecomp.characters import (
+    ClassFunction,
     GroupAlgebraElement,
     GroupMismatch,
     NonIntegralAverage,
@@ -23,7 +24,7 @@ from jacdecomp.characters import (
     trivial_character,
     _charpoly_mod,
 )
-from jacdecomp.cyclotomic import Cyclotomic
+from jacdecomp.cyclotomic import ConductorMismatch, Cyclotomic, cyclotomic_polynomial
 from jacdecomp.groups import (
     Permutation,
     build_group,
@@ -686,3 +687,108 @@ def test_class_function_arithmetic_and_scaling():
     assert combo.value_on_element(0).as_integer() == group.order + 2
     assert combo - reg == 2 * triv
     assert (0 * reg) == reg - reg
+
+
+# -- class-function kernels against Cyclotomic operators ---------------------------------------
+
+KERNEL_GROUPS = {
+    "D20": lambda: preset_dihedral(5),
+    "Q8": preset_quaternion,
+    "F20": lambda: build_group([Permutation((1, 2, 3, 4, 0)), Permutation((0, 2, 4, 1, 3))]),
+}
+
+
+def operator_inner_sum(a, b):
+    """sum over classes of size * a * conj(b), by Cyclotomic operators (not yet / |G|)."""
+    total = Cyclotomic.zero(a.group.exponent)
+    for size, va, vb in zip(conjugacy_classes(a.group).sizes, a.values, b.values):
+        total = total + va * vb.conjugate() * size
+    return total
+
+
+def operator_element_sum(chi, elements):
+    """sum of chi(x) over the given elements, by Cyclotomic operators."""
+    class_of = conjugacy_classes(chi.group).class_of
+    total = Cyclotomic.zero(chi.group.exponent)
+    for x in elements:
+        total = total + chi.values[class_of[x]]
+    return total
+
+
+@pytest.mark.parametrize("fractions", [False, True], ids=["int", "fraction"])
+@pytest.mark.parametrize("name", sorted(KERNEL_GROUPS))
+def test_class_function_kernels_match_operator_reference(name, fractions):
+    group = KERNEL_GROUPS[name]()
+    rng = random.Random(f"kernels:{name}:{fractions}")
+    table = character_table(group)
+    rows = table.irreducibles
+    e = group.exponent
+    phi = len(cyclotomic_polynomial(e)) - 1
+
+    def scalar(low, high):
+        c = rng.randint(low, high)
+        return Fraction(c, rng.randint(1, 3)) if fractions else c
+
+    def combination():
+        """A random combination of irreducibles, with its coefficients."""
+        coefficients = [scalar(-2, 3) for _ in rows]
+        total = 0 * rows[0]
+        for c, row in zip(coefficients, rows):
+            total = total + c * row
+        return coefficients, total
+
+    def random_values():
+        """Independent random values per class: no Galois symmetry at all."""
+        return ClassFunction(group, tuple(
+            Cyclotomic(e, [scalar(-3, 3) for _ in range(phi)]) for _ in rows
+        ))
+
+    seen = {"irrational": 0, "rational": 0, "dim": 0, "not a dim": 0}
+    for _ in range(6):
+        (cs, a), (ds, b) = combination(), combination()
+        expected = operator_inner_sum(a, b).as_rational() / group.order
+        assert inner_product(a, b) == expected == sum(c * d for c, d in zip(cs, ds))
+        seen["rational"] += 1
+        f, g = random_values(), random_values()
+        for x, y in ((f, g), (f, a), (b, g), (f, f)):
+            reference = operator_inner_sum(x, y)
+            if reference.is_rational():
+                seen["rational"] += 1
+                assert inner_product(x, y) == reference.as_rational() / group.order
+            else:
+                seen["irrational"] += 1
+                with pytest.raises(ValueError):
+                    inner_product(x, y)
+        for chi in (a, f):
+            for subgroup in enumerate_subgroups(group):
+                average = operator_element_sum(chi, subgroup.members) * Fraction(1, subgroup.order)
+                value = average.as_rational() if average.is_rational() else None
+                if value is not None and value.denominator == 1 and value >= 0:
+                    seen["dim"] += 1
+                    assert fixed_dim(chi, subgroup) == value
+                else:
+                    seen["not a dim"] += 1
+                    with pytest.raises(NonIntegralAverage):
+                        fixed_dim(chi, subgroup)
+    assert all(seen.values()), seen
+    one = Fraction(1) if fractions else 1
+    for row in rows:
+        for chi in (row * one, row * -one):
+            squares = (group.mul(x, x) for x in range(group.order))
+            expected = operator_element_sum(chi, squares).as_rational() / group.order
+            assert frobenius_schur(chi) == expected
+
+
+def test_class_function_kernels_reject_mixed_conductors():
+    group = KERNEL_GROUPS["F20"]()
+    trivial = trivial_character(group)
+    foreign = Cyclotomic.from_rational(1, 2 * group.exponent)
+    chi = ClassFunction(group, trivial.values[:-1] + (foreign,))
+    with pytest.raises(ConductorMismatch):
+        inner_product(chi, trivial)
+    with pytest.raises(ConductorMismatch):
+        inner_product(trivial, chi)
+    with pytest.raises(ConductorMismatch):
+        fixed_dim(chi, full_subgroup(group))
+    with pytest.raises(ConductorMismatch):
+        frobenius_schur(chi)

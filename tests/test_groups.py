@@ -300,6 +300,44 @@ def test_enumerate_subgroups_against_brute_force(group_builder, max_seed, expect
         assert len(listed) == expected_count
 
 
+def every_element_walk(group: FiniteGroup) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Oracle: the breadth-first walk that closes <P, g> for every g outside every P.
+
+    Returns (members, generators) per subgroup, sorted by (order, members); the
+    generators are those of the first extension that reached the subgroup.
+    """
+    found = {(0,): (0,)}
+    layer = [(0,)]
+    while layer:
+        next_layer = []
+        for members in layer:
+            gens = found[members]
+            for g in range(1, group.order):
+                if g in members:
+                    continue
+                new_gens = tuple(sorted(set(gens) - {0})) + (g,)
+                new_members = subgroup_generate(group, new_gens).members
+                if new_members not in found:
+                    found[new_members] = new_gens
+                    next_layer.append(new_members)
+        layer = next_layer
+    return sorted(found.items(), key=lambda item: (len(item[0]), item[0]))
+
+
+@pytest.mark.parametrize("group_builder", [
+    lambda: group_from_images(A4_GENERATORS),
+    lambda: group_from_images(S4_GENERATORS),
+    lambda: group_from_images(FROBENIUS_20_GENERATORS),
+    preset_quaternion,
+    lambda: preset_elementary_abelian_2(4),
+    lambda: preset_dihedral(12),
+], ids=["A4", "S4", "F20", "Q8", "Z2^4", "D48"])
+def test_enumerate_subgroups_matches_every_element_walk(group_builder):
+    group = group_builder()
+    listed = [(h.members, h.generators) for h in enumerate_subgroups(group)]
+    assert listed == every_element_walk(group)
+
+
 def test_enumerate_subgroups_trivial_group():
     group = build_group([Permutation((0,))], ["e"])
     assert len(enumerate_subgroups(group)) == 1
