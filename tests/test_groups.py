@@ -324,7 +324,7 @@ def every_element_walk(group: FiniteGroup) -> list[tuple[tuple[int, ...], tuple[
     return sorted(found.items(), key=lambda item: (len(item[0]), item[0]))
 
 
-@pytest.mark.parametrize("group_builder", [
+@pytest.mark.parametrize("make_group", [
     lambda: group_from_images(A4_GENERATORS),
     lambda: group_from_images(S4_GENERATORS),
     lambda: group_from_images(FROBENIUS_20_GENERATORS),
@@ -332,8 +332,8 @@ def every_element_walk(group: FiniteGroup) -> list[tuple[tuple[int, ...], tuple[
     lambda: preset_elementary_abelian_2(4),
     lambda: preset_dihedral(12),
 ], ids=["A4", "S4", "F20", "Q8", "Z2^4", "D48"])
-def test_enumerate_subgroups_matches_every_element_walk(group_builder):
-    group = group_builder()
+def test_enumerate_subgroups_matches_every_element_walk(make_group):
+    group = make_group()
     listed = [(h.members, h.generators) for h in enumerate_subgroups(group)]
     assert listed == every_element_walk(group)
 
