@@ -14,7 +14,6 @@ from jacdecomp import (
     CoveringAction,
     analyze,
     preset_dihedral,
-    search_admissible,
     subgroup_generate,
 )
 
@@ -53,7 +52,7 @@ klein_report = fib.theorem_b(klein)
 print(f"\nKlein partition: {klein_report.dimension_lhs} = {klein_report.dimension_rhs}")
 
 # search for admissible collections that decompose the Jacobian completely
-results = search_admissible(action, max_t=3, require_full=True)
+results = analysis.search_admissible(max_t=3, require_full=True)
 print(f"\nfull admissible collections of size <= 3: {len(results)}")
 for found in results:
     print("  ", [h.describe() for h in found.subgroups])

@@ -43,21 +43,9 @@ from .decomposition import (
     IsotypicalFactor,
     SubgroupProfile,
     analyze,
-    check_admissible,
     cor3_plan,
-    corollary1_check,
-    factor_dimensions,
     fiber_product_action,
     induced_join_analysis,
-    prop1_equivalence,
-    prop2_report,
-    prym_dim,
-    rational_rep_profile,
-    search_admissible,
-    subgroup_profile,
-    theorem1_report,
-    theoremB_report,
-    theoremC_check,
 )
 from .groups import (
     ConjugacyClassPartition,
@@ -99,11 +87,7 @@ __all__ = [
     # decomposition
     "ActionAnalysis", "IsotypicalFactor", "SubgroupProfile",
     "AdmissibilityReport", "DecompositionReport", "FiberPlan", "analyze",
-    "factor_dimensions", "subgroup_profile", "check_admissible",
-    "theorem1_report", "prop2_report", "prym_dim", "corollary1_check",
-    "prop1_equivalence", "theoremB_report", "theoremC_check",
-    "rational_rep_profile", "search_admissible", "fiber_product_action",
-    "cor3_plan", "induced_join_analysis",
+    "fiber_product_action", "cor3_plan", "induced_join_analysis",
     # scenarios
     "ScenarioFile", "parse_scenario",
 ]

@@ -100,9 +100,6 @@ class ClassFunction:
 
     __rmul__ = __mul__
 
-    def galois(self, k: int) -> "ClassFunction":
-        return ClassFunction(self.group, tuple(v.galois(k) for v in self.values))
-
 
 def _combine(weights, vectors) -> tuple:
     """sum of w * v over paired weights and reduced coordinate vectors, itself reduced."""
@@ -311,14 +308,10 @@ def _common_eigenvectors(mats: list[list[list[int]]], p: int) -> list[list[int]]
 def _find_prime(exponent: int, order: int) -> int:
     p = 2 * order + 1
     p += (1 - p) % exponent  # smallest p >= 2|G|+1 with p = 1 (mod e)
-    if exponent == 1:
-        p = 2 * order + 1
-    tries = 0
-    while tries < 200000:
-        if p > 2 * order and p % exponent == 1 % exponent and is_prime(p):
+    for _ in range(200000):
+        if is_prime(p):
             return p
-        p += exponent if exponent > 1 else 1
-        tries += 1
+        p += exponent
     raise NoSuitablePrime(
         f"no prime p = 1 (mod {exponent}) with p > {2 * order} within search bound"
     )

@@ -64,6 +64,13 @@ def _parse_schur(items: Sequence[str]) -> dict[int, int]:
     return overrides
 
 
+def _analysis(scenario: ScenarioFile, args) -> dec.ActionAnalysis:
+    """Analysis of the scenario's action under its own and the --schur overrides."""
+    overrides = dict(scenario.schur_overrides)
+    overrides.update(_parse_schur(args.schur))
+    return dec.analyze(scenario.action, overrides)
+
+
 def _discrepancy(collection: str | None, kind: str, expected, computed, detail: str) -> dict:
     return {
         "collection": collection,
@@ -179,9 +186,7 @@ def _check_collection_expectations(
 
 
 def _cmd_analyze(scenario: ScenarioFile, args) -> ReportDocument:
-    overrides = dict(scenario.schur_overrides)
-    overrides.update(_parse_schur(args.schur))
-    analysis = dec.analyze(scenario.action, overrides)
+    analysis = _analysis(scenario, args)
     labels = class_labels(analysis)
 
     doc = base_document("analyze", scenario)
@@ -264,9 +269,7 @@ def _cmd_analyze(scenario: ScenarioFile, args) -> ReportDocument:
 
 
 def _cmd_chartable(scenario: ScenarioFile, args) -> ReportDocument:
-    overrides = dict(scenario.schur_overrides)
-    overrides.update(_parse_schur(args.schur))
-    analysis = dec.analyze(scenario.action, overrides)
+    analysis = _analysis(scenario, args)
     labels = class_labels(analysis)
     doc = base_document("chartable", scenario)
     doc["group"] = group_section(scenario.group, analysis)
@@ -276,7 +279,7 @@ def _cmd_chartable(scenario: ScenarioFile, args) -> ReportDocument:
 
 
 def _cmd_search(scenario: ScenarioFile, args) -> ReportDocument:
-    analysis = dec.analyze(scenario.action, scenario.schur_overrides)
+    analysis = _analysis(scenario, args)
     reports = analysis.search_admissible(
         max_t=args.max_t,
         require_full=args.require_full,
@@ -326,7 +329,7 @@ def _cmd_fiber(args) -> ReportDocument:
 
 
 def _cmd_theorem_b(scenario: ScenarioFile, args) -> ReportDocument:
-    analysis = dec.analyze(scenario.action, scenario.schur_overrides)
+    analysis = _analysis(scenario, args)
     name = args.collection
     if name is None:
         name = next(
@@ -405,13 +408,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, scenario_arg=True):
-        if scenario_arg:
-            p.add_argument(
-                "scenario",
-                help="preset reference (d2q?q=3, fiber?genera=1,1), JSON file path, or JSON text",
-            )
+    def add_format(p):
         p.add_argument("--format", choices=("text", "json"), default="text")
+
+    def add_common(p):
+        p.add_argument(
+            "scenario",
+            help="preset reference (d2q?q=3, fiber?genera=1,1), JSON file path, or JSON text",
+        )
+        add_format(p)
         p.add_argument("--schur", action="append", default=[], metavar="INDEX=VALUE",
                        help="override the Schur index of an orbit representative row")
         p.add_argument("--max-order", type=int, default=None,
@@ -434,7 +439,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--dedupe-conjugates", action="store_true")
 
     p_fiber = sub.add_parser("fiber", help="fiber-product construction plan")
-    add_common(p_fiber, scenario_arg=False)
+    add_format(p_fiber)
     p_fiber.add_argument("--genera", default=None, help="comma-separated factor genera")
     p_fiber.add_argument("--elliptic", type=int, default=None,
                          help="plan for this many elliptic factors")

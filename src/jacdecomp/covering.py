@@ -160,8 +160,8 @@ def branch_stabilizers(action: CoveringAction) -> tuple[Subgroup, ...]:
     )
 
 
-def orbit_count(group: FiniteGroup, stabilizer: Subgroup, cosets, subgroup: Subgroup) -> int:
-    """Number of orbits of a stabilizer subgroup on the cosets of a subgroup."""
+def orbit_count(stabilizer: Subgroup, cosets) -> int:
+    """Number of orbits of a stabilizer subgroup on a coset action."""
     degree = cosets.degree
     seen = [False] * degree
     count = 0
@@ -198,7 +198,7 @@ def genus_from_branch_data(
     index = cosets.degree
     rhs = index * (2 * orbit_genus - 2)
     for stab in stabilizers:
-        rhs += index - orbit_count(group, stab, cosets, subgroup)
+        rhs += index - orbit_count(stab, cosets)
     if rhs % 2 != 0:
         raise NonIntegralGenus(f"2g - 2 = {rhs} is odd")
     genus = (rhs + 2) // 2

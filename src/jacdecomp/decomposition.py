@@ -241,11 +241,13 @@ class FiberPlan:
 class ActionAnalysis:
     """Character-side data of one covering: table, factors, profiles, reports.
 
-    Built either from a validated action (the acting group as given) or from
-    induced branch data (a subgroup reinterpreted as the acting group).  All
-    heavy artifacts are computed lazily and cached; the caches fill without
-    locks, so concurrent callers may compute an entry twice, but every entry
-    is deterministic and they all see equal results.
+    Built by ``analyze`` from a validated action (the acting group as given)
+    or by ``induced_join_analysis`` from induced branch data (a subgroup
+    reinterpreted as the acting group).  It is a plain object that its caller
+    holds: nothing at module level keeps it alive.  Per-group data (the
+    character table, fixed dimensions, coset actions) is cached by the group;
+    the analysis memoizes only what its Schur overrides or branch data change:
+    rational classes, factors and profiles.
     """
 
     def __init__(
@@ -263,34 +265,15 @@ class ActionAnalysis:
         self.genus = genus
         self.schur_overrides = dict(schur_overrides or {})
         self.ambient = ambient
-        self._table: CharacterTable | None = None
         self._rational: tuple[RationalClass, ...] | None = None
         self._factors: tuple[IsotypicalFactor, ...] | None = None
         self._profiles: dict[tuple[int, ...], SubgroupProfile] = {}
-        self._genera: dict[tuple[int, ...], int] = {}
-
-    @classmethod
-    def from_action(
-        cls,
-        action: CoveringAction,
-        schur_overrides: Mapping[int, int] | None = None,
-    ) -> "ActionAnalysis":
-        certificate = validate_action(action)
-        return cls(
-            group=action.group,
-            orbit_genus=action.orbit_genus,
-            stabilizers=branch_stabilizers(action),
-            genus=certificate.total_genus,
-            schur_overrides=schur_overrides,
-        )
 
     # -- cached layers ------------------------------------------------------
 
     @property
     def table(self) -> CharacterTable:
-        if self._table is None:
-            self._table = character_table(self.group)
-        return self._table
+        return character_table(self.group)
 
     @property
     def rational_classes(self) -> tuple[RationalClass, ...]:
@@ -343,17 +326,6 @@ class ActionAnalysis:
             fixed_dim(rc.character, subgroup) for rc in self.rational_classes
         )
 
-    def quotient_genus(self, subgroup: Subgroup) -> int:
-        """Genus of the quotient by a subgroup, from coset orbit counting."""
-        self._check_subgroup(subgroup)
-        cached = self._genera.get(subgroup.members)
-        if cached is None:
-            cached = genus_from_branch_data(
-                self.group, self.orbit_genus, self.stabilizers, subgroup
-            )
-            self._genera[subgroup.members] = cached
-        return cached
-
     def profile(self, subgroup: Subgroup) -> SubgroupProfile:
         self._check_subgroup(subgroup)
         cached = self._profiles.get(subgroup.members)
@@ -375,7 +347,9 @@ class ActionAnalysis:
         genus_characters = sum(
             n * factor.dim for n, factor in zip(exponents, self.factors)
         )
-        genus_surfaces = self.quotient_genus(subgroup)
+        genus_surfaces = genus_from_branch_data(
+            self.group, self.orbit_genus, self.stabilizers, subgroup
+        )
         if genus_characters != genus_surfaces:
             raise DecompositionError(
                 f"profile conservation failed: characters give {genus_characters}, "
@@ -524,11 +498,9 @@ class ActionAnalysis:
     def proposition1(self, collection: Sequence[Subgroup]) -> Proposition1Report:
         if not collection:
             raise DecompositionError("equivalence check needs a non-empty collection")
-        profiles = [self.profile(h) for h in collection]
+        report = self.admissibility(collection)
+        sums, degrees, support = report.sums, report.degrees, report.support
         r = len(self.rational_classes)
-        sums = tuple(sum(p.fixed_dims[l] for p in profiles) for l in range(r))
-        degrees = tuple(rc.degree for rc in self.rational_classes)
-        support = self.support
 
         statement2 = all(
             sums[l] == degrees[l] for l in range(r) if support[l]
@@ -717,92 +689,22 @@ def _is_conjugacy_canonical(subgroup: Subgroup) -> bool:
     return True
 
 
-# -- analysis cache and spec-level operations -----------------------------------
-
-_ANALYSES: dict[tuple, ActionAnalysis] = {}
+# -- entry point ---------------------------------------------------------------------
 
 
 def analyze(
     action: CoveringAction,
     schur_overrides: Mapping[int, int] | None = None,
 ) -> ActionAnalysis:
-    """Shared, cached analysis for one validated action."""
-    key = (action, tuple(sorted((schur_overrides or {}).items())))
-    analysis = _ANALYSES.get(key)
-    if analysis is None:
-        analysis = ActionAnalysis.from_action(action, schur_overrides)
-        _ANALYSES[key] = analysis
-    return analysis
-
-
-def factor_dimensions(
-    action: CoveringAction,
-    schur_overrides: Mapping[int, int] | None = None,
-) -> tuple[IsotypicalFactor, ...]:
-    return analyze(action, schur_overrides).factors
-
-
-def subgroup_profile(action: CoveringAction, subgroup: Subgroup) -> SubgroupProfile:
-    return analyze(action).profile(subgroup)
-
-
-def check_admissible(
-    action: CoveringAction, collection: Sequence[Subgroup]
-) -> AdmissibilityReport:
-    return analyze(action).admissibility(collection)
-
-
-def theorem1_report(
-    action: CoveringAction, collection: Sequence[Subgroup]
-) -> DecompositionReport:
-    return analyze(action).theorem1(collection)
-
-
-def prop2_report(
-    action: CoveringAction, h1: Subgroup, h2: Subgroup
-) -> Proposition2Report:
-    return analyze(action).proposition2(h1, h2)
-
-
-def prym_dim(action: CoveringAction, subgroup: Subgroup) -> int:
-    return analyze(action).prym_dim(subgroup)
-
-
-def corollary1_check(
-    action: CoveringAction, collection: Sequence[Subgroup], k: int
-) -> Corollary1Report:
-    return analyze(action).corollary1(collection, k)
-
-
-def prop1_equivalence(
-    action: CoveringAction, collection: Sequence[Subgroup]
-) -> Proposition1Report:
-    return analyze(action).proposition1(collection)
-
-
-def theoremB_report(
-    action: CoveringAction, collection: Sequence[Subgroup]
-) -> TheoremBReport:
-    return analyze(action).theorem_b(collection)
-
-
-def rational_rep_profile(action: CoveringAction) -> RationalRepProfile:
-    return analyze(action).rational_rep()
-
-
-def theoremC_check(
-    action: CoveringAction, collection: Sequence[Subgroup]
-) -> TheoremCReport:
-    return analyze(action).theorem_c(collection)
-
-
-def search_admissible(
-    action: CoveringAction,
-    max_t: int,
-    require_full: bool = False,
-    dedupe_conjugates: bool = False,
-) -> tuple[AdmissibilityReport, ...]:
-    return analyze(action).search_admissible(max_t, require_full, dedupe_conjugates)
+    """Validate one action and return a fresh analysis for the caller to hold."""
+    certificate = validate_action(action)
+    return ActionAnalysis(
+        group=action.group,
+        orbit_genus=action.orbit_genus,
+        stabilizers=branch_stabilizers(action),
+        genus=certificate.total_genus,
+        schur_overrides=schur_overrides,
+    )
 
 
 # -- join-ambient reinterpretation ------------------------------------------------

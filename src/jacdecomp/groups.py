@@ -322,16 +322,7 @@ def conjugacy_classes(group: FiniteGroup) -> ConjugacyClassPartition:
     for start in range(n):
         if class_of[start] >= 0:
             continue
-        orbit = {start}
-        frontier = [start]
-        while frontier:
-            x = frontier.pop()
-            for g in range(n):
-                y = group.conjugate(x, g)
-                if y not in orbit:
-                    orbit.add(y)
-                    frontier.append(y)
-        members = tuple(sorted(orbit))
+        members = tuple(sorted({group.conjugate(start, g) for g in range(n)}))
         idx = len(classes)
         classes.append(members)
         for m in members:

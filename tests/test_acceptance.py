@@ -26,14 +26,8 @@ from jacdecomp.covering import quotient_genus, total_genus
 from jacdecomp.cyclotomic import Cyclotomic
 from jacdecomp.decomposition import (
     analyze,
-    check_admissible,
     cor3_plan,
-    factor_dimensions,
     fiber_product_action,
-    prop1_equivalence,
-    prop2_report,
-    theorem1_report,
-    theoremB_report,
 )
 from jacdecomp.groups import (
     conjugacy_classes,
@@ -116,7 +110,7 @@ def test_criterion_03_factor_data(q):
     """Factor dims (0,1,1,1,q-1,q-1), exponents (1,1,1,1,2,2), conservation."""
     group, action, _ = named(q)
     _, _, _, labels = dihedral_label_map(q)
-    factors = factor_dimensions(action)
+    factors = analyze(action).factors
     dims = [factors[labels[f"V{j}"]].dim for j in range(1, 7)]
     exps = [factors[labels[f"V{j}"]].exponent for j in range(1, 7)]
     assert dims == [0, 1, 1, 1, q - 1, q - 1]
@@ -146,13 +140,14 @@ def test_criterion_04_quotient_genera_two_routes(q):
 def test_criterion_05_theorem1_end_to_end(q):
     """Main collection gives a full decomposition; H1,H3 leaves dim 2q-1."""
     group, action, subs = named(q)
+    analysis = analyze(action)
     main = [subs["H1"], subs["H2"], subs["H3"]]
-    assert check_admissible(action, main).admissible
-    report = theorem1_report(action, main)
+    assert analysis.admissibility(main).admissible
+    report = analysis.theorem1(main)
     assert report.dim_p == 0 and report.full
     pair = [subs["H1"], subs["H3"]]
-    assert check_admissible(action, pair).admissible
-    report = theorem1_report(action, pair)
+    assert analysis.admissibility(pair).admissible
+    report = analysis.theorem1(pair)
     assert report.dim_p == 2 * q - 1 and not report.full
     print(f"criterion 5: decomposition reports exact for q={q}")
 
@@ -163,10 +158,11 @@ def test_criterion_06_equivalence_checkers_agree():
     checked = 0
     for build in (lambda: dihedral_action(3), lambda: fiber_action((1, 1))):
         group, action = build()
+        analysis = analyze(action)
         subgroups = enumerate_subgroups(group)
         for _ in range(55):
             collection = [rng.choice(subgroups) for _ in range(rng.randint(1, 4))]
-            report = prop1_equivalence(action, collection)
+            report = analysis.proposition1(collection)
             assert report.statement2 == report.statement3
             checked += 1
     assert checked >= 100
@@ -194,7 +190,7 @@ def test_criterion_07_theorem_b_partitions():
         lhs = term if lhs is None else lhs + term
     rhs = (len(collection) - 1) * regular_character(group) + group.order * trivial_character(group)
     assert lhs == rhs
-    report = theoremB_report(action, collection)
+    report = analyze(action).theorem_b(collection)
     assert report.holds
     assert report.dimension_lhs == report.dimension_rhs == 66
 
@@ -206,7 +202,7 @@ def test_criterion_07_theorem_b_partitions():
         subgroup_generate(fib_group, (e2,)),
         subgroup_generate(fib_group, (fib_group.mul(e1, e2),)),
     ]
-    z2_report = theoremB_report(fib_action, z2_collection)
+    z2_report = analyze(fib_action).theorem_b(z2_collection)
     assert z2_report.holds
     assert z2_report.dimension_lhs == z2_report.dimension_rhs == 10
     print("criterion 7: partition identities hold (66 = 66 and 10 = 10)")
@@ -248,14 +244,14 @@ def test_criterion_10_pair_bookkeeping_all_pairs():
     analysis = analyze(action)
     subgroups = enumerate_subgroups(group)
     for h1, h2 in itertools.product(subgroups, repeat=2):
-        report = prop2_report(action, h1, h2)
+        report = analysis.proposition2(h1, h2)
         assert all(isinstance(d, int) and d >= 0 for d in report.deltas)
         assert (
             report.dim_p
             == analysis.genus + report.join_genus - report.h1_genus - report.h2_genus
         )
         assert report.dim_p >= 0
-    assert prop2_report(action, subs["H1"], subs["H2"]).dim_p == 1
+    assert analysis.proposition2(subs["H1"], subs["H2"]).dim_p == 1
     print(f"criterion 10: pair bookkeeping exact over {len(subgroups) ** 2} pairs")
 
 

@@ -150,6 +150,13 @@ def test_main_exit_codes(capsys):
 def test_schur_flag_parsing(capsys):
     assert cli.main(["analyze", "d2q?q=3", "--collections", "main", "--schur", "bad"]) == 1
     capsys.readouterr()
+    assert cli.main(["search", "d2q?q=3", "--schur", "bad"]) == 1
+    capsys.readouterr()
+    assert cli.main(["theorem-b", "d2q?q=3", "--schur", "bad"]) == 1
+    capsys.readouterr()
+    # fiber builds its own action: scenario options are not accepted
+    assert cli.main(["fiber", "--genera", "1,1", "--schur", "1=1"]) == 1
+    capsys.readouterr()
 
 
 def test_module_entry_point_subprocess():

@@ -1,7 +1,9 @@
 """Isotypical factors, profiles, admissibility, the verified report family."""
 
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 
@@ -13,21 +15,9 @@ from jacdecomp.decomposition import (
     NotAPartition,
     TooFewFactors,
     analyze,
-    check_admissible,
     cor3_plan,
-    corollary1_check,
-    factor_dimensions,
     fiber_product_action,
     induced_join_analysis,
-    prop1_equivalence,
-    prop2_report,
-    prym_dim,
-    rational_rep_profile,
-    search_admissible,
-    subgroup_profile,
-    theorem1_report,
-    theoremB_report,
-    theoremC_check,
 )
 from jacdecomp.groups import (
     enumerate_subgroups,
@@ -61,7 +51,7 @@ def named_subgroups(q):
 def test_dihedral_factor_dims_and_exponents(q):
     data = named_subgroups(q)
     _, _, _, labels = dihedral_label_map(q)
-    factors = factor_dimensions(data["action"])
+    factors = analyze(data["action"]).factors
     dims = [factors[labels[f"V{j}"]].dim for j in range(1, 7)]
     exps = [factors[labels[f"V{j}"]].exponent for j in range(1, 7)]
     assert dims == [0, 1, 1, 1, q - 1, q - 1]
@@ -72,7 +62,7 @@ def test_dihedral_factor_dims_and_exponents(q):
 
 def test_fiber_square_factor_dims():
     group, action = fiber_action((1, 1))
-    factors = factor_dimensions(action)
+    factors = analyze(action).factors
     assert sorted(f.dim for f in factors) == [0, 1, 1, 3]
     assert all(f.exponent == 1 for f in factors)
 
@@ -82,7 +72,7 @@ def test_trivial_factor_dim_equals_orbit_genus():
     e1 = group.generator_names["e1"]
     e2 = group.generator_names["e2"]
     torus = CoveringAction(group, 1, (), ((e1, e2),), ())
-    factors = factor_dimensions(torus)
+    factors = analyze(torus).factors
     assert factors[0].rational_class.is_trivial()
     assert factors[0].dim == 1
 
@@ -95,24 +85,26 @@ def test_named_subgroup_profiles(q):
     data = named_subgroups(q)
     _, _, _, labels = dihedral_label_map(q)
     order = [labels[f"V{j}"] for j in range(1, 7)]
+    analysis = analyze(data["action"])
 
-    p1 = subgroup_profile(data["action"], data["H1"])
+    p1 = analysis.profile(data["H1"])
     assert [p1.exponents[i] for i in order] == [1, 0, 1, 0, 1, 1]
     assert p1.genus == 2 * q - 1
 
-    p3 = subgroup_profile(data["action"], data["H3"])
+    p3 = analysis.profile(data["H3"])
     assert [p3.exponents[i] for i in order] == [1, 1, 0, 0, 0, 0]
     assert p3.genus == 1
 
-    p4 = subgroup_profile(data["action"], data["H4"])
+    p4 = analysis.profile(data["H4"])
     assert [p4.exponents[i] for i in order] == [1, 1, 0, 0, 0, 2]
     assert p4.genus == 2 * q - 1
 
 
 def test_trivial_subgroup_profile_recovers_action_data():
     data = named_subgroups(3)
-    factors = factor_dimensions(data["action"])
-    profile = subgroup_profile(data["action"], trivial_subgroup(data["group"]))
+    analysis = analyze(data["action"])
+    factors = analysis.factors
+    profile = analysis.profile(trivial_subgroup(data["group"]))
     assert profile.exponents == tuple(f.exponent for f in factors)
     assert profile.genus == total_genus(data["action"])
 
@@ -127,31 +119,42 @@ def test_profile_conservation_across_all_subgroups():
         )
 
 
+def test_no_module_state_keeps_an_analysis():
+    data = named_subgroups(3)
+    analysis = analyze(data["action"])
+    analysis.theorem1([data["H1"], data["H2"], data["H3"]])
+    ref = weakref.ref(analysis)
+    del analysis
+    gc.collect()
+    assert ref() is None
+
+
 # -- admissibility -----------------------------------------------------------------------
 
 
 def test_main_collection_admissible():
     data = named_subgroups(3)
-    report = check_admissible(data["action"], [data["H1"], data["H2"], data["H3"]])
+    report = analyze(data["action"]).admissibility([data["H1"], data["H2"], data["H3"]])
     assert report.admissible
 
 
 def test_every_singleton_collection_admissible():
     data = named_subgroups(3)
+    analysis = analyze(data["action"])
     for subgroup in enumerate_subgroups(data["group"]):
-        assert check_admissible(data["action"], [subgroup]).admissible
+        assert analysis.admissibility([subgroup]).admissible
 
 
 def test_duplicated_subgroup_breaks_admissibility():
     data = named_subgroups(3)
-    report = check_admissible(data["action"], [data["H1"], data["H1"]])
+    report = analyze(data["action"]).admissibility([data["H1"], data["H1"]])
     assert not report.admissible
 
 
 def test_h1_h4_not_admissible_under_computed_values():
     data = named_subgroups(3)
     _, _, _, labels = dihedral_label_map(3)
-    report = check_admissible(data["action"], [data["H1"], data["H4"]])
+    report = analyze(data["action"]).admissibility([data["H1"], data["H4"]])
     assert not report.admissible
     v6 = labels["V6"]
     assert report.sums[v6] == 3
@@ -166,8 +169,9 @@ def test_positive_orbit_genus_blocks_multi_subgroup_admissibility():
     torus = CoveringAction(group, 1, (), ((e1, e2),), ())
     h1 = subgroup_generate(group, (e1,))
     h2 = subgroup_generate(group, (e2,))
-    assert check_admissible(torus, [h1]).admissible
-    assert not check_admissible(torus, [h1, h2]).admissible
+    analysis = analyze(torus)
+    assert analysis.admissibility([h1]).admissible
+    assert not analysis.admissibility([h1, h2]).admissible
 
 
 # -- theorem 1 -------------------------------------------------------------------------------
@@ -176,7 +180,7 @@ def test_positive_orbit_genus_blocks_multi_subgroup_admissibility():
 @pytest.mark.parametrize("q", [3, 5, 7])
 def test_theorem1_main_collection_full(q):
     data = named_subgroups(q)
-    report = theorem1_report(data["action"], [data["H1"], data["H2"], data["H3"]])
+    report = analyze(data["action"]).theorem1([data["H1"], data["H2"], data["H3"]])
     assert report.dim_p == 0
     assert report.full
     assert report.quotient_genera == (2 * q - 1, 2 * q - 1, 1)
@@ -186,21 +190,22 @@ def test_theorem1_main_collection_full(q):
 @pytest.mark.parametrize("q", [3, 5, 7])
 def test_theorem1_h1_h3_complement(q):
     data = named_subgroups(q)
-    report = theorem1_report(data["action"], [data["H1"], data["H3"]])
+    report = analyze(data["action"]).theorem1([data["H1"], data["H3"]])
     assert report.dim_p == 2 * q - 1
     assert not report.full
 
 
 def test_theorem1_full_group_gives_prym_dimension():
     data = named_subgroups(3)
-    report = theorem1_report(data["action"], [full_subgroup(data["group"])])
+    report = analyze(data["action"]).theorem1([full_subgroup(data["group"])])
     assert report.dim_p == total_genus(data["action"])
 
 
 def test_theorem1_rejects_inadmissible():
     data = named_subgroups(3)
+    analysis = analyze(data["action"])
     with pytest.raises(NotAdmissible) as err:
-        theorem1_report(data["action"], [data["H1"], data["H4"]])
+        analysis.theorem1([data["H1"], data["H4"]])
     assert not err.value.report.admissible
 
 
@@ -212,7 +217,7 @@ def test_prop2_equal_pair_degenerates_to_prym():
     analysis = analyze(data["action"])
     for name in ("H1", "H3", "H4"):
         h = data[name]
-        report = prop2_report(data["action"], h, h)
+        report = analysis.proposition2(h, h)
         profile = analysis.profile(h)
         assert report.dim_p == analysis.genus - profile.genus
         for delta, factor, n_h in zip(report.deltas, analysis.factors, profile.exponents):
@@ -221,7 +226,7 @@ def test_prop2_equal_pair_degenerates_to_prym():
 
 def test_prop2_reflection_pair():
     data = named_subgroups(3)
-    report = prop2_report(data["action"], data["H1"], data["H2"])
+    report = analyze(data["action"]).proposition2(data["H1"], data["H2"])
     assert report.join.order == data["group"].order
     assert report.join_genus == 0
     assert report.dim_p == 11 + 0 - 5 - 5 == 1
@@ -231,16 +236,17 @@ def test_prop2_fiber_pair():
     group, action = fiber_action((1, 1))
     k1 = subgroup_generate(group, (group.generator_names["e2"],))
     k2 = subgroup_generate(group, (group.generator_names["e1"],))
-    report = prop2_report(action, k1, k2)
+    report = analyze(action).proposition2(k1, k2)
     assert report.join.order == 4
     assert report.dim_p == 5 + 0 - 1 - 1 == 3
 
 
 def test_prop2_slacks_nonnegative_for_all_pairs():
     data = named_subgroups(3)
+    analysis = analyze(data["action"])
     subgroups = enumerate_subgroups(data["group"])
     for h1, h2 in itertools.product(subgroups, repeat=2):
-        report = prop2_report(data["action"], h1, h2)
+        report = analysis.proposition2(h1, h2)
         assert all(delta >= 0 for delta in report.deltas)
         assert report.dim_p >= 0
 
@@ -250,25 +256,27 @@ def test_prop2_slacks_nonnegative_for_all_pairs():
 
 def test_prym_dim_examples():
     data = named_subgroups(3)
-    assert prym_dim(data["action"], data["H1"]) == 6
-    assert prym_dim(data["action"], data["H3"]) == 10
-    assert prym_dim(data["action"], full_subgroup(data["group"])) == 11
+    analysis = analyze(data["action"])
+    assert analysis.prym_dim(data["H1"]) == 6
+    assert analysis.prym_dim(data["H3"]) == 10
+    assert analysis.prym_dim(full_subgroup(data["group"])) == 11
 
 
 @pytest.mark.parametrize("q", [3, 5, 7])
 def test_corollary1_equalities_on_full_collection(q):
     data = named_subgroups(q)
+    analysis = analyze(data["action"])
     collection = [data["H1"], data["H2"], data["H3"]]
     for k in range(3):
-        report = corollary1_check(data["action"], collection, k)
+        report = analysis.corollary1(collection, k)
         assert report.bounded and report.equality and report.full
-    report = corollary1_check(data["action"], collection, 0)
+    report = analysis.corollary1(collection, 0)
     assert report.prym_dim == 2 * q
 
 
 def test_corollary1_strict_inequality_when_not_full():
     data = named_subgroups(3)
-    report = corollary1_check(data["action"], [data["H1"], data["H3"]], 0)
+    report = analyze(data["action"]).corollary1([data["H1"], data["H3"]], 0)
     assert report.bounded and not report.equality and not report.full
     assert report.complement_sum == 1
     assert report.prym_dim == 6
@@ -276,8 +284,9 @@ def test_corollary1_strict_inequality_when_not_full():
 
 def test_corollary1_requires_admissible():
     data = named_subgroups(3)
+    analysis = analyze(data["action"])
     with pytest.raises(NotAdmissible):
-        corollary1_check(data["action"], [data["H1"], data["H4"]], 0)
+        analysis.corollary1([data["H1"], data["H4"]], 0)
 
 
 # -- proposition 1 -------------------------------------------------------------------------------
@@ -285,7 +294,7 @@ def test_corollary1_requires_admissible():
 
 def test_prop1_main_collection():
     data = named_subgroups(3)
-    report = prop1_equivalence(data["action"], [data["H1"], data["H2"], data["H3"]])
+    report = analyze(data["action"]).proposition1([data["H1"], data["H2"], data["H3"]])
     assert report.statement2 and report.statement3
     assert report.special_case
     assert report.eq8_holds
@@ -294,25 +303,26 @@ def test_prop1_main_collection():
 
 def test_prop1_h1_h3_fails_both_ways():
     data = named_subgroups(3)
-    report = prop1_equivalence(data["action"], [data["H1"], data["H3"]])
+    report = analyze(data["action"]).proposition1([data["H1"], data["H3"]])
     assert not report.statement2 and not report.statement3
     assert report.eq8_holds is False
 
 
 def test_prop1_single_full_group():
     data = named_subgroups(3)
-    report = prop1_equivalence(data["action"], [full_subgroup(data["group"])])
+    report = analyze(data["action"]).proposition1([full_subgroup(data["group"])])
     assert not report.statement2 and not report.statement3
 
 
 def test_prop1_agreement_on_random_collections():
     data = named_subgroups(3)
+    analysis = analyze(data["action"])
     subgroups = enumerate_subgroups(data["group"])
     rng = random.Random(97)
     for _ in range(60):
         size = rng.randint(1, 4)
         collection = [rng.choice(subgroups) for _ in range(size)]
-        report = prop1_equivalence(data["action"], collection)
+        report = analysis.proposition1(collection)
         assert report.statement2 == report.statement3
 
 
@@ -327,7 +337,7 @@ def test_theorem_b_dihedral_partition():
     reflections = [
         subgroup_generate(group, (group.mul(s, group.power(r, i)),)) for i in range(6)
     ]
-    report = theoremB_report(data["action"], [data["H3"]] + reflections)
+    report = analyze(data["action"]).theorem_b([data["H3"]] + reflections)
     assert report.t == 7
     assert report.holds
     assert report.dimension_lhs == report.dimension_rhs == 66
@@ -342,14 +352,14 @@ def test_theorem_b_fiber_partition():
         subgroup_generate(group, (e2,)),
         subgroup_generate(group, (group.mul(e1, e2),)),
     ]
-    report = theoremB_report(action, collection)
+    report = analyze(action).theorem_b(collection)
     assert report.holds
     assert report.dimension_lhs == report.dimension_rhs == 10
 
 
 def test_theorem_b_single_full_group_degenerate():
     data = named_subgroups(3)
-    report = theoremB_report(data["action"], [full_subgroup(data["group"])])
+    report = analyze(data["action"]).theorem_b([full_subgroup(data["group"])])
     assert report.t == 1
     assert report.holds
 
@@ -358,9 +368,9 @@ def test_theorem_b_rejects_non_partition():
     data = named_subgroups(3)
     group = data["group"]
     r = group.generator_names["r"]
+    analysis = analyze(data["action"])
     with pytest.raises(NotAPartition) as err:
-        theoremB_report(
-            data["action"],
+        analysis.theorem_b(
             [data["H3"], subgroup_generate(group, (group.power(r, 2),))],
         )
     verdict = err.value.verdict
@@ -418,19 +428,18 @@ def test_theorem_c_main_collection_blocked_by_reflections():
     """The two reflection subgroups do not permute, so the criterion fails
     even though the admissibility route gives the full decomposition."""
     data = named_subgroups(3)
-    report = theoremC_check(data["action"], [data["H1"], data["H2"], data["H3"]])
+    analysis = analyze(data["action"])
+    report = analysis.theorem_c([data["H1"], data["H2"], data["H3"]])
     assert not report.pairs_permute
     assert report.non_permuting_pair == (0, 1)
     assert report.genus_matches  # hypothesis (3) alone holds
     assert not report.applicable
-    assert theorem1_report(
-        data["action"], [data["H1"], data["H2"], data["H3"]]
-    ).full
+    assert analysis.theorem1([data["H1"], data["H2"], data["H3"]]).full
 
 
 def test_theorem_c_h1_h3_fails_only_on_genus_sum():
     data = named_subgroups(3)
-    report = theoremC_check(data["action"], [data["H1"], data["H3"]])
+    report = analyze(data["action"]).theorem_c([data["H1"], data["H3"]])
     assert report.pairs_permute
     assert report.pairwise_genera == (0,)
     assert report.pairwise_zero
@@ -440,7 +449,7 @@ def test_theorem_c_h1_h3_fails_only_on_genus_sum():
 
 def test_theorem_c_h1_h4_fails_on_positive_pairwise_genus():
     data = named_subgroups(3)
-    report = theoremC_check(data["action"], [data["H1"], data["H4"]])
+    report = analyze(data["action"]).theorem_c([data["H1"], data["H4"]])
     assert report.pairs_permute
     assert report.pairwise_genera == (2,)  # q - 1 for q = 3
     assert not report.pairwise_zero
@@ -453,10 +462,11 @@ def test_theorem_c_applicable_case_agrees_with_full_decomposition():
     e2 = group.generator_names["e2"]
     h = subgroup_generate(group, (e1,))
     k = subgroup_generate(group, (e2,))
-    single = theoremC_check(action, [subgroup_generate(group, ())])
+    analysis = analyze(action)
+    single = analysis.theorem_c([subgroup_generate(group, ())])
     assert single.genus_sum == 5 == total_genus(action)
     assert single.applicable  # trivial subgroup: no pairs, genus matches
-    pair = theoremC_check(action, [h, k])
+    pair = analysis.theorem_c([h, k])
     assert pair.pairs_permute and pair.pairwise_zero
     assert pair.genus_sum == 2 and not pair.applicable
 
@@ -467,7 +477,7 @@ def test_theorem_c_applicable_case_agrees_with_full_decomposition():
 def test_rational_rep_profile_dihedral():
     data = named_subgroups(3)
     _, _, _, labels = dihedral_label_map(3)
-    profile = rational_rep_profile(data["action"])
+    profile = analyze(data["action"]).rational_rep()
     assert profile.total_degree == 22
     assert profile.multiplicities[labels["V1"]] == 0
     assert profile.multiplicities[labels["V5"]] == 4
@@ -479,15 +489,16 @@ def test_rational_rep_trivial_multiplicity_is_twice_orbit_genus():
     e1 = group.generator_names["e1"]
     e2 = group.generator_names["e2"]
     torus = CoveringAction(group, 1, (), ((e1, e2),), ())
-    profile = rational_rep_profile(torus)
+    profile = analyze(torus).rational_rep()
     assert profile.multiplicities[0] == 2
     assert profile.total_degree == 2
 
 
 def test_rational_rep_support_predicate():
     data = named_subgroups(3)
-    factors = factor_dimensions(data["action"])
-    profile = rational_rep_profile(data["action"])
+    analysis = analyze(data["action"])
+    factors = analysis.factors
+    profile = analysis.rational_rep()
     for mult, factor in zip(profile.multiplicities, factors):
         assert (mult == 0) == (factor.dim == 0)
 
@@ -497,7 +508,7 @@ def test_rational_rep_support_predicate():
 
 def test_search_finds_the_main_triples():
     data = named_subgroups(3)
-    results = search_admissible(data["action"], max_t=3, require_full=True)
+    results = analyze(data["action"]).search_admissible(max_t=3, require_full=True)
     triples = {
         frozenset(h.members for h in report.subgroups)
         for report in results
@@ -512,7 +523,7 @@ def test_search_finds_the_main_triples():
 
 def test_search_max_t_one_returns_every_subgroup():
     data = named_subgroups(3)
-    results = search_admissible(data["action"], max_t=1)
+    results = analyze(data["action"]).search_admissible(max_t=1)
     assert len(results) == len(enumerate_subgroups(data["group"]))
 
 
@@ -521,15 +532,15 @@ def test_search_on_positive_orbit_genus_only_singletons_can_be_full():
     e1 = group.generator_names["e1"]
     e2 = group.generator_names["e2"]
     torus = CoveringAction(group, 1, (), ((e1, e2),), ())
-    results = search_admissible(torus, max_t=3, require_full=True)
+    results = analyze(torus).search_admissible(max_t=3, require_full=True)
     assert results
     assert all(len(report.subgroups) == 1 for report in results)
 
 
 def test_search_dedupe_conjugates_still_finds_a_main_triple():
     data = named_subgroups(3)
-    results = search_admissible(
-        data["action"], max_t=3, require_full=True, dedupe_conjugates=True
+    results = analyze(data["action"]).search_admissible(
+        max_t=3, require_full=True, dedupe_conjugates=True
     )
     assert any(len(report.subgroups) == 3 for report in results)
 
@@ -547,8 +558,9 @@ def test_fiber_plans(genera, genus, dim_p):
     assert plan.genus == plan.predicted_genus == genus
     assert plan.dim_p == plan.predicted_dim_p == dim_p
     assert plan.admissibility.admissible
+    analysis = analyze(plan.action)
     for g_i, deck in zip(plan.genera, plan.deck_subgroups):
-        assert analyze(plan.action).profile(deck).genus == g_i
+        assert analysis.profile(deck).genus == g_i
 
 
 def test_fiber_rejects_single_factor():
