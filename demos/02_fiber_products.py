@@ -13,7 +13,7 @@ Run:  python demos/02_fiber_products.py
 
 import itertools
 
-from jacdecomp import analyze, cor3_plan, fiber_product_action
+from jacdecomp import cor3_plan, fiber_product_action
 
 print("fiber products over (Z_2)^t")
 print(f"{'genera':>12}  {'genus':>5}  {'dim P':>5}  admissible  full")
@@ -27,9 +27,8 @@ for t in (2, 3):
 
 # deck quotients really have the requested genera
 plan = fiber_product_action((2, 1))
-analysis = analyze(plan.action)
 for g_i, deck in zip(plan.genera, plan.deck_subgroups):
-    print(f"deck subgroup of order {deck.order}: quotient genus {analysis.profile(deck).genus} = {g_i}")
+    print(f"deck subgroup of order {deck.order}: quotient genus {plan.analysis.profile(deck).genus} = {g_i}")
 
 # plans whose Jacobian contains a prescribed number of elliptic factors:
 # even counts pair the curves into genus-2 inputs, odd counts add one

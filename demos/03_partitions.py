@@ -40,7 +40,7 @@ print(f"dimension identity: {report.dimension_lhs} = {report.dimension_rhs}")
 from jacdecomp import fiber_product_action
 
 plan = fiber_product_action((1, 1))
-fib = analyze(plan.action)
+fib = plan.analysis
 e1 = plan.action.group.generator_names["e1"]
 e2 = plan.action.group.generator_names["e2"]
 klein = [

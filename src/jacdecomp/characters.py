@@ -702,9 +702,6 @@ class GroupAlgebraElement:
     def support(self) -> tuple[int, ...]:
         return tuple(i for i, a in enumerate(self.coeffs) if a)
 
-    def is_idempotent(self) -> bool:
-        return self * self == self
-
 
 def central_idempotent(rational_class: RationalClass) -> GroupAlgebraElement:
     """Central idempotent of Q[G] attached to one rational class.

@@ -69,9 +69,6 @@ class CoveringAction:
     handles: tuple[tuple[int, int], ...]
     branch_elements: tuple[int, ...]
 
-    def signature(self) -> tuple[int, tuple[int, ...]]:
-        return self.orbit_genus, self.periods
-
 
 @dataclass(frozen=True)
 class GenusCertificate:
@@ -82,7 +79,7 @@ class GenusCertificate:
     contributions: tuple[Fraction, ...]
 
 
-@lru_cache(maxsize=512)
+@lru_cache(maxsize=1)
 def validate_action(action: CoveringAction) -> GenusCertificate:
     """Check periods, the long relation and generation; return the genus.
 

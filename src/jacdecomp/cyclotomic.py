@@ -3,9 +3,9 @@
 A value is stored in reduced power-basis form: phi(e) coordinates over
 1, z, ..., z^(phi(e)-1), where z = zeta_e and reduction is by the e-th
 cyclotomic polynomial.  Coordinates are ints for algebraic integers (every
-character value is one) and Fractions only after a real division: a Fraction
-scalar or `inverse()`.  Canonical form is unique and Fraction(n) == n, so
-equality of values is equality of coordinate tuples.  No floats anywhere.
+character value is one) and Fractions only after a Fraction scalar.
+Canonical form is unique and Fraction(n) == n, so equality of values is
+equality of coordinate tuples.  No floats anywhere.
 
 One analysis session fixes a single conductor (the exponent of the acting
 group) and embeds every character value there, which keeps all arithmetic in
@@ -133,7 +133,7 @@ def _as_scalar(x: Scalar) -> Scalar:
 
 
 class Cyclotomic:
-    """Immutable element of Q(zeta_e): int coordinates, Fraction only after a division."""
+    """Immutable element of Q(zeta_e): int coordinates, Fraction only after a Fraction scalar."""
 
     __slots__ = ("conductor", "coeffs")
 
@@ -183,7 +183,7 @@ class Cyclotomic:
             raw[k % e] += _as_scalar(a)
         return cls(e, _reduce_coeffs(raw, e))
 
-    # -- ring / field structure -------------------------------------------
+    # -- ring structure ----------------------------------------------------
 
     def _check(self, other: "Cyclotomic") -> None:
         if self.conductor != other.conductor:
@@ -237,43 +237,6 @@ class Cyclotomic:
         return Cyclotomic(self.conductor, _reduce_coeffs(prod, self.conductor))
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = Cyclotomic.one(self.conductor)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def inverse(self) -> "Cyclotomic":
-        """Multiplicative inverse via extended gcd against Phi_e."""
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero cyclotomic value")
-        phi = [Fraction(c) for c in cyclotomic_polynomial(self.conductor)]
-        # extended Euclid in Q[x]: u*self + v*phi = gcd
-        r0, r1 = phi, [Fraction(c) for c in self.coeffs]
-        u0, u1 = [Fraction(0)], [Fraction(1)]
-        while any(r1):
-            q, r = _poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            u0, u1 = u1, _poly_sub(u0, _poly_mul(q, u1))
-        lead = next(c for c in reversed(r0) if c)
-        if sum(1 for c in r0 if c) != 1 or r0[0] == 0:
-            # gcd must be a nonzero constant: Phi_e is irreducible over Q
-            raise ArithmeticError("gcd with Phi_e is not constant")
-        inv_coeffs = [c / lead for c in u0]
-        return Cyclotomic(self.conductor, _reduce_coeffs(inv_coeffs, self.conductor))
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
 
     # -- Galois action ------------------------------------------------------
 
@@ -355,49 +318,3 @@ class Cyclotomic:
         if self.is_rational():
             return self.render(symbol)
         return f"{self.render(symbol)}  ({symbol} = zeta_{self.conductor})"
-
-
-# -- small polynomial helpers over Fraction (low degree first) ---------------
-
-def _poly_trim(p: list[Fraction]) -> list[Fraction]:
-    while len(p) > 1 and not p[-1]:
-        p.pop()
-    return p
-
-
-def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    out = [Fraction(0)] * n
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] -= c
-    return _poly_trim(out)
-
-
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, c in enumerate(a):
-        if c:
-            for j, d in enumerate(b):
-                if d:
-                    out[i + j] += c * d
-    return _poly_trim(out)
-
-
-def _poly_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    a = list(a)
-    b = _poly_trim(list(b))
-    if len(b) == 1 and not b[0]:
-        raise ZeroDivisionError("polynomial division by zero")
-    deg_b = len(b) - 1
-    if len(a) - 1 < deg_b:
-        return [Fraction(0)], _poly_trim(a)
-    quot = [Fraction(0)] * (len(a) - deg_b)
-    for i in range(len(a) - 1, deg_b - 1, -1):
-        c = a[i] / b[-1]
-        if c:
-            quot[i - deg_b] = c
-            for j, bj in enumerate(b):
-                a[i - deg_b + j] -= c * bj
-    return _poly_trim(quot), _poly_trim(a)

@@ -223,7 +223,11 @@ class RationalRepProfile:
 
 @dataclass(frozen=True)
 class FiberPlan:
-    """Constructed elementary-abelian covering realizing prescribed quotients."""
+    """Constructed elementary-abelian covering realizing prescribed quotients.
+
+    ``analysis`` is the analysis of ``action`` that checked the plan; callers
+    read deck profiles from it instead of analyzing the action again.
+    """
 
     genera: tuple[int, ...]
     action: CoveringAction
@@ -234,6 +238,7 @@ class FiberPlan:
     predicted_dim_p: int
     admissibility: AdmissibilityReport
     theorem1: DecompositionReport
+    analysis: ActionAnalysis
     elliptic_count: int | None = None
     pairing: tuple[tuple[int, ...], ...] | None = None
 
@@ -838,6 +843,7 @@ def _build_fiber_plan(
         predicted_dim_p=predicted_dim_p,
         admissibility=admissibility,
         theorem1=report,
+        analysis=analysis,
         elliptic_count=elliptic_count,
         pairing=pairing,
     )

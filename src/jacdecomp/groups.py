@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 DEFAULT_ORDER_CAP = 2048
@@ -241,8 +240,17 @@ def build_group(
     return FiniteGroup(elements, name_map)
 
 
-@lru_cache(maxsize=None)
-def _dihedral(q: int) -> FiniteGroup:
+def preset_dihedral(q: int, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
+    """Dihedral group <r, s : r^(2q) = s^2 = (sr)^2 = 1> of order 4q.
+
+    Realized on the 2q-gon for q >= 2; the q = 1 (Klein) case needs 4 points.
+    Each call builds a new group, as build_group does: no module-level cache
+    keeps a preset, or the caches it owns, alive.
+    """
+    if q < 1:
+        raise GroupError(f"q must be a positive integer, got {q}")
+    if 4 * q > order_cap:
+        raise OrderCapExceeded(f"order {4 * q} exceeds cap {order_cap}")
     if q == 1:
         r = Permutation((1, 0, 2, 3))
         s = Permutation((0, 1, 3, 2))
@@ -255,22 +263,12 @@ def _dihedral(q: int) -> FiniteGroup:
     return group
 
 
-def preset_dihedral(q: int, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
-    """Dihedral group <r, s : r^(2q) = s^2 = (sr)^2 = 1> of order 4q.
-
-    Realized on the 2q-gon for q >= 2; the q = 1 (Klein) case needs 4 points.
-    Instances are shared: a group's table never changes, so repeated preset
-    calls return the same object and its lazily built caches.
-    """
-    if q < 1:
-        raise GroupError(f"q must be a positive integer, got {q}")
-    if 4 * q > order_cap:
-        raise OrderCapExceeded(f"order {4 * q} exceeds cap {order_cap}")
-    return _dihedral(q)
-
-
-@lru_cache(maxsize=None)
-def _elementary_abelian_2(t: int) -> FiniteGroup:
+def preset_elementary_abelian_2(t: int, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
+    """Elementary abelian group (Z_2)^t with generators e1..et on 2t points."""
+    if not 1 <= t <= 11:
+        raise OrderCapExceeded(f"t must be in 1..11, got {t}")
+    if 2**t > order_cap:
+        raise OrderCapExceeded(f"order {2**t} exceeds cap {order_cap}")
     gens = []
     for i in range(t):
         images = list(range(2 * t))
@@ -279,16 +277,6 @@ def _elementary_abelian_2(t: int) -> FiniteGroup:
     return build_group(gens, [f"e{i + 1}" for i in range(t)])
 
 
-def preset_elementary_abelian_2(t: int, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
-    """Elementary abelian group (Z_2)^t with generators e1..et on 2t points."""
-    if not 1 <= t <= 11:
-        raise OrderCapExceeded(f"t must be in 1..11, got {t}")
-    if 2**t > order_cap:
-        raise OrderCapExceeded(f"order {2**t} exceeds cap {order_cap}")
-    return _elementary_abelian_2(t)
-
-
-@lru_cache(maxsize=None)
 def preset_quaternion() -> FiniteGroup:
     """Quaternion group of order 8 in its regular action, generators i and j."""
     # element order: 1, -1, i, -i, j, -j, k, -k

@@ -82,7 +82,7 @@ def test_criterion_01_character_engine_exactness():
 def test_criterion_02_fixed_subspace_table(q):
     """Reference fixed-dimension rows for H1, H2, H3 against V2..V6."""
     group, action, subs = named(q)
-    _, table, classes, labels = dihedral_label_map(q)
+    table, classes, labels = dihedral_label_map(group)
     expected = {
         "H1": (0, 1, 0, 1, 1),
         "H2": (0, 0, 1, 1, 1),
@@ -109,7 +109,7 @@ def test_criterion_02_fixed_subspace_table(q):
 def test_criterion_03_factor_data(q):
     """Factor dims (0,1,1,1,q-1,q-1), exponents (1,1,1,1,2,2), conservation."""
     group, action, _ = named(q)
-    _, _, _, labels = dihedral_label_map(q)
+    _, _, labels = dihedral_label_map(group)
     factors = analyze(action).factors
     dims = [factors[labels[f"V{j}"]].dim for j in range(1, 7)]
     exps = [factors[labels[f"V{j}"]].exponent for j in range(1, 7)]
@@ -275,7 +275,7 @@ def test_criterion_12_discrepancy_regression():
     """The reference table cell differs: engine value 2 is pinned, exit code 2."""
     for q in (3, 5, 7):
         group, action, subs = named(q)
-        _, _, classes, labels = dihedral_label_map(q)
+        _, classes, labels = dihedral_label_map(group)
         chi = classes[labels["V6"]].character
         assert fixed_dim(chi, subs["H4"]) == 2
 

@@ -442,9 +442,8 @@ def test_permutation_characters_decompose_into_rational_classes():
 # -- fixed dimensions ---------------------------------------------------------------
 
 
-def dihedral_label_map(q):
-    """Identify the five nontrivial rational classes of the 4q dihedral table."""
-    group = preset_dihedral(q)
+def dihedral_label_map(group):
+    """Identify the five nontrivial rational classes of a dihedral group's table."""
     table = character_table(group)
     classes = rational_classes(table)
     class_of = table.classes.class_of
@@ -469,12 +468,13 @@ def dihedral_label_map(q):
                 assert Cyclotomic.from_terms({2: 1, -2: 1}, e) in member_values
                 labels["V6"] = idx
     assert len(labels) == 6
-    return group, table, classes, labels
+    return table, classes, labels
 
 
 @pytest.mark.parametrize("q", [3, 5, 7])
 def test_fixed_dims_match_reference_table(q):
-    group, table, classes, labels = dihedral_label_map(q)
+    group = preset_dihedral(q)
+    table, classes, labels = dihedral_label_map(group)
     r = group.generator_names["r"]
     s = group.generator_names["s"]
     h1 = subgroup_generate(group, (s,))
@@ -495,7 +495,8 @@ def test_fixed_dims_match_reference_table(q):
 @pytest.mark.parametrize("q", [3, 5, 7])
 def test_fixed_dim_of_central_involution_on_v6_is_two(q):
     """The r^q cell of V6: direct averaging oracle, independent of fixed_dim."""
-    group, table, classes, labels = dihedral_label_map(q)
+    group = preset_dihedral(q)
+    table, classes, labels = dihedral_label_map(group)
     r = group.generator_names["r"]
     chi = classes[labels["V6"]].character
     h4 = subgroup_generate(group, (group.power(r, q),))

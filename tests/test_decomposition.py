@@ -26,6 +26,7 @@ from jacdecomp.groups import (
     subgroup_generate,
     trivial_subgroup,
 )
+from jacdecomp.scenario import parse_scenario
 from conftest import dihedral_action, fiber_action
 from test_characters import dihedral_label_map
 
@@ -50,7 +51,7 @@ def named_subgroups(q):
 @pytest.mark.parametrize("q", [3, 5, 7])
 def test_dihedral_factor_dims_and_exponents(q):
     data = named_subgroups(q)
-    _, _, _, labels = dihedral_label_map(q)
+    _, _, labels = dihedral_label_map(data["group"])
     factors = analyze(data["action"]).factors
     dims = [factors[labels[f"V{j}"]].dim for j in range(1, 7)]
     exps = [factors[labels[f"V{j}"]].exponent for j in range(1, 7)]
@@ -83,7 +84,7 @@ def test_trivial_factor_dim_equals_orbit_genus():
 @pytest.mark.parametrize("q", [3, 5, 7])
 def test_named_subgroup_profiles(q):
     data = named_subgroups(q)
-    _, _, _, labels = dihedral_label_map(q)
+    _, _, labels = dihedral_label_map(data["group"])
     order = [labels[f"V{j}"] for j in range(1, 7)]
     analysis = analyze(data["action"])
 
@@ -129,6 +130,18 @@ def test_no_module_state_keeps_an_analysis():
     assert ref() is None
 
 
+def test_at_most_one_group_outlives_its_callers():
+    # presets build a new group per call; validate_action's cache holds one action
+    refs = []
+    for q in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+        scenario = parse_scenario(f"d2q?q={q}")
+        analyze(scenario.action).factors
+        refs.append(weakref.ref(scenario.group))
+        del scenario
+    gc.collect()
+    assert sum(ref() is not None for ref in refs) <= 1
+
+
 # -- admissibility -----------------------------------------------------------------------
 
 
@@ -153,7 +166,7 @@ def test_duplicated_subgroup_breaks_admissibility():
 
 def test_h1_h4_not_admissible_under_computed_values():
     data = named_subgroups(3)
-    _, _, _, labels = dihedral_label_map(3)
+    _, _, labels = dihedral_label_map(data["group"])
     report = analyze(data["action"]).admissibility([data["H1"], data["H4"]])
     assert not report.admissible
     v6 = labels["V6"]
@@ -476,7 +489,7 @@ def test_theorem_c_applicable_case_agrees_with_full_decomposition():
 
 def test_rational_rep_profile_dihedral():
     data = named_subgroups(3)
-    _, _, _, labels = dihedral_label_map(3)
+    _, _, labels = dihedral_label_map(data["group"])
     profile = analyze(data["action"]).rational_rep()
     assert profile.total_degree == 22
     assert profile.multiplicities[labels["V1"]] == 0
@@ -558,9 +571,8 @@ def test_fiber_plans(genera, genus, dim_p):
     assert plan.genus == plan.predicted_genus == genus
     assert plan.dim_p == plan.predicted_dim_p == dim_p
     assert plan.admissibility.admissible
-    analysis = analyze(plan.action)
     for g_i, deck in zip(plan.genera, plan.deck_subgroups):
-        assert analysis.profile(deck).genus == g_i
+        assert plan.analysis.profile(deck).genus == g_i
 
 
 def test_fiber_rejects_single_factor():
@@ -669,7 +681,7 @@ def test_removing_a_subgroup_preserves_admissibility():
 
 def test_schur_override_breaking_integrality_is_rejected():
     data = named_subgroups(3)
-    _, _, classes, labels = dihedral_label_map(3)
+    _, classes, labels = dihedral_label_map(data["group"])
     rep = classes[labels["V5"]].representative
     with pytest.raises(NonIntegralDimension):
         analyze(data["action"], {rep: 2}).profile(data["H1"])

@@ -5,7 +5,8 @@ jacdecomp modules by name, from outside the program.  A rename, or a method
 turned into another kind of descriptor, would break traced runs without
 failing any other test.  These checks only read the tracer's tables; they
 never call ``Tracer.install()``, which rebinds module attributes for the rest
-of the process.
+of the process.  The package's export list is held to the same rule: every
+name in ``jacdecomp.__all__`` resolves.
 """
 
 import importlib
@@ -15,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+import jacdecomp
 from jacdecomp import covering
 from jacdecomp.decomposition import ActionAnalysis
 
@@ -61,3 +63,11 @@ def test_factors_stays_a_property():
 def test_validate_action_keeps_cache_clear():
     # the action_sweep set-up empties this cache before its timed ops
     assert callable(covering.validate_action.cache_clear)
+
+
+def test_every_exported_name_resolves():
+    # the package trims public names over time; __all__ must follow
+    assert [name for name in jacdecomp.__all__ if not hasattr(jacdecomp, name)] == []
+    namespace = {}
+    exec("from jacdecomp import *", namespace)
+    assert set(jacdecomp.__all__) <= namespace.keys()
