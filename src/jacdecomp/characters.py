@@ -557,17 +557,8 @@ class RationalClass:
         return self.representative == 0
 
 
-def rational_classes(
-    table: CharacterTable,
-    overrides: Mapping[int, int] | None = None,
-) -> tuple[RationalClass, ...]:
-    """Galois orbits of the table rows, trivial class first.
-
-    The Schur index is heuristic (2 when the Frobenius-Schur indicator is -1,
-    else 1) unless overridden per orbit representative; every class records
-    which source produced its index.
-    """
-    overrides = dict(overrides or {})
+def _galois_orbits(table: CharacterTable) -> list[tuple[int, ...]]:
+    """Orbits of Gal(Q(zeta_e)/Q) on the table rows, sorted by first member."""
     rows = table.irreducibles
     e = table.conductor
     coords = [row.coords for row in rows]
@@ -594,51 +585,72 @@ def rational_classes(
         orbits.append(members)
         assigned.update(members)
     orbits.sort(key=lambda members: members[0])
+    return orbits
 
-    representatives = {members[0] for members in orbits}
+
+def _rational_class(
+    table: CharacterTable, members: tuple[int, ...], override: int | None = None
+) -> RationalClass:
+    """The rational class of one Galois orbit, with its heuristic Schur index
+    (2 when the Frobenius-Schur indicator is -1, else 1) or the override."""
+    rep = members[0]
+    degree = table.degrees[rep]
+    if override is None:
+        s, source = (2 if frobenius_schur(table.irreducibles[rep]) == -1 else 1), "heuristic"
+    elif override < 1:
+        raise NonIntegralN(f"Schur index must be positive, got {override}")
+    else:
+        s, source = override, "override"
+    if degree % s != 0:
+        raise NonIntegralN(f"Schur index {s} does not divide degree {degree} on row {rep}")
+    total = table.irreducibles[rep]
+    for j in members[1:]:
+        total = total + table.irreducibles[j]
+    rational_char = total * s
+    for v in rational_char.values:
+        if not v.is_rational():
+            raise CharacterError("orbit sum has irrational values")
+    return RationalClass(
+        table=table,
+        member_indices=members,
+        representative=rep,
+        degree=degree,
+        field_degree=len(members),
+        schur_index=s,
+        schur_source=source,
+        rational_character=rational_char,
+        n=degree // s,
+    )
+
+
+def rational_classes(
+    table: CharacterTable,
+    overrides: Mapping[int, int] | None = None,
+) -> tuple[RationalClass, ...]:
+    """Galois orbits of the table rows, trivial class first.
+
+    The Schur index is heuristic unless overridden per orbit representative;
+    every class records which source produced its index.  The heuristic
+    classes depend only on the table, so the group caches them next to its
+    character table, and an override rebuilds only its own orbit.
+    """
+    classes = table.group._rational_classes
+    if classes is None:
+        classes = tuple(_rational_class(table, orbit) for orbit in _galois_orbits(table))
+        table.group._rational_classes = classes
+    if not overrides:
+        return classes
+    representatives = {rc.representative for rc in classes}
     for key in overrides:
         if key not in representatives:
             raise CharacterError(
                 f"Schur override on row {key}, which is not an orbit representative"
             )
-
-    result = []
-    for members in orbits:
-        rep = members[0]
-        degree = table.degrees[rep]
-        if rep in overrides:
-            s = int(overrides[rep])
-            source = "override"
-            if s < 1:
-                raise NonIntegralN(f"Schur index must be positive, got {s}")
-        else:
-            s = 2 if frobenius_schur(rows[rep]) == -1 else 1
-            source = "heuristic"
-        if degree % s != 0:
-            raise NonIntegralN(
-                f"Schur index {s} does not divide degree {degree} on row {rep}"
-            )
-        total = rows[members[0]]
-        for j in members[1:]:
-            total = total + rows[j]
-        rational_char = total * s
-        for v in rational_char.values:
-            if not v.is_rational():
-                raise CharacterError("orbit sum has irrational values")
-        result.append(
-            RationalClass(
-                table=table,
-                member_indices=members,
-                representative=rep,
-                degree=degree,
-                field_degree=len(members),
-                schur_index=s,
-                schur_source=source,
-                rational_character=rational_char,
-                n=degree // s,
-            )
-        )
-    return tuple(result)
+    return tuple(
+        _rational_class(table, rc.member_indices, int(overrides[rc.representative]))
+        if rc.representative in overrides else rc
+        for rc in classes
+    )
 
 
 # -- group algebra elements and central idempotents --------------------------------

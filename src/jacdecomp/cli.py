@@ -96,7 +96,7 @@ def _check_collection_expectations(
 
     if "genera" in expect:
         computed = [p.genus for p in profiles]
-        expected = [int(g) for g in expect["genera"]]
+        expected = expect["genera"]
         if computed != expected:
             notes.append(
                 _discrepancy(
@@ -107,7 +107,7 @@ def _check_collection_expectations(
 
     if "complement_dim" in expect:
         computed = analysis.genus - sum(p.genus for p in profiles)
-        expected = int(expect["complement_dim"])
+        expected = expect["complement_dim"]
         if computed != expected:
             notes.append(
                 _discrepancy(
@@ -131,7 +131,7 @@ def _check_collection_expectations(
             )
 
     if "dim_p" in expect:
-        expected = int(expect["dim_p"])
+        expected = expect["dim_p"]
         if theorem1 is None:
             notes.append(
                 _discrepancy(
@@ -161,17 +161,16 @@ def _check_collection_expectations(
     if "fixed_dims" in expect:
         table_spec = expect["fixed_dims"]
         labels = dihedral_class_labels(analysis)
-        if labels is None:
+        if labels is None or not set(table_spec["columns"]) <= labels.keys():
             raise UsageError(
-                "fixed_dims expectations need the dihedral preset labeling"
+                "fixed_dims expectations need the dihedral preset labels V1..V6"
             )
-        columns = list(table_spec["columns"])
+        columns = table_spec["columns"]
         rows = table_spec["rows"]
         for i, (subgroup, row) in enumerate(zip(spec.subgroups, rows)):
             for label, expected_cell in zip(columns, row):
                 rc = analysis.rational_classes[labels[label]]
                 computed_cell = analysis.fixed_dims(subgroup)[labels[label]]
-                expected_cell = int(expected_cell)
                 if computed_cell != expected_cell:
                     notes.append(
                         _discrepancy(
@@ -279,6 +278,8 @@ def _cmd_chartable(scenario: ScenarioFile, args) -> ReportDocument:
 
 
 def _cmd_search(scenario: ScenarioFile, args) -> ReportDocument:
+    if args.max_t < 1:
+        raise UsageError(f"--max-t must be at least 1, got {args.max_t}")
     analysis = _analysis(scenario, args)
     reports = analysis.search_admissible(
         max_t=args.max_t,

@@ -250,9 +250,10 @@ class ActionAnalysis:
     or by ``induced_join_analysis`` from induced branch data (a subgroup
     reinterpreted as the acting group).  It is a plain object that its caller
     holds: nothing at module level keeps it alive.  Per-group data (the
-    character table, fixed dimensions, coset actions) is cached by the group;
-    the analysis memoizes only what its Schur overrides or branch data change:
-    rational classes, factors and profiles.
+    character table, the heuristic rational classes, fixed dimensions, coset
+    actions) is cached by the group; the analysis memoizes only what its
+    Schur overrides or branch data change: its override view of the rational
+    classes, factors and profiles.
     """
 
     def __init__(

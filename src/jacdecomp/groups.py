@@ -118,6 +118,7 @@ class FiniteGroup:
         # lazy caches
         self._classes = None
         self._character_table = None
+        self._rational_classes = None
         self._subgroups: tuple | None = None
         self._coset_actions: dict[tuple[int, ...], "CosetAction"] = {}
         self._perm_chars: dict[tuple[int, ...], object] = {}
@@ -258,7 +259,7 @@ def preset_dihedral(q: int, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
         n = 2 * q
         r = Permutation(tuple((i + 1) % n for i in range(n)))
         s = Permutation(tuple((-i) % n for i in range(n)))
-    group = build_group([r, s], ["r", "s"])
+    group = build_group([r, s], ["r", "s"], order_cap=order_cap)
     assert group.order == 4 * q
     return group
 
@@ -274,7 +275,7 @@ def preset_elementary_abelian_2(t: int, order_cap: int = DEFAULT_ORDER_CAP) -> F
         images = list(range(2 * t))
         images[2 * i], images[2 * i + 1] = images[2 * i + 1], images[2 * i]
         gens.append(Permutation(tuple(images)))
-    return build_group(gens, [f"e{i + 1}" for i in range(t)])
+    return build_group(gens, [f"e{i + 1}" for i in range(t)], order_cap=order_cap)
 
 
 def preset_quaternion() -> FiniteGroup:

@@ -279,17 +279,39 @@ def _resolve_element(group: FiniteGroup, token) -> int:
     raise ParseError(f"element must be a word or index, got {token!r}")
 
 
+def _expectations(raw) -> dict:
+    """A collection's reference expectations, every value read as its type."""
+    expect = dict(raw)
+    for key in {"complement_dim", "dim_p"} & expect.keys():
+        expect[key] = int(expect[key])
+    if "genera" in expect:
+        expect["genera"] = [int(g) for g in expect["genera"]]
+    if "fixed_dims" in expect:
+        columns, rows = expect["fixed_dims"]["columns"], expect["fixed_dims"]["rows"]
+        expect["fixed_dims"] = {
+            "columns": [str(c) for c in columns], "rows": [[int(x) for x in r] for r in rows]
+        }
+    return expect
+
+
 def parse_scenario(
     source: str | Path | Mapping,
     max_order: int | None = None,
 ) -> ScenarioFile:
     """Load a scenario from a preset reference, JSON text, file path or dict.
 
-    Raises ParseError for malformed documents, UnknownGenerator for bad
-    words, and ValidationError wrapping any covering-data failure.  The
-    order cap comes from the max_order argument, else the scenario's
-    options, else the package default.
+    Raises ParseError for malformed documents (missing keys, wrong types, a
+    cap below 1), UnknownGenerator for bad words, and ValidationError wrapping
+    any covering-data failure.  The order cap is the max_order argument, else
+    the scenario's options, else (when both are None) the package default.
     """
+    try:
+        return _parse_scenario(source, max_order)
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
+        raise ParseError(f"malformed scenario: {exc!r}") from exc
+
+
+def _parse_scenario(source: str | Path | Mapping, max_order: int | None) -> ScenarioFile:
     if isinstance(source, Mapping):
         raw = dict(source)
     elif isinstance(source, Path):
@@ -314,7 +336,10 @@ def parse_scenario(
             raise ParseError(f"scenario is missing the {key!r} section")
 
     options = raw.get("options") or {}
-    order_cap = max_order or int(options.get("max_order", 0)) or DEFAULT_ORDER_CAP
+    order_cap = options.get("max_order") if max_order is None else max_order
+    order_cap = DEFAULT_ORDER_CAP if order_cap is None else int(order_cap)
+    if order_cap < 1:
+        raise ParseError(f"max_order must be at least 1, got {order_cap}")
     group = _build_group(raw["group"], order_cap)
 
     action_spec = raw["action"]
@@ -341,7 +366,7 @@ def parse_scenario(
     for name, body in (raw.get("collections") or {}).items():
         if isinstance(body, dict):
             word_lists = body.get("subgroups", [])
-            expect = dict(body.get("expect") or {})
+            expect = _expectations(body.get("expect") or {})
         else:
             word_lists = body
             expect = {}

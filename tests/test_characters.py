@@ -1,10 +1,13 @@
 """Character tables, inner products, fixed subspaces, rational classes."""
 
+import dataclasses
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
+from jacdecomp import characters
 from jacdecomp.characters import (
     ClassFunction,
     GroupAlgebraElement,
@@ -13,6 +16,9 @@ from jacdecomp.characters import (
     NonIntegralN,
     NotIrreducible,
     CharacterError,
+    RationalClass,
+    _combine,
+    _reduce_coeffs,
     central_idempotent,
     character_table,
     fixed_dim,
@@ -25,6 +31,7 @@ from jacdecomp.characters import (
     _charpoly_mod,
 )
 from jacdecomp.cyclotomic import ConductorMismatch, Cyclotomic, cyclotomic_polynomial
+from jacdecomp.decomposition import analyze
 from jacdecomp.groups import (
     Permutation,
     build_group,
@@ -37,6 +44,7 @@ from jacdecomp.groups import (
     subgroup_generate,
     trivial_subgroup,
 )
+from conftest import dihedral_action, group_library, random_action
 
 LIBRARY = [
     preset_dihedral(3),
@@ -634,6 +642,108 @@ def test_rational_character_values_are_rational():
         for value in rc.rational_character.values:
             assert value.is_rational()
 
+
+def per_call_rational_classes(table, overrides=None):
+    """Reference: every orbit, orbit sum and Schur index recomputed on each call."""
+    overrides = dict(overrides or {})
+    rows = table.irreducibles
+    e = table.conductor
+    coords = [row.coords for row in rows]
+    row_index = {c: i for i, c in enumerate(coords)}
+    galois_maps = [
+        [_reduce_coeffs([0] * (i * k % e) + [1], e) for i in range(len(coords[0][0]))]
+        for k in range(1, e + 1)
+        if gcd(k, e) == 1
+    ]
+    orbits = []
+    for i in range(len(rows)):
+        if any(i in members for members in orbits):
+            continue
+        orbit = {i}
+        for basis_images in galois_maps:
+            orbit.add(row_index[tuple(_combine(xs, basis_images) for xs in coords[i])])
+        orbits.append(tuple(sorted(orbit)))
+    orbits.sort()
+    assert set(overrides) <= {members[0] for members in orbits}
+    result = []
+    for members in orbits:
+        rep = members[0]
+        degree = table.degrees[rep]
+        if rep in overrides:
+            s, source = overrides[rep], "override"
+        else:
+            s, source = (2 if frobenius_schur(rows[rep]) == -1 else 1), "heuristic"
+        assert s >= 1 and degree % s == 0
+        total = rows[members[0]]
+        for j in members[1:]:
+            total = total + rows[j]
+        result.append(RationalClass(
+            table=table, member_indices=members, representative=rep, degree=degree,
+            field_degree=len(members), schur_index=s, schur_source=source,
+            rational_character=total * s, n=degree // s,
+        ))
+    return tuple(result)
+
+
+def rational_class_fields(classes):
+    return [
+        [getattr(rc, f.name) for f in dataclasses.fields(RationalClass)] for rc in classes
+    ]
+
+
+@pytest.mark.parametrize("group", group_library(), ids=lambda g: f"order{g.order}")
+def test_cached_rational_classes_match_per_call_reference(group):
+    table = character_table(group)
+    cached = rational_classes(table)
+    assert rational_class_fields(cached) == rational_class_fields(per_call_rational_classes(table))
+    for rc in cached:
+        for s in range(1, rc.degree + 1):
+            if rc.degree % s == 0:
+                overrides = {rc.representative: s}
+                assert rational_class_fields(rational_classes(table, overrides)) == (
+                    rational_class_fields(per_call_rational_classes(table, overrides))
+                )
+
+
+def test_rational_class_overrides_do_not_leak_into_the_group_cache():
+    group = preset_quaternion()
+    table = character_table(group)
+    rep = next(rc.representative for rc in rational_classes(table) if rc.degree == 2)
+    assert next(rc for rc in rational_classes(table, {rep: 1}) if rc.degree == 2).schur_index == 1
+    rc = next(rc for rc in rational_classes(table) if rc.degree == 2)
+    assert (rc.schur_index, rc.schur_source) == (2, "heuristic")
+    action = random_action(group, random.Random(7))
+    overridden = analyze(action, {rep: 1}).rational_classes
+    assert next(rc for rc in overridden if rc.degree == 2).schur_source == "override"
+    plain = next(rc for rc in analyze(action).rational_classes if rc.degree == 2)
+    assert (plain.schur_index, plain.schur_source) == (2, "heuristic")
+
+
+def test_frobenius_schur_runs_once_per_orbit_across_analyses(monkeypatch):
+    calls = []
+    original = characters.frobenius_schur
+
+    def counting(chi):
+        calls.append(chi)
+        return original(chi)
+
+    monkeypatch.setattr(characters, "frobenius_schur", counting)
+    group, action = dihedral_action(5)
+    for _ in range(5):
+        analyze(action).factors
+    assert len(calls) == len(rational_classes(character_table(group))) == 6
+
+
+def test_override_rejections_on_a_warm_cache():
+    table = character_table(preset_dihedral(5))
+    classes = rational_classes(table)
+    degree_two = next(rc for rc in classes if rc.degree == 2)
+    with pytest.raises(CharacterError, match="not an orbit representative"):
+        rational_classes(table, {degree_two.member_indices[-1]: 1})
+    with pytest.raises(NonIntegralN, match="must be positive"):
+        rational_classes(table, {degree_two.representative: 0})
+    with pytest.raises(NonIntegralN, match="does not divide"):
+        rational_classes(table, {degree_two.representative: 3})
 
 # -- central idempotents -------------------------------------------------------------------
 

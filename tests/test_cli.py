@@ -1,7 +1,9 @@
 """Command front end: exit codes, documents, golden reports, determinism."""
 
+import copy
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -10,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from jacdecomp import cli
-from jacdecomp.scenario import parse_scenario
+from jacdecomp.scenario import load_bundled_scenario, parse_scenario
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
@@ -247,3 +249,75 @@ def test_golden_reports(name):
         path.write_text(rendered, encoding="utf-8")
     assert path.exists(), f"golden file {name} missing; run with REGEN_GOLDENS=1"
     assert rendered == path.read_text(encoding="utf-8")
+
+
+# -- exit-code contract under malformed input ----------------------------------------
+
+
+def test_order_cap_below_one_exits_1(capsys, tmp_path):
+    for cap in ("0", "-5"):
+        assert cli.main(["chartable", "d2q?q=3", "--max-order", cap]) == 1
+        assert "max_order must be at least 1" in capsys.readouterr().err
+    scenario = load_bundled_scenario("d2q_q3")
+    scenario["options"] = {"max_order": 0}
+    path = tmp_path / "capped.json"
+    path.write_text(json.dumps(scenario), encoding="utf-8")
+    assert cli.main(["chartable", str(path)]) == 1
+    assert "max_order must be at least 1" in capsys.readouterr().err
+
+
+def test_search_max_t_below_one_exits_1(capsys):
+    for max_t in ("0", "-1"):
+        assert cli.main(["search", "d2q?q=3", "--max-t", max_t]) == 1
+        assert "--max-t must be at least 1" in capsys.readouterr().err
+
+
+_FUZZ_VALUES = (None, "x", "", 0, -1, 7, 2.5, True, [], {}, ["s"], {"q": 3})
+
+
+def _fuzz_nodes(node):
+    """Every (container, key) position in a JSON document, depth first."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield node, key
+        if isinstance(value, (dict, list)):
+            yield from _fuzz_nodes(value)
+
+
+def _mutate(doc, rng: random.Random) -> None:
+    for _ in range(rng.randint(1, 3)):
+        positions = list(_fuzz_nodes(doc))
+        if not positions:
+            return
+        container, key = rng.choice(positions)
+        value = container[key]
+        kind = rng.choice(("drop", "swap", "word", "empty"))
+        if kind == "drop" and isinstance(container, dict):
+            del container[key]
+        elif kind == "word" and isinstance(value, str) and value:
+            i = rng.randrange(len(value))
+            container[key] = value[:i] + rng.choice("rsqe*^-0123 ") + value[i + 1:]
+        elif kind == "empty" and isinstance(value, (list, dict)):
+            container[key] = type(value)()
+        else:
+            container[key] = copy.deepcopy(rng.choice(_FUZZ_VALUES))
+
+
+def test_exit_contract_fuzz(capsys):
+    """Seeded mutations of the bundled scenarios: main returns 0, 1 or 2 and never raises."""
+    rng = random.Random(20261018)
+    names = ("d2q_q3", "fiber_1_1", "fiber_1_1_1")
+    commands = (
+        ["analyze"], ["chartable"], ["search", "--max-t", "2"], ["theorem-b"],
+        ["chartable", "--schur", "1=2"], ["search", "--max-t", "0"],
+    )
+    cases = [(["chartable", "d2q?q=3"], ["--max-order", "0"])]
+    for _ in range(200):
+        doc = load_bundled_scenario(rng.choice(names))
+        _mutate(doc, rng)
+        command = rng.choice(commands)
+        cases.append(([command[0], json.dumps(doc)], command[1:] + ["--max-order", "64"]))
+    for head, tail in cases:
+        code = cli.main(head + tail)
+        capsys.readouterr()
+        assert code in (0, 1, 2), (head, tail)

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from jacdecomp import groups
 from jacdecomp.groups import (
     DegreeMismatch,
     EmptyGeneratorList,
@@ -500,3 +501,21 @@ def test_element_word_round_trip():
     for group in (preset_dihedral(3), preset_quaternion()):
         for i in range(group.order):
             assert element_from_word(group, group.element_word(i)) == i
+
+
+@pytest.mark.parametrize("preset, argument", [
+    (preset_dihedral, 3),
+    (preset_elementary_abelian_2, 2),
+])
+def test_presets_forward_their_order_cap(monkeypatch, preset, argument):
+    caps = []
+    original = groups.build_group
+
+    def spy(generators, names=None, order_cap=groups.DEFAULT_ORDER_CAP):
+        caps.append(order_cap)
+        return original(generators, names, order_cap=order_cap)
+
+    monkeypatch.setattr(groups, "build_group", spy)
+    for cap in (12, 4096):
+        preset(argument, order_cap=cap)
+    assert caps == [12, 4096]
