@@ -4,6 +4,8 @@ The table is computed by Dixon's modular method: common eigenvectors of the
 class-sum matrices over a prime field F_p with p = 1 (mod e) and p > 2|G|,
 then each character value is lifted exactly by reconstructing the eigenvalue
 multiplicities of the e-th roots of unity through discrete Fourier sums mod p.
+The root weights are summed once per class, and all rows are lifted in one
+packed pass, one bit slot per row in a Python int (Kronecker substitution).
 Multiplicities are below p, so the lift is unique and the final values are
 exact cyclotomic numbers; no floating point is involved anywhere.
 """
@@ -254,14 +256,13 @@ def _restriction(matrix, basis, pivots, p):
     return [[cols[r][i] for r in range(s)] for i in range(s)]
 
 
-def _common_eigenvectors(mats: list[list[list[int]]], p: int) -> list[list[int]]:
-    """Split F_p^n into the common eigenvectors of commuting matrices.
+def _common_eigenvectors(mats: list[list[list[int]]], n: int, p: int) -> list[list[int]]:
+    """Split F_p^n into the common eigenvectors of commuting n x n matrices.
 
     Each eigenspace of one matrix is invariant under the rest, so the space
     is refined matrix by matrix; the algebra is semisimple and split over
     F_p, hence everything ends one-dimensional.
     """
-    n = len(mats[0])
     identity_basis = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     spaces: list[tuple[list[list[int]], list[int]]] = [(identity_basis, list(range(n)))]
     for matrix in mats:
@@ -357,7 +358,7 @@ def character_table(group: FiniteGroup) -> CharacterTable:
             j = class_of[group.mul(group.inv(x), z)]
             mats[i][j][l] += 1
 
-    eigenvectors = _common_eigenvectors(mats, p)
+    eigenvectors = _common_eigenvectors(mats[1:], k, p)  # mats[0], the identity, never splits
     if len(eigenvectors) != k:
         raise CharacterError(
             f"expected {k} common eigenvectors, found {len(eigenvectors)}"
@@ -376,36 +377,54 @@ def character_table(group: FiniteGroup) -> CharacterTable:
         n = group.element_order(rep)
         cyclic.append((n, pow(n, -1, p), [class_of[group.power(rep, i)] for i in range(n)]))
 
-    rows: list[ClassFunction] = []
+    degrees, cvals_rows = [], []
     for vec in eigenvectors:
         if vec[0] % p == 0:
             raise CharacterError("eigenvector vanishes on the identity class")
         norm = pow(vec[0], -1, p)
         omega = [(v * norm) % p for v in vec]
         sigma = sum(omega[l] * omega[inv_class[l]] * inv_sizes[l] for l in range(k)) % p
-        d_squared = (order * pow(sigma, -1, p)) % p
+        d_squared = (order * pow(sigma, -1, p)) % p if sigma else 0  # 0 fails below
         d = isqrt(d_squared)
         if d * d != d_squared or not 1 <= d * d <= order:
             raise CharacterError("degree reconstruction failed")
+        degrees.append(d)
         # character values mod p per class
-        cvals = [(d * omega[l] * inv_sizes[l]) % p for l in range(k)]
-        values = []
-        for n, inv_n, powers in cyclic:
-            step = e // n
-            terms: dict[int, int] = {}
-            total = 0
-            for j in range(n):
-                m_j = sum(cvals[powers[i]] * root_pow[(-i * j * step) % e] for i in range(n))
-                m_j = (m_j * inv_n) % p
+        cvals_rows.append([(d * omega[l] * inv_sizes[l]) % p for l in range(k)])
+
+    # Lift every row at once: column c packs each row's value on class c into
+    # its own slot of `bits` bits.  A slot of sum(w_c * column_c) with weights
+    # w_c < p collects at most n <= e products below p^2, so slots never carry.
+    bits = 2 * p.bit_length() + e.bit_length() + 1
+    mask = (1 << bits) - 1
+    shifts = range(0, bits * k, bits)
+    columns = [sum(row[c] << s for s, row in zip(shifts, cvals_rows)) for c in range(k)]
+    values: list[list[Cyclotomic]] = [[] for _ in range(k)]
+    for n, inv_n, powers in cyclic:
+        # m_j = (1/n) sum_i chi(rep^i) z^(-ij e/n), weights summed per class of rep^i
+        step = e // n
+        positions: dict[int, list[int]] = {}
+        for i, c in enumerate(powers):
+            positions.setdefault(c, []).append(i)
+        terms: list[dict[int, int]] = [{} for _ in range(k)]
+        totals = [0] * k
+        for j in range(n):
+            packed = sum(
+                sum(root_pow[(-i * j * step) % e] for i in where) % p * columns[c]
+                for c, where in positions.items()
+            )
+            for r, (s, d) in enumerate(zip(shifts, degrees)):
+                m_j = ((packed >> s) & mask) * inv_n % p
                 if m_j > d:
                     raise CharacterError("eigenvalue multiplicity exceeds the degree")
                 if m_j:
-                    terms[(j * e) // n] = m_j
-                    total += m_j
-            if total != d:
-                raise CharacterError("eigenvalue multiplicities do not sum to the degree")
-            values.append(Cyclotomic.from_terms(terms, e))
-        rows.append(ClassFunction(group, tuple(values)))
+                    terms[r][(j * e) // n] = m_j
+                    totals[r] += m_j
+        if totals != degrees:
+            raise CharacterError("eigenvalue multiplicities do not sum to the degree")
+        for row_values, row_terms in zip(values, terms):
+            row_values.append(Cyclotomic.from_terms(row_terms, e))
+    rows = [ClassFunction(group, tuple(row_values)) for row_values in values]
 
     trivial = ClassFunction(group, tuple(Cyclotomic.one(e) for _ in range(k)))
     others = [row for row in rows if row != trivial]

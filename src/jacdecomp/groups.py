@@ -4,8 +4,9 @@ A group is one flat Cayley table over the element indices 0..|G|-1, with the
 identity at index 0: every product, inverse, element order, power and
 conjugate is an index lookup, and all higher layers speak element indices.
 Permutations are only the input format.  Generators are closed under
-composition once, and the constructor composes each ordered pair of elements
-once to fill the table.
+composition once, and the constructor fills the table by ``itemgetter``
+composition: one ``operator.itemgetter(*q.images)`` per column element q,
+applied to each row's image tuple, gives the images of p*q in C.
 
 The table never changes after construction.  The lazy caches on a group
 (conjugacy classes, subgroup lattice, coset actions, and the character
@@ -19,6 +20,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 DEFAULT_ORDER_CAP = 2048
@@ -87,8 +89,8 @@ class FiniteGroup:
 
     ``elements`` keeps the permutations the group was built from (identity
     first); after construction every operation reads the table.  Use
-    :func:`build_group` or one of the presets; the constructor trusts the
-    element list to be closed.
+    :func:`build_group` or one of the presets; the constructor raises
+    :class:`GroupError` if the element list is not closed.
     """
 
     def __init__(self, elements: Sequence[Permutation], generator_names: dict[str, int]):
@@ -99,12 +101,21 @@ class FiniteGroup:
         n = self.order = len(self.elements)
         if n > TABLE_ORDER_LIMIT:
             raise OrderCapExceeded(f"order {n} exceeds the Cayley table limit {TABLE_ORDER_LIMIT}")
-        index = {p.images: i for i, p in enumerate(self.elements)}
+        images = [p.images for p in self.elements]
+        if any(len(x) != self.degree for x in images):
+            raise DegreeMismatch("elements act on different numbers of points")
+        index = {x: i for i, x in enumerate(images)}
         if len(index) != n:
             raise GroupError("duplicate elements in group construction")
+        # itemgetter(*q)(p) is the image tuple of p*q; below degree 2 the only
+        # element is the identity, and itemgetter would not return a tuple
+        getters = [itemgetter(*q) for q in images] if self.degree > 1 else [tuple]
         table = self._table = array("H")
-        for p in self.elements:
-            table.extend([index[(p * q).images] for q in self.elements])
+        try:
+            for p in images:
+                table.extend([index[get(p)] for get in getters])
+        except KeyError as exc:
+            raise GroupError(f"element list is not closed: product {exc.args[0]} is missing") from None
         self._inverse = tuple(table.index(0, i * n, i * n + n) - i * n for i in range(n))
         orders = []
         for i in range(n):

@@ -10,6 +10,8 @@ from jacdecomp.covering import CoveringAction, validate_action
 from jacdecomp.covering import NotGenerating, RelationFails
 from jacdecomp.groups import (
     FiniteGroup,
+    Permutation,
+    build_group,
     preset_dihedral,
     preset_elementary_abelian_2,
     preset_quaternion,
@@ -90,6 +92,18 @@ def group_library(max_order: int = 40) -> list[FiniteGroup]:
             groups.append(preset_elementary_abelian_2(t))
     groups.append(preset_quaternion())
     return groups
+
+
+def semidirect_7_9() -> FiniteGroup:
+    """Z7 x| Z9 with b a b^-1 = a^2: order 63, 15 classes, degrees 1^9 3^6.
+
+    a is the 7-cycle x -> x+1 on points 0..6; b is x -> 2x on 0..6 times the
+    9-cycle on points 7..15.  It is the smallest group with a rational Schur
+    index of 3.
+    """
+    a = Permutation(tuple((x + 1) % 7 for x in range(7)) + tuple(range(7, 16)))
+    b = Permutation(tuple(2 * x % 7 for x in range(7)) + tuple(7 + (y + 1) % 9 for y in range(9)))
+    return build_group([a, b], ["a", "b"])
 
 
 @pytest.fixture(scope="session")

@@ -3,7 +3,7 @@
 import dataclasses
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 
@@ -44,7 +44,7 @@ from jacdecomp.groups import (
     subgroup_generate,
     trivial_subgroup,
 )
-from conftest import dihedral_action, group_library, random_action
+from conftest import dihedral_action, group_library, random_action, semidirect_7_9
 
 LIBRARY = [
     preset_dihedral(3),
@@ -903,3 +903,127 @@ def test_class_function_kernels_reject_mixed_conductors():
         fixed_dim(chi, full_subgroup(group))
     with pytest.raises(ConductorMismatch):
         frobenius_schur(chi)
+
+
+# -- the packed Fourier lift against a per-row reference ---------------------------
+
+
+def class_matrices(group):
+    """Structure constants a[i][j][l] of the class sums: C_i C_j = sum_l a_ijl C_l."""
+    classes = conjugacy_classes(group)
+    k = len(classes)
+    mats = [[[0] * k for _ in range(k)] for _ in range(k)]
+    for l, z in enumerate(classes.representatives):
+        for x in range(group.order):
+            j = classes.class_of[group.mul(group.inv(x), z)]
+            mats[classes.class_of[x]][j][l] += 1
+    return mats
+
+
+def per_row_lift(group):
+    """Reference: the ordered irreducibles, each row lifted on its own by an
+    O(n^2) Fourier sum per class, from eigenvectors split by every class matrix."""
+    classes = conjugacy_classes(group)
+    k, e, order = len(classes), group.exponent, group.order
+    p = characters._find_prime(e, order)
+    class_of, sizes = classes.class_of, classes.sizes
+    z_root = characters._primitive_root_of_unity(p, e)
+    rows = []
+    for vec in characters._common_eigenvectors(class_matrices(group), k, p):
+        omega = [v * pow(vec[0], -1, p) % p for v in vec]
+        sigma = sum(
+            omega[l] * omega[class_of[group.inv(rep)]] * pow(sizes[l], -1, p)
+            for l, rep in enumerate(classes.representatives)
+        ) % p
+        d = isqrt(order * pow(sigma, -1, p) % p)
+        cvals = [d * omega[l] * pow(sizes[l], -1, p) % p for l in range(k)]
+        values = []
+        for rep in classes.representatives:
+            n = group.element_order(rep)
+            powers = [class_of[group.power(rep, i)] for i in range(n)]
+            terms = {}
+            for j in range(n):
+                m_j = sum(cvals[powers[i]] * pow(z_root, -i * j * e // n, p) for i in range(n))
+                m_j = m_j * pow(n, -1, p) % p
+                assert m_j <= d
+                if m_j:
+                    terms[j * e // n] = m_j
+            assert sum(terms.values()) == d
+            values.append(Cyclotomic.from_terms(terms, e))
+        rows.append(ClassFunction(group, tuple(values)))
+    trivial = trivial_character(group)
+    others = sorted(
+        (row for row in rows if row != trivial),
+        key=lambda row: (row.values[0].as_integer(), tuple(v.coeffs for v in row.values)),
+    )
+    return (trivial, *others)
+
+
+LIFT_GROUPS = group_library() + [
+    alternating_group_4(),
+    symmetric_group_4(),
+    KERNEL_GROUPS["F20"](),
+    semidirect_7_9(),
+]
+
+
+@pytest.mark.parametrize("group", LIFT_GROUPS, ids=lambda g: f"order{g.order}")
+def test_packed_lift_matches_per_row_reference(group):
+    assert character_table(group).irreducibles == per_row_lift(group)
+
+
+def test_semidirect_7_9_table_shape():
+    table = character_table(semidirect_7_9())
+    assert len(table) == 15
+    assert table.degrees == (1,) * 9 + (3,) * 6
+
+
+@pytest.mark.parametrize("n", [12, 30])
+def test_cyclic_table_matches_closed_form(n):
+    """chi_a(c^b) = zeta_n^(ab): singleton classes, non-real values."""
+    group = build_group([Permutation(tuple((x + 1) % n for x in range(n)))], ["c"])
+    c = group.generator_names["c"]
+    classes = conjugacy_classes(group)
+    assert classes.sizes == (1,) * n
+    exponent_of = {group.power(c, b): b for b in range(n)}
+    expected = {
+        tuple(Cyclotomic.root(n, a * exponent_of[rep] % n) for rep in classes.representatives)
+        for a in range(n)
+    }
+    table = character_table(group)
+    assert len(table) == n
+    assert {row.values for row in table.irreducibles} == expected
+    assert any(v != v.conjugate() for row in table.irreducibles for v in row.values)
+
+
+@pytest.mark.parametrize(
+    "group", group_library() + [build_group([Permutation((0,))])], ids=lambda g: f"order{g.order}"
+)
+def test_identity_class_matrix_never_splits(group):
+    mats = class_matrices(group)
+    k = len(mats)
+    p = characters._find_prime(group.exponent, group.order)
+    split = characters._common_eigenvectors(mats[1:], k, p)
+    assert len(split) == k
+    assert split == characters._common_eigenvectors(mats, k, p)
+
+
+@pytest.mark.parametrize("make_group", [
+    lambda: preset_dihedral(5),
+    lambda: preset_elementary_abelian_2(3),
+    preset_quaternion,
+    alternating_group_4,
+    semidirect_7_9,
+], ids=["D20", "Z2^3", "Q8", "A4", "Z7:Z9"])
+@pytest.mark.parametrize("which", [0, -1])
+def test_lift_checks_reject_a_perturbed_eigenvector(monkeypatch, make_group, which):
+    split = characters._common_eigenvectors
+
+    def perturbed(mats, n, p):
+        vectors = split(mats, n, p)
+        vectors[which] = [vectors[which][0], (vectors[which][1] + 1) % p, *vectors[which][2:]]
+        return vectors
+
+    monkeypatch.setattr(characters, "_common_eigenvectors", perturbed)
+    with pytest.raises(CharacterError):
+        character_table(make_group())

@@ -10,6 +10,7 @@ from jacdecomp.groups import (
     DegreeMismatch,
     EmptyGeneratorList,
     FiniteGroup,
+    GroupError,
     InvalidElementIndex,
     NotASubgroup,
     OrderCapExceeded,
@@ -78,6 +79,14 @@ def test_build_group_errors():
     rotation, reflection = hexagon_generators()
     with pytest.raises(OrderCapExceeded):
         build_group([rotation, reflection], ["r", "s"], order_cap=8)
+
+
+def test_finite_group_rejects_a_list_that_is_not_a_group():
+    with pytest.raises(GroupError, match=r"product \(2, 0, 1\) is missing"):
+        FiniteGroup([Permutation((0, 1, 2)), Permutation((1, 2, 0))], {})
+    with pytest.raises(DegreeMismatch):
+        FiniteGroup([Permutation((0, 1, 2)), Permutation((1, 0))], {})
+    assert build_group([Permutation(())]).order == 1
 
 
 def test_identity_is_index_zero():
