@@ -15,7 +15,6 @@ from typing import Sequence
 
 from .groups import (
     FiniteGroup,
-    NotASubgroup,
     Subgroup,
     coset_action,
     subgroup_generate,
@@ -189,9 +188,7 @@ def genus_from_branch_data(
     2g_H - 2 = [G:H](2*gamma - 2) + sum_k ([G:H] - #orbits of the k-th
     stabilizer on the cosets of H).
     """
-    if subgroup.parent is not group:
-        raise NotASubgroup("subgroup belongs to a different group")
-    cosets = coset_action(group, subgroup)
+    cosets = coset_action(group, subgroup)  # raises NotASubgroup for a foreign subgroup
     index = cosets.degree
     rhs = index * (2 * orbit_genus - 2)
     for stab in stabilizers:

@@ -35,13 +35,16 @@ from .covering import (
 )
 from .groups import (
     FiniteGroup,
-    NotASubgroup,
     PartitionVerdict,
     Subgroup,
+    coset_action,
     enumerate_subgroups,
     is_partition,
+    orbits,
     preset_elementary_abelian_2,
+    require_subgroup,
     subgroup_as_group,
+    subgroup_class_representatives,
     subgroup_generate,
     subgroup_join,
 )
@@ -321,19 +324,15 @@ class ActionAnalysis:
 
     # -- per-subgroup data ----------------------------------------------------
 
-    def _check_subgroup(self, subgroup: Subgroup) -> None:
-        if subgroup.parent is not self.group:
-            raise NotASubgroup("subgroup does not belong to the analysis group")
-
     def fixed_dims(self, subgroup: Subgroup) -> tuple[int, ...]:
         """Fixed-space dimension of each class representative under a subgroup."""
-        self._check_subgroup(subgroup)
+        require_subgroup(self.group, subgroup)
         return tuple(
             fixed_dim(rc.character, subgroup) for rc in self.rational_classes
         )
 
     def profile(self, subgroup: Subgroup) -> SubgroupProfile:
-        self._check_subgroup(subgroup)
+        require_subgroup(self.group, subgroup)
         cached = self._profiles.get(subgroup.members)
         if cached is not None:
             return cached
@@ -668,9 +667,10 @@ class ActionAnalysis:
         require_full: bool = False,
         dedupe_conjugates: bool = False,
     ) -> tuple[AdmissibilityReport, ...]:
-        subgroups = list(enumerate_subgroups(self.group))
         if dedupe_conjugates:
-            subgroups = [h for h in subgroups if _is_conjugacy_canonical(h)]
+            subgroups = subgroup_class_representatives(self.group)
+        else:
+            subgroups = enumerate_subgroups(self.group)
         results = []
         for size in range(1, max_t + 1):
             for combo in itertools.combinations(subgroups, size):
@@ -683,16 +683,6 @@ class ActionAnalysis:
                         continue
                 results.append(report)
         return tuple(results)
-
-
-def _is_conjugacy_canonical(subgroup: Subgroup) -> bool:
-    group = subgroup.parent
-    members = subgroup.members
-    for g in range(group.order):
-        conjugated = tuple(sorted(group.conjugate(m, g) for m in members))
-        if conjugated < members:
-            return False
-    return True
 
 
 # -- entry point ---------------------------------------------------------------------
@@ -723,9 +713,9 @@ def induced_join_analysis(
     """Reinterpret the covering with the join of the collection acting.
 
     The branch data of the intermediate covering is recomputed from double
-    cosets: each orbit of a branch stabilizer on the cosets of the join with
-    a nontrivial point stabilizer becomes a branch point of the new covering.
-    Returns the analysis over the join, the collection translated into the
+    cosets J g <c>: the join J acts on the cosets of each branch stabilizer
+    <c>, and each orbit whose point stabilizer J meet g <c> g^-1 is
+    nontrivial becomes a branch point of the new covering.  Returns the analysis over the join, the collection translated into the
     join's own element indices, and the join as a subgroup of the original
     group.
     """
@@ -737,14 +727,10 @@ def induced_join_analysis(
     stabilizers = []
     for c in action.branch_elements:
         cyc = subgroup_generate(group, (c,))
-        seen = [False] * group.order
-        for g in range(group.order):
-            if seen[g]:
-                continue
-            for j in join.members:
-                jg = group.mul(j, g)
-                for m in cyc.members:
-                    seen[group.mul(jg, m)] = True
+        cosets = coset_action(group, cyc)
+        moves = [[cosets.image(j, k) for k in range(cosets.degree)] for j in join.generators]
+        for k in orbits(cosets.degree, moves)[0]:
+            g = cosets.representatives[k]  # the smallest element of J g <c>
             stab = [
                 group.conjugate(m, g)
                 for m in cyc.members

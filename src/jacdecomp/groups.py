@@ -7,6 +7,9 @@ Permutations are only the input format.  Generators are closed under
 composition once, and the constructor fills the table by ``itemgetter``
 composition: one ``operator.itemgetter(*q.images)`` per column element q,
 applied to each row's image tuple, gives the images of p*q in C.
+Conjugacy classes, cosets and double cosets are all orbits of point maps
+read off the table (rows, columns, or their composition), and one routine,
+:func:`orbits`, walks them.
 
 The table never changes after construction.  The lazy caches on a group
 (conjugacy classes, subgroup lattice, coset actions, and the character
@@ -56,6 +59,30 @@ class UnknownGenerator(GroupError):
     """A word refers to a generator name the group does not define."""
 
 
+def orbits(n: int, moves: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
+    """Orbits on the points 0..n-1 of the group generated by the moves.
+
+    Each move lists the image of every point.  Returns the smallest point of
+    each orbit, in increasing order, and the orbit number of every point.
+    """
+    orbit_of = [-1] * n
+    reps: list[int] = []
+    for start in range(n):
+        if orbit_of[start] >= 0:
+            continue
+        k = len(reps)
+        reps.append(start)
+        orbit_of[start] = k
+        frontier = [start]
+        for x in frontier:
+            for move in moves:
+                y = move[x]
+                if orbit_of[y] < 0:
+                    orbit_of[y] = k
+                    frontier.append(y)
+    return reps, orbit_of
+
+
 @dataclass(frozen=True)
 class Permutation:
     """Bijection of {0..degree-1}, stored as the tuple of images."""
@@ -90,7 +117,8 @@ class FiniteGroup:
     ``elements`` keeps the permutations the group was built from (identity
     first); after construction every operation reads the table.  Use
     :func:`build_group` or one of the presets; the constructor raises
-    :class:`GroupError` if the element list is not closed.
+    :class:`GroupError` if the element list is not closed or the named
+    generators do not generate it.
     """
 
     def __init__(self, elements: Sequence[Permutation], generator_names: dict[str, int]):
@@ -116,6 +144,9 @@ class FiniteGroup:
                 table.extend([index[get(p)] for get in getters])
         except KeyError as exc:
             raise GroupError(f"element list is not closed: product {exc.args[0]} is missing") from None
+        named = set(self.generator_names.values())
+        if named and len(orbits(n, [table[g::n] for g in named])[0]) != 1:
+            raise GroupError("the named generators do not generate the group")
         self._inverse = tuple(table.index(0, i * n, i * n + n) - i * n for i in range(n))
         orders = []
         for i in range(n):
@@ -314,23 +345,22 @@ class ConjugacyClassPartition:
 
 
 def conjugacy_classes(group: FiniteGroup) -> ConjugacyClassPartition:
+    """Orbits of conjugation x -> g x g^-1 by the group's generators."""
     if group._classes is not None:
         return group._classes
-    n = group.order
-    class_of = [-1] * n
-    classes: list[tuple[int, ...]] = []
-    for start in range(n):
-        if class_of[start] >= 0:
-            continue
-        members = tuple(sorted({group.conjugate(start, g) for g in range(n)}))
-        idx = len(classes)
-        classes.append(members)
-        for m in members:
-            class_of[m] = idx
+    n, table = group.order, group._table
+    moves = []
+    for g in full_subgroup(group).generators:
+        after = table[group.inv(g)::n]  # y -> y g^-1
+        moves.append([after[y] for y in table[g * n:g * n + n]])
+    reps, class_of = orbits(n, moves)
+    classes: list[list[int]] = [[] for _ in reps]
+    for x, k in enumerate(class_of):
+        classes[k].append(x)
     partition = ConjugacyClassPartition(
         group=group,
-        classes=tuple(classes),
-        representatives=tuple(c[0] for c in classes),
+        classes=tuple(map(tuple, classes)),
+        representatives=tuple(reps),
         sizes=tuple(len(c) for c in classes),
         class_of=tuple(class_of),
     )
@@ -355,10 +385,6 @@ class Subgroup:
     @property
     def order(self) -> int:
         return len(self.members)
-
-    @property
-    def index(self) -> int:
-        return self.parent.order // self.order
 
     def __contains__(self, i: int) -> bool:
         return i in self._member_set
@@ -440,7 +466,9 @@ def enumerate_subgroups(group: FiniteGroup, order_cap: int = DEFAULT_SUBGROUP_CA
     time its members appear, generated by P's generators (identity dropped)
     and then g.  As <P, x> = <P, g> for all x in the double coset PgP, only
     the smallest g of each double coset is closed; the rest would only
-    rediscover that subgroup, so the recorded generators do not change.
+    rediscover that subgroup, so the recorded generators do not change.  The
+    double cosets are the orbits of left and right multiplication by P's
+    generators, read off the table's rows and columns.
     """
     if group.order > order_cap:
         raise OrderCapExceeded(
@@ -448,27 +476,15 @@ def enumerate_subgroups(group: FiniteGroup, order_cap: int = DEFAULT_SUBGROUP_CA
         )
     if group._subgroups is not None:
         return group._subgroups
+    n, table = group.order, group._table
     found: dict[tuple[int, ...], tuple[int, ...]] = {(0,): (0,)}  # members -> generators
     layer = [(0,)]
     while layer:
         next_layer = []
         for members in layer:
             gens = found[members]
-            done = bytearray(group.order)  # marks P and every double coset closed
-            for h in members:
-                done[h] = 1
-            for g in range(1, group.order):
-                if done[g]:
-                    continue
-                done[g] = 1
-                frontier = [g]
-                while frontier:
-                    x = frontier.pop()
-                    for s in gens:
-                        for y in (group.mul(s, x), group.mul(x, s)):
-                            if not done[y]:
-                                done[y] = 1
-                                frontier.append(y)
+            moves = [table[s * n:s * n + n] for s in gens] + [table[s::n] for s in gens]
+            for g in orbits(n, moves)[0][1:]:  # the first double coset is P itself
                 new_gens = tuple(sorted(set(gens) - {0})) + (g,)
                 new_members = _closure_from_generators(group, new_gens)
                 if new_members not in found:
@@ -483,6 +499,15 @@ def enumerate_subgroups(group: FiniteGroup, order_cap: int = DEFAULT_SUBGROUP_CA
     return group._subgroups
 
 
+def subgroup_class_representatives(group: FiniteGroup) -> tuple[Subgroup, ...]:
+    """The first member, in the sorted lattice, of each conjugacy class of subgroups."""
+    lattice = enumerate_subgroups(group)
+    index = {h.members: i for i, h in enumerate(lattice)}
+    gens = full_subgroup(group).generators  # they act on the lattice by conjugation
+    moves = [[index[h.conjugate_by(g).members] for h in lattice] for g in gens]
+    return tuple(lattice[i] for i in orbits(len(lattice), moves)[0])
+
+
 @dataclass(frozen=True)
 class CosetAction:
     """Left action of a group on the left cosets of a subgroup.
@@ -492,7 +517,6 @@ class CosetAction:
     """
 
     group: FiniteGroup
-    subgroup_members: tuple[int, ...]
     representatives: tuple[int, ...]
     coset_of: tuple[int, ...]
 
@@ -505,33 +529,22 @@ class CosetAction:
         return self.coset_of[self.group.mul(g, self.representatives[coset])]
 
 
-def _require_subgroup(group: FiniteGroup, subgroup: Subgroup) -> None:
+def require_subgroup(group: FiniteGroup, subgroup: Subgroup) -> None:
     if subgroup.parent is not group:
         raise NotASubgroup("subgroup belongs to a different group")
 
 
 def coset_action(group: FiniteGroup, subgroup: Subgroup) -> CosetAction:
-    _require_subgroup(group, subgroup)
+    require_subgroup(group, subgroup)
     cached = group._coset_actions.get(subgroup.members)
     if cached is not None:
         return cached
-    members = subgroup.members
-    coset_of = [-1] * group.order
-    reps: list[int] = []
-    for g in range(group.order):
-        if coset_of[g] >= 0:
-            continue
-        coset = sorted(group.mul(g, h) for h in members)
-        idx = len(reps)
-        reps.append(coset[0])
-        for x in coset:
-            coset_of[x] = idx
-    action = CosetAction(
-        group=group,
-        subgroup_members=members,
-        representatives=tuple(reps),
-        coset_of=tuple(coset_of),
-    )
+    n, table = group.order, group._table
+    # the cosets gH are the orbits of right multiplication by H's generators
+    reps, coset_of = orbits(n, [table[h::n] for h in subgroup.generators])
+    if len(reps) * subgroup.order != n or not all(h in subgroup for h in subgroup.generators):
+        raise GroupError("the subgroup's generators do not generate its members")
+    action = CosetAction(group=group, representatives=tuple(reps), coset_of=tuple(coset_of))
     group._coset_actions[subgroup.members] = action
     return action
 
@@ -551,7 +564,7 @@ class PartitionVerdict:
 def is_partition(group: FiniteGroup, collection: Sequence[Subgroup]) -> PartitionVerdict:
     """True iff the subgroups cover the group and pairwise meet trivially."""
     for h in collection:
-        _require_subgroup(group, h)
+        require_subgroup(group, h)
     uncovered = None
     covered = set()
     for h in collection:
@@ -582,12 +595,10 @@ def subgroup_as_group(subgroup: Subgroup) -> tuple[FiniteGroup, dict[int, int]]:
     parent = subgroup.parent
     ordering = [0] + [m for m in subgroup.members if m != 0]
     elements = [parent.elements[m] for m in ordering]
-    gens = [g for g in subgroup.generators if g != 0]
-    names = {f"x{k + 1}": g for k, g in enumerate(sorted(set(gens)))}
-    group = FiniteGroup(elements, {})
     mapping = {m: i for i, m in enumerate(ordering)}
-    group.generator_names = {name: mapping[g] for name, g in names.items()}
-    return group, mapping
+    gens = sorted(set(subgroup.generators) - {0})
+    names = {f"x{k + 1}": mapping[g] for k, g in enumerate(gens)}
+    return FiniteGroup(elements, names), mapping
 
 
 # -- words in named generators ------------------------------------------------

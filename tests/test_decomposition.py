@@ -23,11 +23,13 @@ from jacdecomp.groups import (
     enumerate_subgroups,
     full_subgroup,
     preset_elementary_abelian_2,
+    subgroup_as_group,
     subgroup_generate,
     trivial_subgroup,
 )
 from jacdecomp.scenario import parse_scenario
-from conftest import dihedral_action, fiber_action
+from conftest import dihedral_action, fiber_action, random_action
+from test_groups import ORBIT_ORACLE_GROUPS, is_conjugacy_canonical
 from test_characters import dihedral_label_map
 
 
@@ -558,6 +560,17 @@ def test_search_dedupe_conjugates_still_finds_a_main_triple():
     assert any(len(report.subgroups) == 3 for report in results)
 
 
+@pytest.mark.parametrize("q", [3, 5])
+def test_search_dedupe_conjugates_keeps_the_canonical_combinations(q):
+    analysis = analyze(named_subgroups(q)["action"])
+    every = analysis.search_admissible(max_t=2)
+    deduped = analysis.search_admissible(max_t=2, dedupe_conjugates=True)
+    expected = [
+        r.subgroups for r in every if all(is_conjugacy_canonical(h) for h in r.subgroups)
+    ]
+    assert [r.subgroups for r in deduped] == expected
+
+
 # -- fiber products and elliptic plans ------------------------------------------------------------------
 
 
@@ -650,6 +663,49 @@ def test_join_analysis_of_generating_pair_matches_acting_verdict():
         analysis.admissibility(translated).admissible
         == acting.admissibility([data["H1"], data["H2"]]).admissible
     )
+
+
+def double_coset_stabilizers(action, join):
+    """Oracle: the join's branch stabilizers from a walk over every element.
+
+    For each branch element c, the smallest g of each double coset J g <c>
+    gives the stabilizer g <c> g^-1 meet J of the cosets of J, kept when
+    nontrivial, as (members, generator) in the join's own indices.
+    """
+    group = action.group
+    join_group, mapping = subgroup_as_group(join)
+    stabilizers = []
+    for c in action.branch_elements:
+        cyc = subgroup_generate(group, (c,))
+        seen = [False] * group.order
+        for g in range(group.order):
+            if seen[g]:
+                continue
+            for j in join.members:
+                jg = group.mul(j, g)
+                for m in cyc.members:
+                    seen[group.mul(jg, m)] = True
+            stab = [group.conjugate(m, g) for m in cyc.members if group.conjugate(m, g) in join]
+            if len(stab) > 1:
+                translated = tuple(sorted(mapping[m] for m in stab))
+                generator = next(
+                    m for m in translated if join_group.element_order(m) == len(translated)
+                )
+                stabilizers.append((translated, (generator,)))
+    return stabilizers
+
+
+@pytest.mark.parametrize("name", ORBIT_ORACLE_GROUPS)
+def test_join_stabilizers_match_the_double_coset_walk(name):
+    group = ORBIT_ORACLE_GROUPS[name]()
+    rng = random.Random(f"join:{name}")
+    action = random_action(group, rng)
+    lattice = enumerate_subgroups(group)
+    for _ in range(6):
+        collection = rng.sample(lattice, rng.randint(1, 2))
+        analysis, _, join = induced_join_analysis(action, collection)
+        listed = [(h.members, h.generators) for h in analysis.stabilizers]
+        assert listed == double_coset_stabilizers(action, join)
 
 
 # -- properties ----------------------------------------------------------------------------------------------

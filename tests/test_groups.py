@@ -22,10 +22,12 @@ from jacdecomp.groups import (
     element_from_word,
     enumerate_subgroups,
     is_partition,
+    orbits,
     preset_dihedral,
     preset_elementary_abelian_2,
     preset_quaternion,
     subgroup_as_group,
+    subgroup_class_representatives,
     subgroup_generate,
     subgroup_join,
     trivial_subgroup,
@@ -46,6 +48,26 @@ FROBENIUS_20_GENERATORS = [(1, 2, 3, 4, 0), (0, 2, 4, 1, 3)]  # x+1 and 2x on Z/
 
 def group_from_images(generators):
     return build_group([Permutation(images) for images in generators])
+
+
+def d12_inside_d24():
+    """<r^2, s> of the order-24 dihedral group, repackaged with names x1, x2."""
+    group = preset_dihedral(6)
+    r, s = group.generator_names["r"], group.generator_names["s"]
+    return subgroup_as_group(subgroup_generate(group, (group.power(r, 2), s)))[0]
+
+
+# Groups whose classes, cosets, subgroup classes and join stabilizers are
+# compared with their definitions (here and in test_decomposition.py).
+ORBIT_ORACLE_GROUPS = {
+    "A4": lambda: group_from_images(A4_GENERATORS),
+    "S4": lambda: group_from_images(S4_GENERATORS),
+    "F20": lambda: group_from_images(FROBENIUS_20_GENERATORS),
+    "Q8": preset_quaternion,
+    "Z2^4": lambda: preset_elementary_abelian_2(4),
+    "D20": lambda: preset_dihedral(5),
+    "D12<D24": d12_inside_d24,
+}
 
 
 # -- construction -------------------------------------------------------------
@@ -87,6 +109,19 @@ def test_finite_group_rejects_a_list_that_is_not_a_group():
     with pytest.raises(DegreeMismatch):
         FiniteGroup([Permutation((0, 1, 2)), Permutation((1, 0))], {})
     assert build_group([Permutation(())]).order == 1
+
+
+def test_finite_group_rejects_names_that_do_not_generate_it():
+    group = preset_dihedral(3)
+    r = group.generator_names["r"]
+    with pytest.raises(GroupError, match="do not generate"):
+        FiniteGroup(group.elements, {"r": r})
+    with pytest.raises(GroupError, match="do not generate"):
+        FiniteGroup(group.elements, {"one": 0})
+    # with no names every element counts as a generator
+    unnamed = FiniteGroup(group.elements, {})
+    assert full_subgroup(unnamed).generators == tuple(range(group.order))
+    assert conjugacy_classes(unnamed).classes == conjugacy_classes(group).classes
 
 
 def test_identity_is_index_zero():
@@ -445,6 +480,21 @@ def test_coset_action_fixed_point_count_formula():
                 assert fixed == by_membership
 
 
+def test_coset_action_rejects_generators_that_miss_the_members():
+    group = preset_dihedral(3)
+    r, s = group.generator_names["r"], group.generator_names["s"]
+    rotations = subgroup_generate(group, (r,)).members
+    reflection = subgroup_generate(group, (s,)).members
+    cases = [
+        (rotations, (0,)),
+        (rotations, (group.power(r, 2),)),
+        (reflection, (group.mul(s, r),)),  # right number of cosets, wrong subgroup
+    ]
+    for members, generators in cases:
+        with pytest.raises(GroupError, match="do not generate"):
+            coset_action(group, groups.Subgroup(group, members, generators))
+
+
 def test_coset_action_requires_matching_parent():
     group = preset_dihedral(3)
     other = preset_dihedral(5)
@@ -528,3 +578,71 @@ def test_presets_forward_their_order_cap(monkeypatch, preset, argument):
     for cap in (12, 4096):
         preset(argument, order_cap=cap)
     assert caps == [12, 4096]
+
+
+# -- orbit walks against their definitions --------------------------------------------
+
+
+def test_orbits_numbers_orbits_by_smallest_point():
+    swap_01_45 = [1, 0, 2, 3, 5, 4]
+    cycle_345 = [0, 1, 2, 4, 5, 3]
+    assert orbits(6, [swap_01_45]) == ([0, 2, 3, 4], [0, 0, 1, 2, 3, 3])
+    assert orbits(6, [swap_01_45, cycle_345]) == ([0, 2, 3], [0, 0, 1, 2, 2, 2])
+    assert orbits(3, []) == ([0, 1, 2], [0, 1, 2])
+    assert orbits(0, [[]]) == ([], [])
+
+
+def numbered_blocks(n, blocks):
+    """Blocks sorted by smallest member, and each point's block number."""
+    blocks = sorted(tuple(sorted(b)) for b in set(map(frozenset, blocks)))
+    number = [None] * n
+    for k, block in enumerate(blocks):
+        for x in block:
+            number[x] = k
+    return blocks, tuple(number)
+
+
+@pytest.mark.parametrize("name", ORBIT_ORACLE_GROUPS)
+def test_classes_match_conjugation_by_every_element(name):
+    group = ORBIT_ORACLE_GROUPS[name]()
+    n = group.order
+    classes, class_of = numbered_blocks(
+        n, ({group.conjugate(x, g) for g in range(n)} for x in range(n))
+    )
+    partition = conjugacy_classes(group)
+    assert partition.classes == tuple(classes)
+    assert partition.representatives == tuple(c[0] for c in classes)
+    assert partition.sizes == tuple(len(c) for c in classes)
+    assert partition.class_of == class_of
+
+
+@pytest.mark.parametrize("name", ORBIT_ORACLE_GROUPS)
+def test_cosets_match_the_sets_gH(name):
+    group = ORBIT_ORACLE_GROUPS[name]()
+    n = group.order
+    for subgroup in enumerate_subgroups(group):
+        cosets, coset_of = numbered_blocks(
+            n, ({group.mul(g, h) for h in subgroup.members} for g in range(n))
+        )
+        action = coset_action(group, subgroup)
+        assert action.representatives == tuple(c[0] for c in cosets)
+        assert action.coset_of == coset_of
+        assert action.degree * subgroup.order == n
+
+
+def is_conjugacy_canonical(subgroup):
+    """Oracle: no conjugate of the subgroup has smaller sorted members."""
+    group = subgroup.parent
+    members = subgroup.members
+    for g in range(group.order):
+        conjugated = tuple(sorted(group.conjugate(m, g) for m in members))
+        if conjugated < members:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("name", ORBIT_ORACLE_GROUPS)
+def test_subgroup_class_representatives_match_conjugation_by_every_element(name):
+    group = ORBIT_ORACLE_GROUPS[name]()
+    expected = [h for h in enumerate_subgroups(group) if is_conjugacy_canonical(h)]
+    assert list(subgroup_class_representatives(group)) == expected
