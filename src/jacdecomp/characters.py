@@ -79,10 +79,6 @@ class ClassFunction:
     def value_on_element(self, i: int) -> Cyclotomic:
         return self.values[self.classes.class_of[i]]
 
-    def degree(self) -> int:
-        """Value at the identity as an integer (for characters)."""
-        return self.values[0].as_integer()
-
     def _check(self, other: "ClassFunction") -> None:
         if self.group is not other.group:
             raise GroupMismatch("class functions on different groups")

@@ -167,10 +167,10 @@ def _check_collection_expectations(
             )
         columns = table_spec["columns"]
         rows = table_spec["rows"]
-        for i, (subgroup, row) in enumerate(zip(spec.subgroups, rows)):
+        for i, (profile, row) in enumerate(zip(profiles, rows)):
             for label, expected_cell in zip(columns, row):
                 rc = analysis.rational_classes[labels[label]]
-                computed_cell = analysis.fixed_dims(subgroup)[labels[label]]
+                computed_cell = profile.fixed_dims[labels[label]]
                 if computed_cell != expected_cell:
                     notes.append(
                         _discrepancy(

@@ -157,7 +157,11 @@ def branch_stabilizers(action: CoveringAction) -> tuple[Subgroup, ...]:
 
 
 def orbit_count(stabilizer: Subgroup, cosets) -> int:
-    """Number of orbits of a stabilizer subgroup on a coset action."""
+    """Number of orbits of a stabilizer subgroup on a coset action.
+
+    The walk moves cosets by the stabilizer's generators only, which
+    generate it: a Subgroup is the closure of its generators.
+    """
     degree = cosets.degree
     seen = [False] * degree
     count = 0

@@ -324,19 +324,12 @@ class ActionAnalysis:
 
     # -- per-subgroup data ----------------------------------------------------
 
-    def fixed_dims(self, subgroup: Subgroup) -> tuple[int, ...]:
-        """Fixed-space dimension of each class representative under a subgroup."""
-        require_subgroup(self.group, subgroup)
-        return tuple(
-            fixed_dim(rc.character, subgroup) for rc in self.rational_classes
-        )
-
     def profile(self, subgroup: Subgroup) -> SubgroupProfile:
         require_subgroup(self.group, subgroup)
         cached = self._profiles.get(subgroup.members)
         if cached is not None:
             return cached
-        fixed = self.fixed_dims(subgroup)
+        fixed = tuple(fixed_dim(rc.character, subgroup) for rc in self.rational_classes)
         exponents = []
         for rc, f in zip(self.rational_classes, fixed):
             if f % rc.schur_index != 0:
@@ -732,19 +725,13 @@ def induced_join_analysis(
         for k in orbits(cosets.degree, moves)[0]:
             g = cosets.representatives[k]  # the smallest element of J g <c>
             stab = [
-                group.conjugate(m, g)
-                for m in cyc.members
-                if group.conjugate(m, g) in join
+                mapping[y]
+                for y in (group.conjugate(m, g) for m in cyc.members)
+                if y in join
             ]
-            if len(stab) > 1:
-                translated = sorted(mapping[m] for m in stab)
-                size = len(translated)
-                generator = next(
-                    m for m in translated if join_group.element_order(m) == size
-                )
-                stabilizers.append(
-                    Subgroup(join_group, translated, generators=(generator,))
-                )
+            if len(stab) > 1:  # J meet g<c>g^-1 is cyclic, generated by any element of full order
+                generator = min(m for m in stab if join_group.element_order(m) == len(stab))
+                stabilizers.append(Subgroup(join_group, (generator,)))
 
     analysis = ActionAnalysis(
         group=join_group,
@@ -754,12 +741,7 @@ def induced_join_analysis(
         ambient="join",
     )
     translated_collection = tuple(
-        Subgroup(
-            join_group,
-            (mapping[m] for m in h.members),
-            generators=tuple(mapping[g] for g in h.generators),
-        )
-        for h in collection
+        Subgroup(join_group, (mapping[g] for g in h.generators)) for h in collection
     )
     return analysis, translated_collection, join
 

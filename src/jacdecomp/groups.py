@@ -9,7 +9,9 @@ composition: one ``operator.itemgetter(*q.images)`` per column element q,
 applied to each row's image tuple, gives the images of p*q in C.
 Conjugacy classes, cosets and double cosets are all orbits of point maps
 read off the table (rows, columns, or their composition), and one routine,
-:func:`orbits`, walks them.
+:func:`orbits`, walks them.  Those walks move points by a subgroup's
+generators only; :class:`Subgroup` is built from its generators alone and
+computes its members as their closure, so the generators always generate it.
 
 The table never changes after construction.  The lazy caches on a group
 (conjugacy classes, subgroup lattice, coset actions, and the character
@@ -199,10 +201,6 @@ class FiniteGroup:
             raise InvalidElementIndex(f"element index {i} outside 0..{self.order - 1}")
         return i
 
-    def is_abelian(self) -> bool:
-        gens = sorted(set(self.generator_names.values())) or list(range(self.order))
-        return all(self.mul(a, b) == self.mul(b, a) for a in gens for b in gens)
-
     def element_word(self, i: int) -> str:
         """Shortest word for element i in the named generators (BFS order)."""
         if self._words is None:
@@ -369,18 +367,30 @@ def conjugacy_classes(group: FiniteGroup) -> ConjugacyClassPartition:
 
 
 class Subgroup:
-    """Subgroup of a parent group, canonicalized by its sorted member indices."""
+    """The subgroup of a parent group generated by the given element indices.
 
-    __slots__ = ("parent", "members", "_member_set", "generators")
+    The constructor is the one place a subgroup is made: it checks each
+    generator index and closes the generators under products, so the
+    generators always generate the members.  Generators keep their order;
+    subgroups compare and hash by their sorted members.
+    """
 
-    def __init__(self, parent: FiniteGroup, members: Iterable[int], generators: tuple[int, ...] = ()):
+    __slots__ = ("parent", "generators", "members", "_member_set")
+
+    def __init__(self, parent: FiniteGroup, generators: Iterable[int]):
         self.parent = parent
-        self.members: tuple[int, ...] = tuple(sorted(set(members)))
-        self._member_set = frozenset(self.members)
-        # a small known generating set, kept for fast re-closure
-        self.generators = generators if generators else self.members
-        if 0 not in self._member_set:
-            raise GroupError("a subgroup must contain the identity")
+        self.generators: tuple[int, ...] = tuple(parent.check_index(g) for g in generators)
+        n, table = parent.order, parent._table
+        members = {0}
+        frontier = [0]
+        for x in frontier:
+            for g in self.generators:
+                y = table[x * n + g]
+                if y not in members:
+                    members.add(y)
+                    frontier.append(y)
+        self.members: tuple[int, ...] = tuple(sorted(members))
+        self._member_set = frozenset(members)
 
     @property
     def order(self) -> int:
@@ -406,12 +416,7 @@ class Subgroup:
         return f"<Subgroup order={self.order} of group order {self.parent.order}>"
 
     def conjugate_by(self, g: int) -> "Subgroup":
-        parent = self.parent
-        return Subgroup(
-            parent,
-            (parent.conjugate(m, g) for m in self.members),
-            tuple(parent.conjugate(m, g) for m in self.generators),
-        )
+        return Subgroup(self.parent, (self.parent.conjugate(x, g) for x in self.generators))
 
     def describe(self) -> str:
         gens = sorted(set(self.generators) - {0}) or [0]
@@ -419,37 +424,17 @@ class Subgroup:
         return f"<{words}>"
 
 
-def _closure_from_generators(group: FiniteGroup, gens: Sequence[int]) -> tuple[int, ...]:
-    members = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = group.mul(x, g)
-                if y not in members:
-                    members.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return tuple(sorted(members))
-
-
 def subgroup_generate(group: FiniteGroup, seed: Iterable[int]) -> Subgroup:
     """Smallest subgroup containing the seed element indices."""
-    seed = tuple(sorted(set(seed)))
-    for i in seed:
-        group.check_index(i)
-    members = _closure_from_generators(group, seed)
-    return Subgroup(group, members, generators=seed if seed else (0,))
+    return Subgroup(group, sorted(set(seed)) or (0,))
 
 
 def trivial_subgroup(group: FiniteGroup) -> Subgroup:
-    return Subgroup(group, (0,), generators=(0,))
+    return Subgroup(group, (0,))
 
 
 def full_subgroup(group: FiniteGroup) -> Subgroup:
-    gens = tuple(sorted(set(group.generator_names.values()))) or tuple(range(group.order))
-    return Subgroup(group, range(group.order), generators=gens)
+    return Subgroup(group, sorted(set(group.generator_names.values())) or range(group.order))
 
 
 def subgroup_join(a: Subgroup, b: Subgroup) -> Subgroup:
@@ -477,25 +462,21 @@ def enumerate_subgroups(group: FiniteGroup, order_cap: int = DEFAULT_SUBGROUP_CA
     if group._subgroups is not None:
         return group._subgroups
     n, table = group.order, group._table
-    found: dict[tuple[int, ...], tuple[int, ...]] = {(0,): (0,)}  # members -> generators
-    layer = [(0,)]
+    trivial = trivial_subgroup(group)
+    found = {trivial.members: trivial}
+    layer = [trivial]
     while layer:
         next_layer = []
-        for members in layer:
-            gens = found[members]
+        for p in layer:
+            gens = p.generators
             moves = [table[s * n:s * n + n] for s in gens] + [table[s::n] for s in gens]
             for g in orbits(n, moves)[0][1:]:  # the first double coset is P itself
-                new_gens = tuple(sorted(set(gens) - {0})) + (g,)
-                new_members = _closure_from_generators(group, new_gens)
-                if new_members not in found:
-                    found[new_members] = new_gens
-                    next_layer.append(new_members)
+                h = Subgroup(group, tuple(sorted(set(gens) - {0})) + (g,))
+                if h.members not in found:
+                    found[h.members] = h
+                    next_layer.append(h)
         layer = next_layer
-    subgroups = [
-        Subgroup(group, members, generators=gens) for members, gens in found.items()
-    ]
-    subgroups.sort(key=lambda h: (h.order, h.members))
-    group._subgroups = tuple(subgroups)
+    group._subgroups = tuple(sorted(found.values(), key=lambda h: (h.order, h.members)))
     return group._subgroups
 
 
@@ -542,8 +523,6 @@ def coset_action(group: FiniteGroup, subgroup: Subgroup) -> CosetAction:
     n, table = group.order, group._table
     # the cosets gH are the orbits of right multiplication by H's generators
     reps, coset_of = orbits(n, [table[h::n] for h in subgroup.generators])
-    if len(reps) * subgroup.order != n or not all(h in subgroup for h in subgroup.generators):
-        raise GroupError("the subgroup's generators do not generate its members")
     action = CosetAction(group=group, representatives=tuple(reps), coset_of=tuple(coset_of))
     group._coset_actions[subgroup.members] = action
     return action

@@ -11,12 +11,15 @@ from jacdecomp.covering import (
     PeriodMismatch,
     RelationFails,
     branch_stabilizers,
+    orbit_count,
     quotient_genus,
     total_genus,
     validate_action,
 )
 from jacdecomp.groups import (
     NotASubgroup,
+    Subgroup,
+    coset_action,
     enumerate_subgroups,
     full_subgroup,
     preset_dihedral,
@@ -177,3 +180,11 @@ def test_certificate_contributions_sum():
     certificate = validate_action(action)
     rhs = group.order * (2 * action.orbit_genus - 2) + sum(certificate.contributions)
     assert rhs == 2 * certificate.total_genus - 2
+
+
+def test_orbit_count_of_the_rotations_on_the_cosets_of_a_reflection():
+    group = preset_dihedral(3)
+    r, s = group.generator_names["r"], group.generator_names["s"]
+    cosets = coset_action(group, subgroup_generate(group, (s,)))
+    assert orbit_count(Subgroup(group, (r,)), cosets) == 1
+    assert orbit_count(Subgroup(group, (0,)), cosets) == 6

@@ -166,7 +166,7 @@ def test_preset_elementary_abelian(t, order):
     group = preset_elementary_abelian_2(t)
     assert group.order == order
     assert group.exponent == 2
-    assert group.is_abelian()
+    assert all(group.mul(a, b) == group.mul(b, a) for a in range(order) for b in range(order))
 
 
 def test_preset_elementary_abelian_cap():
@@ -403,6 +403,38 @@ def test_enumerate_subgroups_cap():
         enumerate_subgroups(group, order_cap=4)
 
 
+def test_subgroup_of_the_identity_alone_is_trivial():
+    group = preset_dihedral(3)
+    subgroup = groups.Subgroup(group, (0,))
+    assert subgroup == trivial_subgroup(group)
+    assert subgroup.describe() == "<1>"
+
+
+def test_subgroup_closes_a_generator_list_that_is_not_closed():
+    group = preset_dihedral(3)
+    r = group.generator_names["r"]
+    subgroup = groups.Subgroup(group, (0, r))
+    assert subgroup.order == 6
+    assert subgroup == subgroup_generate(group, (r,))
+    assert subgroup.generators == (0, r)
+    assert subgroup.describe() == "<r>"
+
+
+def test_subgroup_rejects_an_out_of_range_generator():
+    group = preset_dihedral(3)
+    r = group.generator_names["r"]
+    for bad in (-1, 12, 99):
+        with pytest.raises(InvalidElementIndex):
+            groups.Subgroup(group, (r, bad))
+
+
+def test_join_of_the_rotations_and_a_reflection_is_the_whole_group():
+    group = preset_dihedral(3)
+    r, s = group.generator_names["r"], group.generator_names["s"]
+    rotations = groups.Subgroup(group, (r,))
+    assert subgroup_join(rotations, subgroup_generate(group, (s,))).order == 12
+
+
 def test_subgroup_join_of_two_reflections():
     group = preset_dihedral(3)
     s = group.generator_names["s"]
@@ -480,19 +512,15 @@ def test_coset_action_fixed_point_count_formula():
                 assert fixed == by_membership
 
 
-def test_coset_action_rejects_generators_that_miss_the_members():
+def test_subgroup_is_the_closure_of_its_generators():
     group = preset_dihedral(3)
     r, s = group.generator_names["r"], group.generator_names["s"]
-    rotations = subgroup_generate(group, (r,)).members
-    reflection = subgroup_generate(group, (s,)).members
-    cases = [
-        (rotations, (0,)),
-        (rotations, (group.power(r, 2),)),
-        (reflection, (group.mul(s, r),)),  # right number of cosets, wrong subgroup
-    ]
-    for members, generators in cases:
-        with pytest.raises(GroupError, match="do not generate"):
-            coset_action(group, groups.Subgroup(group, members, generators))
+    for generators in [(0,), (group.power(r, 2),), (group.mul(s, r),)]:
+        subgroup = groups.Subgroup(group, generators)
+        powers = {group.power(generators[0], k) for k in range(group.order)}
+        assert subgroup.members == tuple(sorted(powers))
+        assert subgroup.generators == generators
+        assert coset_action(group, subgroup).degree * subgroup.order == group.order
 
 
 def test_coset_action_requires_matching_parent():
@@ -646,3 +674,14 @@ def test_subgroup_class_representatives_match_conjugation_by_every_element(name)
     group = ORBIT_ORACLE_GROUPS[name]()
     expected = [h for h in enumerate_subgroups(group) if is_conjugacy_canonical(h)]
     assert list(subgroup_class_representatives(group)) == expected
+
+
+@pytest.mark.parametrize("name", ORBIT_ORACLE_GROUPS)
+def test_conjugate_by_matches_conjugating_every_member(name):
+    group = ORBIT_ORACLE_GROUPS[name]()
+    for h in enumerate_subgroups(group):
+        assert groups.Subgroup(group, h.generators) == h
+        for g in range(group.order):
+            conjugate = h.conjugate_by(g)
+            assert conjugate.members == tuple(sorted(group.conjugate(m, g) for m in h.members))
+            assert conjugate.generators == tuple(group.conjugate(x, g) for x in h.generators)
