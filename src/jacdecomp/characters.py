@@ -8,6 +8,12 @@ The root weights are summed once per class, and all rows are lifted in one
 packed pass, one bit slot per row in a Python int (Kronecker substitution).
 Multiplicities are below p, so the lift is unique and the final values are
 exact cyclotomic numbers; no floating point is involved anywhere.
+
+The table owns the Galois action: one row permutation per generator of
+(Z/e)^x, each image row looked up exactly.  Rational classes are its orbits,
+and row orthonormality is proven with one exact inner product per orbit of
+unordered row pairs, because <chi^s, psi^s> = s(<chi, psi>), s fixes 0 and 1,
+and <psi, chi> is the conjugate of <chi, psi>.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ from .groups import (
     Subgroup,
     conjugacy_classes,
     coset_action,
+    orbits,
 )
 
 
@@ -52,6 +59,10 @@ class NonIntegralN(CharacterError):
     """A Schur index does not divide the degree of its class."""
 
 
+class IrrationalInnerProduct(CharacterError, ValueError):
+    """An inner product of class functions is not a rational number."""
+
+
 @dataclass(frozen=True)
 class ClassFunction:
     """Function constant on conjugacy classes, with cyclotomic values."""
@@ -75,9 +86,6 @@ class ClassFunction:
             if v.conductor != e:
                 raise ConductorMismatch(f"conductors differ: {v.conductor} vs {e}")
         return tuple(v.coeffs for v in self.values)
-
-    def value_on_element(self, i: int) -> Cyclotomic:
-        return self.values[self.classes.class_of[i]]
 
     def _check(self, other: "ClassFunction") -> None:
         if self.group is not other.group:
@@ -125,7 +133,10 @@ def inner_product(a: ClassFunction, b: ClassFunction) -> Fraction:
                 for j, y in enumerate(ys):
                     if y:
                         raw[(i - j) % e] += x * y
-    return Cyclotomic(e, _reduce_coeffs(raw, e)).as_rational() / group.order
+    total = Cyclotomic(e, _reduce_coeffs(raw, e))
+    if not total.is_rational():
+        raise IrrationalInnerProduct(f"inner product ({total}) / {group.order} is not rational")
+    return Fraction(total.coeffs[0]) / group.order
 
 
 @dataclass(frozen=True)
@@ -138,6 +149,8 @@ class CharacterTable:
     degrees: tuple[int, ...]
     conductor: int
     modulus: int  # prime used by the modular method (diagnostic only)
+    # galois[g][i] is the row sigma_u(row i) for the g-th of _unit_generators(conductor)
+    galois: tuple[tuple[int, ...], ...]
 
     def __len__(self) -> int:
         return len(self.irreducibles)
@@ -299,6 +312,83 @@ def _common_eigenvectors(mats: list[list[list[int]]], n: int, p: int) -> list[li
     return result
 
 
+# -- the Galois action on the rows ------------------------------------------------
+
+
+def _unit_generators(e: int) -> tuple[int, ...]:
+    """Generators of (Z/e)^x: each is the smallest unit outside the subgroup
+    generated so far, so each at least doubles it and there are at most
+    log2 phi(e) of them."""
+    generated = {1 % e}
+    generators: list[int] = []
+    for u in range(2, e):
+        if u in generated or gcd(u, e) != 1:
+            continue
+        generators.append(u)
+        frontier = list(generated)
+        for x in frontier:
+            for g in generators:
+                y = x * g % e
+                if y not in generated:
+                    generated.add(y)
+                    frontier.append(y)
+    return tuple(generators)
+
+
+def _galois_permutations(rows: list[ClassFunction], e: int) -> tuple[tuple[int, ...], ...]:
+    """For each of _unit_generators(e), the map i -> index of sigma_u(rows[i]).
+
+    sigma_u : zeta_e -> zeta_e^u acts on every value; each image row is looked
+    up exactly by its coordinate tuple, and each map must be a permutation.
+    Generators suffice: if each of them permutes the rows, so does the whole
+    Galois group they generate.
+    """
+    coords = [row.coords for row in rows]
+    row_index = {c: i for i, c in enumerate(coords)}
+    phi = len(coords[0][0])
+    perms = []
+    for u in _unit_generators(e):
+        # basis z^i goes to reduced z^(iu); values repeat, so each is mapped once
+        basis_images = [_reduce_coeffs([0] * (i * u % e) + [1], e) for i in range(phi)]
+        image_of: dict[tuple, tuple] = {}
+        images = []
+        for row in coords:
+            image = []
+            for xs in row:
+                ys = image_of.get(xs)
+                if ys is None:
+                    ys = image_of[xs] = _combine(xs, basis_images)
+                image.append(ys)
+            j = row_index.get(tuple(image))
+            if j is None:
+                raise CharacterError("Galois action left the character table")
+            images.append(j)
+        if len(set(images)) != len(images):
+            raise CharacterError("Galois action does not permute the rows")
+        perms.append(tuple(images))
+    return tuple(perms)
+
+
+def _certify_orthonormality(rows: list[ClassFunction], galois) -> list[tuple[int, int]]:
+    """Prove <rows[i], rows[j]> = [i == j] for all i, j; return the pairs checked.
+
+    One exact inner product per orbit of unordered pairs (i, j), i <= j, under
+    the Galois row permutations proves every pair: <chi^s, psi^s> = s(<chi, psi>)
+    and s fixes 0 and 1, while <psi, chi> is the conjugate of <chi, psi>.
+    """
+    tri = [j * (j + 1) // 2 for j in range(len(rows))]
+    pairs = [(i, j) for j in range(len(rows)) for i in range(j + 1)]  # (i, j) is tri[j] + i
+    moves = [
+        [tri[b] + a if a <= b else tri[a] + b for a, b in ((perm[i], perm[j]) for i, j in pairs)]
+        for perm in galois
+    ]
+    checked = [pairs[n] for n in orbits(len(pairs), moves)[0]]
+    for i, j in checked:
+        if inner_product(rows[i], rows[j]) != (1 if i == j else 0):
+            raise CharacterError("row orthonormality failed")
+    return checked
+
+
 # -- Dixon's method -------------------------------------------------------------
 
 
@@ -433,11 +523,8 @@ def character_table(group: FiniteGroup) -> CharacterTable:
     degrees = tuple(row.values[0].as_integer() for row in ordered)
     if sum(d * d for d in degrees) != order:
         raise CharacterError("degree squares do not sum to the group order")
-    for i, a in enumerate(ordered):
-        for j in range(i, len(ordered)):
-            expected = Fraction(1 if i == j else 0)
-            if inner_product(a, ordered[j]) != expected:
-                raise CharacterError("row orthonormality failed")
+    galois = _galois_permutations(ordered, e)
+    _certify_orthonormality(ordered, galois)
 
     table = CharacterTable(
         group=group,
@@ -446,6 +533,7 @@ def character_table(group: FiniteGroup) -> CharacterTable:
         degrees=degrees,
         conductor=e,
         modulus=p,
+        galois=galois,
     )
     group._character_table = table
     return table
@@ -572,37 +660,6 @@ class RationalClass:
         return self.representative == 0
 
 
-def _galois_orbits(table: CharacterTable) -> list[tuple[int, ...]]:
-    """Orbits of Gal(Q(zeta_e)/Q) on the table rows, sorted by first member."""
-    rows = table.irreducibles
-    e = table.conductor
-    coords = [row.coords for row in rows]
-    row_index = {c: i for i, c in enumerate(coords)}
-    # one list per Galois automorphism sigma_k: basis z^i goes to reduced z^(ik)
-    galois_maps = [
-        [_reduce_coeffs([0] * (i * k % e) + [1], e) for i in range(len(coords[0][0]))]
-        for k in range(1, e + 1)
-        if gcd(k, e) == 1
-    ]
-    assigned: set[int] = set()
-    orbits: list[tuple[int, ...]] = []
-    for i in range(len(rows)):
-        if i in assigned:
-            continue
-        orbit = {i}
-        for basis_images in galois_maps:
-            image = tuple(_combine(xs, basis_images) for xs in coords[i])
-            j = row_index.get(image)
-            if j is None:
-                raise CharacterError("Galois action left the character table")
-            orbit.add(j)
-        members = tuple(sorted(orbit))
-        orbits.append(members)
-        assigned.update(members)
-    orbits.sort(key=lambda members: members[0])
-    return orbits
-
-
 def _rational_class(
     table: CharacterTable, members: tuple[int, ...], override: int | None = None
 ) -> RationalClass:
@@ -651,7 +708,11 @@ def rational_classes(
     """
     classes = table.group._rational_classes
     if classes is None:
-        classes = tuple(_rational_class(table, orbit) for orbit in _galois_orbits(table))
+        reps, orbit_of = orbits(len(table), table.galois)
+        classes = tuple(
+            _rational_class(table, tuple(i for i, o in enumerate(orbit_of) if o == n))
+            for n in range(len(reps))
+        )
         table.group._rational_classes = classes
     if not overrides:
         return classes

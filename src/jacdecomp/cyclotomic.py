@@ -256,9 +256,6 @@ class Cyclotomic:
 
     # -- predicates / conversions -------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
     def is_rational(self) -> bool:
         return not any(self.coeffs[1:])
 
@@ -313,8 +310,3 @@ class Cyclotomic:
         for term in parts[1:]:
             out += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
         return out
-
-    def render_annotated(self, symbol: str = "z") -> str:
-        if self.is_rational():
-            return self.render(symbol)
-        return f"{self.render(symbol)}  ({symbol} = zeta_{self.conductor})"

@@ -1,6 +1,7 @@
 """Character tables, inner products, fixed subspaces, rational classes."""
 
 import dataclasses
+import functools
 import random
 from fractions import Fraction
 from math import gcd, isqrt
@@ -643,9 +644,9 @@ def test_rational_character_values_are_rational():
             assert value.is_rational()
 
 
-def per_call_rational_classes(table, overrides=None):
-    """Reference: every orbit, orbit sum and Schur index recomputed on each call."""
-    overrides = dict(overrides or {})
+def all_automorphism_galois_orbits(table):
+    """Reference: every one of the phi(e) automorphisms applied to the first row
+    of each orbit, basis image by basis image."""
     rows = table.irreducibles
     e = table.conductor
     coords = [row.coords for row in rows]
@@ -655,15 +656,24 @@ def per_call_rational_classes(table, overrides=None):
         for k in range(1, e + 1)
         if gcd(k, e) == 1
     ]
+    assigned = set()
     orbits = []
     for i in range(len(rows)):
-        if any(i in members for members in orbits):
+        if i in assigned:
             continue
         orbit = {i}
         for basis_images in galois_maps:
             orbit.add(row_index[tuple(_combine(xs, basis_images) for xs in coords[i])])
         orbits.append(tuple(sorted(orbit)))
-    orbits.sort()
+        assigned.update(orbit)
+    return sorted(orbits)
+
+
+def per_call_rational_classes(table, overrides=None):
+    """Reference: every orbit, orbit sum and Schur index recomputed on each call."""
+    overrides = dict(overrides or {})
+    rows = table.irreducibles
+    orbits = all_automorphism_galois_orbits(table)
     assert set(overrides) <= {members[0] for members in orbits}
     result = []
     for members in orbits:
@@ -795,7 +805,7 @@ def test_class_function_arithmetic_and_scaling():
     triv = trivial_character(group)
     reg = regular_character(group)
     combo = reg + 2 * triv
-    assert combo.value_on_element(0).as_integer() == group.order + 2
+    assert combo.values[0].as_integer() == group.order + 2
     assert combo - reg == 2 * triv
     assert (0 * reg) == reg - reg
 
@@ -1027,3 +1037,162 @@ def test_lift_checks_reject_a_perturbed_eigenvector(monkeypatch, make_group, whi
     monkeypatch.setattr(characters, "_common_eigenvectors", perturbed)
     with pytest.raises(CharacterError):
         character_table(make_group())
+
+
+# -- the Galois action on the rows and the orthonormality certificate --------------
+
+
+def cyclic_group(n):
+    return build_group([Permutation(tuple((x + 1) % n for x in range(n)))], ["c"])
+
+
+GALOIS_GROUPS = {
+    **{f"lib{i}-order{g.order}": (lambda g=g: g) for i, g in enumerate(group_library())},
+    "Z7:Z9": semidirect_7_9,
+    "C12": lambda: cyclic_group(12),
+    "C30": lambda: cyclic_group(30),
+    "D124": lambda: preset_dihedral(31),
+}
+
+
+@functools.cache
+def galois_group(name):
+    return GALOIS_GROUPS[name]()
+
+
+def units(e):
+    return {u for u in range(e) if gcd(u, e) == 1}
+
+
+def unit_closure(generators, e):
+    """The subgroup of (Z/e)^x generated by the given units."""
+    generated = {1 % e}
+    frontier = list(generated)
+    for x in frontier:
+        for g in generators:
+            if x * g % e not in generated:
+                generated.add(x * g % e)
+                frontier.append(x * g % e)
+    return generated
+
+
+def replace_value(row, c, delta):
+    values = list(row.values)
+    values[c] = values[c] + delta
+    return ClassFunction(row.group, tuple(values))
+
+
+def certify(rows, e):
+    """The table's own checks on given rows: Galois lookup, then the pair walk."""
+    return characters._certify_orthonormality(rows, characters._galois_permutations(rows, e))
+
+
+@pytest.mark.parametrize("e", range(1, 257))
+def test_unit_generators_are_greedy_and_generate_every_unit(e):
+    generators = characters._unit_generators(e)
+    for n, u in enumerate(generators):
+        before = unit_closure(generators[:n], e)
+        assert u == min(units(e) - before)
+    assert unit_closure(generators, e) == units(e) | {1 % e}
+    assert 2 ** len(generators) <= len(units(e) | {1 % e})
+
+
+@pytest.mark.parametrize("name", GALOIS_GROUPS)
+def test_table_galois_maps_rows_by_sigma_u(name):
+    """Row galois[g][i] is sigma_u(row i), value by value, for the g-th unit generator."""
+    table = character_table(galois_group(name))
+    rows = table.irreducibles
+    generators = characters._unit_generators(table.conductor)
+    assert len(table.galois) == len(generators)
+    for u, perm in zip(generators, table.galois):
+        assert sorted(perm) == list(range(len(rows)))
+        for i, row in enumerate(rows):
+            assert tuple(v.galois(u) for v in row.values) == rows[perm[i]].values
+
+
+@pytest.mark.parametrize("name", GALOIS_GROUPS)
+def test_rational_class_orbits_match_every_automorphism(name):
+    table = character_table(galois_group(name))
+    orbits = [rc.member_indices for rc in rational_classes(table)]
+    assert orbits == all_automorphism_galois_orbits(table)
+
+
+@pytest.mark.parametrize("name", GALOIS_GROUPS)
+def test_certified_pairs_expand_to_every_pair(name):
+    table = character_table(galois_group(name))
+    k = len(table)
+    checked = characters._certify_orthonormality(list(table.irreducibles), table.galois)
+    covered = set()
+    for pair in checked:
+        orbit = {pair}
+        frontier = [pair]
+        for i, j in frontier:
+            for perm in table.galois:
+                image = tuple(sorted((perm[i], perm[j])))
+                if image not in orbit:
+                    orbit.add(image)
+                    frontier.append(image)
+        assert not orbit & covered
+        assert len({i == j for i, j in orbit}) == 1
+        covered |= orbit
+    assert covered == {(i, j) for j in range(k) for i in range(j + 1)}
+    assert len(covered) == k * (k + 1) // 2
+    if any(v != v.conjugate() for row in table.irreducibles for v in row.values):
+        assert len(checked) < k * (k + 1) // 2
+
+
+@pytest.mark.parametrize("name", GALOIS_GROUPS)
+def test_perturbing_one_value_of_one_row_is_caught(name):
+    group = galois_group(name)
+    table = character_table(group)
+    rows = list(table.irreducibles)
+    e, k = table.conductor, len(rows)
+    rng = random.Random(f"one value:{name}")
+    for r in sorted(rng.sample(range(k), min(k, 6))):
+        c = rng.randrange(k)
+        perturbed = rows[:]
+        perturbed[r] = replace_value(rows[r], c, Cyclotomic.one(e))
+        with pytest.raises(CharacterError):
+            certify(perturbed, e)
+        # sigma_u(row + zeta at c) is no row: two genuine rows never differ in one
+        # class only (their difference has norm 2), and zeta^u != zeta when e > 2
+        perturbed[r] = replace_value(rows[r], c, Cyclotomic.root(e))
+        if e > 2:
+            with pytest.raises(CharacterError, match="left the character table"):
+                characters._galois_permutations(perturbed, e)
+        else:
+            with pytest.raises(CharacterError):
+                certify(perturbed, e)
+
+
+@pytest.mark.parametrize("name", GALOIS_GROUPS)
+def test_perturbing_a_galois_orbit_consistently_is_caught(name):
+    """Row sigma(chi) gets sigma(delta) with delta in Q(chi): the Galois lookup
+    still passes with the same permutations, so a representative pair must fail."""
+    group = galois_group(name)
+    table = character_table(group)
+    rows = list(table.irreducibles)
+    e, k = table.conductor, len(rows)
+    rng = random.Random(f"orbit:{name}")
+    for rc in rational_classes(table):
+        chi = rows[rc.representative]
+        irrational = [v for v in chi.values if not v.is_rational()]
+        delta = irrational[0] if irrational else Cyclotomic.one(e)
+        c = rng.randrange(k)
+        perturbed = rows[:]
+        for j in rc.member_indices:
+            u = next(u for u in units(e) if tuple(v.galois(u) for v in chi.values) == rows[j].values)
+            perturbed[j] = replace_value(rows[j], c, delta.galois(u))
+        assert characters._galois_permutations(perturbed, e) == table.galois
+        with pytest.raises(CharacterError):
+            characters._certify_orthonormality(perturbed, table.galois)
+
+
+def test_irrational_inner_product_is_a_character_error():
+    table = character_table(preset_dihedral(5))
+    e = table.conductor
+    chi = table.irreducibles[-1]
+    perturbed = replace_value(chi, 1, Cyclotomic.root(e))
+    with pytest.raises(characters.IrrationalInnerProduct) as caught:
+        inner_product(perturbed, chi)
+    assert isinstance(caught.value, CharacterError) and isinstance(caught.value, ValueError)

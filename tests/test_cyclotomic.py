@@ -37,7 +37,7 @@ def test_root_kills_cyclotomic_polynomial(e):
     for c in cyclotomic_polynomial(e):
         acc = acc + power * c
         power = power * z
-    assert acc.is_zero()
+    assert acc == Cyclotomic.zero(e)
 
 
 def test_normalize_i_squared_is_minus_one():
@@ -66,7 +66,7 @@ def test_square_of_rational_combination():
 
 def test_zero_annihilates():
     x = Cyclotomic.from_terms({1: Fraction(3, 7), 2: -2}, 12)
-    assert (Cyclotomic.zero(12) * x).is_zero()
+    assert Cyclotomic.zero(12) * x == Cyclotomic.zero(12)
 
 
 def test_galois_examples():
@@ -155,7 +155,6 @@ def test_rendering_forms():
     assert str(Cyclotomic.one(6)) == "1"
     value = Cyclotomic.from_terms({0: 2, 1: -1, 3: Fraction(1, 2)}, 16)
     assert str(value) == "2 - z + 1/2*z^3"
-    assert "zeta_16" in value.render_annotated()
 
 
 def test_hash_consistency():
