@@ -618,7 +618,10 @@ def frobenius_schur(chi: ClassFunction) -> int:
     counts = [0] * len(coords)
     for g in range(group.order):
         counts[class_of[group.mul(g, g)]] += 1
-    value = Cyclotomic(group.exponent, _combine(counts, coords)).as_rational() / group.order
+    total = Cyclotomic(group.exponent, _combine(counts, coords))
+    if not total.is_rational():
+        raise NotIrreducible(f"indicator sum {total} is not rational; not a character")
+    value = Fraction(total.coeffs[0], group.order)
     if value.denominator != 1 or value.numerator not in (-1, 0, 1):
         raise CharacterError(f"indicator {value} outside -1, 0, 1")
     return value.numerator
@@ -794,19 +797,14 @@ class GroupAlgebraElement:
 def central_idempotent(rational_class: RationalClass) -> GroupAlgebraElement:
     """Central idempotent of Q[G] attached to one rational class.
 
-    Coefficient of g is (d/|G|) times the orbit-sum of chi(g^-1); the orbit
-    sum is Galois-stable, hence rational.
+    Coefficient of g is (d/|G|) times the orbit-sum of chi(g^-1).  The orbit
+    sum is the rational character over the Schur index, whose values
+    ``_rational_class`` has already proven rational.
     """
-    table = rational_class.table
-    group = table.group
-    class_of = table.classes.class_of
-    d = rational_class.degree
-    orbit_rows = [table.irreducibles[j] for j in rational_class.member_indices]
-    coeffs = []
-    for g in range(group.order):
-        cls = class_of[group.inv(g)]
-        total = Cyclotomic.zero(group.exponent)
-        for row in orbit_rows:
-            total = total + row.values[cls]
-        coeffs.append(total.as_rational() * Fraction(d, group.order))
-    return GroupAlgebraElement(group, tuple(coeffs))
+    group = rational_class.table.group
+    class_of = rational_class.table.classes.class_of
+    scale = Fraction(rational_class.degree, group.order * rational_class.schur_index)
+    per_class = [v.coeffs[0] * scale for v in rational_class.rational_character.values]
+    return GroupAlgebraElement(
+        group, tuple(per_class[class_of[group.inv(g)]] for g in range(group.order))
+    )

@@ -118,7 +118,7 @@ def _check_collection_expectations(
 
     key = "admissible" if ambient == "acting" else "join_admissible"
     if key in expect:
-        expected = bool(expect[key])
+        expected = expect[key]
         computed = admissibility.admissible
         if computed != expected:
             notes.append(
@@ -149,7 +149,7 @@ def _check_collection_expectations(
             )
 
     if "full" in expect and theorem1 is not None:
-        expected = bool(expect["full"])
+        expected = expect["full"]
         if theorem1.full != expected:
             notes.append(
                 _discrepancy(

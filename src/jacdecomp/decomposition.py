@@ -3,7 +3,10 @@
 Everything here is dimension/exponent bookkeeping over exact arithmetic: an
 isogeny statement is rendered as a string, but every asserted fact is an
 integer identity between two independently computed quantities (character
-formula versus Riemann-Hurwitz orbit counting), checked on every call.
+formula versus Riemann-Hurwitz orbit counting, or a closed formula versus
+the construction), checked on every call.  Every such comparison is one call
+to ``_agree``, which raises ``RoutesDisagree`` naming the check and both
+values; the remaining raises guard inputs, signs and integrality.
 """
 
 from __future__ import annotations
@@ -52,6 +55,16 @@ from .groups import (
 
 class DecompositionError(Exception):
     """Base error for decomposition bookkeeping."""
+
+
+class RoutesDisagree(DecompositionError):
+    """Two independent routes to one quantity gave different values."""
+
+
+def _agree(what: str, first, second) -> None:
+    """Raise ``RoutesDisagree`` unless two independent routes to ``what`` agree."""
+    if first != second:
+        raise RoutesDisagree(f"{what}: routes disagree, {first} vs {second}")
 
 
 class NotAdmissible(DecompositionError):
@@ -310,11 +323,7 @@ class ActionAnalysis:
                         )
                     dim = int(value)
                 factors.append(IsotypicalFactor(rc, dim))
-            conserved = sum(f.exponent * f.dim for f in factors)
-            if conserved != self.genus:
-                raise DecompositionError(
-                    f"conservation failed: sum n_l dim B_l = {conserved}, genus = {self.genus}"
-                )
+            _agree("conservation", sum(f.exponent * f.dim for f in factors), self.genus)
             self._factors = tuple(factors)
         return self._factors
 
@@ -348,11 +357,7 @@ class ActionAnalysis:
         genus_surfaces = genus_from_branch_data(
             self.group, self.orbit_genus, self.stabilizers, subgroup
         )
-        if genus_characters != genus_surfaces:
-            raise DecompositionError(
-                f"profile conservation failed: characters give {genus_characters}, "
-                f"orbit counting gives {genus_surfaces}"
-            )
+        _agree("quotient genus", genus_characters, genus_surfaces)
         profile = SubgroupProfile(
             subgroup=subgroup,
             genus=genus_surfaces,
@@ -407,10 +412,7 @@ class ActionAnalysis:
             deltas.append(reduced)
             dim_p += reduced * factor.dim
         genera = tuple(p.genus for p in profiles)
-        if dim_p != self.genus - sum(genera):
-            raise DecompositionError(
-                f"complement dimension mismatch: {dim_p} vs {self.genus - sum(genera)}"
-            )
+        _agree("theorem 1 dim P", dim_p, self.genus - sum(genera))
         full = dim_p == 0
         names = " x ".join(f"JC_H{i + 1}" for i in range(len(collection)))
         statement = f"JC ~ {names}" if full else f"JC ~ {names} x P,  dim P = {dim_p}"
@@ -443,10 +445,7 @@ class ActionAnalysis:
             deltas.append(delta)
             dim_check += delta * factor.dim
         dim_p = self.genus + pj.genus - p1.genus - p2.genus
-        if dim_p != dim_check:
-            raise DecompositionError(
-                f"complement dimension mismatch: {dim_p} vs {dim_check}"
-            )
+        _agree("proposition 2 dim P", dim_p, dim_check)
         degenerate_full = pj.genus == 0 and dim_p == 0
         statement = (
             "JC ~ JC_H1 x JC_H2"
@@ -482,8 +481,7 @@ class ActionAnalysis:
         full = sum(genera) == self.genus
         bounded = complement_sum <= prym
         equality = complement_sum == prym
-        if not bounded or equality != full:
-            raise DecompositionError("Prym containment bookkeeping failed")
+        _agree("Prym containment", (bounded, equality), (True, full))
         return Corollary1Report(
             k=k,
             prym_dim=prym,
@@ -529,10 +527,7 @@ class ActionAnalysis:
                 reconstruction = reconstruction + int(a_l) * rc.rational_character
         if statement3 and reconstruction != residual:
             statement3 = False
-        if statement2 != statement3:
-            raise DecompositionError(
-                "statement (2) and statement (3) verdicts disagree"
-            )
+        _agree("statement (2) vs (3)", statement2, statement3)
 
         special_case = self.factors[0].dim == 0 and all(
             f.dim > 0 for f in self.factors[1:]
@@ -548,8 +543,7 @@ class ActionAnalysis:
             if a1_frac.denominator != 1:
                 raise DecompositionError("trivial multiplicity non-integral")
             a1 = int(a1_frac)
-            if eq8_holds != statement2 or (eq8_holds and a1 != t):
-                raise DecompositionError("regular-plus-trivial form check failed")
+            _agree("regular-plus-trivial form", (eq8_holds, a1), (statement2, t))
             if eq8_holds:
                 statement = f"sum of induced trivials = regular + {t - 1}*W1"
         return Proposition1Report(
@@ -644,14 +638,10 @@ class ActionAnalysis:
                     f"2 n dim B = {numerator} not divisible by dim W = {rc.dim_w}"
                 )
             mult = numerator // rc.dim_w
-            if (mult == 0) != (factor.dim == 0):
-                raise DecompositionError("homology support predicate failed")
+            _agree("homology support", mult == 0, factor.dim == 0)
             mults.append(mult)
         total = sum(m * f.rational_class.dim_w for m, f in zip(mults, self.factors))
-        if total != 2 * self.genus:
-            raise DecompositionError(
-                f"homology degree {total} differs from 2g = {2 * self.genus}"
-            )
+        _agree("homology degree", total, 2 * self.genus)
         return RationalRepProfile(multiplicities=tuple(mults), total_degree=total)
 
     def search_admissible(
@@ -783,25 +773,11 @@ def _build_fiber_plan(
     analysis = analyze(action)
     genus = analysis.genus
     predicted_genus = 1 - 2**t + 2 ** (t - 1) * (t + sum(genera))
-    if genus != predicted_genus:
-        raise DecompositionError(
-            f"constructed genus {genus} differs from closed formula {predicted_genus}"
-        )
-    for g_i, k_i in zip(genera, deck):
-        profile = analysis.profile(k_i)
-        if profile.genus != g_i:
-            raise DecompositionError(
-                f"deck quotient genus {profile.genus} differs from factor genus {g_i}"
-            )
-    admissibility = analysis.admissibility(deck)
-    if not admissibility.admissible:
-        raise DecompositionError("deck collection failed admissibility")
-    report = analysis.theorem1(deck)
+    _agree("fiber genus", genus, predicted_genus)
+    _agree("deck quotient genus", tuple(analysis.profile(k).genus for k in deck), genera)
+    report = analysis.theorem1(deck)  # raises NotAdmissible on an inadmissible deck
     predicted_dim_p = 1 + 2 ** (t - 1) * t - 2**t + (2 ** (t - 1) - 1) * sum(genera)
-    if report.dim_p != predicted_dim_p:
-        raise DecompositionError(
-            f"complement dimension {report.dim_p} differs from formula {predicted_dim_p}"
-        )
+    _agree("fiber dim P", report.dim_p, predicted_dim_p)
     return FiberPlan(
         genera=genera,
         action=action,
@@ -810,7 +786,7 @@ def _build_fiber_plan(
         predicted_genus=predicted_genus,
         dim_p=report.dim_p,
         predicted_dim_p=predicted_dim_p,
-        admissibility=admissibility,
+        admissibility=report.admissibility,
         theorem1=report,
         analysis=analysis,
         elliptic_count=elliptic_count,
@@ -850,12 +826,6 @@ def cor3_plan(t: int) -> FiberPlan:
         pairing = tuple((j + 1, j + 1 + s) for j in range(s)) + ((t,),)
         predicted = 1 - 2 ** (s + 1) + int(Fraction(3 * t + 1) * Fraction(2) ** (s - 1))
     plan = _build_fiber_plan(genera, elliptic_count=t, pairing=pairing)
-    if plan.genus != predicted:
-        raise DecompositionError(
-            f"plan genus {plan.genus} differs from parity formula {predicted}"
-        )
-    if plan.dim_p != plan.genus - t:
-        raise DecompositionError(
-            f"complement {plan.dim_p} differs from genus - t = {plan.genus - t}"
-        )
+    _agree("parity genus", plan.genus, predicted)
+    _agree("elliptic complement", plan.dim_p, plan.genus - t)
     return plan

@@ -318,12 +318,12 @@ def preset_elementary_abelian_2(t: int, order_cap: int = DEFAULT_ORDER_CAP) -> F
     return build_group(gens, [f"e{i + 1}" for i in range(t)], order_cap=order_cap)
 
 
-def preset_quaternion() -> FiniteGroup:
+def preset_quaternion(order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     """Quaternion group of order 8 in its regular action, generators i and j."""
     # element order: 1, -1, i, -i, j, -j, k, -k
     perm_i = Permutation((2, 3, 1, 0, 6, 7, 5, 4))
     perm_j = Permutation((4, 5, 7, 6, 1, 0, 2, 3))
-    group = build_group([perm_i, perm_j], ["i", "j"])
+    group = build_group([perm_i, perm_j], ["i", "j"], order_cap=order_cap)
     assert group.order == 8
     return group
 

@@ -528,14 +528,6 @@ def render_text(doc: dict) -> str:
                 f" <= Prym dim {c1['prym_dim']}"
                 + ("  (equality)" if c1["equality"] else "")
             )
-        tb = body.get("theorem_b")
-        if tb is not None:
-            lines.append(
-                f"partition identities (t = {tb['t']}): characters "
-                f"{_yesno(tb['character_identity'])}, classes {_yesno(tb['class_identities'])}, "
-                f"dimensions {tb['dimension_lhs']} = {tb['dimension_rhs']}: "
-                f"{_yesno(tb['holds'])}"
-            )
         for d in body.get("discrepancies") or []:
             lines.append(f"DISCREPANCY: {d['detail']}")
         lines.append("")

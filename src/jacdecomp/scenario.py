@@ -262,7 +262,7 @@ def _build_group(spec, order_cap: int) -> FiniteGroup:
         if preset == "elementary_abelian_2":
             return preset_elementary_abelian_2(int(spec["t"]), order_cap=order_cap)
         if preset == "quaternion":
-            return preset_quaternion()
+            return preset_quaternion(order_cap=order_cap)
         raise ParseError(f"unknown group preset {preset!r}")
     if "generators" in spec:
         perms = [Permutation(tuple(images)) for images in spec["generators"]]
@@ -279,18 +279,34 @@ def _resolve_element(group: FiniteGroup, token) -> int:
     raise ParseError(f"element must be a word or index, got {token!r}")
 
 
+_EXPECTATION_TYPES = {
+    "admissible": bool, "join_admissible": bool, "full": bool, "partition": bool,
+    "dim_p": int, "complement_dim": int, "genera": list, "fixed_dims": dict,
+}
+
+
+def _typed(key: str, value, kind: type):
+    """The value itself, if it is exactly a JSON value of ``kind`` (a bool is no int)."""
+    if type(value) is not kind:
+        raise ParseError(f"expectation {key!r} needs a JSON {kind.__name__}, got {value!r}")
+    return value
+
+
 def _expectations(raw) -> dict:
-    """A collection's reference expectations, every value read as its type."""
+    """A collection's reference expectations, every value checked to be of its type."""
     expect = dict(raw)
-    for key in {"complement_dim", "dim_p"} & expect.keys():
-        expect[key] = int(expect[key])
-    if "genera" in expect:
-        expect["genera"] = [int(g) for g in expect["genera"]]
+    for key, value in expect.items():
+        if key not in _EXPECTATION_TYPES:
+            raise ParseError(f"unknown expectation {key!r}")
+        _typed(key, value, _EXPECTATION_TYPES[key])
+    for g in expect.get("genera", ()):
+        _typed("genera", g, int)
     if "fixed_dims" in expect:
-        columns, rows = expect["fixed_dims"]["columns"], expect["fixed_dims"]["rows"]
-        expect["fixed_dims"] = {
-            "columns": [str(c) for c in columns], "rows": [[int(x) for x in r] for r in rows]
-        }
+        for c in _typed("fixed_dims", expect["fixed_dims"]["columns"], list):
+            _typed("fixed_dims", c, str)
+        for row in _typed("fixed_dims", expect["fixed_dims"]["rows"], list):
+            for cell in _typed("fixed_dims", row, list):
+                _typed("fixed_dims", cell, int)
     return expect
 
 

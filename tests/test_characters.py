@@ -573,6 +573,16 @@ def test_frobenius_schur_requires_irreducible():
         frobenius_schur(regular_character(group))
 
 
+def test_frobenius_schur_rejects_an_irrational_indicator_sum():
+    """zeta_5 times the trivial character of C5 has norm 1, but no character does that."""
+    group = build_group([Permutation((1, 2, 3, 4, 0))])
+    zeta = Cyclotomic.root(5)
+    chi = ClassFunction(group, tuple(v * zeta for v in trivial_character(group).values))
+    assert inner_product(chi, chi) == 1
+    with pytest.raises(CharacterError, match="not rational"):
+        frobenius_schur(chi)
+
+
 # -- rational classes -------------------------------------------------------------------
 
 

@@ -266,6 +266,14 @@ def test_order_cap_below_one_exits_1(capsys, tmp_path):
     assert "max_order must be at least 1" in capsys.readouterr().err
 
 
+def test_mistyped_or_misspelt_expectations_exit_1(capsys):
+    for expect in ({"admissible": "false"}, {"genra": [99]}):
+        scenario = load_bundled_scenario("d2q_q3")
+        scenario["collections"] = {"probe": {"subgroups": [["s"]], "expect": expect}}
+        assert cli.main(["analyze", json.dumps(scenario)]) == 1
+        assert "expectation" in capsys.readouterr().err
+
+
 def test_search_max_t_below_one_exits_1(capsys):
     for max_t in ("0", "-1"):
         assert cli.main(["search", "d2q?q=3", "--max-t", max_t]) == 1

@@ -7,12 +7,16 @@ import weakref
 
 import pytest
 
+from jacdecomp import characters, cli, decomposition
+from jacdecomp.characters import CharacterError, character_table, fixed_dim, regular_character
 from jacdecomp.covering import CoveringAction, total_genus
 from jacdecomp.decomposition import (
+    ActionAnalysis,
     DecompositionError,
     NonIntegralDimension,
     NotAdmissible,
     NotAPartition,
+    RoutesDisagree,
     TooFewFactors,
     analyze,
     cor3_plan,
@@ -22,6 +26,7 @@ from jacdecomp.decomposition import (
 from jacdecomp.groups import (
     enumerate_subgroups,
     full_subgroup,
+    preset_dihedral,
     preset_elementary_abelian_2,
     subgroup_as_group,
     subgroup_generate,
@@ -29,6 +34,7 @@ from jacdecomp.groups import (
 )
 from jacdecomp.scenario import parse_scenario
 from conftest import dihedral_action, fiber_action, random_action
+from test_cli import GOLDEN_CASES
 from test_groups import ORBIT_ORACLE_GROUPS, is_conjugacy_canonical
 from test_characters import dihedral_label_map
 
@@ -741,3 +747,133 @@ def test_schur_override_breaking_integrality_is_rejected():
     rep = classes[labels["V5"]].representative
     with pytest.raises(NonIntegralDimension):
         analyze(data["action"], {rep: 2}).profile(data["H1"])
+
+
+# -- the two-route checks ------------------------------------------------------------
+
+
+_REPORT_CHECKS = {"conservation", "quotient genus"}
+_ANALYZE_CHECKS = _REPORT_CHECKS | {
+    "theorem 1 dim P", "proposition 2 dim P", "Prym containment",
+    "statement (2) vs (3)", "regular-plus-trivial form",
+    "homology support", "homology degree",
+}
+_FIBER_CHECKS = _REPORT_CHECKS | {
+    "theorem 1 dim P", "fiber genus", "deck quotient genus", "fiber dim P",
+}
+TWO_ROUTE_COMMANDS = {
+    **GOLDEN_CASES,
+    "fiber_1_1": ["fiber", "--genera", "1,1"],
+    "fiber_elliptic_5": ["fiber", "--elliptic", "5"],
+}
+TWO_ROUTE_CHECKS = {
+    "analyze_d2q_q3.txt": _ANALYZE_CHECKS,
+    "analyze_d2q_q5.txt": _ANALYZE_CHECKS,
+    "analyze_d2q_q7.txt": _ANALYZE_CHECKS,
+    "analyze_fiber_1_1.txt": _ANALYZE_CHECKS,
+    # no collection of fiber_1_1_1 is a pair, so Proposition 2 never runs
+    "analyze_fiber_1_1_1.txt": _ANALYZE_CHECKS - {"proposition 2 dim P"},
+    "theorem_b_d2q_q3.txt": _REPORT_CHECKS,
+    "search_d2q_q5.txt": _REPORT_CHECKS | {"theorem 1 dim P"},
+    "search_d2q_q3_dedupe.txt": _REPORT_CHECKS | {"theorem 1 dim P"},
+    "fiber_1_1": _FIBER_CHECKS,
+    "fiber_elliptic_5": _FIBER_CHECKS | {"parity genus", "elliptic complement"},
+}
+
+
+def test_pinned_commands_cover_all_fourteen_checks():
+    assert TWO_ROUTE_COMMANDS.keys() == TWO_ROUTE_CHECKS.keys()
+    assert len(set().union(*TWO_ROUTE_CHECKS.values())) == 14
+
+
+@pytest.mark.parametrize("name", sorted(TWO_ROUTE_COMMANDS))
+def test_every_two_route_check_runs(monkeypatch, capsys, name):
+    ran = set()
+    agree = decomposition._agree
+
+    def recording(what, first, second):
+        ran.add(what)
+        agree(what, first, second)
+
+    monkeypatch.setattr(decomposition, "_agree", recording)
+    assert cli.main(TWO_ROUTE_COMMANDS[name]) in (0, 2)
+    capsys.readouterr()
+    assert ran == TWO_ROUTE_CHECKS[name]
+
+
+@pytest.mark.parametrize("check", sorted(set().union(*TWO_ROUTE_CHECKS.values())))
+def test_a_disagreeing_check_exits_1_naming_itself(monkeypatch, capsys, check):
+    name = next(n for n in sorted(TWO_ROUTE_CHECKS) if check in TWO_ROUTE_CHECKS[n])
+    agree = decomposition._agree
+
+    def perturbed(what, first, second):
+        agree(what, first, object() if what == check else second)
+
+    monkeypatch.setattr(decomposition, "_agree", perturbed)
+    assert cli.main(TWO_ROUTE_COMMANDS[name]) == 1
+    assert f"jacdecomp: error: {check}: routes disagree, " in capsys.readouterr().err
+
+
+def test_agree_names_the_check_and_both_values():
+    decomposition._agree("some check", (1, True), (1, True))
+    with pytest.raises(RoutesDisagree, match=r"^some check: routes disagree, 3 vs 4$"):
+        decomposition._agree("some check", 3, 4)
+    assert issubclass(RoutesDisagree, DecompositionError)
+
+
+def test_conservation_fires_on_a_wrong_genus():
+    good = analyze(dihedral_action(3)[1])
+    bad = ActionAnalysis(good.group, good.orbit_genus, good.stabilizers, good.genus + 1)
+    with pytest.raises(RoutesDisagree, match=r"^conservation: routes disagree, 11 vs 12$"):
+        bad.factors
+
+
+def test_quotient_genus_fires_when_orbit_counting_is_off_by_one(monkeypatch):
+    data = named_subgroups(3)
+    analysis = analyze(data["action"])
+    original = decomposition.genus_from_branch_data
+    monkeypatch.setattr(
+        decomposition, "genus_from_branch_data", lambda *args: original(*args) + 1
+    )
+    with pytest.raises(RoutesDisagree, match=r"^quotient genus: routes disagree, 5 vs 6$"):
+        analysis.profile(data["H1"])
+
+
+def test_complement_dimension_fires_when_the_genus_route_is_off():
+    data = named_subgroups(3)
+    analysis = analyze(data["action"])
+    h1, h3 = data["H1"], data["H3"]
+    assert analysis.theorem1([h1, h3]).dim_p == analysis.proposition2(h1, h3).dim_p == 5
+    analysis.genus += 1  # factors and profiles stay cached from the first route
+    with pytest.raises(RoutesDisagree, match=r"^theorem 1 dim P: routes disagree, 5 vs 6$"):
+        analysis.theorem1([h1, h3])
+    with pytest.raises(RoutesDisagree, match=r"^proposition 2 dim P: routes disagree, 6 vs 5$"):
+        analysis.proposition2(h1, h3)
+
+
+def _fresh_nontrivial_row():
+    """A nontrivial row of a group built here, so no fixed dimension is cached."""
+    group = preset_dihedral(3)
+    return character_table(group).irreducibles[1], full_subgroup(group)
+
+
+def test_fixed_dim_fires_when_the_induction_route_is_wrong(monkeypatch):
+    chi, whole = _fresh_nontrivial_row()
+    monkeypatch.setattr(
+        characters, "permutation_character", lambda group, subgroup: regular_character(group)
+    )
+    with pytest.raises(CharacterError, match="fixed-space routes disagree: average 0, induction 1"):
+        fixed_dim(chi, whole)
+
+
+def test_fixed_dim_fires_when_the_average_route_is_wrong(monkeypatch):
+    chi, whole = _fresh_nontrivial_row()
+    original = characters._combine
+
+    def shifted(weights, vectors):  # adds |H| to the sum, so 1 to the average
+        total = original(weights, vectors)
+        return (total[0] + sum(weights),) + total[1:]
+
+    monkeypatch.setattr(characters, "_combine", shifted)
+    with pytest.raises(CharacterError, match="fixed-space routes disagree: average 1, induction 0"):
+        fixed_dim(chi, whole)

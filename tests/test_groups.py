@@ -593,6 +593,7 @@ def test_element_word_round_trip():
 @pytest.mark.parametrize("preset, argument", [
     (preset_dihedral, 3),
     (preset_elementary_abelian_2, 2),
+    (preset_quaternion, None),
 ])
 def test_presets_forward_their_order_cap(monkeypatch, preset, argument):
     caps = []
@@ -603,8 +604,9 @@ def test_presets_forward_their_order_cap(monkeypatch, preset, argument):
         return original(generators, names, order_cap=order_cap)
 
     monkeypatch.setattr(groups, "build_group", spy)
+    arguments = () if argument is None else (argument,)
     for cap in (12, 4096):
-        preset(argument, order_cap=cap)
+        preset(*arguments, order_cap=cap)
     assert caps == [12, 4096]
 
 

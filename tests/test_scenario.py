@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from jacdecomp.decomposition import analyze
-from jacdecomp.groups import UnknownGenerator
+from jacdecomp.groups import OrderCapExceeded, UnknownGenerator
 from jacdecomp.scenario import (
     ParseError,
     ValidationError,
@@ -157,3 +157,55 @@ def test_class_labels_generic_fallback():
     analysis = analyze(scenario.action)
     assert dihedral_class_labels(analysis) is None
     assert class_labels(analysis) == ("W1", "W2", "W3", "W4")
+
+
+def _with_expectations(**expect):
+    raw = make_dihedral_scenario(3)
+    raw["collections"] = {"probe": {"subgroups": [["s"]], "expect": expect}}
+    return raw
+
+
+def test_expectations_are_read_as_given():
+    expect = parse_scenario(_with_expectations(
+        admissible=True, full=False, dim_p=6, genera=[5],
+        fixed_dims={"columns": ["V2"], "rows": [[0]]},
+    )).collections["probe"].expect
+    assert expect == {
+        "admissible": True, "full": False, "dim_p": 6, "genera": [5],
+        "fixed_dims": {"columns": ["V2"], "rows": [[0]]},
+    }
+
+
+@pytest.mark.parametrize("key, value", [
+    ("admissible", "false"),
+    ("join_admissible", 0),
+    ("full", None),
+    ("partition", 1),
+    ("dim_p", True),
+    ("dim_p", 6.0),
+    ("complement_dim", "1"),
+    ("genera", 5),
+    ("genera", [5, "5"]),
+    ("genera", [False]),
+    ("fixed_dims", {"columns": ["V2"], "rows": [[0.0]]}),
+    ("fixed_dims", {"columns": ["V2"], "rows": [True]}),
+    ("fixed_dims", {"columns": [2], "rows": [[0]]}),
+])
+def test_expectations_of_the_wrong_type_are_parse_errors(key, value):
+    with pytest.raises(ParseError, match=f"expectation '{key}'"):
+        parse_scenario(_with_expectations(**{key: value}))
+
+
+def test_unknown_expectation_is_a_parse_error_naming_it():
+    with pytest.raises(ParseError, match="unknown expectation 'genra'"):
+        parse_scenario(_with_expectations(admissible=True, genra=[99]))
+
+
+@pytest.mark.parametrize("group", [
+    {"preset": "quaternion"},
+    {"preset": "dihedral", "q": 3},
+    {"preset": "elementary_abelian_2", "t": 3},
+])
+def test_group_presets_honour_the_order_cap(group):
+    with pytest.raises(OrderCapExceeded):
+        parse_scenario({"group": group, "action": {}, "options": {"max_order": 4}})
