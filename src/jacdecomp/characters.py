@@ -4,6 +4,15 @@ The table is computed by Dixon's modular method: common eigenvectors of the
 class-sum matrices over a prime field F_p with p = 1 (mod e) and p > 2|G|,
 then each character value is lifted exactly by reconstructing the eigenvalue
 multiplicities of the e-th roots of unity through discrete Fourier sums mod p.
+
+The class matrices are sparse rows, built only when the split reaches them,
+and only subspaces still above dimension 1 are refined.  Each restriction to
+such a subspace is put in Hessenberg form once: that form gives the
+characteristic polynomial and, by elimination on H - lam*I, every eigenspace,
+mapped back through the recorded steps.  Every returned vector is checked to
+satisfy restr * v = lam * v exactly, beside the invariance, split-dimension
+and one-dimensional-end checks.
+
 The root weights are summed once per class, and all rows are lifted in one
 packed pass, one bit slot per row in a Python int (Kronecker substitution).
 Multiplicities are below p, so the lift is unique and the final values are
@@ -22,6 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, isqrt
+from operator import mul
 from typing import Mapping
 
 from .cyclotomic import ConductorMismatch, Cyclotomic, _reduce_coeffs, is_prime
@@ -108,7 +118,10 @@ class ClassFunction:
 
 
 def _combine(weights, vectors) -> tuple:
-    """sum of w * v over paired weights and reduced coordinate vectors, itself reduced."""
+    """sum of w * v over paired weights and vectors, zero weights skipped.
+
+    A sum of reduced cyclotomic coordinate vectors is itself reduced.
+    """
     total = [0] * len(vectors[0])
     for w, v in zip(weights, vectors):
         if w:
@@ -182,29 +195,15 @@ def _rref_mod(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]
     return rows[:r], pivots
 
 
-def _kernel_mod(matrix: list[list[int]], p: int) -> list[list[int]]:
-    """Basis of the right kernel of the matrix over F_p."""
-    n = len(matrix)
-    rref, pivots = _rref_mod(matrix, p)
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for f in free:
-        vec = [0] * n
-        vec[f] = 1
-        for row, c in zip(rref, pivots):
-            vec[c] = (-row[f]) % p
-        basis.append(vec)
-    return basis
+def _hessenberg_mod(matrix: list[list[int]], p: int) -> tuple[list[list[int]], list[tuple]]:
+    """Upper Hessenberg form h = S A S^-1 over F_p, with the steps of S in order.
 
-
-def _charpoly_mod(matrix: list[list[int]], p: int) -> list[int]:
-    """Characteristic polynomial over F_p, low degree first, in O(n^3).
-
-    Hessenberg reduction by similarity, then the recurrence on its leading
-    minors (Cohen, A Course in Computational Algebraic Number Theory, 2.2.9).
+    A step (m, i, None) swaps rows and columns m and i; a step (m, i, u)
+    subtracts u times row m from row i and adds u times column i to column m.
     """
     n = len(matrix)
     h = [[x % p for x in row] for row in matrix]
+    steps: list[tuple] = []
     for m in range(1, n - 1):
         pivot = next((i for i in range(m, n) if h[i][m - 1]), None)
         if pivot is None:
@@ -213,6 +212,7 @@ def _charpoly_mod(matrix: list[list[int]], p: int) -> list[int]:
             h[m], h[pivot] = h[pivot], h[m]
             for row in h:
                 row[m], row[pivot] = row[pivot], row[m]
+            steps.append((m, pivot, None))
         inv = pow(h[m][m - 1], -1, p)
         for i in range(m + 1, n):
             u = h[i][m - 1] * inv % p
@@ -220,6 +220,19 @@ def _charpoly_mod(matrix: list[list[int]], p: int) -> list[int]:
                 h[i] = [(x - u * y) % p for x, y in zip(h[i], h[m])]
                 for row in h:
                     row[m] = (row[m] + u * row[i]) % p
+                steps.append((m, i, u))
+    return h, steps
+
+
+def _charpoly_mod(matrix: list[list[int]], p: int) -> list[int]:
+    """Characteristic polynomial over F_p, low degree first, in O(n^3).
+
+    Hessenberg reduction by similarity, then the recurrence on its leading
+    minors (Cohen, A Course in Computational Algebraic Number Theory, 2.2.9).
+    A matrix already in Hessenberg form is only scanned, in O(n^2).
+    """
+    h, _ = _hessenberg_mod(matrix, p)
+    n = len(h)
     # polys[m] is the charpoly of the leading m x m block of h
     polys = [[1]]
     for m in range(n):
@@ -248,35 +261,114 @@ def _poly_roots_mod(coeffs: list[int], p: int) -> list[int]:
     return roots
 
 
-def _restriction(matrix, basis, pivots, p):
-    """Matrix of the action on the span of the basis (which must be invariant)."""
-    n = len(matrix)
-    s = len(basis)
+def _hessenberg_kernel(h: list[list[int]], lam: int, p: int) -> list[list[int]]:
+    """Basis of the right kernel of h - lam*I over F_p, for h upper Hessenberg.
+
+    Row i of h - lam*I is zero left of column i - 1, so the elimination at
+    column c only looks at rows r..c+1 (r the next pivot row); then each free
+    column gives one kernel vector by back-substitution.
+    """
+    n = len(h)
+    a = [row[:] for row in h]
+    for i in range(n):
+        a[i][i] = (a[i][i] - lam) % p
+    pivots: list[int] = []
+    r = 0
+    for c in range(n):
+        last = min(c + 2, n)
+        pivot = next((i for i in range(r, last) if a[i][c]), None)
+        if pivot is None:
+            continue
+        a[r], a[pivot] = a[pivot], a[r]
+        # rows r..last-1 are zero left of column c, so only their tails change
+        inv = pow(a[r][c], -1, p)
+        tail = a[r][c:] = [x * inv % p for x in a[r][c:]]
+        for i in range(r + 1, last):
+            f = a[i][c]
+            if f:
+                a[i][c:] = [(x - f * y) % p for x, y in zip(a[i][c:], tail)]
+        pivots.append(c)
+        r += 1
+    basis = []
+    for free in sorted(set(range(n)) - set(pivots)):
+        v = [0] * n
+        v[free] = 1
+        for c, row in zip(reversed(pivots), reversed(a[:r])):
+            v[c] = -sum(map(mul, row[c + 1:], v[c + 1:])) % p
+        basis.append(v)
+    return basis
+
+
+def _eigenspaces(matrix: list[list[int]], p: int) -> list[tuple[int, list[list[int]]]]:
+    """Each eigenvalue of the matrix in F_p, ascending, with a basis of its eigenspace.
+
+    One Hessenberg form h = S A S^-1 gives the characteristic polynomial and
+    every kernel of h - lam*I; a kernel vector v of h maps to the eigenvector
+    S^-1 v of A through the recorded steps, inverted and in reverse order.
+    """
+    h, steps = _hessenberg_mod(matrix, p)
+    spaces = []
+    for lam in _poly_roots_mod(_charpoly_mod(h, p), p):
+        vectors = _hessenberg_kernel(h, lam, p)
+        for v in vectors:
+            for m, i, u in reversed(steps):
+                if u is None:
+                    v[m], v[i] = v[i], v[m]
+                else:
+                    v[i] = (v[i] + u * v[m]) % p
+        spaces.append((lam, vectors))
+    return spaces
+
+
+def _class_matrix(group: FiniteGroup, i: int) -> list[list[tuple[int, int]]]:
+    """Sparse rows of class i's structure constants: C_i C_j = sum_l a_ijl C_l.
+
+    Row j lists the pairs (l, a_ijl) with a_ijl != 0, by ascending l, where
+    a_ijl counts the x in C_i with x^-1 z_l in C_j for the representative z_l.
+    """
+    classes = conjugacy_classes(group)
+    class_of = classes.class_of
+    inverses = [group.inv(x) for x in classes.classes[i]]
+    rows: list[list[tuple[int, int]]] = [[] for _ in classes.classes]
+    for l, z in enumerate(classes.representatives):
+        counts: dict[int, int] = {}
+        for x in inverses:
+            j = class_of[group.mul(x, z)]
+            counts[j] = counts.get(j, 0) + 1
+        for j, a in counts.items():
+            rows[j].append((l, a))
+    return rows
+
+
+def _restriction(rows, basis, pivots, p):
+    """Matrix of the action of sparse rows on the span of the basis (which must be invariant).
+
+    The basis is in reduced echelon form, so the coordinates of a vector of the
+    span are its entries at the pivots.
+    """
     cols = []
     for b in basis:
-        w = [sum(matrix[j][l] * b[l] for l in range(n)) % p for j in range(n)]
+        w = [sum(a * b[l] for l, a in row) % p for row in rows]
         coords = [w[c] for c in pivots]
         # the span must be invariant; verify the reconstruction exactly
-        for j in range(n):
-            recon = sum(coords[i] * basis[i][j] for i in range(s)) % p
-            if recon != w[j]:
-                raise CharacterError("class-sum matrix does not preserve a split subspace")
+        if [r % p for r in _combine(coords, basis)] != w:
+            raise CharacterError("class-sum matrix does not preserve a split subspace")
         cols.append(coords)
-    return [[cols[r][i] for r in range(s)] for i in range(s)]
+    return [list(row) for row in zip(*cols)]
 
 
-def _common_eigenvectors(mats: list[list[list[int]]], n: int, p: int) -> list[list[int]]:
+def _common_eigenvectors(mats, n: int, p: int) -> list[list[int]]:
     """Split F_p^n into the common eigenvectors of commuting n x n matrices.
 
-    Each eigenspace of one matrix is invariant under the rest, so the space
-    is refined matrix by matrix; the algebra is semisimple and split over
-    F_p, hence everything ends one-dimensional.
+    The matrices come as sparse rows (see _class_matrix) from an iterable that
+    is read only as far as the split needs.  Each eigenspace of one matrix is
+    invariant under the rest, so the subspaces still above dimension 1 are
+    refined matrix by matrix; the algebra is semisimple and split over F_p,
+    hence everything ends one-dimensional.
     """
     identity_basis = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     spaces: list[tuple[list[list[int]], list[int]]] = [(identity_basis, list(range(n)))]
     for matrix in mats:
-        if all(len(basis) == 1 for basis, _ in spaces):
-            break
         new_spaces: list[tuple[list[list[int]], list[int]]] = []
         for basis, pivots in spaces:
             if len(basis) == 1:
@@ -284,26 +376,20 @@ def _common_eigenvectors(mats: list[list[list[int]]], n: int, p: int) -> list[li
                 continue
             restr = _restriction(matrix, basis, pivots, p)
             split_dim = 0
-            for lam in _poly_roots_mod(_charpoly_mod(restr, p), p):
-                shifted = [row[:] for row in restr]
-                for i in range(len(restr)):
-                    shifted[i][i] = (shifted[i][i] - lam) % p
-                kernel = _kernel_mod(shifted, p)
-                if not kernel:
-                    continue
-                vectors = [
-                    [
-                        sum(u[i] * basis[i][j] for i in range(len(basis))) % p
-                        for j in range(n)
-                    ]
-                    for u in kernel
-                ]
+            for lam, kernel in _eigenspaces(restr, p):
+                vectors = []
+                for u in kernel:
+                    if [sum(map(mul, row, u)) % p for row in restr] != [lam * x % p for x in u]:
+                        raise CharacterError("eigenspace vector fails restr * v = lambda * v")
+                    vectors.append([y % p for y in _combine(u, basis)])
                 rref, piv = _rref_mod(vectors, p)
                 split_dim += len(rref)
                 new_spaces.append((rref, piv))
             if split_dim != len(basis):
                 raise CharacterError("class-sum matrix was not diagonalizable mod p")
         spaces = new_spaces
+        if all(len(basis) == 1 for basis, _ in spaces):
+            break  # before the next matrix is built
     result = []
     for basis, _ in spaces:
         if len(basis) != 1:
@@ -434,17 +520,10 @@ def character_table(group: FiniteGroup) -> CharacterTable:
     order = group.order
     p = _find_prime(e, order)
 
-    # class-sum structure constants: a[i][j][l] with C_i C_j = sum_l a_ijl C_l
     reps = classes.representatives
     class_of = classes.class_of
-    mats = [[[0] * k for _ in range(k)] for _ in range(k)]
-    for l, z in enumerate(reps):
-        for x in range(order):
-            i = class_of[x]
-            j = class_of[group.mul(group.inv(x), z)]
-            mats[i][j][l] += 1
-
-    eigenvectors = _common_eigenvectors(mats[1:], k, p)  # mats[0], the identity, never splits
+    # class matrices are built as the split reaches them; the identity's never splits
+    eigenvectors = _common_eigenvectors((_class_matrix(group, i) for i in range(1, k)), k, p)
     if len(eigenvectors) != k:
         raise CharacterError(
             f"expected {k} common eigenvectors, found {len(eigenvectors)}"

@@ -292,8 +292,11 @@ def _typed(key: str, value, kind: type):
     return value
 
 
-def _expectations(raw) -> dict:
-    """A collection's reference expectations, every value checked to be of its type."""
+def _expectations(raw, subgroups: int) -> dict:
+    """A collection's reference expectations, every value checked to be of its type.
+
+    A fixed_dims table needs one row per subgroup and one cell per column.
+    """
     expect = dict(raw)
     for key, value in expect.items():
         if key not in _EXPECTATION_TYPES:
@@ -302,10 +305,21 @@ def _expectations(raw) -> dict:
     for g in expect.get("genera", ()):
         _typed("genera", g, int)
     if "fixed_dims" in expect:
-        for c in _typed("fixed_dims", expect["fixed_dims"]["columns"], list):
+        columns = _typed("fixed_dims", expect["fixed_dims"]["columns"], list)
+        for c in columns:
             _typed("fixed_dims", c, str)
-        for row in _typed("fixed_dims", expect["fixed_dims"]["rows"], list):
-            for cell in _typed("fixed_dims", row, list):
+        rows = _typed("fixed_dims", expect["fixed_dims"]["rows"], list)
+        if len(rows) != subgroups:
+            raise ParseError(
+                f"expectation 'fixed_dims' has {len(rows)} rows for {subgroups} subgroups"
+            )
+        for i, row in enumerate(rows, 1):
+            if len(_typed("fixed_dims", row, list)) != len(columns):
+                raise ParseError(
+                    f"expectation 'fixed_dims' row {i} has {len(row)} cells "
+                    f"for {len(columns)} columns"
+                )
+            for cell in row:
                 _typed("fixed_dims", cell, int)
     return expect
 
@@ -382,7 +396,7 @@ def _parse_scenario(source: str | Path | Mapping, max_order: int | None) -> Scen
     for name, body in (raw.get("collections") or {}).items():
         if isinstance(body, dict):
             word_lists = body.get("subgroups", [])
-            expect = _expectations(body.get("expect") or {})
+            expect = _expectations(body.get("expect") or {}, len(word_lists))
         else:
             word_lists = body
             expect = {}

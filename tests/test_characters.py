@@ -156,6 +156,106 @@ def test_charpoly_mod_matches_determinant_oracle():
             assert value == det_mod(shifted, p)
 
 
+def gauss_jordan(rows, p):
+    """Reduced row echelon form over F_p and its pivot columns, by dense elimination."""
+    rows = [[x % p for x in row] for row in rows]
+    pivots = []
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = pow(rows[r][c], -1, p)
+        rows[r] = [x * inv % p for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return rows[:len(pivots)], pivots
+
+
+def kernel_mod(matrix, p):
+    """Basis of the right kernel of a square matrix over F_p, by Gauss-Jordan."""
+    n = len(matrix)
+    rref, pivots = gauss_jordan(matrix, p)
+    basis = []
+    for f in (c for c in range(n) if c not in pivots):
+        vec = [0] * n
+        vec[f] = 1
+        for row, c in zip(rref, pivots):
+            vec[c] = -row[f] % p
+        basis.append(vec)
+    return basis
+
+
+def mat_mul(a, b, p):
+    return [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*b)] for row in a]
+
+
+def conjugated(diagonal, superdiagonal, rng, p):
+    """S J S^-1 for a random invertible S, J with the given diagonal and superdiagonal."""
+    n = len(diagonal)
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    while True:
+        s = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+        augmented, pivots = gauss_jordan([row + e for row, e in zip(s, identity)], p)
+        if pivots == list(range(n)):
+            break
+    s_inv = [row[n:] for row in augmented]
+    j = [[x * int(r == c) for c in range(n)] for r, x in enumerate(diagonal)]
+    for r in range(n - 1):
+        j[r][r + 1] = superdiagonal[r]
+    return mat_mul(mat_mul(s, j, p), s_inv, p)
+
+
+def eigenspace_inputs(p):
+    rng = random.Random(f"eigenspaces:{p}")
+    matrices = [
+        [[0] * 4 for _ in range(4)],
+        [[int(i == j) * 5 for j in range(5)] for i in range(5)],
+        # a permutation matrix, like the class matrices of an abelian group
+        [[int(j == (1, 0, 3, 2, 5, 4)[i]) for j in range(6)] for i in range(6)],
+        # zero subdiagonal: upper triangular with a repeated diagonal entry
+        [[2, 1, 3, 4], [0, 2, 5, 6], [0, 0, 7, 8], [0, 0, 0, 2]],
+        # Hessenberg with one zero on the subdiagonal
+        [[2, 1, 0, 5], [3, 2, 1, 0], [0, 0, 2, 1], [0, 0, 3, 2]],
+        # zero subdiagonal entry with a nonzero one below it: pivot swap
+        [[1, 2, 3, 4], [0, 5, 6, 7], [8, 9, 10, 11], [12, 0, 1, 2]],
+        # first column zero below the diagonal: nothing to eliminate there
+        [[1, 2, 3, 4], [0, 5, 6, 7], [0, 8, 9, 10], [0, 11, 12, 0]],
+    ]
+    for n in range(1, 8):
+        for _ in range(4):
+            # repeated eigenvalues from a set of three, diagonalizable or with Jordan blocks
+            diagonal = sorted(rng.choice((1, 3, p - 1)) for _ in range(n))
+            matrices.append(conjugated(diagonal, [0] * (n - 1), rng, p))
+            blocks = [int(a == b and rng.random() < 0.5) for a, b in zip(diagonal, diagonal[1:])]
+            matrices.append(conjugated(diagonal, blocks, rng, p))
+            matrices.append([[rng.randrange(p) for _ in range(n)] for _ in range(n)])
+    return matrices
+
+
+@pytest.mark.parametrize("p", [13, 101])
+def test_eigenspaces_match_a_dense_kernel_oracle(p):
+    """Per lam in F_p: each vector returned satisfies A v = lam v, and the vectors
+    span the Gauss-Jordan kernel of A - lam*I, as many as its dimension."""
+    for m in eigenspace_inputs(p):
+        n = len(m)
+        spaces = dict(characters._eigenspaces(m, p))
+        assert list(spaces) == sorted(spaces)
+        for lam in range(p):
+            shifted = [[(m[i][j] - (lam if i == j else 0)) % p for j in range(n)] for i in range(n)]
+            oracle = kernel_mod(shifted, p)
+            vectors = spaces.get(lam, [])
+            assert len(vectors) == len(oracle)
+            for v in vectors:
+                assert mat_mul(m, [[x] for x in v], p) == [[lam * x % p] for x in v]
+            if vectors:
+                assert len(gauss_jordan(vectors + oracle, p)[1]) == len(oracle)
+
+
 @pytest.mark.parametrize("group", LIBRARY, ids=lambda g: f"order{g.order}")
 def test_galois_action_permutes_rows(group):
     table = character_table(group)
@@ -240,7 +340,7 @@ def closed_form_dihedral_rows(q):
     return rows
 
 
-@pytest.mark.parametrize("q", [3, 5, 7, 31])
+@pytest.mark.parametrize("q", [3, 5, 7, 31, 61])
 def test_dihedral_table_matches_closed_form(q):
     table = character_table(preset_dihedral(q))
     assert {row.values for row in table.irreducibles} == closed_form_dihedral_rows(q)
@@ -940,6 +1040,11 @@ def class_matrices(group):
     return mats
 
 
+def sparse_rows(matrix):
+    """A dense matrix as the engine stores class matrices: per row, its nonzero (column, entry)."""
+    return [[(l, a) for l, a in enumerate(row) if a] for row in matrix]
+
+
 def per_row_lift(group):
     """Reference: the ordered irreducibles, each row lifted on its own by an
     O(n^2) Fourier sum per class, from eigenvectors split by every class matrix."""
@@ -949,7 +1054,8 @@ def per_row_lift(group):
     class_of, sizes = classes.class_of, classes.sizes
     z_root = characters._primitive_root_of_unity(p, e)
     rows = []
-    for vec in characters._common_eigenvectors(class_matrices(group), k, p):
+    mats = [sparse_rows(m) for m in class_matrices(group)]
+    for vec in characters._common_eigenvectors(mats, k, p):
         omega = [v * pow(vec[0], -1, p) % p for v in vec]
         sigma = sum(
             omega[l] * omega[class_of[group.inv(rep)]] * pow(sizes[l], -1, p)
@@ -992,6 +1098,72 @@ def test_packed_lift_matches_per_row_reference(group):
     assert character_table(group).irreducibles == per_row_lift(group)
 
 
+@pytest.mark.parametrize("group", LIFT_GROUPS, ids=lambda g: f"order{g.order}")
+def test_sparse_class_matrices_equal_the_dense_structure_constants(group):
+    dense = class_matrices(group)
+    assert [characters._class_matrix(group, i) for i in range(len(dense))] == [
+        sparse_rows(m) for m in dense
+    ]
+
+
+def test_class_matrices_are_built_only_as_the_split_reaches_them(monkeypatch):
+    """A4's first non-identity class matrix already splits all four eigenvectors."""
+    build, built = characters._class_matrix, []
+
+    def recording(group, i):
+        built.append(i)
+        return build(group, i)
+
+    monkeypatch.setattr(characters, "_class_matrix", recording)
+    assert len(character_table(alternating_group_4())) == 4
+    assert built == [1]
+
+
+FIRING_GROUPS = {
+    "D20": lambda: preset_dihedral(5),
+    "Z2^3": lambda: preset_elementary_abelian_2(3),
+    "Q8": preset_quaternion,
+    "A4": lambda: alternating_group_4(),
+    "Z7:Z9": semidirect_7_9,
+}
+
+
+@pytest.mark.parametrize("name", FIRING_GROUPS)
+@pytest.mark.parametrize("which", [0, -1])
+def test_a_perturbed_class_matrix_entry_is_rejected(monkeypatch, name, which):
+    """One nonzero structure constant of the first class matrix the split reads, off by one."""
+    build = characters._class_matrix
+
+    def perturbed(group, i):
+        rows = build(group, i)
+        if i == 1:
+            j, n = [(j, n) for j, row in enumerate(rows) for n in range(len(row))][which]
+            l, a = rows[j][n]
+            rows[j][n] = (l, a + 1)
+        return rows
+
+    monkeypatch.setattr(characters, "_class_matrix", perturbed)
+    with pytest.raises(CharacterError):
+        character_table(FIRING_GROUPS[name]())
+
+
+@pytest.mark.parametrize("name", FIRING_GROUPS)
+def test_a_wrong_eigenspace_vector_is_rejected(monkeypatch, name):
+    """v + u, with u from another eigenspace, is never an eigenvector: A(v + u) = lam v + mu u."""
+    eigenspaces = characters._eigenspaces
+
+    def wrong(matrix, p):
+        spaces = eigenspaces(matrix, p)
+        if len(spaces) > 1:
+            (_, vs), (_, us) = spaces[:2]
+            vs[0] = [(v + u) % p for v, u in zip(vs[0], us[0])]
+        return spaces
+
+    monkeypatch.setattr(characters, "_eigenspaces", wrong)
+    with pytest.raises(CharacterError, match="restr \\* v = lambda \\* v"):
+        character_table(FIRING_GROUPS[name]())
+
+
 def test_semidirect_7_9_table_shape():
     table = character_table(semidirect_7_9())
     assert len(table) == 15
@@ -1020,7 +1192,7 @@ def test_cyclic_table_matches_closed_form(n):
     "group", group_library() + [build_group([Permutation((0,))])], ids=lambda g: f"order{g.order}"
 )
 def test_identity_class_matrix_never_splits(group):
-    mats = class_matrices(group)
+    mats = [sparse_rows(m) for m in class_matrices(group)]
     k = len(mats)
     p = characters._find_prime(group.exponent, group.order)
     split = characters._common_eigenvectors(mats[1:], k, p)

@@ -274,6 +274,23 @@ def test_mistyped_or_misspelt_expectations_exit_1(capsys):
         assert "expectation" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fixed_dims, message", [
+    # one row under one column, although main has three subgroups and five labels
+    ({"columns": ["V2"], "rows": [[0, 1, 0, 1, 1]]}, "has 1 rows for 3 subgroups"),
+    (
+        {"columns": ["V2", "V3", "V4", "V5", "V6"],
+         "rows": [[0, 1, 0, 1, 1], [0, 0, 1, 1], [1, 0, 0, 0, 0]]},
+        "row 2 has 4 cells for 5 columns",
+    ),
+], ids=["one-row", "short-row"])
+def test_fixed_dims_table_of_the_wrong_shape_exits_1(capsys, fixed_dims, message):
+    """A truncated table is a parse error, not a table checked only as far as it goes."""
+    scenario = load_bundled_scenario("d2q_q3")
+    scenario["collections"]["main"]["expect"]["fixed_dims"] = fixed_dims
+    assert cli.main(["analyze", json.dumps(scenario), "--collections", "main"]) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_search_max_t_below_one_exits_1(capsys):
     for max_t in ("0", "-1"):
         assert cli.main(["search", "d2q?q=3", "--max-t", max_t]) == 1

@@ -196,6 +196,17 @@ def test_expectations_of_the_wrong_type_are_parse_errors(key, value):
         parse_scenario(_with_expectations(**{key: value}))
 
 
+@pytest.mark.parametrize("fixed_dims", [
+    {"columns": ["V2"], "rows": []},
+    {"columns": ["V2"], "rows": [[0], [0]]},
+    {"columns": ["V2"], "rows": [[0, 1]]},
+    {"columns": ["V2", "V3"], "rows": [[0]]},
+])
+def test_fixed_dims_needs_one_row_per_subgroup_and_one_cell_per_column(fixed_dims):
+    with pytest.raises(ParseError, match="expectation 'fixed_dims' (has|row 1 has)"):
+        parse_scenario(_with_expectations(fixed_dims=fixed_dims))
+
+
 def test_unknown_expectation_is_a_parse_error_naming_it():
     with pytest.raises(ParseError, match="unknown expectation 'genra'"):
         parse_scenario(_with_expectations(admissible=True, genra=[99]))
