@@ -232,12 +232,15 @@ def _cmd_analyze(scenario: ScenarioFile, args) -> ReportDocument:
             body["join"] = None
             ambient_labels = labels
 
-        admissibility = ambient_analysis.admissibility(ambient_subgroups)
+        # theorem1 computes the admissibility report, and raises it when it fails
+        try:
+            theorem1 = ambient_analysis.theorem1(ambient_subgroups)
+            admissibility = theorem1.admissibility
+        except dec.NotAdmissible as exc:
+            theorem1, admissibility = None, exc.report
         body["admissibility"] = admissibility_section(admissibility, ambient_labels)
 
-        theorem1 = None
-        if admissibility.admissible:
-            theorem1 = ambient_analysis.theorem1(ambient_subgroups)
+        if theorem1 is not None:
             body["theorem1"] = theorem1_section(theorem1, ambient_labels)
             body["corollary1"] = corollary1_section(
                 [

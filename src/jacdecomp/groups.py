@@ -12,6 +12,10 @@ read off the table (rows, columns, or their composition), and one routine,
 :func:`orbits`, walks them.  Those walks move points by a subgroup's
 generators only; :class:`Subgroup` is built from its generators alone and
 computes its members as their closure, so the generators always generate it.
+The subgroup lattice closes a subgroup only when it may be new: a closure
+that Lagrange's theorem proves would rediscover a subgroup already found (a
+found subgroup containing its generators has the least order it can have) is
+skipped, so the walk and its recorded generators are those of closing them all.
 
 The table never changes after construction.  The lazy caches on a group
 (conjugacy classes, subgroup lattice, coset actions, and the character
@@ -342,16 +346,21 @@ class ConjugacyClassPartition:
         return len(self.classes)
 
 
-def conjugacy_classes(group: FiniteGroup) -> ConjugacyClassPartition:
-    """Orbits of conjugation x -> g x g^-1 by the group's generators."""
-    if group._classes is not None:
-        return group._classes
+def _conjugations(group: FiniteGroup) -> list[list[int]]:
+    """The maps x -> g x g^-1 for the group's generators g, read off the table."""
     n, table = group.order, group._table
     moves = []
     for g in full_subgroup(group).generators:
         after = table[group.inv(g)::n]  # y -> y g^-1
         moves.append([after[y] for y in table[g * n:g * n + n]])
-    reps, class_of = orbits(n, moves)
+    return moves
+
+
+def conjugacy_classes(group: FiniteGroup) -> ConjugacyClassPartition:
+    """Orbits of conjugation x -> g x g^-1 by the group's generators."""
+    if group._classes is not None:
+        return group._classes
+    reps, class_of = orbits(group.order, _conjugations(group))
     classes: list[list[int]] = [[] for _ in reps]
     for x, k in enumerate(class_of):
         classes[k].append(x)
@@ -450,10 +459,26 @@ def enumerate_subgroups(group: FiniteGroup, order_cap: int = DEFAULT_SUBGROUP_CA
     by every g outside it, in index order, and <P, g> is recorded the first
     time its members appear, generated by P's generators (identity dropped)
     and then g.  As <P, x> = <P, g> for all x in the double coset PgP, only
-    the smallest g of each double coset is closed; the rest would only
+    the smallest g of each double coset is tried; the rest would only
     rediscover that subgroup, so the recorded generators do not change.  The
     double cosets are the orbits of left and right multiplication by P's
     generators, read off the table's rows and columns.
+
+    <P, g> is closed only when Lagrange's theorem cannot prove that it is a
+    subgroup already found.  The candidates are the found subgroups that
+    contain P and g, read as the AND of bitmasks (``containing[x]`` has one
+    bit per found subgroup holding x), so each candidate contains <P, g>.
+    The order o of <P, g> divides |G|; it is a multiple of |P| and of ord(x)
+    for each x known to lie in it (g, then, if that does not settle it, each
+    x in the coset Pg); it exceeds |P|, as g is not in P; and it exceeds
+    ord(x) whenever <x> is not a candidate, for then <x> misses g or a
+    generator of P.  That last bound needs <x> to be found: the trivial
+    subgroup's loop finds every cyclic subgroup, so it is used only for
+    P > 1.  Let d be the least divisor of |G| that meets all these bounds:
+    then o >= d, and every candidate has order at least o, so a candidate of
+    order exactly d is <P, g> itself.  Only then is the closure skipped, so a
+    skip is proven, never guessed: the closure would have rediscovered that
+    subgroup and recorded nothing.
     """
     if group.order > order_cap:
         raise OrderCapExceeded(
@@ -461,19 +486,52 @@ def enumerate_subgroups(group: FiniteGroup, order_cap: int = DEFAULT_SUBGROUP_CA
         )
     if group._subgroups is not None:
         return group._subgroups
-    n, table = group.order, group._table
+    n, table, orders = group.order, group._table, group._orders
+    divisors = [e for e in range(2, n + 1) if n % e == 0]
     trivial = trivial_subgroup(group)
     found = {trivial.members: trivial}
+    containing = [1] + [0] * (n - 1)  # bit i: the i-th subgroup found holds x
+    by_order = [0, 1] + [0] * (n - 1)  # bits of the found subgroups of each order
+
+    def settled(step: int, floor: int, cands: int) -> int:
+        """The candidates of order d, the least multiple of step above floor dividing |G|."""
+        d = next(e for e in divisors if e > floor and e % step == 0)
+        return cands & by_order[d]
+
     layer = [trivial]
     while layer:
         next_layer = []
         for p in layer:
             gens = p.generators
+            base = tuple(sorted(set(gens) - {0}))
+            within = -1  # the found subgroups that contain P
+            for s in base:
+                within &= containing[s]
             moves = [table[s * n:s * n + n] for s in gens] + [table[s::n] for s in gens]
             for g in orbits(n, moves)[0][1:]:  # the first double coset is P itself
-                h = Subgroup(group, tuple(sorted(set(gens) - {0})) + (g,))
+                cands = within & containing[g]
+                if cands:
+                    step, floor = math.lcm(p.order, orders[g]), p.order
+                    if base and not cands & by_order[orders[g]]:
+                        floor = max(floor, orders[g])
+                    if settled(step, floor, cands):
+                        continue
+                    if base:  # for P = 1 the coset Pg is g alone
+                        for q in p.members:
+                            x = table[q * n + g]
+                            step = math.lcm(step, orders[x])
+                            if not cands & by_order[orders[x]]:
+                                floor = max(floor, orders[x])
+                        if settled(step, floor, cands):
+                            continue
+                h = Subgroup(group, base + (g,))
                 if h.members not in found:
+                    bit = 1 << len(found)
                     found[h.members] = h
+                    for x in h.members:
+                        containing[x] |= bit
+                    by_order[h.order] |= bit
+                    within |= bit
                     next_layer.append(h)
         layer = next_layer
     group._subgroups = tuple(sorted(found.values(), key=lambda h: (h.order, h.members)))
@@ -484,8 +542,11 @@ def subgroup_class_representatives(group: FiniteGroup) -> tuple[Subgroup, ...]:
     """The first member, in the sorted lattice, of each conjugacy class of subgroups."""
     lattice = enumerate_subgroups(group)
     index = {h.members: i for i, h in enumerate(lattice)}
-    gens = full_subgroup(group).generators  # they act on the lattice by conjugation
-    moves = [[index[h.conjugate_by(g).members] for h in lattice] for g in gens]
+    # conjugation is an automorphism: gHg^-1 has the images of H's members as its members
+    moves = [
+        [index[tuple(sorted([conj[x] for x in h.members]))] for h in lattice]
+        for conj in _conjugations(group)
+    ]
     return tuple(lattice[i] for i in orbits(len(lattice), moves)[0])
 
 

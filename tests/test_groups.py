@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from conftest import semidirect_7_9
 from jacdecomp import groups
 from jacdecomp.groups import (
     DegreeMismatch,
@@ -376,11 +377,36 @@ def every_element_walk(group: FiniteGroup) -> list[tuple[tuple[int, ...], tuple[
     preset_quaternion,
     lambda: preset_elementary_abelian_2(4),
     lambda: preset_dihedral(12),
-], ids=["A4", "S4", "F20", "Q8", "Z2^4", "D48"])
+    lambda: preset_dihedral(15),
+    lambda: preset_dihedral(21),
+    lambda: preset_elementary_abelian_2(5),
+    semidirect_7_9,
+], ids=["A4", "S4", "F20", "Q8", "Z2^4", "D48", "D60", "D84", "Z2^5", "Z7:Z9"])
 def test_enumerate_subgroups_matches_every_element_walk(make_group):
     group = make_group()
     listed = [(h.members, h.generators) for h in enumerate_subgroups(group)]
     assert listed == every_element_walk(group)
+
+
+@pytest.mark.parametrize("make_group", [
+    *(lambda q=q: preset_dihedral(q) for q in (3, 11, 15, 21, 31)),
+    *(lambda t=t: preset_elementary_abelian_2(t) for t in (1, 2, 3, 4, 5)),
+], ids=[f"D{4 * q}" for q in (3, 11, 15, 21, 31)] + [f"Z2^{t}" for t in (1, 2, 3, 4, 5)])
+def test_lattice_closes_only_new_subgroups(make_group, monkeypatch):
+    group = make_group()
+    built = []
+
+    class CountedSubgroup(groups.Subgroup):
+        __slots__ = ()
+
+        def __init__(self, parent, generators):
+            super().__init__(parent, generators)
+            built.append(self)
+
+    monkeypatch.setattr(groups, "Subgroup", CountedSubgroup)
+    lattice = enumerate_subgroups(group)
+    closures = len(built) - 1  # the walk starts from the trivial subgroup
+    assert closures <= len(lattice) - 1
 
 
 def test_enumerate_subgroups_trivial_group():
