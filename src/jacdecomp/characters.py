@@ -15,14 +15,18 @@ and one-dimensional-end checks.
 
 The root weights are summed once per class, and all rows are lifted in one
 packed pass, one bit slot per row in a Python int (Kronecker substitution).
-Multiplicities are below p, so the lift is unique and the final values are
-exact cyclotomic numbers; no floating point is involved anywhere.
+Multiplicities are below p, so the lift is unique; each value is written as
+sum_j m_j z^(j e/n) straight from the reduced powers of z = zeta_e.  No
+floating point is involved anywhere.
 
 The table owns the Galois action: one row permutation per generator of
 (Z/e)^x, each image row looked up exactly.  Rational classes are its orbits,
-and row orthonormality is proven with one exact inner product per orbit of
-unordered row pairs, because <chi^s, psi^s> = s(<chi, psi>), s fixes 0 and 1,
-and <psi, chi> is the conjugate of <chi, psi>.
+and row orthonormality is proven for one row pair per orbit of unordered
+pairs, because <chi^s, psi^s> = s(<chi, psi>), s fixes 0 and 1, and
+<psi, chi> is the conjugate of <chi, psi>.  Each pair is one integer test:
+rows are packed once per table by Kronecker evaluation at a power of two B
+wide enough that Phi_e(B) divides the packed sum exactly when the inner
+product is [i == j] (see _certify_orthonormality).
 """
 
 from __future__ import annotations
@@ -34,7 +38,8 @@ from math import gcd, isqrt
 from operator import mul
 from typing import Mapping
 
-from .cyclotomic import ConductorMismatch, Cyclotomic, _reduce_coeffs, is_prime
+from .cyclotomic import ConductorMismatch, Cyclotomic, cyclotomic_polynomial, is_prime
+from .cyclotomic import _power_reductions, _reduce_coeffs
 from .groups import (
     ConjugacyClassPartition,
     FiniteGroup,
@@ -431,11 +436,11 @@ def _galois_permutations(rows: list[ClassFunction], e: int) -> tuple[tuple[int, 
     """
     coords = [row.coords for row in rows]
     row_index = {c: i for i, c in enumerate(coords)}
-    phi = len(coords[0][0])
+    powers = _power_reductions(e)
     perms = []
     for u in _unit_generators(e):
         # basis z^i goes to reduced z^(iu); values repeat, so each is mapped once
-        basis_images = [_reduce_coeffs([0] * (i * u % e) + [1], e) for i in range(phi)]
+        basis_images = [powers[i * u % e] for i in range(len(powers[0]))]
         image_of: dict[tuple, tuple] = {}
         images = []
         for row in coords:
@@ -458,9 +463,20 @@ def _galois_permutations(rows: list[ClassFunction], e: int) -> tuple[tuple[int, 
 def _certify_orthonormality(rows: list[ClassFunction], galois) -> list[tuple[int, int]]:
     """Prove <rows[i], rows[j]> = [i == j] for all i, j; return the pairs checked.
 
-    One exact inner product per orbit of unordered pairs (i, j), i <= j, under
-    the Galois row permutations proves every pair: <chi^s, psi^s> = s(<chi, psi>)
-    and s fixes 0 and 1, while <psi, chi> is the conjugate of <chi, psi>.
+    One pair per orbit of unordered pairs (i, j), i <= j, under the Galois row
+    permutations proves every pair: <chi^s, psi^s> = s(<chi, psi>) and s fixes
+    0 and 1, while <psi, chi> is the conjugate of <chi, psi>.
+
+    Each pair is tested exactly by Kronecker evaluation at B = 2^W.  With x_c
+    row i's coordinates at class c and y-hat_c(z) = sum_t y_c[t] z^((-t) mod e)
+    row j's conjugate, left unreduced, the integer polynomial
+    f = sum_c |C_c| x_c y-hat_c - |G|[i = j] has f(zeta_e) = |G|(<chi_i, chi_j> - [i = j])
+    and ||f||_1 <= |G|(n^2 + 1), n the largest coordinate 1-norm of a value.
+    Its remainder r = f mod Phi_e sums f_k z^(k mod e), so every coordinate
+    of r is at most M |G|(n^2 + 1) in absolute value, M the largest coordinate
+    of a reduced z^s, s < e.  B > M |G|(n^2 + 1) + H + 1, H the largest
+    coefficient of Phi_e, so if r != 0 then 0 < |r(B)| < Phi_e(B); since
+    f(B) = r(B) (mod Phi_e(B)), Phi_e(B) divides f(B) exactly when f(zeta_e) = 0.
     """
     tri = [j * (j + 1) // 2 for j in range(len(rows))]
     pairs = [(i, j) for j in range(len(rows)) for i in range(j + 1)]  # (i, j) is tri[j] + i
@@ -469,8 +485,22 @@ def _certify_orthonormality(rows: list[ClassFunction], galois) -> list[tuple[int
         for perm in galois
     ]
     checked = [pairs[n] for n in orbits(len(pairs), moves)[0]]
+    e, order = rows[0].group.exponent, rows[0].group.order
+    values = {xs for row in rows for xs in row.coords}
+    if any(x.denominator != 1 for xs in values for x in xs):
+        raise CharacterError("row orthonormality needs integer coordinates")
+    n = max(sum(map(abs, xs)) for xs in values)
+    m = max(abs(x) for power in _power_reductions(e) for x in power)
+    phi = cyclotomic_polynomial(e)
+    width = (m * order * (n * n + 1) + max(map(abs, phi)) + 1).bit_length()
+    b = [1 << (width * t) for t in range(e + 1)]  # b[t] = B^t
+    modulus = sum(map(mul, phi, b))
+    at_b = {xs: sum(map(mul, xs, b)) for xs in values}
+    conj_at_b = {xs: xs[0] + sum(map(mul, xs[1:], b[e - 1::-1])) for xs in values}
+    left = [[size * at_b[xs] for size, xs in zip(row.classes.sizes, row.coords)] for row in rows]
+    right = [[conj_at_b[xs] for xs in row.coords] for row in rows]
     for i, j in checked:
-        if inner_product(rows[i], rows[j]) != (1 if i == j else 0):
+        if (sum(map(mul, left[i], right[j])) - (order if i == j else 0)) % modulus:
             raise CharacterError("row orthonormality failed")
     return checked
 
@@ -536,6 +566,7 @@ def character_table(group: FiniteGroup) -> CharacterTable:
     root_pow = [1] * e
     for t in range(1, e):
         root_pow[t] = root_pow[t - 1] * z_root % p
+    z_coords = _power_reductions(e)  # z_coords[t]: reduced coordinates of zeta_e^t
     # per class: element order n, its pow(n, -1, p) and the classes of rep^i, i < n
     cyclic = []
     for rep in reps:
@@ -571,7 +602,7 @@ def character_table(group: FiniteGroup) -> CharacterTable:
         positions: dict[int, list[int]] = {}
         for i, c in enumerate(powers):
             positions.setdefault(c, []).append(i)
-        terms: list[dict[int, int]] = [{} for _ in range(k)]
+        terms: list[list[tuple]] = [[] for _ in range(k)]
         totals = [0] * k
         for j in range(n):
             packed = sum(
@@ -583,12 +614,13 @@ def character_table(group: FiniteGroup) -> CharacterTable:
                 if m_j > d:
                     raise CharacterError("eigenvalue multiplicity exceeds the degree")
                 if m_j:
-                    terms[r][(j * e) // n] = m_j
+                    terms[r].append((m_j, z_coords[j * step]))
                     totals[r] += m_j
         if totals != degrees:
             raise CharacterError("eigenvalue multiplicities do not sum to the degree")
         for row_values, row_terms in zip(values, terms):
-            row_values.append(Cyclotomic.from_terms(row_terms, e))
+            # the value is sum_j m_j zeta_n^j, each zeta_n^j = z^(j e/n) already reduced
+            row_values.append(Cyclotomic(e, _combine(*zip(*row_terms))))
     rows = [ClassFunction(group, tuple(row_values)) for row_values in values]
 
     trivial = ClassFunction(group, tuple(Cyclotomic.one(e) for _ in range(k)))
@@ -760,7 +792,7 @@ def _rational_class(
     total = table.irreducibles[rep]
     for j in members[1:]:
         total = total + table.irreducibles[j]
-    rational_char = total * s
+    rational_char = total if s == 1 else total * s
     for v in rational_char.values:
         if not v.is_rational():
             raise CharacterError("orbit sum has irrational values")

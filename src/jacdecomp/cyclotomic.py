@@ -7,6 +7,11 @@ character value is one) and Fractions only after a Fraction scalar.
 Canonical form is unique and Fraction(n) == n, so equality of values is
 equality of coordinate tuples.  No floats anywhere.
 
+Reduction reads one table per conductor, the reduced coordinates of z^t for
+every t < e: a coefficient list reduces by adding c_t times the entry of
+t mod e for each t >= phi(e).  A product with an int or Fraction scales the
+coordinates and reduces nothing.
+
 One analysis session fixes a single conductor (the exponent of the acting
 group) and embeds every character value there, which keeps all arithmetic in
 one field and avoids compositum bookkeeping.
@@ -70,18 +75,6 @@ def euler_phi(n: int) -> int:
     return result
 
 
-def _divisors(n: int) -> list[int]:
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
-
-
 def _int_poly_div(num: Sequence[int], den: Sequence[int]) -> list[int]:
     """Exact division of integer polynomials (low degree first), den monic."""
     num = list(num)
@@ -99,30 +92,40 @@ def _int_poly_div(num: Sequence[int], den: Sequence[int]) -> list[int]:
     return quot
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def cyclotomic_polynomial(e: int) -> tuple[int, ...]:
     """Coefficients of Phi_e, low degree first; monic of degree phi(e)."""
     if e < 1:
         raise ZeroConductor(f"conductor must be positive, got {e}")
     poly = [-1] + [0] * (e - 1) + [1]  # x^e - 1
-    for d in _divisors(e):
-        if d < e:
+    for d in range(1, e):
+        if e % d == 0:
             poly = _int_poly_div(poly, cyclotomic_polynomial(d))
     return tuple(poly)
 
 
-def _reduce_coeffs(coeffs: list[Scalar], e: int) -> tuple[Scalar, ...]:
-    """Remainder of a coefficient list modulo Phi_e, padded to length phi(e)."""
+@lru_cache(maxsize=32)
+def _power_reductions(e: int) -> tuple[tuple[int, ...], ...]:
+    """Reduced coordinates of z^t for every t < e, by z^(t+1) = z * z^t mod Phi_e."""
     phi = cyclotomic_polynomial(e)
-    deg = len(phi) - 1
-    rem = list(coeffs)
-    for i in range(len(rem) - 1, deg - 1, -1):
-        c = rem[i]
+    table = [(1,) + (0,) * (len(phi) - 2)]
+    while len(table) < e:
+        # shift up one place; the coefficient reaching z^phi folds back through Phi_e
+        power = table[-1]
+        table.append(tuple(a - power[-1] * c for a, c in zip((0,) + power[:-1], phi)))
+    return tuple(table)
+
+
+def _reduce_coeffs(coeffs: Sequence[Scalar], e: int) -> tuple[Scalar, ...]:
+    """Remainder of a coefficient list modulo Phi_e, padded to length phi(e):
+    each c_t with t >= phi(e) adds c_t times the reduced z^(t mod e)."""
+    powers = _power_reductions(e)
+    deg = len(powers[0])
+    rem = list(coeffs[:deg]) + [0] * (deg - len(coeffs))
+    for t in range(deg, len(coeffs)):
+        c = coeffs[t]
         if c:
-            for j in range(len(phi)):
-                rem[i - deg + j] -= c * phi[j]
-    rem = rem[:deg]
-    rem.extend([0] * (deg - len(rem)))
+            rem = [a + c * b for a, b in zip(rem, powers[t % e])]
     return tuple(rem)
 
 
@@ -223,6 +226,9 @@ class Cyclotomic:
         return o - self
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            # a rational scalar scales the coordinates; zeros stay int zeros
+            return Cyclotomic(self.conductor, [a * other if a else 0 for a in self.coeffs])
         o = self._coerce(other)
         if o is None:
             return NotImplemented

@@ -346,7 +346,7 @@ def test_dihedral_table_matches_closed_form(q):
     assert {row.values for row in table.irreducibles} == closed_form_dihedral_rows(q)
 
 
-@pytest.mark.parametrize("t", [1, 2, 3, 4, 6])
+@pytest.mark.parametrize("t", [1, 2, 3, 4, 6, 7])
 def test_elementary_abelian_table_matches_closed_form(t):
     """Rows are exactly the sign characters determined on the generators."""
     import itertools
@@ -1368,6 +1368,84 @@ def test_perturbing_a_galois_orbit_consistently_is_caught(name):
         assert characters._galois_permutations(perturbed, e) == table.galois
         with pytest.raises(CharacterError):
             characters._certify_orthonormality(perturbed, table.galois)
+
+
+def linear_character_rows(e):
+    """C_e with its class of c^k at index k, and row j: c^k -> zeta_e^(jk)."""
+    group = cyclic_group(e)
+    c = group.generator_names["c"]
+    exponents = [next(k for k in range(e) if group.power(c, k) == rep)
+                 for rep in conjugacy_classes(group).representatives]
+    return group, [
+        ClassFunction(group, tuple(Cyclotomic.root(e, j * k) for k in exponents))
+        for j in range(e)
+    ]
+
+
+def random_coordinates(rng, e, scale):
+    """A cyclotomic integer whose nonzero coordinates are near +-scale."""
+    phi = len(cyclotomic_polynomial(e)) - 1
+    return Cyclotomic(e, [
+        rng.choice((-1, 1)) * (scale + rng.randint(-scale // 10, scale // 10))
+        if rng.random() < 0.6 else 0
+        for _ in range(phi)
+    ])
+
+
+def exact_pair_fails(a, b, expected):
+    try:
+        return inner_product(a, b) != expected
+    except characters.IrrationalInnerProduct:
+        return True
+
+
+@pytest.mark.parametrize("e, trials", [(1, 400), (2, 300), (3, 150), (7, 60), (12, 40), (30, 20), (105, 6), (122, 8)])
+def test_certificate_agrees_with_exact_inner_products(e, trials):
+    """Random integer rows, no Galois generators, so every pair is checked: the
+    packed certificate raises exactly when some exact inner product is not [i == j].
+
+    Rows are linear characters of C_e times random units +-zeta^s (non-real when
+    e > 2), some with one value moved by a small or a ~10^6-coordinate cyclotomic
+    integer, some wholly random with ~10^6 coordinates.  Reduced powers of zeta_105
+    and Phi_105 have coefficients of size 2; the other conductors have 1.
+    """
+    _, characters_of = linear_character_rows(e)
+    rng = random.Random(f"certificate:{e}")
+    outcomes = set()
+    for trial in range(trials):
+        rows = []
+        for j in rng.sample(range(e), rng.randint(1, min(e, 3))):
+            unit = Cyclotomic.root(e, rng.randrange(e)) * rng.choice((-1, 1))
+            rows.append(ClassFunction(characters_of[j].group,
+                                      tuple(v * unit for v in characters_of[j].values)))
+        kind = rng.random() if trial else 1.0  # the first trial keeps its rows
+        if kind < 0.6:
+            r = rng.randrange(len(rows))
+            delta = random_coordinates(rng, e, rng.choice((1, 10 ** 6)))
+            rows[r] = replace_value(rows[r], rng.randrange(e), delta)
+        elif kind < 0.8:
+            rows[-1] = ClassFunction(rows[-1].group, tuple(
+                random_coordinates(rng, e, 10 ** 6) for _ in range(e)))
+        fails = any(
+            exact_pair_fails(rows[i], rows[j], 1 if i == j else 0)
+            for j in range(len(rows)) for i in range(j + 1)
+        )
+        if fails:
+            with pytest.raises(CharacterError, match="row orthonormality failed"):
+                characters._certify_orthonormality(rows, ())
+        else:
+            checked = characters._certify_orthonormality(rows, ())
+            assert len(checked) == len(rows) * (len(rows) + 1) // 2
+        outcomes.add(fails)
+    assert outcomes == {True, False}
+
+
+def test_certificate_rejects_non_integer_coordinates():
+    table = character_table(preset_dihedral(5))
+    rows = list(table.irreducibles)
+    rows[1] = rows[1] * Fraction(1, 2)
+    with pytest.raises(CharacterError, match="integer coordinates"):
+        characters._certify_orthonormality(rows, table.galois)
 
 
 def test_irrational_inner_product_is_a_character_error():

@@ -11,6 +11,8 @@ from jacdecomp.cyclotomic import (
     Cyclotomic,
     NotCoprime,
     ZeroConductor,
+    _power_reductions,
+    _reduce_coeffs,
     cyclotomic_polynomial,
     euler_phi,
     is_prime,
@@ -133,6 +135,54 @@ def test_integer_inputs_keep_int_coordinates():
     assert half + half == a
     rational = Cyclotomic.from_rational(7, 12)
     assert type(rational.as_rational()) is Fraction and rational.as_rational() == 7
+
+
+def long_division_remainder(coeffs, e):
+    """Reference: schoolbook remainder modulo the monic Phi_e, top term first."""
+    phi = cyclotomic_polynomial(e)
+    deg = len(phi) - 1
+    rem = list(coeffs)
+    for i in range(len(rem) - 1, deg - 1, -1):
+        c = rem[i]
+        if c:
+            for j in range(len(phi)):
+                rem[i - deg + j] -= c * phi[j]
+    rem = rem[:deg]
+    return tuple(rem + [0] * (deg - len(rem)))
+
+
+@pytest.mark.parametrize("e", range(1, 131))
+def test_reduce_coeffs_matches_long_division(e):
+    """Lengths 0..3e: products run to 2 phi(e) - 1, past e when e is prime."""
+    rng = random.Random(f"reduce:{e}")
+    lengths = {0, 1, e - 1, e, 2 * e - 1, 3 * e, rng.randint(0, 3 * e)}
+    for length in sorted(lengths):
+        ints = [rng.randint(-9, 9) if rng.random() < 0.5 else 0 for _ in range(length)]
+        assert _reduce_coeffs(ints, e) == long_division_remainder(ints, e)
+    # Fraction coordinates come only from a Fraction scalar; the reference is slow on them
+    for length in (e - 1, 2 * e - 1):
+        fractions = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) if rng.random() < 0.2 else 0
+                     for _ in range(length)]
+        assert _reduce_coeffs(fractions, e) == long_division_remainder(fractions, e)
+    powers = _power_reductions(e)
+    assert len(powers) == e
+    for t in {0, e - 1, rng.randrange(e), rng.randrange(e)}:
+        assert powers[t] == long_division_remainder([0] * t + [1], e)
+
+
+def test_rational_scalars_scale_coordinates():
+    rng = random.Random(20261018)
+    for e in (1, 2, 5, 12, 30):
+        value = Cyclotomic.from_terms({k: rng.randint(-5, 5) for k in range(e)}, e)
+        for scalar in (0, 3, -2, Fraction(3, 4), Fraction(-5, 2)):
+            full = value * Cyclotomic.from_rational(scalar, e)
+            assert value * scalar == scalar * value == full
+            assert (value * scalar).coeffs == tuple(a * scalar for a in value.coeffs)
+
+
+def test_conductor_caches_are_bounded():
+    for cache in (cyclotomic_polynomial, _power_reductions):
+        assert cache.cache_info().maxsize is not None
 
 
 def test_conductor_mismatch_raises():
