@@ -13,11 +13,13 @@ mapped back through the recorded steps.  Every returned vector is checked to
 satisfy restr * v = lam * v exactly, beside the invariance, split-dimension
 and one-dimensional-end checks.
 
-The root weights are summed once per class, and all rows are lifted in one
-packed pass, one bit slot per row in a Python int (Kronecker substitution).
-Multiplicities are below p, so the lift is unique; each value is written as
-sum_j m_j z^(j e/n) straight from the reduced powers of z = zeta_e.  No
-floating point is involved anywhere.
+One class per orbit of x -> x^u (u a unit) is lifted: the class of rep^u,
+read from the class partition's power map, takes sigma_u of each value, its
+multiplicities permuted by j -> ju mod n, and is checked mod p against the
+split.  Lifted rows share one packed pass, one bit slot per row in a Python
+int (Kronecker substitution).  Multiplicities are below p, so the lift is
+unique; each distinct value is written once as sum_j m_j z^(j e/n) from the
+reduced powers of z = zeta_e.  No floating point is involved anywhere.
 
 The table owns the Galois action: one row permutation per generator of
 (Z/e)^x, each image row looked up exactly.  Rational classes are its orbits,
@@ -550,8 +552,6 @@ def character_table(group: FiniteGroup) -> CharacterTable:
     order = group.order
     p = _find_prime(e, order)
 
-    reps = classes.representatives
-    class_of = classes.class_of
     # class matrices are built as the split reaches them; the identity's never splits
     eigenvectors = _common_eigenvectors((_class_matrix(group, i) for i in range(1, k)), k, p)
     if len(eigenvectors) != k:
@@ -559,7 +559,7 @@ def character_table(group: FiniteGroup) -> CharacterTable:
             f"expected {k} common eigenvectors, found {len(eigenvectors)}"
         )
 
-    inv_class = [class_of[group.inv(rep)] for rep in reps]
+    inv_class = [classes.class_of[group.inv(rep)] for rep in classes.representatives]
     inv_sizes = [pow(size, -1, p) for size in classes.sizes]
     # root_pow[t] = z^t mod p for a primitive e-th root z; zeta_n^i is z^(i*e/n)
     z_root = _primitive_root_of_unity(p, e)
@@ -567,11 +567,6 @@ def character_table(group: FiniteGroup) -> CharacterTable:
     for t in range(1, e):
         root_pow[t] = root_pow[t - 1] * z_root % p
     z_coords = _power_reductions(e)  # z_coords[t]: reduced coordinates of zeta_e^t
-    # per class: element order n, its pow(n, -1, p) and the classes of rep^i, i < n
-    cyclic = []
-    for rep in reps:
-        n = group.element_order(rep)
-        cyclic.append((n, pow(n, -1, p), [class_of[group.power(rep, i)] for i in range(n)]))
 
     degrees, cvals_rows = [], []
     for vec in eigenvectors:
@@ -595,33 +590,50 @@ def character_table(group: FiniteGroup) -> CharacterTable:
     mask = (1 << bits) - 1
     shifts = range(0, bits * k, bits)
     columns = [sum(row[c] << s for s, row in zip(shifts, cvals_rows)) for c in range(k)]
-    values: list[list[Cyclotomic]] = [[] for _ in range(k)]
-    for n, inv_n, powers in cyclic:
+    values: list = [None] * k  # values[c]: class c's column, lifted or derived
+    images: dict[tuple, tuple] = {}  # sorted (z-exponent, m) pairs -> value, image mod p
+    for c, powers in enumerate(classes.power_map):
+        if values[c] is not None:
+            continue  # c is the class of rep^u for an earlier class rep, u a unit
         # m_j = (1/n) sum_i chi(rep^i) z^(-ij e/n), weights summed per class of rep^i
-        step = e // n
+        n = len(powers)
+        step, inv_n = e // n, pow(n, -1, p)
         positions: dict[int, list[int]] = {}
-        for i, c in enumerate(powers):
-            positions.setdefault(c, []).append(i)
-        terms: list[list[tuple]] = [[] for _ in range(k)]
+        for i, c2 in enumerate(powers):
+            positions.setdefault(c2, []).append(i)
+        terms: list[tuple] = [()] * k  # per row, its (z-exponent, m_j) pairs
         totals = [0] * k
         for j in range(n):
             packed = sum(
-                sum(root_pow[(-i * j * step) % e] for i in where) % p * columns[c]
-                for c, where in positions.items()
+                sum(root_pow[(-i * j * step) % e] for i in where) % p * columns[c2]
+                for c2, where in positions.items()
             )
             for r, (s, d) in enumerate(zip(shifts, degrees)):
                 m_j = ((packed >> s) & mask) * inv_n % p
                 if m_j > d:
                     raise CharacterError("eigenvalue multiplicity exceeds the degree")
                 if m_j:
-                    terms[r].append((m_j, z_coords[j * step]))
+                    terms[r] += ((j * step, m_j),)
                     totals[r] += m_j
         if totals != degrees:
             raise CharacterError("eigenvalue multiplicities do not sum to the degree")
-        for row_values, row_terms in zip(values, terms):
-            # the value is sum_j m_j zeta_n^j, each zeta_n^j = z^(j e/n) already reduced
-            row_values.append(Cyclotomic(e, _combine(*zip(*row_terms))))
-    rows = [ClassFunction(group, tuple(row_values)) for row_values in values]
+        # chi(rep^u) = sigma_u(chi(rep)) = sum_j m_j z^(j step u) for each unit u mod n
+        for u in range(1, n + 1):  # u = n = 1 only for the identity class
+            c2 = powers[u % n]
+            if gcd(u, n) != 1 or values[c2] is not None:
+                continue
+            values[c2] = []
+            for r, row_terms in enumerate(terms):
+                key = tuple(sorted([(t * u % e, m) for t, m in row_terms]))
+                image = images.get(key)
+                if image is None:
+                    ts, ms = zip(*key)
+                    value = Cyclotomic(e, _combine(ms, [z_coords[t] for t in ts]))
+                    image = images[key] = value, sum(map(mul, value.coeffs, root_pow)) % p
+                if image[1] != cvals_rows[r][c2]:
+                    raise CharacterError("a Galois-derived column disagrees with the split mod p")
+                values[c2].append(image[0])
+    rows = [ClassFunction(group, row_values) for row_values in zip(*values)]
 
     trivial = ClassFunction(group, tuple(Cyclotomic.one(e) for _ in range(k)))
     others = [row for row in rows if row != trivial]
@@ -725,10 +737,10 @@ def frobenius_schur(chi: ClassFunction) -> int:
         raise NotIrreducible("Frobenius-Schur indicator needs an irreducible character")
     group = chi.group
     coords = chi.coords
-    class_of = conjugacy_classes(group).class_of
-    counts = [0] * len(coords)
-    for g in range(group.order):
-        counts[class_of[group.mul(g, g)]] += 1
+    classes = conjugacy_classes(group)
+    counts = [0] * len(coords)  # the squares of class c all lie in the class of rep_c^2
+    for size, powers in zip(classes.sizes, classes.power_map):
+        counts[powers[2 % len(powers)]] += size
     total = Cyclotomic(group.exponent, _combine(counts, coords))
     if not total.is_rational():
         raise NotIrreducible(f"indicator sum {total} is not rational; not a character")

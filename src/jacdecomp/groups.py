@@ -12,6 +12,8 @@ read off the table (rows, columns, or their composition), and one routine,
 :func:`orbits`, walks them.  Those walks move points by a subgroup's
 generators only; :class:`Subgroup` is built from its generators alone and
 computes its members as their closure, so the generators always generate it.
+The class partition owns the power map, the class of each rep^i, read down
+rep's column of the table with no product call.
 The subgroup lattice closes a subgroup only when it may be new: a closure
 that Lagrange's theorem proves would rediscover a subgroup already found (a
 found subgroup containing its generators has the least order it can have) is
@@ -334,13 +336,15 @@ def preset_quaternion(order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
 
 @dataclass(frozen=True)
 class ConjugacyClassPartition:
-    """Conjugacy classes ordered by smallest member; identity class first."""
+    """Conjugacy classes ordered by smallest member, identity class first;
+    ``power_map[c][i]`` is the class of rep_c^i for i below the order of rep_c."""
 
     group: FiniteGroup
     classes: tuple[tuple[int, ...], ...]
     representatives: tuple[int, ...]
     sizes: tuple[int, ...]
     class_of: tuple[int, ...]
+    power_map: tuple[tuple[int, ...], ...]
 
     def __len__(self) -> int:
         return len(self.classes)
@@ -364,12 +368,21 @@ def conjugacy_classes(group: FiniteGroup) -> ConjugacyClassPartition:
     classes: list[list[int]] = [[] for _ in reps]
     for x, k in enumerate(class_of):
         classes[k].append(x)
+    n, table = group.order, group._table
+    power_map = []
+    for rep in reps:  # walk rep's column of the table: x <- x * rep until the identity
+        powers, x = [0], rep
+        while x:
+            powers.append(class_of[x])
+            x = table[x * n + rep]
+        power_map.append(tuple(powers))
     partition = ConjugacyClassPartition(
         group=group,
         classes=tuple(map(tuple, classes)),
         representatives=tuple(reps),
         sizes=tuple(len(c) for c in classes),
         class_of=tuple(class_of),
+        power_map=tuple(power_map),
     )
     group._classes = partition
     return partition

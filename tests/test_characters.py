@@ -34,6 +34,7 @@ from jacdecomp.characters import (
 from jacdecomp.cyclotomic import ConductorMismatch, Cyclotomic, cyclotomic_polynomial
 from jacdecomp.decomposition import analyze
 from jacdecomp.groups import (
+    FiniteGroup,
     Permutation,
     build_group,
     conjugacy_classes,
@@ -1219,6 +1220,144 @@ def test_lift_checks_reject_a_perturbed_eigenvector(monkeypatch, make_group, whi
     monkeypatch.setattr(characters, "_common_eigenvectors", perturbed)
     with pytest.raises(CharacterError):
         character_table(make_group())
+
+
+# -- the power map, derived columns and Frobenius-Schur squares -------------------
+
+
+@functools.cache
+def dihedral_244():
+    return preset_dihedral(61)
+
+
+with_lift_groups_and_d244 = pytest.mark.parametrize(
+    "make_group", [lambda g=g: g for g in LIFT_GROUPS] + [dihedral_244],
+    ids=[f"order{g.order}" for g in LIFT_GROUPS] + ["D244"],
+)
+
+
+@with_lift_groups_and_d244
+def test_power_map_matches_group_powers(make_group):
+    group = make_group()
+    classes = conjugacy_classes(group)
+    for rep, powers in zip(classes.representatives, classes.power_map):
+        assert len(powers) == group.element_order(rep)
+        assert powers == tuple(classes.class_of[group.power(rep, i)] for i in range(len(powers)))
+
+
+def column_orbit_representatives(classes):
+    """The least class of each orbit of x -> x^u, u a unit, from the power map."""
+    representatives = set()
+    for powers in classes.power_map:
+        n = len(powers)
+        representatives.add(min(powers[u % n] for u in range(1, n + 1) if gcd(u, n) == 1))
+    return representatives
+
+
+@pytest.mark.parametrize("kind", ["derived", "representative"])
+@pytest.mark.parametrize("which", [0, -1])
+def test_lift_rejects_a_perturbed_eigenvector_on_any_column(monkeypatch, kind, which):
+    """One eigenvector entry moved by +1 mod p, on each D60 class that is not
+    its column-orbit representative (its column is derived by sigma_u), or on
+    each representative other than the identity class."""
+    group = preset_dihedral(15)
+    classes = conjugacy_classes(group)
+    representatives = column_orbit_representatives(classes)
+    targets = [c for c in range(1, len(classes)) if (c in representatives) == (kind != "derived")]
+    assert len(targets) >= 2
+    split = characters._common_eigenvectors
+    for c in targets:
+        def perturbed(mats, n, p, c=c):
+            vectors = split(mats, n, p)
+            vectors[which][c] = (vectors[which][c] + 1) % p
+            return vectors
+
+        monkeypatch.setattr(characters, "_common_eigenvectors", perturbed)
+        with pytest.raises(CharacterError):
+            character_table(group)
+
+
+def indicator_by_squaring(chi):
+    """Reference: (1/|G|) sum of chi(g^2), squaring every element of the group."""
+    group = chi.group
+    class_of = conjugacy_classes(group).class_of
+    counts = [0] * len(chi.values)
+    for g in range(group.order):
+        counts[class_of[group.mul(g, g)]] += 1
+    total = sum((n * v for n, v in zip(counts, chi.values)), Cyclotomic.zero(group.exponent))
+    return total.as_rational() / group.order
+
+
+@with_lift_groups_and_d244
+def test_frobenius_schur_counts_squares_per_class_without_mul(make_group, monkeypatch):
+    group = make_group()
+    rows = character_table(group).irreducibles
+    expected = [indicator_by_squaring(row) for row in rows]
+
+    def no_mul(self, i, j):
+        raise AssertionError("frobenius_schur multiplied group elements")
+
+    monkeypatch.setattr(FiniteGroup, "mul", no_mul)
+    assert [frobenius_schur(row) for row in rows] == expected
+
+
+# -- the dicyclic groups against their closed-form tables -------------------------
+
+
+def dicyclic_group(n):
+    """Q_4n = <a, x | a^2n = 1, x^2 = a^n, x a x^-1 = a^-1> in its regular action.
+
+    Point k + 2n*s stands for a^k x^s, and a and x act by left multiplication:
+    a a^k x^s = a^(k+1) x^s, x a^k = a^-k x and x a^k x = a^(n-k).
+    """
+    m = 2 * n
+    a = Permutation(tuple((k + 1) % m + m * s for s in (0, 1) for k in range(m)))
+    x = Permutation(tuple(
+        (-k) % m + m if s == 0 else (n - k) % m for s in (0, 1) for k in range(m)
+    ))
+    group = build_group([a, x], ["a", "x"])
+    assert group.order == 4 * n
+    return group
+
+
+def closed_form_dicyclic_rows(group, n):
+    """The four linear rows and psi_1..psi_(n-1) of Q_4n, built without the engine.
+
+    A linear row sends a to alpha = +-1 and x to a square root of alpha^n;
+    psi_j(a^k) = zeta_2n^(jk) + zeta_2n^(-jk) and psi_j(a^k x) = 0.
+    """
+    e, m = group.exponent, 2 * n
+    # (s, k) of each class representative a^k x^s, read off the image of the identity point
+    reps = conjugacy_classes(group).representatives
+    words = [divmod(group.elements[rep].images[0], m) for rep in reps]
+    linear = [
+        tuple(Cyclotomic.root(e, (k * alpha + s * beta) % e) for s, k in words)
+        for alpha in (0, e // 2)
+        for beta in range(e)
+        if 2 * beta % e == n * alpha % e
+    ]
+    step = e // m
+    psi = [
+        tuple(
+            Cyclotomic.root(e, j * k * step) + Cyclotomic.root(e, -j * k * step) if s == 0
+            else Cyclotomic.zero(e)
+            for s, k in words
+        )
+        for j in range(1, n)
+    ]
+    return linear, psi
+
+
+@pytest.mark.parametrize("n", [2, 3, 6, 25, 50])
+def test_dicyclic_table_matches_closed_form(n):
+    group = dicyclic_group(n)
+    linear, psi = closed_form_dicyclic_rows(group, n)
+    assert len(linear) == 4 and len(set(linear + psi)) == n + 3
+    table = character_table(group)
+    rows = {row.values: row for row in table.irreducibles}
+    assert set(rows) == set(linear + psi)
+    for j, values in enumerate(psi, start=1):
+        assert frobenius_schur(rows[values]) == (-1) ** j
 
 
 # -- the Galois action on the rows and the orthonormality certificate --------------
