@@ -33,12 +33,11 @@ product is [i == j] (see _certify_orthonormality).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, isqrt
 from operator import mul
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .cyclotomic import ConductorMismatch, Cyclotomic, cyclotomic_polynomial, is_prime
 from .cyclotomic import _power_reductions, _reduce_coeffs
@@ -80,16 +79,22 @@ class IrrationalInnerProduct(CharacterError, ValueError):
     """An inner product of class functions is not a rational number."""
 
 
-@dataclass(frozen=True)
 class ClassFunction:
     """Function constant on conjugacy classes, with cyclotomic values."""
 
-    group: FiniteGroup
-    values: tuple[Cyclotomic, ...]
-
-    def __post_init__(self):
-        if len(self.values) != len(conjugacy_classes(self.group)):
+    def __init__(self, group: FiniteGroup, values: tuple[Cyclotomic, ...]):
+        if len(values) != len(conjugacy_classes(group)):
             raise CharacterError("one value per conjugacy class required")
+        self.group = group
+        self.values = values
+
+    def __eq__(self, other):
+        if type(other) is not ClassFunction:
+            return NotImplemented
+        return (self.group, self.values) == (other.group, other.values)
+
+    def __hash__(self) -> int:
+        return hash((self.group, self.values))
 
     @property
     def classes(self) -> ConjugacyClassPartition:
@@ -159,8 +164,7 @@ def inner_product(a: ClassFunction, b: ClassFunction) -> Fraction:
     return Fraction(total.coeffs[0]) / group.order
 
 
-@dataclass(frozen=True)
-class CharacterTable:
+class CharacterTable(NamedTuple):
     """Complex irreducible characters, trivial first, then by (degree, values)."""
 
     group: FiniteGroup
@@ -388,7 +392,8 @@ def _common_eigenvectors(mats, n: int, p: int) -> list[list[int]]:
                 for u in kernel:
                     if [sum(map(mul, row, u)) % p for row in restr] != [lam * x % p for x in u]:
                         raise CharacterError("eigenspace vector fails restr * v = lambda * v")
-                    vectors.append([y % p for y in _combine(u, basis)])
+                    combined = u if basis is identity_basis else _combine(u, basis)
+                    vectors.append([y % p for y in combined])
                 rref, piv = _rref_mod(vectors, p)
                 split_dim += len(rref)
                 new_spaces.append((rref, piv))
@@ -753,8 +758,7 @@ def frobenius_schur(chi: ClassFunction) -> int:
 # -- rational classes (Galois orbits) ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class RationalClass:
+class RationalClass(NamedTuple):
     """One Galois orbit of complex irreducibles: a rational irreducible.
 
     The rational character is schur_index times the orbit sum; its degree is
@@ -858,16 +862,24 @@ def rational_classes(
 # -- group algebra elements and central idempotents --------------------------------
 
 
-@dataclass(frozen=True)
 class GroupAlgebraElement:
     """Element of Q[G], dense rational coefficients indexed by element."""
 
-    group: FiniteGroup
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ("group", "coeffs")
 
-    def __post_init__(self):
-        if len(self.coeffs) != self.group.order:
+    def __init__(self, group: FiniteGroup, coeffs: tuple[Fraction, ...]):
+        if len(coeffs) != group.order:
             raise CharacterError("one coefficient per group element required")
+        self.group = group
+        self.coeffs = coeffs
+
+    def __eq__(self, other):
+        if type(other) is not GroupAlgebraElement:
+            return NotImplemented
+        return (self.group, self.coeffs) == (other.group, other.coeffs)
+
+    def __hash__(self) -> int:
+        return hash((self.group, self.coeffs))
 
     @classmethod
     def zero(cls, group: FiniteGroup) -> "GroupAlgebraElement":

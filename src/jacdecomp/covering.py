@@ -8,10 +8,9 @@ existence theorem: an action is accepted exactly when its vector checks out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .groups import (
     FiniteGroup,
@@ -53,8 +52,7 @@ class NonIntegralGenus(CoveringError):
     """A genus came out non-integral; the covering data is inconsistent."""
 
 
-@dataclass(frozen=True)
-class CoveringAction:
+class CoveringAction(NamedTuple):
     """Monodromy data of a group action on a surface.
 
     orbit_genus is the genus of the quotient; periods are the branch orders;
@@ -69,8 +67,7 @@ class CoveringAction:
     branch_elements: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class GenusCertificate:
+class GenusCertificate(NamedTuple):
     """Riemann-Hurwitz audit trail for a validated action."""
 
     total_genus: int
@@ -160,9 +157,13 @@ def orbit_count(stabilizer: Subgroup, cosets) -> int:
     """Number of orbits of a stabilizer subgroup on a coset action.
 
     The walk moves cosets by the stabilizer's generators only, which
-    generate it: a Subgroup is the closure of its generators.
+    generate it: a Subgroup is the closure of its generators.  A generator g
+    sends coset x to the coset of g * rep_x, read off g's row of the table.
     """
-    degree = cosets.degree
+    reps, coset_of = cosets.representatives, cosets.coset_of
+    n, table = cosets.group.order, cosets.group._table
+    rows = [g * n for g in stabilizer.generators]
+    degree = len(reps)
     seen = [False] * degree
     count = 0
     for start in range(degree):
@@ -172,9 +173,9 @@ def orbit_count(stabilizer: Subgroup, cosets) -> int:
         frontier = [start]
         seen[start] = True
         while frontier:
-            x = frontier.pop()
-            for g in stabilizer.generators:
-                y = cosets.image(g, x)
+            rep = reps[frontier.pop()]
+            for row in rows:
+                y = coset_of[table[row + rep]]
                 if not seen[y]:
                     seen[y] = True
                     frontier.append(y)

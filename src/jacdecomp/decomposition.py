@@ -12,10 +12,9 @@ values; the remaining raises guard inputs, signs and integrality.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .characters import (
     CharacterTable,
@@ -101,8 +100,7 @@ class TooFewFactors(DecompositionError):
     """Fiber-product constructions need at least two factors."""
 
 
-@dataclass(frozen=True)
-class IsotypicalFactor:
+class IsotypicalFactor(NamedTuple):
     """One factor of the group-algebra decomposition: class data plus dim."""
 
     rational_class: RationalClass
@@ -113,8 +111,7 @@ class IsotypicalFactor:
         return self.rational_class.n
 
 
-@dataclass(frozen=True)
-class SubgroupProfile:
+class SubgroupProfile(NamedTuple):
     """Induced decomposition data of one quotient: exponents and genus."""
 
     subgroup: Subgroup
@@ -123,8 +120,7 @@ class SubgroupProfile:
     fixed_dims: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class AdmissibilityReport:
+class AdmissibilityReport(NamedTuple):
     """Per-class sums and slacks for one collection against one ambient group."""
 
     subgroups: tuple[Subgroup, ...]
@@ -140,8 +136,7 @@ class AdmissibilityReport:
         return self.admissible
 
 
-@dataclass(frozen=True)
-class DecompositionReport:
+class DecompositionReport(NamedTuple):
     """Verified dimension bookkeeping for JC ~ JC_H1 x ... x JC_Ht x P."""
 
     subgroups: tuple[Subgroup, ...]
@@ -154,8 +149,7 @@ class DecompositionReport:
     profiles: tuple[SubgroupProfile, ...]
 
 
-@dataclass(frozen=True)
-class Proposition2Report:
+class Proposition2Report(NamedTuple):
     """Verified bookkeeping for JC x JC_join ~ JC_H1 x JC_H2 x P."""
 
     h1: Subgroup
@@ -171,8 +165,7 @@ class Proposition2Report:
     statement: str
 
 
-@dataclass(frozen=True)
-class Corollary1Report:
+class Corollary1Report(NamedTuple):
     """Prym containment check for one distinguished index of a collection."""
 
     k: int
@@ -183,8 +176,7 @@ class Corollary1Report:
     full: bool
 
 
-@dataclass(frozen=True)
-class TheoremCReport:
+class TheoremCReport(NamedTuple):
     """Hypothesis check for the classical pairwise-permuting criterion.
 
     The three hypotheses: all pairs of subgroups permute (the product set is
@@ -202,8 +194,7 @@ class TheoremCReport:
     applicable: bool
 
 
-@dataclass(frozen=True)
-class Proposition1Report:
+class Proposition1Report(NamedTuple):
     """Agreement of the two algebraic restatements of admissible-and-full."""
 
     statement2: bool
@@ -217,8 +208,7 @@ class Proposition1Report:
     statement: str | None
 
 
-@dataclass(frozen=True)
-class TheoremBReport:
+class TheoremBReport(NamedTuple):
     """The three exact identities behind the partition decomposition."""
 
     t: int
@@ -229,16 +219,14 @@ class TheoremBReport:
     holds: bool
 
 
-@dataclass(frozen=True)
-class RationalRepProfile:
+class RationalRepProfile(NamedTuple):
     """Multiplicity of each rational class in the degree-2g homology action."""
 
     multiplicities: tuple[int, ...]
     total_degree: int
 
 
-@dataclass(frozen=True)
-class FiberPlan:
+class FiberPlan(NamedTuple):
     """Constructed elementary-abelian covering realizing prescribed quotients.
 
     ``analysis`` is the analysis of ``action`` that checked the plan; callers

@@ -30,9 +30,8 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 DEFAULT_ORDER_CAP = 2048
 DEFAULT_SUBGROUP_CAP = 512
@@ -91,15 +90,21 @@ def orbits(n: int, moves: Sequence[Sequence[int]]) -> tuple[list[int], list[int]
     return reps, orbit_of
 
 
-@dataclass(frozen=True)
 class Permutation:
     """Bijection of {0..degree-1}, stored as the tuple of images."""
 
-    images: tuple[int, ...]
+    __slots__ = ("images",)
 
-    def __post_init__(self):
-        if sorted(self.images) != list(range(len(self.images))):
-            raise ValueError(f"not a permutation of 0..{len(self.images) - 1}: {self.images}")
+    def __init__(self, images: tuple[int, ...]):
+        if sorted(images) != list(range(len(images))):
+            raise ValueError(f"not a permutation of 0..{len(images) - 1}: {images}")
+        self.images = images
+
+    def __eq__(self, other):
+        return self.images == other.images if type(other) is Permutation else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.images)
 
     @classmethod
     def identity(cls, degree: int) -> "Permutation":
@@ -334,8 +339,7 @@ def preset_quaternion(order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     return group
 
 
-@dataclass(frozen=True)
-class ConjugacyClassPartition:
+class ConjugacyClassPartition(NamedTuple):
     """Conjugacy classes ordered by smallest member, identity class first;
     ``power_map[c][i]`` is the class of rep_c^i for i below the order of rep_c."""
 
@@ -563,8 +567,7 @@ def subgroup_class_representatives(group: FiniteGroup) -> tuple[Subgroup, ...]:
     return tuple(lattice[i] for i in orbits(len(lattice), moves)[0])
 
 
-@dataclass(frozen=True)
-class CosetAction:
+class CosetAction(NamedTuple):
     """Left action of a group on the left cosets of a subgroup.
 
     Coset 0 is the subgroup itself; representatives are the minimal element
@@ -602,8 +605,7 @@ def coset_action(group: FiniteGroup, subgroup: Subgroup) -> CosetAction:
     return action
 
 
-@dataclass(frozen=True)
-class PartitionVerdict:
+class PartitionVerdict(NamedTuple):
     """Result of the covering-by-subgroups test, with witnesses on failure."""
 
     is_partition: bool

@@ -9,8 +9,7 @@ deterministic: no timestamps, no hash-ordered iteration.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .decomposition import (
     ActionAnalysis,
@@ -32,8 +31,7 @@ from .scenario import ScenarioFile
 ENGINE_NAME = "jacdecomp"
 
 
-@dataclass
-class ReportDocument:
+class ReportDocument(NamedTuple):
     """Structured report with deterministic JSON and text renderings."""
 
     data: dict

@@ -10,10 +10,9 @@ content is available both as files and programmatically.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .covering import CoveringAction, CoveringError, validate_action
 from .cyclotomic import Cyclotomic, is_prime
@@ -45,18 +44,16 @@ class ValidationError(ScenarioError):
     """The scenario parsed but its action data failed validation."""
 
 
-@dataclass
-class CollectionSpec:
+class CollectionSpec(NamedTuple):
     """One named subgroup collection with optional reference expectations."""
 
     name: str
     word_lists: tuple[tuple[str, ...], ...]
     subgroups: tuple[Subgroup, ...]
-    expect: dict = field(default_factory=dict)
+    expect: dict
 
 
-@dataclass
-class ScenarioFile:
+class ScenarioFile(NamedTuple):
     """A parsed scenario: group, validated action, named collections."""
 
     name: str

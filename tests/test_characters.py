@@ -1,6 +1,5 @@
 """Character tables, inner products, fixed subspaces, rational classes."""
 
-import dataclasses
 import functools
 import random
 from fractions import Fraction
@@ -808,7 +807,7 @@ def per_call_rational_classes(table, overrides=None):
 
 def rational_class_fields(classes):
     return [
-        [getattr(rc, f.name) for f in dataclasses.fields(RationalClass)] for rc in classes
+        [getattr(rc, name) for name in RationalClass._fields] for rc in classes
     ]
 
 
