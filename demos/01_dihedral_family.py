@@ -81,8 +81,7 @@ print(
 )
 
 # every Prym complement is accounted for by the other two quotients
-for k in range(3):
-    cor = analysis.corollary1([h1, h2, h3], k)
+for k, cor in enumerate(analysis.corollary1(analysis.theorem1([h1, h2, h3]))):
     print(
         f"Prym of quotient {k + 1}: dim {cor.prym_dim}, "
         f"other quotients sum to {cor.complement_sum} (equality: {cor.equality})"

@@ -687,12 +687,13 @@ def permutation_character(group: FiniteGroup, subgroup: Subgroup) -> ClassFuncti
     cached = group._perm_chars.get(subgroup.members)
     if cached is not None:
         return cached
-    action = coset_action(group, subgroup)
-    classes = conjugacy_classes(group)
-    e = group.exponent
+    cosets = coset_action(group, subgroup)
+    reps, coset_of = cosets.representatives, cosets.coset_of
+    n, table, e = group.order, group._table, group.exponent
     values = []
-    for rep in classes.representatives:
-        fixed = sum(1 for i in range(action.degree) if action.image(rep, i) == i)
+    for rep in conjugacy_classes(group).representatives:
+        row = table[rep * n:(rep + 1) * n]  # row[x] = rep * x
+        fixed = sum(1 for i, x in enumerate(reps) if coset_of[row[x]] == i)
         values.append(Cyclotomic.from_rational(fixed, e))
     result = ClassFunction(group, tuple(values))
     group._perm_chars[subgroup.members] = result

@@ -84,79 +84,49 @@ def _discrepancy(collection: str | None, kind: str, expected, computed, detail: 
 def _check_collection_expectations(
     spec: CollectionSpec,
     analysis: dec.ActionAnalysis,
+    profiles: Sequence[dec.SubgroupProfile],
     ambient: str,
     admissibility: dec.AdmissibilityReport,
     theorem1: dec.DecompositionReport | None,
 ) -> list[dict]:
     """Compare computed results against the scenario's reference expectations."""
     expect = spec.expect
-    name = spec.name
-    notes: list[dict] = []
-    profiles = [analysis.profile(h) for h in spec.subgroups]
 
-    if "genera" in expect:
-        computed = [p.genus for p in profiles]
-        expected = expect["genera"]
-        if computed != expected:
-            notes.append(
-                _discrepancy(
-                    name, "genera", expected, computed,
-                    f"quotient genera: reference {expected}, engine computes {computed}",
-                )
-            )
+    def verdict(admissible: bool) -> str:
+        return "admissible" if admissible else "not admissible"
 
-    if "complement_dim" in expect:
-        computed = analysis.genus - sum(p.genus for p in profiles)
-        expected = expect["complement_dim"]
-        if computed != expected:
-            notes.append(
-                _discrepancy(
-                    name, "complement_dim", expected, computed,
-                    f"genus complement: reference {expected}, engine computes {computed}",
-                )
-            )
-
-    key = "admissible" if ambient == "acting" else "join_admissible"
-    if key in expect:
-        expected = expect[key]
-        computed = admissibility.admissible
-        if computed != expected:
-            notes.append(
-                _discrepancy(
-                    name, key, expected, computed,
-                    f"reference calls the collection {'' if expected else 'not '}"
-                    f"admissible (ambient {ambient}); engine verdict is "
-                    f"{'admissible' if computed else 'not admissible'}",
-                )
-            )
-
-    if "dim_p" in expect:
-        expected = expect["dim_p"]
-        if theorem1 is None:
-            notes.append(
-                _discrepancy(
-                    name, "dim_p", expected, None,
-                    f"reference expects a decomposition with dim P = {expected}, "
-                    f"but the collection is not admissible (ambient {ambient})",
-                )
-            )
-        elif theorem1.dim_p != expected:
-            notes.append(
-                _discrepancy(
-                    name, "dim_p", expected, theorem1.dim_p,
-                    f"dim P: reference {expected}, engine computes {theorem1.dim_p}",
-                )
-            )
-
-    if "full" in expect and theorem1 is not None:
-        expected = expect["full"]
-        if theorem1.full != expected:
-            notes.append(
-                _discrepancy(
-                    name, "full", expected, theorem1.full,
-                    f"full decomposition: reference {expected}, engine {theorem1.full}",
-                )
-            )
+    genera = [p.genus for p in profiles]
+    # (kind, engine value c, detail for a reference value e); dim P and fullness come
+    # from Theorem 1, which an inadmissible collection does not reach
+    checks = [
+        ("genera", genera, lambda e, c: f"quotient genera: reference {e}, engine computes {c}"),
+        (
+            "complement_dim", analysis.genus - sum(genera),
+            lambda e, c: f"genus complement: reference {e}, engine computes {c}",
+        ),
+        (
+            "admissible" if ambient == "acting" else "join_admissible",
+            admissibility.admissible,
+            lambda e, c: f"reference calls the collection {verdict(e)} (ambient {ambient}); "
+            f"engine verdict is {verdict(c)}",
+        ),
+    ]
+    if theorem1 is None:
+        checks.append((
+            "dim_p", None,
+            lambda e, c: f"reference expects a decomposition with dim P = {e}, "
+            f"but the collection is not admissible (ambient {ambient})",
+        ))
+    else:
+        checks += [
+            ("dim_p", theorem1.dim_p, lambda e, c: f"dim P: reference {e}, engine computes {c}"),
+            ("full", theorem1.full, lambda e, c: f"full decomposition: reference {e}, engine {c}"),
+        ]
+    notes = [
+        _discrepancy(spec.name, kind, expect[kind], computed, detail(expect[kind], computed))
+        for kind, computed, detail in checks
+        if kind in expect and computed != expect[kind]
+    ]
 
     if "fixed_dims" in expect:
         table_spec = expect["fixed_dims"]
@@ -174,7 +144,7 @@ def _check_collection_expectations(
                 if computed_cell != expected_cell:
                     notes.append(
                         _discrepancy(
-                            name, "fixed_dims",
+                            spec.name, "fixed_dims",
                             expected_cell, computed_cell,
                             f"fixed dim of {label} (degree {rc.degree}) under H{i + 1}: "
                             f"reference table gives {expected_cell}, engine computes "
@@ -242,12 +212,7 @@ def _cmd_analyze(scenario: ScenarioFile, args) -> ReportDocument:
 
         if theorem1 is not None:
             body["theorem1"] = theorem1_section(theorem1, ambient_labels)
-            body["corollary1"] = corollary1_section(
-                [
-                    ambient_analysis.corollary1(ambient_subgroups, k)
-                    for k in range(len(ambient_subgroups))
-                ]
-            )
+            body["corollary1"] = corollary1_section(ambient_analysis.corollary1(theorem1))
         else:
             body["theorem1"] = None
             body["theorem1_skipped"] = "collection is not admissible"
@@ -262,7 +227,7 @@ def _cmd_analyze(scenario: ScenarioFile, args) -> ReportDocument:
         body["theorem_c"] = theorem_c_section(analysis.theorem_c(spec.subgroups))
 
         notes = _check_collection_expectations(
-            spec, analysis, args.ambient, admissibility, theorem1
+            spec, analysis, profiles, args.ambient, admissibility, theorem1
         )
         body["discrepancies"] = notes
         doc["discrepancies"].extend(notes)
@@ -299,17 +264,15 @@ def _cmd_search(scenario: ScenarioFile, args) -> ReportDocument:
     }
     results = []
     for index, report in enumerate(reports, start=1):
-        genera = [analysis.profile(h).genus for h in report.subgroups]
-        theorem1 = analysis.theorem1(report.subgroups)
         results.append(
             {
                 "index": index,
                 "subgroups": [h.describe() for h in report.subgroups],
                 "orders": [h.order for h in report.subgroups],
-                "genera": genera,
-                "genus_sum": sum(genera),
-                "dim_p": theorem1.dim_p,
-                "full": theorem1.full,
+                "genera": list(report.quotient_genera),
+                "genus_sum": sum(report.quotient_genera),
+                "dim_p": report.dim_p,
+                "full": report.full,
             }
         )
     doc["results"] = results

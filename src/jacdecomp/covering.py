@@ -71,7 +71,6 @@ class GenusCertificate(NamedTuple):
     """Riemann-Hurwitz audit trail for a validated action."""
 
     total_genus: int
-    branch_number: Fraction
     contributions: tuple[Fraction, ...]
 
 
@@ -125,21 +124,16 @@ def validate_action(action: CoveringAction) -> GenusCertificate:
             f"vector generates subgroup of order {generated.order} < {group.order}"
         )
 
-    branch_number = sum(
-        (Fraction(1) - Fraction(1, m) for m in action.periods), Fraction(0)
-    )
     contributions = tuple(
         group.order * (Fraction(1) - Fraction(1, m)) for m in action.periods
     )
-    rhs = group.order * (2 * action.orbit_genus - 2) + group.order * branch_number
+    rhs = group.order * (2 * action.orbit_genus - 2) + sum(contributions)
     if rhs.denominator != 1 or (rhs.numerator + 2) % 2 != 0:
         raise NonIntegralGenus(f"2g - 2 = {rhs} is not an even integer")
     genus = (rhs.numerator + 2) // 2
     if genus < 0:
         raise NonIntegralGenus(f"total genus {genus} negative")
-    return GenusCertificate(
-        total_genus=genus, branch_number=branch_number, contributions=contributions
-    )
+    return GenusCertificate(total_genus=genus, contributions=contributions)
 
 
 def total_genus(action: CoveringAction) -> int:

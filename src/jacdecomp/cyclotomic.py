@@ -293,7 +293,7 @@ class Cyclotomic:
     def __str__(self):
         return self.render()
 
-    def render(self, symbol: str = "z") -> str:
+    def render(self) -> str:
         """Human form 'a0 + a1*z + ...' with zero terms dropped."""
         parts: list[str] = []
         for i, a in enumerate(self.coeffs):
@@ -302,7 +302,7 @@ class Cyclotomic:
             if i == 0:
                 term = str(a)
             else:
-                mon = symbol if i == 1 else f"{symbol}^{i}"
+                mon = "z" if i == 1 else f"z^{i}"
                 if a == 1:
                     term = mon
                 elif a == -1:

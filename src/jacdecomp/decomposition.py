@@ -146,14 +146,11 @@ class DecompositionReport(NamedTuple):
     full: bool
     statement: str
     admissibility: AdmissibilityReport
-    profiles: tuple[SubgroupProfile, ...]
 
 
 class Proposition2Report(NamedTuple):
     """Verified bookkeeping for JC x JC_join ~ JC_H1 x JC_H2 x P."""
 
-    h1: Subgroup
-    h2: Subgroup
     join: Subgroup
     genus: int
     join_genus: int
@@ -381,10 +378,13 @@ class ActionAnalysis:
         )
 
     def theorem1(self, collection: Sequence[Subgroup]) -> DecompositionReport:
-        report = self.admissibility(collection)
+        return self._theorem1(self.admissibility(collection))
+
+    def _theorem1(self, report: AdmissibilityReport) -> DecompositionReport:
+        """Theorem 1's decomposition of the collection an admissibility report scored."""
         if not report.admissible:
             raise NotAdmissible(report)
-        profiles = tuple(self.profile(h) for h in collection)
+        collection = report.subgroups
         deltas: list[int | None] = []
         dim_p = 0
         for factor, slack in zip(self.factors, report.slacks):
@@ -399,20 +399,19 @@ class ActionAnalysis:
             reduced = slack // s
             deltas.append(reduced)
             dim_p += reduced * factor.dim
-        genera = tuple(p.genus for p in profiles)
+        genera = tuple(self.profile(h).genus for h in collection)
         _agree("theorem 1 dim P", dim_p, self.genus - sum(genera))
         full = dim_p == 0
         names = " x ".join(f"JC_H{i + 1}" for i in range(len(collection)))
         statement = f"JC ~ {names}" if full else f"JC ~ {names} x P,  dim P = {dim_p}"
         return DecompositionReport(
-            subgroups=tuple(collection),
+            subgroups=collection,
             quotient_genera=genera,
             deltas=tuple(deltas),
             dim_p=dim_p,
             full=full,
             statement=statement,
             admissibility=report,
-            profiles=profiles,
         )
 
     def proposition2(self, h1: Subgroup, h2: Subgroup) -> Proposition2Report:
@@ -441,8 +440,6 @@ class ActionAnalysis:
             else f"JC x JC_J ~ JC_H1 x JC_H2 x P,  dim P = {dim_p}  (J = <H1,H2>)"
         )
         return Proposition2Report(
-            h1=h1,
-            h2=h2,
             join=join,
             genus=self.genus,
             join_genus=pj.genus,
@@ -457,27 +454,20 @@ class ActionAnalysis:
     def prym_dim(self, subgroup: Subgroup) -> int:
         return self.genus - self.profile(subgroup).genus
 
-    def corollary1(self, collection: Sequence[Subgroup], k: int) -> Corollary1Report:
-        if not 0 <= k < len(collection):
-            raise DecompositionError(f"index k={k} outside the collection")
-        report = self.admissibility(collection)
-        if not report.admissible:
-            raise NotAdmissible(report)
-        genera = [self.profile(h).genus for h in collection]
-        complement_sum = sum(g for i, g in enumerate(genera) if i != k)
-        prym = self.prym_dim(collection[k])
-        full = sum(genera) == self.genus
-        bounded = complement_sum <= prym
-        equality = complement_sum == prym
-        _agree("Prym containment", (bounded, equality), (True, full))
-        return Corollary1Report(
-            k=k,
-            prym_dim=prym,
-            complement_sum=complement_sum,
-            bounded=bounded,
-            equality=equality,
-            full=full,
-        )
+    def corollary1(self, report: DecompositionReport) -> tuple[Corollary1Report, ...]:
+        """Prym containment for every distinguished index k of a Theorem 1 report."""
+        genera = report.quotient_genera
+        total = sum(genera)
+        full = total == self.genus
+        results = []
+        for k, h in enumerate(report.subgroups):
+            complement_sum = total - genera[k]
+            prym = self.prym_dim(h)
+            bounded = complement_sum <= prym
+            equality = complement_sum == prym
+            _agree("Prym containment", (bounded, equality), (True, full))
+            results.append(Corollary1Report(k, prym, complement_sum, bounded, equality, full))
+        return tuple(results)
 
     def proposition1(self, collection: Sequence[Subgroup]) -> Proposition1Report:
         if not collection:
@@ -637,7 +627,8 @@ class ActionAnalysis:
         max_t: int,
         require_full: bool = False,
         dedupe_conjugates: bool = False,
-    ) -> tuple[AdmissibilityReport, ...]:
+    ) -> tuple[DecompositionReport, ...]:
+        """Theorem 1 reports of the admissible collections of at most max_t subgroups."""
         if dedupe_conjugates:
             subgroups = subgroup_class_representatives(self.group)
         else:
@@ -645,14 +636,12 @@ class ActionAnalysis:
         results = []
         for size in range(1, max_t + 1):
             for combo in itertools.combinations(subgroups, size):
-                report = self.admissibility(combo)
-                if not report.admissible:
+                admissibility = self.admissibility(combo)
+                if not admissibility.admissible:
                     continue
-                if require_full:
-                    genera = sum(self.profile(h).genus for h in combo)
-                    if genera != self.genus:
-                        continue
-                results.append(report)
+                report = self._theorem1(admissibility)
+                if report.full or not require_full:
+                    results.append(report)
         return tuple(results)
 
 

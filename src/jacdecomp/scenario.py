@@ -3,14 +3,12 @@
 A scenario resolves to a validated covering action, named subgroup
 collections (with optional reference expectations used for discrepancy
 checks), and engine options.  Presets for the bundled families are generated
-here and also shipped as JSON under the package data directory, so the same
-content is available both as files and programmatically.
+here, as the same JSON documents a scenario file holds.
 """
 
 from __future__ import annotations
 
 import json
-from importlib import resources
 from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
@@ -209,22 +207,6 @@ _PRESETS = {
         [int(x) for x in str(params.get("genera", "1,1")).split(",")]
     ),
 }
-
-
-def bundled_scenario_names() -> tuple[str, ...]:
-    files = resources.files("jacdecomp").joinpath("data")
-    return tuple(
-        sorted(p.name[: -len(".json")] for p in files.iterdir() if p.name.endswith(".json"))
-    )
-
-
-def load_bundled_scenario(name: str) -> dict:
-    path = resources.files("jacdecomp").joinpath("data", f"{name}.json")
-    try:
-        text = path.read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise ParseError(f"no bundled scenario named {name!r}") from None
-    return json.loads(text)
 
 
 def _resolve_preset(reference: str) -> dict:

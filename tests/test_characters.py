@@ -37,6 +37,7 @@ from jacdecomp.groups import (
     Permutation,
     build_group,
     conjugacy_classes,
+    coset_action,
     enumerate_subgroups,
     full_subgroup,
     preset_dihedral,
@@ -507,6 +508,21 @@ def test_permutation_character_full_and_trivial_subgroups():
     group = preset_dihedral(3)
     assert permutation_character(group, full_subgroup(group)) == trivial_character(group)
     assert permutation_character(group, trivial_subgroup(group)) == regular_character(group)
+
+
+def test_permutation_character_counts_the_cosets_each_class_fixes():
+    """Reference: count fixed cosets one CosetAction.image call at a time."""
+    for group in group_library() + [semidirect_7_9()]:
+        representatives = conjugacy_classes(group).representatives
+        for subgroup in enumerate_subgroups(group):
+            action = coset_action(group, subgroup)
+            fixed = [
+                sum(1 for i in range(action.degree) if action.image(rep, i) == i)
+                for rep in representatives
+            ]
+            assert permutation_character(group, subgroup) == ClassFunction(
+                group, tuple(Cyclotomic.from_rational(f, group.exponent) for f in fixed)
+            )
 
 
 def test_permutation_character_rotation_subgroup_values():

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from jacdecomp import cli
-from jacdecomp.scenario import load_bundled_scenario, parse_scenario
+from jacdecomp.scenario import make_dihedral_scenario, make_fiber_scenario, parse_scenario
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
@@ -65,6 +65,97 @@ def test_analyze_h1h4_join_ambient_still_flags_table_cell():
     assert body["join"]["order"] == 4
     assert body["admissibility"]["ambient"] == "join"
     assert body["admissibility"]["admissible"] is False
+
+
+# one wrong reference expectation per probe collection, on top of the d2q q = 3 scenario
+_PROBES = {
+    "wrong_genera": {"subgroups": [["s"]], "expect": {"genera": [4]}},
+    "wrong_complement": {"subgroups": [["s"]], "expect": {"complement_dim": 5}},
+    "wrong_verdict": {
+        "subgroups": [["s"]], "expect": {"admissible": False, "join_admissible": False},
+    },
+    "wrong_join_verdict": {"subgroups": [["s"], ["r^3"]], "expect": {"join_admissible": True}},
+    "wrong_dim_p": {"subgroups": [["s"]], "expect": {"dim_p": 5}},
+    "wrong_dim_p_inadmissible": {"subgroups": [["s"], ["s"]], "expect": {"dim_p": 1}},
+    "full_on_inadmissible": {"subgroups": [["s"], ["s"]], "expect": {"full": True}},
+    "wrong_full": {"subgroups": [["s"], ["r"]], "expect": {"full": True}},
+    "wrong_fixed_dims": {
+        "subgroups": [["s"]],
+        "expect": {"fixed_dims": {"columns": ["V2", "V3"], "rows": [[1, 1]]}},
+    },
+}
+
+_H1H4_CELL = (
+    "h1h4", "fixed_dims", 1, 2,
+    "fixed dim of V6 (degree 2) under H2: reference table gives 1, engine computes 2",
+)
+_SHARED_NOTES = {
+    "genera": ("wrong_genera", "genera", [4], [5],
+               "quotient genera: reference [4], engine computes [5]"),
+    "complement": ("wrong_complement", "complement_dim", 5, 6,
+                   "genus complement: reference 5, engine computes 6"),
+    "dim_p": ("wrong_dim_p", "dim_p", 5, 6, "dim P: reference 5, engine computes 6"),
+    "full": ("wrong_full", "full", True, False,
+             "full decomposition: reference True, engine False"),
+    "cell": ("wrong_fixed_dims", "fixed_dims", 1, 0,
+             "fixed dim of V2 (degree 1) under H1: reference table gives 1, engine computes 0"),
+}
+
+
+def _inadmissible_dim_p(ambient):
+    return (
+        "wrong_dim_p_inadmissible", "dim_p", 1, None,
+        "reference expects a decomposition with dim P = 1, but the collection is not "
+        f"admissible (ambient {ambient})",
+    )
+
+
+EXPECTATION_NOTES = {
+    "acting": [
+        ("h1h4", "admissible", True, False,
+         "reference calls the collection admissible (ambient acting); "
+         "engine verdict is not admissible"),
+        _H1H4_CELL,
+        _SHARED_NOTES["genera"],
+        _SHARED_NOTES["complement"],
+        ("wrong_verdict", "admissible", False, True,
+         "reference calls the collection not admissible (ambient acting); "
+         "engine verdict is admissible"),
+        _SHARED_NOTES["dim_p"],
+        _inadmissible_dim_p("acting"),
+        _SHARED_NOTES["full"],
+        _SHARED_NOTES["cell"],
+    ],
+    "join": [
+        _H1H4_CELL,
+        _SHARED_NOTES["genera"],
+        _SHARED_NOTES["complement"],
+        ("wrong_verdict", "join_admissible", False, True,
+         "reference calls the collection not admissible (ambient join); "
+         "engine verdict is admissible"),
+        ("wrong_join_verdict", "join_admissible", True, False,
+         "reference calls the collection admissible (ambient join); "
+         "engine verdict is not admissible"),
+        _SHARED_NOTES["dim_p"],
+        _inadmissible_dim_p("join"),
+        _SHARED_NOTES["full"],
+        _SHARED_NOTES["cell"],
+    ],
+}
+
+
+@pytest.mark.parametrize("ambient", sorted(EXPECTATION_NOTES))
+def test_every_reference_expectation_branch_notes_exactly(ambient):
+    """Each probe carries one wrong expectation; the notes, in order, are pinned."""
+    scenario = make_dihedral_scenario(3)
+    scenario["collections"].update(copy.deepcopy(_PROBES))
+    doc, code = run(["analyze", json.dumps(scenario), "--ambient", ambient])
+    assert code == 2
+    notes = [
+        tuple(d[k] for k in ("collection", "kind", "expected", "computed", "detail"))
+        for d in doc.data["discrepancies"]
+    ]
+    assert notes == EXPECTATION_NOTES[ambient]
 
 
 def test_analyze_whole_scenario_exits_2_because_of_h1h4():
@@ -127,6 +218,19 @@ def test_search_command_counts():
     assert code == 0
     assert len(doc.data["results"]) == 11
     assert all(r["genus_sum"] == 11 for r in doc.data["results"])
+
+
+def test_search_renders_the_reports_it_is_given(monkeypatch):
+    """search scores each combination once: rendering a hit builds no second report."""
+    expected, _ = run(["search", "d2q?q=3", "--max-t", "2"])
+
+    def refuse(self, collection):
+        raise AssertionError("search called theorem1 for a hit it already holds")
+
+    monkeypatch.setattr(cli.dec.ActionAnalysis, "theorem1", refuse)
+    doc, code = run(["search", "d2q?q=3", "--max-t", "2"])
+    assert code == 0
+    assert doc.to_text() == expected.to_text()
 
 
 def test_unknown_collection_is_usage_error():
@@ -258,7 +362,7 @@ def test_order_cap_below_one_exits_1(capsys, tmp_path):
     for cap in ("0", "-5"):
         assert cli.main(["chartable", "d2q?q=3", "--max-order", cap]) == 1
         assert "max_order must be at least 1" in capsys.readouterr().err
-    scenario = load_bundled_scenario("d2q_q3")
+    scenario = make_dihedral_scenario(3)
     scenario["options"] = {"max_order": 0}
     path = tmp_path / "capped.json"
     path.write_text(json.dumps(scenario), encoding="utf-8")
@@ -268,7 +372,7 @@ def test_order_cap_below_one_exits_1(capsys, tmp_path):
 
 def test_mistyped_or_misspelt_expectations_exit_1(capsys):
     for expect in ({"admissible": "false"}, {"genra": [99]}):
-        scenario = load_bundled_scenario("d2q_q3")
+        scenario = make_dihedral_scenario(3)
         scenario["collections"] = {"probe": {"subgroups": [["s"]], "expect": expect}}
         assert cli.main(["analyze", json.dumps(scenario)]) == 1
         assert "expectation" in capsys.readouterr().err
@@ -285,7 +389,7 @@ def test_mistyped_or_misspelt_expectations_exit_1(capsys):
 ], ids=["one-row", "short-row"])
 def test_fixed_dims_table_of_the_wrong_shape_exits_1(capsys, fixed_dims, message):
     """A truncated table is a parse error, not a table checked only as far as it goes."""
-    scenario = load_bundled_scenario("d2q_q3")
+    scenario = make_dihedral_scenario(3)
     scenario["collections"]["main"]["expect"]["fixed_dims"] = fixed_dims
     assert cli.main(["analyze", json.dumps(scenario), "--collections", "main"]) == 1
     assert message in capsys.readouterr().err
@@ -329,16 +433,25 @@ def _mutate(doc, rng: random.Random) -> None:
 
 
 def test_exit_contract_fuzz(capsys):
-    """Seeded mutations of the bundled scenarios: main returns 0, 1 or 2 and never raises."""
+    """Seeded mutations of the preset scenarios: main returns 0, 1 or 2 and never raises."""
     rng = random.Random(20261018)
-    names = ("d2q_q3", "fiber_1_1", "fiber_1_1_1")
+    # keys sorted, so the mutations walk the document's positions in a fixed order
+    seeds = {
+        name: json.dumps(doc, sort_keys=True)
+        for name, doc in (
+            ("d2q_q3", make_dihedral_scenario(3)),
+            ("fiber_1_1", make_fiber_scenario((1, 1))),
+            ("fiber_1_1_1", make_fiber_scenario((1, 1, 1))),
+        )
+    }
+    names = tuple(seeds)
     commands = (
         ["analyze"], ["chartable"], ["search", "--max-t", "2"], ["theorem-b"],
         ["chartable", "--schur", "1=2"], ["search", "--max-t", "0"],
     )
     cases = [(["chartable", "d2q?q=3"], ["--max-order", "0"])]
     for _ in range(200):
-        doc = load_bundled_scenario(rng.choice(names))
+        doc = json.loads(seeds[rng.choice(names)])
         _mutate(doc, rng)
         command = rng.choice(commands)
         cases.append(([command[0], json.dumps(doc)], command[1:] + ["--max-order", "64"]))

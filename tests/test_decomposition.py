@@ -29,11 +29,12 @@ from jacdecomp.groups import (
     preset_dihedral,
     preset_elementary_abelian_2,
     subgroup_as_group,
+    subgroup_class_representatives,
     subgroup_generate,
     trivial_subgroup,
 )
 from jacdecomp.scenario import parse_scenario
-from conftest import dihedral_action, fiber_action, random_action
+from conftest import dihedral_action, fiber_action, group_library, random_action
 from test_cli import GOLDEN_CASES
 from test_groups import ORBIT_ORACLE_GROUPS, is_conjugacy_canonical
 from test_characters import dihedral_label_map
@@ -287,27 +288,52 @@ def test_prym_dim_examples():
 def test_corollary1_equalities_on_full_collection(q):
     data = named_subgroups(q)
     analysis = analyze(data["action"])
-    collection = [data["H1"], data["H2"], data["H3"]]
-    for k in range(3):
-        report = analysis.corollary1(collection, k)
+    reports = analysis.corollary1(analysis.theorem1([data["H1"], data["H2"], data["H3"]]))
+    assert [report.k for report in reports] == [0, 1, 2]
+    for report in reports:
         assert report.bounded and report.equality and report.full
-    report = analysis.corollary1(collection, 0)
-    assert report.prym_dim == 2 * q
+    assert reports[0].prym_dim == 2 * q
 
 
 def test_corollary1_strict_inequality_when_not_full():
     data = named_subgroups(3)
-    report = analyze(data["action"]).corollary1([data["H1"], data["H3"]], 0)
+    analysis = analyze(data["action"])
+    report = analysis.corollary1(analysis.theorem1([data["H1"], data["H3"]]))[0]
     assert report.bounded and not report.equality and not report.full
     assert report.complement_sum == 1
     assert report.prym_dim == 6
 
 
 def test_corollary1_requires_admissible():
+    """Corollary 1 reads a Theorem 1 report, which an inadmissible collection never gets."""
     data = named_subgroups(3)
     analysis = analyze(data["action"])
     with pytest.raises(NotAdmissible):
-        analysis.corollary1([data["H1"], data["H4"]], 0)
+        analysis.theorem1([data["H1"], data["H4"]])
+
+
+def _corollary1_per_k(analysis, collection, k):
+    """Corollary 1 at one index, recomputed from the profiles of the collection."""
+    genera = [analysis.profile(h).genus for h in collection]
+    complement_sum = sum(g for i, g in enumerate(genera) if i != k)
+    prym = analysis.prym_dim(collection[k])
+    return decomposition.Corollary1Report(
+        k=k,
+        prym_dim=prym,
+        complement_sum=complement_sum,
+        bounded=complement_sum <= prym,
+        equality=complement_sum == prym,
+        full=sum(genera) == analysis.genus,
+    )
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_corollary1_matches_the_per_index_computation(q):
+    analysis = analyze(dihedral_action(q)[1])
+    for hit in _exhaustive_search(analysis, 2, False, False):
+        collection = hit.subgroups
+        expected = tuple(_corollary1_per_k(analysis, collection, k) for k in range(len(collection)))
+        assert analysis.corollary1(analysis.theorem1(collection)) == expected
 
 
 # -- proposition 1 -------------------------------------------------------------------------------
@@ -575,6 +601,42 @@ def test_search_dedupe_conjugates_keeps_the_canonical_combinations(q):
         r.subgroups for r in every if all(is_conjugacy_canonical(h) for h in r.subgroups)
     ]
     assert [r.subgroups for r in deduped] == expected
+
+
+def _exhaustive_search(analysis, max_t, require_full, dedupe_conjugates):
+    """Admissibility reports of the hits, by the walk that scores every combination."""
+    if dedupe_conjugates:
+        subgroups = subgroup_class_representatives(analysis.group)
+    else:
+        subgroups = enumerate_subgroups(analysis.group)
+    hits = []
+    for size in range(1, max_t + 1):
+        for combo in itertools.combinations(subgroups, size):
+            report = analysis.admissibility(combo)
+            genera = sum(analysis.profile(h).genus for h in combo)
+            if report.admissible and (genera == analysis.genus or not require_full):
+                hits.append(report)
+    return hits
+
+
+def _search_actions():
+    yield "d2q3", dihedral_action(3)[1]
+    yield "d2q5", dihedral_action(5)[1]
+    rng = random.Random(20261018)
+    for group in group_library(12):
+        yield f"random order {group.order}", random_action(group, rng)
+
+
+@pytest.mark.parametrize("require_full", [False, True])
+@pytest.mark.parametrize("dedupe_conjugates", [False, True])
+def test_search_returns_the_theorem1_report_of_every_exhaustive_hit(require_full, dedupe_conjugates):
+    for name, action in _search_actions():
+        analysis = analyze(action)
+        reports = analysis.search_admissible(3, require_full, dedupe_conjugates)
+        expected = _exhaustive_search(analysis, 3, require_full, dedupe_conjugates)
+        assert [r.admissibility for r in reports] == expected, name
+        for report in reports:
+            assert report == analysis.theorem1(report.subgroups), name
 
 
 # -- fiber products and elliptic plans ------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""The narrative demo scripts must stay runnable end to end."""
+"""The narrative demo scripts must stay runnable end to end, with pinned output."""
 
 import os
 import subprocess
@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 DEMO_DIR = Path(__file__).resolve().parent.parent / "demos"
+GOLDEN_DIR = Path(__file__).resolve().parent / "goldens"
 
 
 @pytest.mark.parametrize("script", sorted(p.name for p in DEMO_DIR.glob("*.py")))
@@ -24,3 +25,8 @@ def test_demo_runs_clean(script):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip()
+    path = GOLDEN_DIR / f"demo_{Path(script).stem}.txt"
+    if os.environ.get("REGEN_GOLDENS") == "1":
+        path.write_text(result.stdout, encoding="utf-8")
+    assert path.exists(), f"golden file {path.name} missing; run with REGEN_GOLDENS=1"
+    assert result.stdout == path.read_text(encoding="utf-8")

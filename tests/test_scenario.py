@@ -10,10 +10,8 @@ from jacdecomp.groups import OrderCapExceeded, UnknownGenerator
 from jacdecomp.scenario import (
     ParseError,
     ValidationError,
-    bundled_scenario_names,
     class_labels,
     dihedral_class_labels,
-    load_bundled_scenario,
     make_dihedral_scenario,
     make_fiber_scenario,
     parse_scenario,
@@ -55,16 +53,6 @@ def test_unknown_preset_and_bad_params():
         parse_scenario("d2q?q=three")
     with pytest.raises(ParseError):
         parse_scenario("d2q?q3")
-
-
-def test_bundled_files_match_generators():
-    assert bundled_scenario_names() == (
-        "d2q_q3", "d2q_q5", "d2q_q7", "fiber_1_1", "fiber_1_1_1",
-    )
-    for q in (3, 5, 7):
-        assert load_bundled_scenario(f"d2q_q{q}") == make_dihedral_scenario(q)
-    assert load_bundled_scenario("fiber_1_1") == make_fiber_scenario((1, 1))
-    assert load_bundled_scenario("fiber_1_1_1") == make_fiber_scenario((1, 1, 1))
 
 
 def test_parse_from_json_text_and_dict():
