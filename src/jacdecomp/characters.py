@@ -706,16 +706,11 @@ def fixed_dim(chi: ClassFunction, subgroup: Subgroup) -> int:
     Computed as the average of the character over the subgroup, then
     cross-checked against the Frobenius-reciprocity route through the
     permutation character; the two independent computations must agree.
-    The cache key holds coordinate tuples, so a lookup hashes no Cyclotomic.
     """
     group = chi.group
     if subgroup.parent is not group:
         raise GroupMismatch("subgroup belongs to a different group")
     coords = chi.coords
-    key = (coords, subgroup.members)
-    cached = group._fixed_dims.get(key)
-    if cached is not None:
-        return cached
     class_of = conjugacy_classes(group).class_of
     counts = [0] * len(coords)
     for h in subgroup.members:
@@ -733,8 +728,20 @@ def fixed_dim(chi: ClassFunction, subgroup: Subgroup) -> int:
         )
     if dim < 0:
         raise NonIntegralAverage(f"negative fixed dimension {dim}; not a character")
-    group._fixed_dims[key] = dim
     return dim
+
+
+def fixed_dims(subgroup: Subgroup) -> tuple[int, ...]:
+    """fixed_dim of each rational class's character, in rational_classes order.
+
+    The group caches one row per subgroup, so at most one per lattice member.
+    An override view of the classes keeps their order, so index l holds there too.
+    """
+    cache = subgroup.parent._fixed_dims
+    if subgroup.members not in cache:
+        classes = rational_classes(character_table(subgroup.parent))
+        cache[subgroup.members] = tuple(fixed_dim(rc.character, subgroup) for rc in classes)
+    return cache[subgroup.members]
 
 
 def frobenius_schur(chi: ClassFunction) -> int:

@@ -148,31 +148,24 @@ def branch_stabilizers(action: CoveringAction) -> tuple[Subgroup, ...]:
 
 
 def orbit_count(stabilizer: Subgroup, cosets) -> int:
-    """Number of orbits of a stabilizer subgroup on a coset action.
+    """Number of orbits of a cyclic stabilizer <g> on a coset action.
 
-    The walk moves cosets by the stabilizer's generators only, which
-    generate it: a Subgroup is the closure of its generators.  A generator g
-    sends coset x to the coset of g * rep_x, read off g's row of the table.
+    The orbits are the cycles of x -> coset of g * rep_x, read off g's row of
+    the table; each cycle is walked once.
     """
-    reps, coset_of = cosets.representatives, cosets.coset_of
-    n, table = cosets.group.order, cosets.group._table
-    rows = [g * n for g in stabilizer.generators]
-    degree = len(reps)
-    seen = [False] * degree
+    if len(stabilizer.generators) != 1:
+        raise ValueError("the stabilizer must be cyclic with one generator")
+    reps, coset_of, table = cosets.representatives, cosets.coset_of, cosets.group._table
+    row = stabilizer.generators[0] * cosets.group.order
+    seen = [False] * len(reps)
     count = 0
-    for start in range(degree):
-        if seen[start]:
-            continue
-        count += 1
-        frontier = [start]
-        seen[start] = True
-        while frontier:
-            rep = reps[frontier.pop()]
-            for row in rows:
-                y = coset_of[table[row + rep]]
-                if not seen[y]:
-                    seen[y] = True
-                    frontier.append(y)
+    for start in range(len(reps)):
+        if not seen[start]:
+            count += 1
+            x = start
+            while not seen[x]:
+                seen[x] = True
+                x = coset_of[table[row + reps[x]]]
     return count
 
 

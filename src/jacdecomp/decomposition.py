@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Mapping, NamedTuple, Sequence
 
 from .characters import (
     CharacterTable,
     RationalClass,
     character_table,
-    fixed_dim,
+    fixed_dims,
     inner_product,
     permutation_character,
     rational_classes,
@@ -254,7 +254,7 @@ class ActionAnalysis:
     character table, the heuristic rational classes, fixed dimensions, coset
     actions) is cached by the group; the analysis memoizes only what its
     Schur overrides or branch data change: its override view of the rational
-    classes, factors and profiles.
+    classes, factors and their support, and profiles.
     """
 
     def __init__(
@@ -292,15 +292,14 @@ class ActionAnalysis:
     def factors(self) -> tuple[IsotypicalFactor, ...]:
         if self._factors is None:
             factors = []
-            for rc in self.rational_classes:
+            for l, rc in enumerate(self.rational_classes):
                 if rc.is_trivial():
                     dim = self.orbit_genus
                 else:
-                    chi = rc.character
                     d = rc.degree
                     acc = Fraction(d * (self.orbit_genus - 1))
                     for stab in self.stabilizers:
-                        acc += Fraction(d - fixed_dim(chi, stab), 2)
+                        acc += Fraction(d - fixed_dims(stab)[l], 2)
                     value = rc.schur_index * rc.field_degree * acc
                     if value.denominator != 1 or value < 0:
                         raise NonIntegralDimension(
@@ -312,7 +311,7 @@ class ActionAnalysis:
             self._factors = tuple(factors)
         return self._factors
 
-    @property
+    @cached_property
     def support(self) -> tuple[bool, ...]:
         return tuple(f.dim > 0 for f in self.factors)
 
@@ -323,7 +322,7 @@ class ActionAnalysis:
         cached = self._profiles.get(subgroup.members)
         if cached is not None:
             return cached
-        fixed = tuple(fixed_dim(rc.character, subgroup) for rc in self.rational_classes)
+        fixed = fixed_dims(subgroup)
         exponents = []
         for rc, f in zip(self.rational_classes, fixed):
             if f % rc.schur_index != 0:

@@ -177,7 +177,7 @@ class FiniteGroup:
         self._subgroups: tuple | None = None
         self._coset_actions: dict[tuple[int, ...], "CosetAction"] = {}
         self._perm_chars: dict[tuple[int, ...], object] = {}
-        self._fixed_dims: dict[tuple, int] = {}
+        self._fixed_dims: dict[tuple[int, ...], tuple[int, ...]] = {}
         self._words: tuple[str, ...] | None = None
 
     @property

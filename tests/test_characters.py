@@ -22,6 +22,7 @@ from jacdecomp.characters import (
     central_idempotent,
     character_table,
     fixed_dim,
+    fixed_dims,
     frobenius_schur,
     inner_product,
     permutation_character,
@@ -660,6 +661,65 @@ def test_fixed_dim_two_routes_agree_everywhere():
                 average = (total * Fraction(1, subgroup.order)).as_rational()
                 induction = inner_product(permutation_character(group, subgroup), row)
                 assert average == induction == fixed_dim(row, subgroup)
+
+
+# -- fixed_dims: one row per subgroup ---------------------------------------------------
+
+@pytest.mark.parametrize("name", ["library", "Z7:Z9"])
+def test_fixed_dims_is_fixed_dim_of_each_rational_class(name):
+    # the library holds the d2q groups of q = 3 and 5 (preset_dihedral)
+    for group in group_library() if name == "library" else [semidirect_7_9()]:
+        classes = rational_classes(character_table(group))
+        for subgroup in enumerate_subgroups(group):
+            expected = tuple(fixed_dim(rc.character, subgroup) for rc in classes)
+            assert fixed_dims(subgroup) == expected
+
+
+def test_an_override_view_keeps_the_class_order_that_fixed_dims_indexes():
+    group = semidirect_7_9()
+    table = character_table(group)
+    classes = rational_classes(table)
+    overridden = next(rc.representative for rc in classes if rc.degree == 3)
+    view = rational_classes(table, {overridden: 3})
+    assert [rc.schur_index for rc in view] != [rc.schur_index for rc in classes]
+    assert [rc.character for rc in view] == [rc.character for rc in classes]
+
+
+def test_a_second_analysis_on_the_same_group_calls_no_fixed_dim(monkeypatch):
+    group = semidirect_7_9()  # built here, so no fixed dimension is cached yet
+    action = random_action(group, random.Random(19))
+    lattice = enumerate_subgroups(group)
+    calls = []
+    original = characters.fixed_dim
+
+    def counting(chi, subgroup):
+        calls.append(subgroup.members)
+        return original(chi, subgroup)
+
+    monkeypatch.setattr(characters, "fixed_dim", counting)
+    first = analyze(action)
+    for subgroup in lattice:
+        first.profile(subgroup)
+    assert calls
+    calls.clear()
+    second = analyze(action)
+    assert second.factors == first.factors
+    for subgroup in lattice:
+        assert second.profile(subgroup).fixed_dims == first.profile(subgroup).fixed_dims
+    assert calls == []
+
+
+def test_the_fixed_dims_cache_is_bounded_by_the_lattice():
+    rng = random.Random(1919)
+    for group in group_library() + [semidirect_7_9()]:
+        lattice = enumerate_subgroups(group)
+        members = {subgroup.members for subgroup in lattice}
+        for _ in range(3):
+            analysis = analyze(random_action(group, rng))
+            for subgroup in lattice:
+                analysis.profile(subgroup)
+                assert len(group._fixed_dims) <= len(lattice)
+        assert set(group._fixed_dims) <= members
 
 
 # -- Frobenius-Schur -------------------------------------------------------------------

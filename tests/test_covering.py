@@ -27,7 +27,7 @@ from jacdecomp.groups import (
     subgroup_generate,
     trivial_subgroup,
 )
-from conftest import dihedral_action, fiber_action
+from conftest import dihedral_action, fiber_action, group_library
 
 
 @pytest.mark.parametrize("q", [3, 5, 7])
@@ -188,3 +188,45 @@ def test_orbit_count_of_the_rotations_on_the_cosets_of_a_reflection():
     cosets = coset_action(group, subgroup_generate(group, (s,)))
     assert orbit_count(Subgroup(group, (r,)), cosets) == 1
     assert orbit_count(Subgroup(group, (0,)), cosets) == 6
+
+
+def _orbit_count_by_frontier(stabilizer, cosets):
+    """Orbits of the stabilizer on the cosets by a frontier search over all of
+    its generators: an independent oracle for the cycle walk."""
+    reps, coset_of = cosets.representatives, cosets.coset_of
+    n, table = cosets.group.order, cosets.group._table
+    seen = [False] * len(reps)
+    count = 0
+    for start in range(len(reps)):
+        if seen[start]:
+            continue
+        count += 1
+        frontier = [start]
+        seen[start] = True
+        while frontier:
+            rep = reps[frontier.pop()]
+            for g in stabilizer.generators:
+                y = coset_of[table[g * n + rep]]
+                if not seen[y]:
+                    seen[y] = True
+                    frontier.append(y)
+    return count
+
+
+@pytest.mark.parametrize("q", [None, 11, 15], ids=["library", "D44", "D60"])
+def test_orbit_count_walks_the_cycles_of_every_cyclic_stabilizer(q):
+    groups = group_library() if q is None else [preset_dihedral(q)]
+    for group in groups:
+        stabilizers = [subgroup_generate(group, (c,)) for c in range(group.order)]
+        for subgroup in enumerate_subgroups(group):
+            cosets = coset_action(group, subgroup)
+            for stab in stabilizers:
+                assert orbit_count(stab, cosets) == _orbit_count_by_frontier(stab, cosets)
+
+
+def test_orbit_count_needs_a_cyclic_stabilizer_with_one_generator():
+    group = preset_dihedral(3)
+    r, s = group.generator_names["r"], group.generator_names["s"]
+    cosets = coset_action(group, trivial_subgroup(group))
+    with pytest.raises(ValueError, match="^the stabilizer must be cyclic with one generator$"):
+        orbit_count(Subgroup(group, (r, s)), cosets)
