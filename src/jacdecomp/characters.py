@@ -700,6 +700,32 @@ def permutation_character(group: FiniteGroup, subgroup: Subgroup) -> ClassFuncti
     return result
 
 
+def _subgroup_weights(subgroup: Subgroup) -> tuple[list[int], list[int]]:
+    """The weights of the two fixed-space routes: counts[c] = |H n c|, w[c] = |c| pi_H(c)."""
+    classes = conjugacy_classes(subgroup.parent)
+    counts = [0] * len(classes)
+    for h in subgroup.members:
+        counts[classes.class_of[h]] += 1
+    pi = permutation_character(subgroup.parent, subgroup).values
+    return counts, [size * v.coeffs[0] for size, v in zip(classes.sizes, pi)]
+
+
+def _checked_dim(average, induced, subgroup: Subgroup, m: int = 1) -> int:
+    """dim V^H from psi = m * chi's two route sums: sum counts * psi = m |H| dim
+    and, by Frobenius reciprocity, sum w * psi = m |G| <chi, pi_H> = m |G| dim."""
+    h, g = m * subgroup.order, m * subgroup.parent.order
+    if average % h:
+        raise NonIntegralAverage(f"average over subgroup is {Fraction(average, h)}; not a character")
+    dim = average // h
+    if induced != g * dim:  # induced is an int, or fixed_dim's cyclotomic sum
+        raise CharacterError(
+            f"fixed-space routes disagree: average {dim}, induction {induced * Fraction(1, g)}"
+        )
+    if dim < 0:
+        raise NonIntegralAverage(f"negative fixed dimension {dim}; not a character")
+    return dim
+
+
 def fixed_dim(chi: ClassFunction, subgroup: Subgroup) -> int:
     """Dimension of the subgroup-fixed subspace of a character.
 
@@ -710,37 +736,33 @@ def fixed_dim(chi: ClassFunction, subgroup: Subgroup) -> int:
     group = chi.group
     if subgroup.parent is not group:
         raise GroupMismatch("subgroup belongs to a different group")
-    coords = chi.coords
-    class_of = conjugacy_classes(group).class_of
-    counts = [0] * len(coords)
-    for h in subgroup.members:
-        counts[class_of[h]] += 1
-    total = Cyclotomic(group.exponent, _combine(counts, coords))
-    if not total.is_rational() or total.coeffs[0] % subgroup.order:
+    counts, w = _subgroup_weights(subgroup)
+    total = Cyclotomic(group.exponent, _combine(counts, chi.coords))
+    if not total.is_rational():
         raise NonIntegralAverage(
             f"average over subgroup is {total * Fraction(1, subgroup.order)}; not a character"
         )
-    dim = total.coeffs[0] // subgroup.order
-    via_induction = inner_product(permutation_character(group, subgroup), chi)
-    if via_induction != dim:
-        raise CharacterError(
-            f"fixed-space routes disagree: average {dim}, induction {via_induction}"
-        )
-    if dim < 0:
-        raise NonIntegralAverage(f"negative fixed dimension {dim}; not a character")
-    return dim
+    induced = Cyclotomic(group.exponent, [sum(map(mul, w, xs)) for xs in zip(*chi.coords)])
+    return _checked_dim(total.coeffs[0], induced, subgroup)
 
 
 def fixed_dims(subgroup: Subgroup) -> tuple[int, ...]:
     """fixed_dim of each rational class's character, in rational_classes order.
 
+    A fixed dimension is rational, so Galois-invariant: the integer rational
+    character psi_l = s (orbit sum) gives m_l = s * field_degree times it.
     The group caches one row per subgroup, so at most one per lattice member.
     An override view of the classes keeps their order, so index l holds there too.
     """
     cache = subgroup.parent._fixed_dims
     if subgroup.members not in cache:
-        classes = rational_classes(character_table(subgroup.parent))
-        cache[subgroup.members] = tuple(fixed_dim(rc.character, subgroup) for rc in classes)
+        counts, w = _subgroup_weights(subgroup)
+        row = []
+        for rc in rational_classes(character_table(subgroup.parent)):
+            psi = [xs[0] for xs in rc.rational_character.coords]  # proven rational
+            sums = sum(map(mul, counts, psi)), sum(map(mul, w, psi))
+            row.append(_checked_dim(*sums, subgroup, rc.schur_index * rc.field_degree))
+        cache[subgroup.members] = tuple(row)
     return cache[subgroup.members]
 
 

@@ -183,8 +183,12 @@ def genus_from_branch_data(
     cosets = coset_action(group, subgroup)  # raises NotASubgroup for a foreign subgroup
     index = cosets.degree
     rhs = index * (2 * orbit_genus - 2)
+    counts = group._orbit_counts
     for stab in stabilizers:
-        rhs += index - orbit_count(stab, cosets)
+        key = (subgroup.members, stab.members)  # the count depends on these two subgroups only
+        if key not in counts:
+            counts[key] = orbit_count(stab, cosets)
+        rhs += index - counts[key]
     if rhs % 2 != 0:
         raise NonIntegralGenus(f"2g - 2 = {rhs} is odd")
     genus = (rhs + 2) // 2

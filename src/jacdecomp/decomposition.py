@@ -11,7 +11,6 @@ values; the remaining raises guard inputs, signs and integrality.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from functools import cached_property, reduce
 from typing import Mapping, NamedTuple, Sequence
@@ -252,7 +251,7 @@ class ActionAnalysis:
     reinterpreted as the acting group).  It is a plain object that its caller
     holds: nothing at module level keeps it alive.  Per-group data (the
     character table, the heuristic rational classes, fixed dimensions, coset
-    actions) is cached by the group; the analysis memoizes only what its
+    actions, orbit counts) is cached by the group; the analysis memoizes only what its
     Schur overrides or branch data change: its override view of the rational
     classes, factors and their support, and profiles.
     """
@@ -627,18 +626,32 @@ class ActionAnalysis:
         require_full: bool = False,
         dedupe_conjugates: bool = False,
     ) -> tuple[DecompositionReport, ...]:
-        """Theorem 1 reports of the admissible collections of at most max_t subgroups."""
+        """Theorem 1 reports of the admissible collections of at most max_t subgroups.
+
+        Fixed dimensions are nonnegative, so a collection holding an
+        inadmissible one is inadmissible: each size extends only the previous
+        size's admissible combinations (in itertools.combinations order), by
+        later subgroups, carrying their per-class sums.
+        """
         if dedupe_conjugates:
             subgroups = subgroup_class_representatives(self.group)
         else:
             subgroups = enumerate_subgroups(self.group)
+        rows = [self.profile(h).fixed_dims for h in subgroups]
+        on = [l for l, supported in enumerate(self.support) if supported]
+        degrees = [rc.degree for rc in self.rational_classes]
+        level = [((), [0] * len(degrees))]  # (indices, per-class sums)
         results = []
-        for size in range(1, max_t + 1):
-            for combo in itertools.combinations(subgroups, size):
-                admissibility = self.admissibility(combo)
-                if not admissibility.admissible:
-                    continue
-                report = self._theorem1(admissibility)
+        for _ in range(max_t):
+            extended = []
+            for combo, prefix_sums in level:
+                for j in range(combo[-1] + 1 if combo else 0, len(subgroups)):
+                    sums = [s + x for s, x in zip(prefix_sums, rows[j])]
+                    if all(sums[l] <= degrees[l] for l in on):
+                        extended.append((combo + (j,), sums))
+            level = extended
+            for combo, _ in level:
+                report = self._theorem1(self.admissibility(tuple(subgroups[j] for j in combo)))
                 if report.full or not require_full:
                     results.append(report)
         return tuple(results)

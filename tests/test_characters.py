@@ -685,18 +685,18 @@ def test_an_override_view_keeps_the_class_order_that_fixed_dims_indexes():
     assert [rc.character for rc in view] == [rc.character for rc in classes]
 
 
-def test_a_second_analysis_on_the_same_group_calls_no_fixed_dim(monkeypatch):
+def test_a_second_analysis_on_the_same_group_builds_no_fixed_dims_row(monkeypatch):
     group = semidirect_7_9()  # built here, so no fixed dimension is cached yet
     action = random_action(group, random.Random(19))
     lattice = enumerate_subgroups(group)
     calls = []
-    original = characters.fixed_dim
+    original = characters._subgroup_weights  # read once per row build
 
-    def counting(chi, subgroup):
+    def counting(subgroup):
         calls.append(subgroup.members)
-        return original(chi, subgroup)
+        return original(subgroup)
 
-    monkeypatch.setattr(characters, "fixed_dim", counting)
+    monkeypatch.setattr(characters, "_subgroup_weights", counting)
     first = analyze(action)
     for subgroup in lattice:
         first.profile(subgroup)
@@ -720,6 +720,52 @@ def test_the_fixed_dims_cache_is_bounded_by_the_lattice():
                 analysis.profile(subgroup)
                 assert len(group._fixed_dims) <= len(lattice)
         assert set(group._fixed_dims) <= members
+
+
+ROW_GROUPS = {
+    "library": group_library,
+    "Z7:Z9": lambda: [semidirect_7_9()],
+    "D44": lambda: [preset_dihedral(11)],
+    "D60": lambda: [preset_dihedral(15)],
+    "Q24": lambda: [dicyclic_group(6)],
+    "Q100": lambda: [dicyclic_group(25)],
+}
+
+
+@pytest.mark.parametrize("name", ROW_GROUPS)
+def test_the_integer_rows_are_fixed_dim_of_each_class_and_of_an_override_view(name):
+    for group in ROW_GROUPS[name]():
+        table = character_table(group)
+        classes = rational_classes(table)
+        # an override on the largest degree's class, with a Schur index that divides it
+        rc = max(classes, key=lambda rc: rc.degree)
+        view = rational_classes(table, {rc.representative: rc.degree})
+        for subgroup in enumerate_subgroups(group):
+            row = fixed_dims(subgroup)
+            assert row == tuple(fixed_dim(rc.character, subgroup) for rc in classes)
+            assert row == tuple(fixed_dim(rc.character, subgroup) for rc in view)
+
+
+@pytest.mark.parametrize("route", [0, 1], ids=["counts", "w"])
+def test_one_wrong_weight_in_either_route_raises(monkeypatch, route):
+    group = preset_dihedral(3)  # built here, so no row is cached yet
+    original = characters._subgroup_weights
+    for subgroup in enumerate_subgroups(group):
+        for c in range(len(conjugacy_classes(group))):
+
+            def perturbed(h):
+                weights = original(h)
+                weights[route][c] += 1
+                return weights
+
+            monkeypatch.setattr(characters, "_subgroup_weights", perturbed)
+            with pytest.raises(CharacterError):
+                fixed_dims(subgroup)
+            monkeypatch.setattr(characters, "_subgroup_weights", original)
+            assert subgroup.members not in group._fixed_dims
+    classes = rational_classes(character_table(group))
+    for subgroup in enumerate_subgroups(group):  # the true weights build every row
+        assert fixed_dims(subgroup) == tuple(fixed_dim(rc.character, subgroup) for rc in classes)
 
 
 # -- Frobenius-Schur -------------------------------------------------------------------

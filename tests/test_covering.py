@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from jacdecomp import covering
 from jacdecomp.covering import (
     CoveringAction,
     MalformedAction,
@@ -27,7 +28,8 @@ from jacdecomp.groups import (
     subgroup_generate,
     trivial_subgroup,
 )
-from conftest import dihedral_action, fiber_action, group_library
+from jacdecomp.decomposition import analyze
+from conftest import dihedral_action, fiber_action, group_library, random_action, semidirect_7_9
 
 
 @pytest.mark.parametrize("q", [3, 5, 7])
@@ -230,3 +232,46 @@ def test_orbit_count_needs_a_cyclic_stabilizer_with_one_generator():
     cosets = coset_action(group, trivial_subgroup(group))
     with pytest.raises(ValueError, match="^the stabilizer must be cyclic with one generator$"):
         orbit_count(Subgroup(group, (r, s)), cosets)
+
+
+# -- the group's orbit counts: one walk per (H, <c>) --------------------------------------
+
+
+def test_every_cached_orbit_count_is_a_fresh_walk_and_the_dict_is_bounded():
+    rng = random.Random(2020)
+    for group in group_library():
+        lattice = enumerate_subgroups(group)
+        by_members = {subgroup.members: subgroup for subgroup in lattice}
+        stabilizers = {}
+        for _ in range(3):
+            action = random_action(group, rng)
+            stabilizers.update((stab.members, stab) for stab in branch_stabilizers(action))
+            analysis = analyze(action)
+            for subgroup in lattice:
+                analysis.profile(subgroup)
+                assert len(group._orbit_counts) <= len(lattice) ** 2
+        assert group._orbit_counts
+        for (members, stab_members), count in group._orbit_counts.items():
+            cosets = coset_action(group, by_members[members])
+            assert count == orbit_count(stabilizers[stab_members], cosets)
+
+
+def test_a_second_analysis_of_the_same_action_walks_no_orbit(monkeypatch):
+    group = semidirect_7_9()  # built here, so no orbit count is cached yet
+    action = random_action(group, random.Random(20))
+    lattice = enumerate_subgroups(group)
+    calls = []
+    original = covering.orbit_count
+
+    def counting(stabilizer, cosets):
+        calls.append((stabilizer.members, cosets.degree))
+        return original(stabilizer, cosets)
+
+    monkeypatch.setattr(covering, "orbit_count", counting)
+    first = analyze(action)
+    genera = [first.profile(subgroup).genus for subgroup in lattice]
+    assert calls
+    calls.clear()
+    second = analyze(action)
+    assert [second.profile(subgroup).genus for subgroup in lattice] == genera
+    assert calls == []
