@@ -221,9 +221,8 @@ def _cmd_analyze(scenario: ScenarioFile, args) -> ReportDocument:
             body["proposition2"] = proposition2_section(
                 analysis.proposition2(*spec.subgroups), labels
             )
-        body["proposition1"] = proposition1_section(
-            analysis.proposition1(spec.subgroups), labels
-        )
+        acting = admissibility if ambient_analysis is analysis else analysis.admissibility(spec.subgroups)
+        body["proposition1"] = proposition1_section(analysis.proposition1(acting), labels)
         body["theorem_c"] = theorem_c_section(analysis.theorem_c(spec.subgroups))
 
         notes = _check_collection_expectations(

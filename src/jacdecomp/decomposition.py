@@ -467,10 +467,9 @@ class ActionAnalysis:
             results.append(Corollary1Report(k, prym, complement_sum, bounded, equality, full))
         return tuple(results)
 
-    def proposition1(self, collection: Sequence[Subgroup]) -> Proposition1Report:
-        if not collection:
-            raise DecompositionError("equivalence check needs a non-empty collection")
-        report = self.admissibility(collection)
+    def proposition1(self, report: AdmissibilityReport) -> Proposition1Report:
+        """Proposition 1's equivalent statements for the collection an admissibility report scored."""
+        collection = report.subgroups
         sums, degrees, support = report.sums, report.degrees, report.support
         r = len(self.rational_classes)
 
@@ -631,13 +630,16 @@ class ActionAnalysis:
         Fixed dimensions are nonnegative, so a collection holding an
         inadmissible one is inadmissible: each size extends only the previous
         size's admissible combinations (in itertools.combinations order), by
-        later subgroups, carrying their per-class sums.
+        later subgroups, carrying their per-class sums.  Theorem 1 proves
+        dim P = genus - sum of the quotient genera, so require_full builds the
+        reports of the combinations whose genera sum to the genus and no other.
         """
         if dedupe_conjugates:
             subgroups = subgroup_class_representatives(self.group)
         else:
             subgroups = enumerate_subgroups(self.group)
-        rows = [self.profile(h).fixed_dims for h in subgroups]
+        profiles = [self.profile(h) for h in subgroups]
+        rows = [p.fixed_dims for p in profiles]
         on = [l for l, supported in enumerate(self.support) if supported]
         degrees = [rc.degree for rc in self.rational_classes]
         level = [((), [0] * len(degrees))]  # (indices, per-class sums)
@@ -651,9 +653,8 @@ class ActionAnalysis:
                         extended.append((combo + (j,), sums))
             level = extended
             for combo, _ in level:
-                report = self._theorem1(self.admissibility(tuple(subgroups[j] for j in combo)))
-                if report.full or not require_full:
-                    results.append(report)
+                if not require_full or sum(profiles[j].genus for j in combo) == self.genus:
+                    results.append(self._theorem1(self.admissibility(tuple(subgroups[j] for j in combo))))
         return tuple(results)
 
 

@@ -4,9 +4,14 @@ A group is one flat Cayley table over the element indices 0..|G|-1, with the
 identity at index 0: every product, inverse, element order, power and
 conjugate is an index lookup, and all higher layers speak element indices.
 Permutations are only the input format.  Generators are closed under
-composition once, and the constructor fills the table by ``itemgetter``
-composition: one ``operator.itemgetter(*q.images)`` per column element q,
-applied to each row's image tuple, gives the images of p*q in C.
+composition once, on image tuples, and the constructor fills the table from
+their right-regular action: one ``operator.itemgetter(*s.images)`` per
+generator s, applied to each element's image tuple, gives the index of x*s.
+A walk over the generators' words from the identity then builds the table
+column by column, since x(ys) = (xy)s makes column y*s that action read
+along column y, and writes each column into the row-major table.  Closure
+under the generators, with every element reached, proves closure under
+products.
 Conjugacy classes, cosets and double cosets are all orbits of point maps
 read off the table (rows, columns, or their composition), and one routine,
 :func:`orbits`, walks them.  Those walks move points by a subgroup's
@@ -106,10 +111,6 @@ class Permutation:
     def __hash__(self) -> int:
         return hash(self.images)
 
-    @classmethod
-    def identity(cls, degree: int) -> "Permutation":
-        return cls(tuple(range(degree)))
-
     @property
     def degree(self) -> int:
         return len(self.images)
@@ -148,17 +149,34 @@ class FiniteGroup:
         index = {x: i for i, x in enumerate(images)}
         if len(index) != n:
             raise GroupError("duplicate elements in group construction")
-        # itemgetter(*q)(p) is the image tuple of p*q; below degree 2 the only
-        # element is the identity, and itemgetter would not return a tuple
-        getters = [itemgetter(*q) for q in images] if self.degree > 1 else [tuple]
-        table = self._table = array("H")
+        # right[k][x] is the index of x*s for the k-th generator s (every element
+        # when none is named): itemgetter(*s)(x) is the image tuple of x*s; below
+        # degree 2 the only element is the identity, and itemgetter would not
+        # return a tuple
+        gens = sorted(set(self.generator_names.values())) or range(n)
+        getters = [itemgetter(*images[s]) if self.degree > 1 else tuple for s in gens]
         try:
-            for p in images:
-                table.extend([index[get(p)] for get in getters])
+            right = [[index[get(x)] for x in images] for get in getters]
         except KeyError as exc:
             raise GroupError(f"element list is not closed: product {exc.args[0]} is missing") from None
-        named = set(self.generator_names.values())
-        if named and len(orbits(n, [table[g::n] for g in named])[0]) != 1:
+        # column y*s is right[k] read along column y, as x(ys) = (xy)s; a walk over
+        # the generators' words that reaches every element proves closure.  Each
+        # column is written into the row-major table, and dropped, once its
+        # children are built.
+        table = self._table = array("H", bytes(2 * n * n))
+        columns = [None] * n
+        columns[0] = range(n)
+        walk = [0]
+        for y in walk:
+            column, columns[y] = columns[y], ()
+            get = itemgetter(*column)
+            for action in right:
+                z = action[y]
+                if columns[z] is None:
+                    columns[z] = get(action)
+                    walk.append(z)
+            table[y::n] = array("H", column)
+        if len(walk) != n:
             raise GroupError("the named generators do not generate the group")
         self._inverse = tuple(table.index(0, i * n, i * n + n) - i * n for i in range(n))
         orders = []
@@ -271,26 +289,20 @@ def build_group(
     if len(names) != len(generators):
         raise GroupError("one name per generator required")
 
-    identity = Permutation.identity(degree)
-    elements = [identity]
-    seen = {identity.images: 0}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for cur in frontier:
-            for gen in generators:
-                new = cur * gen
-                if new.images not in seen:
-                    seen[new.images] = len(elements)
-                    elements.append(new)
-                    nxt.append(new)
-                    if len(elements) > order_cap:
-                        raise OrderCapExceeded(
-                            f"closure exceeded order cap {order_cap}"
-                        )
-        frontier = nxt
+    # breadth-first over image tuples: itemgetter(*gen)(cur) is cur*gen (see FiniteGroup)
+    getters = [itemgetter(*gen.images) if degree > 1 else tuple for gen in generators]
+    walk = [tuple(range(degree))]
+    seen = {walk[0]: 0}
+    for cur in walk:
+        for get in getters:
+            new = get(cur)
+            if new not in seen:
+                seen[new] = len(walk)
+                walk.append(new)
+                if len(walk) > order_cap:
+                    raise OrderCapExceeded(f"closure exceeded order cap {order_cap}")
     name_map = {name: seen[gen.images] for name, gen in zip(names, generators)}
-    return FiniteGroup(elements, name_map)
+    return FiniteGroup([Permutation(x) for x in walk], name_map)
 
 
 def preset_dihedral(q: int, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:

@@ -162,7 +162,7 @@ def test_criterion_06_equivalence_checkers_agree():
         subgroups = enumerate_subgroups(group)
         for _ in range(55):
             collection = [rng.choice(subgroups) for _ in range(rng.randint(1, 4))]
-            report = analysis.proposition1(collection)
+            report = analysis.proposition1(analysis.admissibility(collection))
             assert report.statement2 == report.statement3
             checked += 1
     assert checked >= 100

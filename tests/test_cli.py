@@ -165,6 +165,21 @@ def test_analyze_whole_scenario_exits_2_because_of_h1h4():
     assert flagged == {"h1h4"}
 
 
+def test_analyze_scores_each_collection_once(monkeypatch):
+    """Theorem 1 and Proposition 1 read one admissibility report per collection."""
+    scored = []
+    admissibility = cli.dec.ActionAnalysis.admissibility
+
+    def counted(self, collection):
+        scored.append(tuple(h.members for h in collection))
+        return admissibility(self, collection)
+
+    monkeypatch.setattr(cli.dec.ActionAnalysis, "admissibility", counted)
+    doc, code = run(["analyze", "d2q?q=3"])
+    assert code == 2
+    assert len(doc.data["collections"]) == len(scored) == len(set(scored)) == 5
+
+
 @pytest.mark.parametrize("q", [3, 5, 7])
 def test_analyze_reference_collections_clean_for_all_q(q):
     doc, code = run(["analyze", f"d2q?q={q}", "--collections", "main,h1,h1h3"])

@@ -341,7 +341,8 @@ def test_corollary1_matches_the_per_index_computation(q):
 
 def test_prop1_main_collection():
     data = named_subgroups(3)
-    report = analyze(data["action"]).proposition1([data["H1"], data["H2"], data["H3"]])
+    analysis = analyze(data["action"])
+    report = analysis.proposition1(analysis.admissibility([data["H1"], data["H2"], data["H3"]]))
     assert report.statement2 and report.statement3
     assert report.special_case
     assert report.eq8_holds
@@ -350,14 +351,16 @@ def test_prop1_main_collection():
 
 def test_prop1_h1_h3_fails_both_ways():
     data = named_subgroups(3)
-    report = analyze(data["action"]).proposition1([data["H1"], data["H3"]])
+    analysis = analyze(data["action"])
+    report = analysis.proposition1(analysis.admissibility([data["H1"], data["H3"]]))
     assert not report.statement2 and not report.statement3
     assert report.eq8_holds is False
 
 
 def test_prop1_single_full_group():
     data = named_subgroups(3)
-    report = analyze(data["action"]).proposition1([full_subgroup(data["group"])])
+    analysis = analyze(data["action"])
+    report = analysis.proposition1(analysis.admissibility([full_subgroup(data["group"])]))
     assert not report.statement2 and not report.statement3
 
 
@@ -369,7 +372,7 @@ def test_prop1_agreement_on_random_collections():
     for _ in range(60):
         size = rng.randint(1, 4)
         collection = [rng.choice(subgroups) for _ in range(size)]
-        report = analysis.proposition1(collection)
+        report = analysis.proposition1(analysis.admissibility(collection))
         assert report.statement2 == report.statement3
 
 
@@ -637,6 +640,22 @@ def test_search_returns_the_theorem1_report_of_every_exhaustive_hit(require_full
         assert [r.admissibility for r in reports] == expected, name
         for report in reports:
             assert report == analysis.theorem1(report.subgroups), name
+
+
+@pytest.mark.parametrize("q", [5, 7, 13])
+def test_require_full_builds_theorem1_only_for_the_full_hits(q, monkeypatch):
+    analysis = analyze(dihedral_action(q)[1])
+    full = [r for r in analysis.search_admissible(3) if r.full]
+    built = []
+    theorem1 = decomposition.ActionAnalysis._theorem1
+
+    def counted(self, report):
+        built.append(report.subgroups)
+        return theorem1(self, report)
+
+    monkeypatch.setattr(decomposition.ActionAnalysis, "_theorem1", counted)
+    assert analysis.search_admissible(3, require_full=True) == tuple(full)
+    assert len(built) == len(full)
 
 
 # -- fiber products and elliptic plans ------------------------------------------------------------------

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from conftest import semidirect_7_9
+from conftest import group_library, semidirect_7_9
 from jacdecomp import groups
 from jacdecomp.groups import (
     DegreeMismatch,
@@ -125,6 +125,28 @@ def test_finite_group_rejects_names_that_do_not_generate_it():
     assert conjugacy_classes(unnamed).classes == conjugacy_classes(group).classes
 
 
+def test_a_list_closed_under_its_named_generators_but_not_a_group_is_rejected():
+    """<r> and s<r>, s a 4-cycle on other points: r keeps the list closed, s*s is missing."""
+    r = Permutation((1, 2, 0, 3, 4, 5, 6))
+    s = Permutation((0, 1, 2, 4, 5, 6, 3))
+    rotations = [r * r * r, r, r * r]
+    elements = rotations + [s * x for x in rotations]
+    with pytest.raises(GroupError, match="do not generate"):
+        FiniteGroup(elements, {"r": 1})
+    for names in ({"r": 1, "s": 3}, {}):
+        with pytest.raises(GroupError, match=r"not closed: product \(0, 1, 2, 5, 6, 3, 4\) is missing"):
+            FiniteGroup(elements, names)
+
+
+@pytest.mark.parametrize("q", [3, 10, 61])
+def test_build_group_cap_fires_at_the_first_element_past_it(q):
+    group = preset_dihedral(q)
+    generators = [group.elements[g] for g in group.generator_names.values()]
+    assert build_group(generators, order_cap=group.order).order == group.order
+    with pytest.raises(OrderCapExceeded, match=f"closure exceeded order cap {group.order - 1}$"):
+        build_group(generators, order_cap=group.order - 1)
+
+
 def test_identity_is_index_zero():
     group = preset_dihedral(3)
     assert group.elements[0].is_identity()
@@ -239,6 +261,63 @@ def test_cayley_table_matches_permutation_composition(generators, order):
             powers.append(compose(powers[-1], p))
         assert group.element_order(i) == len(powers)
         assert group.inv(i) == index[powers[-2] if len(powers) > 1 else identity]
+
+
+def all_pairs_rows(group, rows):
+    """The given rows of the Cayley table by definition: one product per pair."""
+    index = {p.images: i for i, p in enumerate(group.elements)}
+    return [[index[(group.elements[i] * q).images] for q in group.elements] for i in rows]
+
+
+def table_rows(group, rows):
+    n = group.order
+    return [group._table[i * n:i * n + n].tolist() for i in rows]
+
+
+TABLE_ORACLE_GROUPS = {
+    "library": group_library,
+    "D244": lambda: [preset_dihedral(61)],
+    "Z2^8": lambda: [preset_elementary_abelian_2(8)],
+    "Z7:Z9": lambda: [semidirect_7_9()],
+    "unnamed Z7:Z9": lambda: [FiniteGroup(semidirect_7_9().elements, {})],
+    "D12<D24": lambda: [d12_inside_d24()],
+}
+
+
+@pytest.mark.parametrize("name", TABLE_ORACLE_GROUPS)
+def test_cayley_table_is_every_product_of_two_elements(name):
+    for group in TABLE_ORACLE_GROUPS[name]():
+        rows = range(group.order)
+        assert table_rows(group, rows) == all_pairs_rows(group, rows)
+
+
+def test_cayley_table_rows_of_d508_are_products_of_two_elements():
+    group = preset_dihedral(127)
+    rows = sorted(random.Random(508).sample(range(group.order), 64))
+    assert table_rows(group, rows) == all_pairs_rows(group, rows)
+
+
+def breadth_first_levels(generators):
+    """Elements in the order of their first appearance as cur * gen, level by level."""
+    identity = Permutation(tuple(range(generators[0].degree)))
+    elements, frontier = [identity], [identity]
+    while frontier:
+        found = [cur * gen for cur in frontier for gen in generators]
+        frontier = [p for i, p in enumerate(found) if p not in elements and p not in found[:i]]
+        elements += frontier
+    return elements
+
+
+@pytest.mark.parametrize("build", [
+    lambda: preset_dihedral(1), lambda: preset_dihedral(3), lambda: preset_dihedral(10),
+    lambda: preset_elementary_abelian_2(1), lambda: preset_elementary_abelian_2(4),
+    preset_quaternion, semidirect_7_9,
+    lambda: group_from_images(A4_GENERATORS), lambda: group_from_images(S4_GENERATORS),
+], ids=["D4", "D12", "D40", "Z2", "Z2^4", "Q8", "Z7:Z9", "A4", "S4"])
+def test_build_group_orders_elements_by_breadth_first_levels(build):
+    group = build()
+    generators = [group.elements[g] for g in group.generator_names.values()]
+    assert list(group.elements) == breadth_first_levels(generators)
 
 
 def test_element_orders_divide_exponent():
