@@ -13,6 +13,18 @@ mapped back through the recorded steps.  Every returned vector is checked to
 satisfy restr * v = lam * v exactly, beside the invariance, split-dimension
 and one-dimensional-end checks.
 
+The first split, of the whole space by the first class matrix, computes one
+kernel per Galois orbit of rows.  For a unit u, sigma_u(chi)(x) = chi(x^u)
+and the class of rep^u has the size of rep's, so the central character of
+sigma_u(chi) is chi's with class l read at the class of rep_l^u.  That is an
+identity of algebraic integers, so it holds mod p as well, and the image of
+a one-dimensional eigenspace's vector under this permutation is again an
+eigenvector, exactly.  Its eigenvalue is read off row 0 and it is checked
+against the sparse rows like every other vector.  It replaces a kernel only
+when its eigenvalue is a simple root of the characteristic polynomial,
+since only then is that eigenspace the line it spans: eigenvalues that
+differ as algebraic integers may agree mod p.
+
 One class per orbit of x -> x^u (u a unit) is lifted: the class of rep^u,
 read from the class partition's power map, takes sigma_u of each value, its
 multiplicities permuted by j -> ju mod n, and is checked mod p against the
@@ -261,15 +273,15 @@ def _charpoly_mod(matrix: list[list[int]], p: int) -> list[int]:
     return polys[n]
 
 
+def _poly_eval_mod(coeffs, x, p):
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * x + c) % p
+    return acc
+
+
 def _poly_roots_mod(coeffs: list[int], p: int) -> list[int]:
-    roots = []
-    for x in range(p):
-        acc = 0
-        for c in reversed(coeffs):
-            acc = (acc * x + c) % p
-        if acc == 0:
-            roots.append(x)
-    return roots
+    return [x for x in range(p) if not _poly_eval_mod(coeffs, x, p)]
 
 
 def _hessenberg_kernel(h: list[list[int]], lam: int, p: int) -> list[list[int]]:
@@ -310,25 +322,45 @@ def _hessenberg_kernel(h: list[list[int]], lam: int, p: int) -> list[list[int]]:
     return basis
 
 
-def _eigenspaces(matrix: list[list[int]], p: int) -> list[tuple[int, list[list[int]]]]:
+def _eigenspaces(matrix: list[list[int]], p: int, images) -> list[tuple[int, list[list[int]]]]:
     """Each eigenvalue of the matrix in F_p, ascending, with a basis of its eigenspace.
 
     One Hessenberg form h = S A S^-1 gives the characteristic polynomial and
     every kernel of h - lam*I; a kernel vector v of h maps to the eigenvector
     S^-1 v of A through the recorded steps, inverted and in reverse order.
+
+    Each of the images is a coordinate permutation pi that should carry an
+    eigenvector v to another one, w_l = v_pi(l), with eigenvalue
+    mu = (A w)_0 / w_0.  A one-dimensional eigenspace's images are walked to
+    closure, and w stands in for the kernel of mu when the derivative of the
+    characteristic polynomial does not vanish at mu.  If A w = mu w, which
+    the caller checks for every vector, mu is then a simple root, and its
+    eigenspace is the line that w spans.
     """
     h, steps = _hessenberg_mod(matrix, p)
-    spaces = []
-    for lam in _poly_roots_mod(_charpoly_mod(h, p), p):
-        vectors = _hessenberg_kernel(h, lam, p)
+    poly = _charpoly_mod(h, p)
+    slope = [i * c for i, c in enumerate(poly)][1:]
+    roots = _poly_roots_mod(poly, p)
+    spaces = {}
+    for lam in roots:
+        if lam in spaces:
+            continue  # derived from an earlier eigenvector
+        vectors = spaces[lam] = _hessenberg_kernel(h, lam, p)
         for v in vectors:
             for m, i, u in reversed(steps):
                 if u is None:
                     v[m], v[i] = v[i], v[m]
                 else:
                     v[i] = (v[i] + u * v[m]) % p
-        spaces.append((lam, vectors))
-    return spaces
+        orbit = vectors[:] if len(vectors) == 1 and vectors[0][0] else []
+        for v in orbit:
+            for pi in images:
+                w = [v[l] for l in pi]
+                mu = sum(map(mul, matrix[0], w)) * pow(w[0], -1, p) % p
+                if mu not in spaces and _poly_eval_mod(slope, mu, p):
+                    spaces[mu] = [w]
+                    orbit.append(w)
+    return sorted(spaces.items())
 
 
 def _class_matrix(group: FiniteGroup, i: int) -> list[list[tuple[int, int]]]:
@@ -368,7 +400,7 @@ def _restriction(rows, basis, pivots, p):
     return [list(row) for row in zip(*cols)]
 
 
-def _common_eigenvectors(mats, n: int, p: int) -> list[list[int]]:
+def _common_eigenvectors(mats, n: int, p: int, images) -> list[list[int]]:
     """Split F_p^n into the common eigenvectors of commuting n x n matrices.
 
     The matrices come as sparse rows (see _class_matrix) from an iterable that
@@ -376,6 +408,12 @@ def _common_eigenvectors(mats, n: int, p: int) -> list[list[int]]:
     invariant under the rest, so the subspaces still above dimension 1 are
     refined matrix by matrix; the algebra is semisimple and split over F_p,
     hence everything ends one-dimensional.
+
+    The first split is of all of F_p^n, whose echelon basis is the identity:
+    the restriction is the matrix itself, densified, and every vector is
+    checked against the sparse rows, in O(nnz) steps.  Only that split
+    derives eigenvectors through the coordinate permutations `images` (see
+    _eigenspaces).
     """
     identity_basis = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     spaces: list[tuple[list[list[int]], list[int]]] = [(identity_basis, list(range(n)))]
@@ -385,15 +423,22 @@ def _common_eigenvectors(mats, n: int, p: int) -> list[list[int]]:
             if len(basis) == 1:
                 new_spaces.append((basis, pivots))
                 continue
-            restr = _restriction(matrix, basis, pivots, p)
+            whole = len(basis) == n
+            restr = (
+                [[row.get(l, 0) for l in range(n)] for row in map(dict, matrix)] if whole
+                else _restriction(matrix, basis, pivots, p)
+            )
             split_dim = 0
-            for lam, kernel in _eigenspaces(restr, p):
+            for lam, kernel in _eigenspaces(restr, p, images if whole else ()):
                 vectors = []
                 for u in kernel:
-                    if [sum(map(mul, row, u)) % p for row in restr] != [lam * x % p for x in u]:
+                    image = (
+                        [sum(a * u[l] for l, a in row) % p for row in matrix] if whole
+                        else [sum(map(mul, row, u)) % p for row in restr]
+                    )
+                    if image != [lam * x % p for x in u]:
                         raise CharacterError("eigenspace vector fails restr * v = lambda * v")
-                    combined = u if basis is identity_basis else _combine(u, basis)
-                    vectors.append([y % p for y in combined])
+                    vectors.append(u if whole else [y % p for y in _combine(u, basis)])
                 rref, piv = _rref_mod(vectors, p)
                 split_dim += len(rref)
                 new_spaces.append((rref, piv))
@@ -433,8 +478,8 @@ def _unit_generators(e: int) -> tuple[int, ...]:
     return tuple(generators)
 
 
-def _galois_permutations(rows: list[ClassFunction], e: int) -> tuple[tuple[int, ...], ...]:
-    """For each of _unit_generators(e), the map i -> index of sigma_u(rows[i]).
+def _galois_permutations(rows: list[ClassFunction], units) -> tuple[tuple[int, ...], ...]:
+    """For each u of the units, _unit_generators(e), the map i -> index of sigma_u(rows[i]).
 
     sigma_u : zeta_e -> zeta_e^u acts on every value; each image row is looked
     up exactly by its coordinate tuple, and each map must be a permutation.
@@ -443,9 +488,10 @@ def _galois_permutations(rows: list[ClassFunction], e: int) -> tuple[tuple[int, 
     """
     coords = [row.coords for row in rows]
     row_index = {c: i for i, c in enumerate(coords)}
+    e = rows[0].group.exponent
     powers = _power_reductions(e)
     perms = []
-    for u in _unit_generators(e):
+    for u in units:
         # basis z^i goes to reduced z^(iu); values repeat, so each is mapped once
         basis_images = [powers[i * u % e] for i in range(len(powers[0]))]
         image_of: dict[tuple, tuple] = {}
@@ -557,8 +603,14 @@ def character_table(group: FiniteGroup) -> CharacterTable:
     order = group.order
     p = _find_prime(e, order)
 
+    # sigma_u(chi)(x) = chi(x^u), and |class of rep^u| = |class of rep|, so the
+    # central character of sigma_u(chi) reads chi's at the class of rep^u
+    units = _unit_generators(e)
+    images = [[powers[u % len(powers)] for powers in classes.power_map] for u in units]
     # class matrices are built as the split reaches them; the identity's never splits
-    eigenvectors = _common_eigenvectors((_class_matrix(group, i) for i in range(1, k)), k, p)
+    eigenvectors = _common_eigenvectors(
+        (_class_matrix(group, i) for i in range(1, k)), k, p, images
+    )
     if len(eigenvectors) != k:
         raise CharacterError(
             f"expected {k} common eigenvectors, found {len(eigenvectors)}"
@@ -651,7 +703,7 @@ def character_table(group: FiniteGroup) -> CharacterTable:
     degrees = tuple(row.values[0].as_integer() for row in ordered)
     if sum(d * d for d in degrees) != order:
         raise CharacterError("degree squares do not sum to the group order")
-    galois = _galois_permutations(ordered, e)
+    galois = _galois_permutations(ordered, units)
     _certify_orthonormality(ordered, galois)
 
     table = CharacterTable(

@@ -178,14 +178,20 @@ class FiniteGroup:
             table[y::n] = array("H", column)
         if len(walk) != n:
             raise GroupError("the named generators do not generate the group")
-        self._inverse = tuple(table.index(0, i * n, i * n + n) - i * n for i in range(n))
-        orders = []
+        # one walk of each cycle x, x^2, ..., x^m = 1 not yet covered: x^k has
+        # order m / gcd(m, k) and inverse x^(m-k)
+        orders, inverse = [0] * n, [0] * n
         for i in range(n):
-            k, x = 1, i
+            if orders[i]:
+                continue
+            cycle, x = [0], i
             while x:
+                cycle.append(x)
                 x = table[x * n + i]
-                k += 1
-            orders.append(k)
+            m = len(cycle)
+            for k, y in enumerate(cycle):
+                orders[y], inverse[y] = m // math.gcd(m, k), cycle[-k]
+        self._inverse = tuple(inverse)
         self._orders = tuple(orders)
         self.exponent = math.lcm(*self._orders)
         # lazy caches

@@ -245,7 +245,7 @@ def test_eigenspaces_match_a_dense_kernel_oracle(p):
     span the Gauss-Jordan kernel of A - lam*I, as many as its dimension."""
     for m in eigenspace_inputs(p):
         n = len(m)
-        spaces = dict(characters._eigenspaces(m, p))
+        spaces = dict(characters._eigenspaces(m, p, ()))
         assert list(spaces) == sorted(spaces)
         for lam in range(p):
             shifted = [[(m[i][j] - (lam if i == j else 0)) % p for j in range(n)] for i in range(n)]
@@ -256,6 +256,39 @@ def test_eigenspaces_match_a_dense_kernel_oracle(p):
                 assert mat_mul(m, [[x] for x in v], p) == [[lam * x % p] for x in v]
             if vectors:
                 assert len(gauss_jordan(vectors + oracle, p)[1]) == len(oracle)
+
+
+def recording_kernels(monkeypatch):
+    """The eigenvalues whose kernels _hessenberg_kernel computes, in call order."""
+    kernel, computed = characters._hessenberg_kernel, []
+
+    def recording(h, lam, p):
+        computed.append(lam)
+        return kernel(h, lam, p)
+
+    monkeypatch.setattr(characters, "_hessenberg_kernel", recording)
+    return computed
+
+
+@pytest.mark.parametrize("third", [2, 5])
+def test_a_derived_eigenvector_stands_in_only_for_a_simple_root(monkeypatch, third):
+    """S's columns v = (1, 2, 3), its image (1, 3, 2) under the swap of coordinates 1
+    and 2, and (0, 1, 0) are eigenvectors for 1, 2 and `third`: the image replaces the
+    kernel of 2 when 2 is a simple root, and when 2 is double its kernel is computed."""
+    p = 13
+    s = [[1, 1, 0], [2, 3, 1], [3, 2, 0]]
+    identity = [[int(i == j) for j in range(3)] for i in range(3)]
+    s_inv = [row[3:] for row in gauss_jordan([row + e for row, e in zip(s, identity)], p)[0]]
+    diagonal = [[x * int(r == c) for c in range(3)] for r, x in enumerate([1, 2, third])]
+    a = mat_mul(mat_mul(s, diagonal, p), s_inv, p)
+    computed = recording_kernels(monkeypatch)
+    spaces = characters._eigenspaces(a, p, [[0, 2, 1]])
+    assert computed == ([1, 2] if third == 2 else [1, 5])
+    assert [lam for lam, _ in spaces] == sorted({1, 2, third})
+    for lam, vectors in spaces:
+        shifted = [[(x - lam * int(i == j)) % p for j, x in enumerate(row)]
+                   for i, row in enumerate(a)]
+        assert gauss_jordan(vectors, p)[0] == gauss_jordan(kernel_mod(shifted, p), p)[0]
 
 
 @pytest.mark.parametrize("group", LIBRARY, ids=lambda g: f"order{g.order}")
@@ -1177,7 +1210,7 @@ def per_row_lift(group):
     z_root = characters._primitive_root_of_unity(p, e)
     rows = []
     mats = [sparse_rows(m) for m in class_matrices(group)]
-    for vec in characters._common_eigenvectors(mats, k, p):
+    for vec in characters._common_eigenvectors(mats, k, p, ()):
         omega = [v * pow(vec[0], -1, p) % p for v in vec]
         sigma = sum(
             omega[l] * omega[class_of[group.inv(rep)]] * pow(sizes[l], -1, p)
@@ -1274,8 +1307,8 @@ def test_a_wrong_eigenspace_vector_is_rejected(monkeypatch, name):
     """v + u, with u from another eigenspace, is never an eigenvector: A(v + u) = lam v + mu u."""
     eigenspaces = characters._eigenspaces
 
-    def wrong(matrix, p):
-        spaces = eigenspaces(matrix, p)
+    def wrong(matrix, p, images):
+        spaces = eigenspaces(matrix, p, images)
         if len(spaces) > 1:
             (_, vs), (_, us) = spaces[:2]
             vs[0] = [(v + u) % p for v, u in zip(vs[0], us[0])]
@@ -1284,6 +1317,52 @@ def test_a_wrong_eigenspace_vector_is_rejected(monkeypatch, name):
     monkeypatch.setattr(characters, "_eigenspaces", wrong)
     with pytest.raises(CharacterError, match="restr \\* v = lambda \\* v"):
         character_table(FIRING_GROUPS[name]())
+
+
+@pytest.mark.parametrize("name", ["D20", "A4"])
+@pytest.mark.parametrize("which", [0, -1])
+def test_a_perturbed_derived_eigenvector_is_rejected(monkeypatch, name, which):
+    """One entry of a Galois-derived eigenvector of the first split, moved by 1 mod p."""
+    eigenspaces, computed, perturbed = characters._eigenspaces, recording_kernels(monkeypatch), []
+
+    def perturbing(matrix, p, images):
+        spaces = eigenspaces(matrix, p, images)
+        derived = [vectors[0] for lam, vectors in spaces if lam not in computed]
+        if derived and not perturbed:
+            v = derived[which]
+            v[1] = (v[1] + 1) % p
+            perturbed.append(v)
+        return spaces
+
+    monkeypatch.setattr(characters, "_eigenspaces", perturbing)
+    with pytest.raises(CharacterError, match="restr \\* v = lambda \\* v"):
+        character_table(FIRING_GROUPS[name]())
+    assert perturbed
+
+
+def first_split(group):
+    """The first class matrix the split reads, dense, with the table's prime and
+    the class permutations l -> class of rep_l^u for each unit generator u."""
+    classes = conjugacy_classes(group)
+    k, e = len(classes), group.exponent
+    dense = [[0] * k for _ in range(k)]
+    for row, sparse in zip(dense, characters._class_matrix(group, 1)):
+        for l, a in sparse:
+            row[l] = a
+    images = [[powers[u % len(powers)] for powers in classes.power_map]
+              for u in characters._unit_generators(e)]
+    return dense, characters._find_prime(e, group.order), images
+
+
+def test_first_split_of_d60_computes_a_kernel_per_row_orbit_or_multiple_root(monkeypatch):
+    group = preset_dihedral(15)
+    matrix, p, images = first_split(group)
+    computed = recording_kernels(monkeypatch)
+    spaces = characters._eigenspaces(matrix, p, images)
+    calls = len(computed)
+    multiple = sum(len(vectors) > 1 for _, vectors in spaces)
+    assert calls <= len(rational_classes(character_table(group))) + multiple
+    assert calls < len(spaces)
 
 
 def test_semidirect_7_9_table_shape():
@@ -1317,9 +1396,9 @@ def test_identity_class_matrix_never_splits(group):
     mats = [sparse_rows(m) for m in class_matrices(group)]
     k = len(mats)
     p = characters._find_prime(group.exponent, group.order)
-    split = characters._common_eigenvectors(mats[1:], k, p)
+    split = characters._common_eigenvectors(mats[1:], k, p, ())
     assert len(split) == k
-    assert split == characters._common_eigenvectors(mats, k, p)
+    assert split == characters._common_eigenvectors(mats, k, p, ())
 
 
 @pytest.mark.parametrize("make_group", [
@@ -1333,8 +1412,8 @@ def test_identity_class_matrix_never_splits(group):
 def test_lift_checks_reject_a_perturbed_eigenvector(monkeypatch, make_group, which):
     split = characters._common_eigenvectors
 
-    def perturbed(mats, n, p):
-        vectors = split(mats, n, p)
+    def perturbed(mats, n, p, images):
+        vectors = split(mats, n, p, images)
         vectors[which] = [vectors[which][0], (vectors[which][1] + 1) % p, *vectors[which][2:]]
         return vectors
 
@@ -1355,6 +1434,19 @@ with_lift_groups_and_d244 = pytest.mark.parametrize(
     "make_group", [lambda g=g: g for g in LIFT_GROUPS] + [dihedral_244],
     ids=[f"order{g.order}" for g in LIFT_GROUPS] + ["D244"],
 )
+
+
+@with_lift_groups_and_d244
+def test_each_derived_eigenvector_spans_the_kernel_it_replaces(make_group):
+    """The first split's eigenspaces, kernel by kernel (as when nothing is derived)
+    and with Galois-derived lines: the same eigenvalues and the same echelon bases."""
+    matrix, p, images = first_split(make_group())
+    spaces = characters._eigenspaces(matrix, p, images)
+    plain = characters._eigenspaces(matrix, p, ())
+    assert [lam for lam, _ in spaces] == [lam for lam, _ in plain]
+    for (_, vectors), (_, kernel) in zip(spaces, plain):
+        assert len(vectors) == len(kernel)
+        assert characters._rref_mod(vectors, p) == characters._rref_mod(kernel, p)
 
 
 @with_lift_groups_and_d244
@@ -1388,8 +1480,8 @@ def test_lift_rejects_a_perturbed_eigenvector_on_any_column(monkeypatch, kind, w
     assert len(targets) >= 2
     split = characters._common_eigenvectors
     for c in targets:
-        def perturbed(mats, n, p, c=c):
-            vectors = split(mats, n, p)
+        def perturbed(mats, n, p, images, c=c):
+            vectors = split(mats, n, p, images)
             vectors[which][c] = (vectors[which][c] + 1) % p
             return vectors
 
@@ -1526,7 +1618,9 @@ def replace_value(row, c, delta):
 
 def certify(rows, e):
     """The table's own checks on given rows: Galois lookup, then the pair walk."""
-    return characters._certify_orthonormality(rows, characters._galois_permutations(rows, e))
+    return characters._certify_orthonormality(
+        rows, characters._galois_permutations(rows, characters._unit_generators(e))
+    )
 
 
 @pytest.mark.parametrize("e", range(1, 257))
@@ -1550,6 +1644,26 @@ def test_table_galois_maps_rows_by_sigma_u(name):
         assert sorted(perm) == list(range(len(rows)))
         for i, row in enumerate(rows):
             assert tuple(v.galois(u) for v in row.values) == rows[perm[i]].values
+
+
+@pytest.mark.parametrize("name", ["Z7:Z9", "C12", "C30", "D124"])
+def test_split_class_permutations_are_the_table_galois_action(monkeypatch, name):
+    """The split's permutation for the g-th unit generator u reads row i at the
+    class of rep^u: that is row galois[g][i], sigma_u(chi)(x) = chi(x^u)."""
+    split, seen = characters._common_eigenvectors, []
+
+    def recording(mats, n, p, images):
+        seen.append(images)
+        return split(mats, n, p, images)
+
+    monkeypatch.setattr(characters, "_common_eigenvectors", recording)
+    table = character_table(GALOIS_GROUPS[name]())
+    rows = table.irreducibles
+    [images] = seen
+    assert len(images) == len(table.galois) > 0
+    for pi, perm in zip(images, table.galois):
+        for i, row in enumerate(rows):
+            assert tuple(row.values[l] for l in pi) == rows[perm[i]].values
 
 
 @pytest.mark.parametrize("name", GALOIS_GROUPS)
@@ -1601,7 +1715,7 @@ def test_perturbing_one_value_of_one_row_is_caught(name):
         perturbed[r] = replace_value(rows[r], c, Cyclotomic.root(e))
         if e > 2:
             with pytest.raises(CharacterError, match="left the character table"):
-                characters._galois_permutations(perturbed, e)
+                characters._galois_permutations(perturbed, characters._unit_generators(e))
         else:
             with pytest.raises(CharacterError):
                 certify(perturbed, e)
@@ -1625,7 +1739,8 @@ def test_perturbing_a_galois_orbit_consistently_is_caught(name):
         for j in rc.member_indices:
             u = next(u for u in units(e) if tuple(v.galois(u) for v in chi.values) == rows[j].values)
             perturbed[j] = replace_value(rows[j], c, delta.galois(u))
-        assert characters._galois_permutations(perturbed, e) == table.galois
+        generators = characters._unit_generators(e)
+        assert characters._galois_permutations(perturbed, generators) == table.galois
         with pytest.raises(CharacterError):
             characters._certify_orthonormality(perturbed, table.galois)
 

@@ -297,6 +297,45 @@ def test_cayley_table_rows_of_d508_are_products_of_two_elements():
     assert table_rows(group, rows) == all_pairs_rows(group, rows)
 
 
+def permutation_power(p, k):
+    """p^k by repeated squaring, on Permutation products only."""
+    result = Permutation(tuple(range(p.degree)))
+    while k:
+        if k & 1:
+            result = result * p
+        p, k = p * p, k >> 1
+    return result
+
+
+def prime_factors(m):
+    return {q for q in range(2, m + 1) if m % q == 0 and all(q % f for f in range(2, q))}
+
+
+ORDER_ORACLE_GROUPS = {
+    "library": group_library,
+    "D44 D60 D84": lambda: [preset_dihedral(q) for q in (11, 15, 21)],
+    "Z2^5 Z2^8": lambda: [preset_elementary_abelian_2(5), preset_elementary_abelian_2(8)],
+    "A4 S4 F20": lambda: [group_from_images(gens) for gens in
+                          (A4_GENERATORS, S4_GENERATORS, FROBENIUS_20_GENERATORS)],
+    "Z7:Z9": lambda: [semidirect_7_9()],
+    "D244": lambda: [preset_dihedral(61)],
+    "D508": lambda: [preset_dihedral(127)],
+    "D1004": lambda: [preset_dihedral(251)],
+}
+
+
+@pytest.mark.parametrize("name", ORDER_ORACLE_GROUPS)
+def test_element_orders_and_inverses_match_permutation_powers(name):
+    """x^m is the identity and x^(m/q) is not, for each prime q | m; x^(m-1) is x's inverse."""
+    for group in ORDER_ORACLE_GROUPS[name]():
+        identity = group.elements[0]
+        for i, x in enumerate(group.elements):
+            m = group.element_order(i)
+            assert permutation_power(x, m) == identity
+            assert all(permutation_power(x, m // q) != identity for q in prime_factors(m))
+            assert permutation_power(x, m - 1) == group.elements[group.inv(i)]
+
+
 def breadth_first_levels(generators):
     """Elements in the order of their first appearance as cur * gen, level by level."""
     identity = Permutation(tuple(range(generators[0].degree)))
