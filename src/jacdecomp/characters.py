@@ -736,9 +736,6 @@ def regular_character(group: FiniteGroup) -> ClassFunction:
 
 def permutation_character(group: FiniteGroup, subgroup: Subgroup) -> ClassFunction:
     """Character of the action on cosets: fixed-coset counts per class."""
-    cached = group._perm_chars.get(subgroup.members)
-    if cached is not None:
-        return cached
     cosets = coset_action(group, subgroup)
     reps, coset_of = cosets.representatives, cosets.coset_of
     n, table, e = group.order, group._table, group.exponent
@@ -747,9 +744,7 @@ def permutation_character(group: FiniteGroup, subgroup: Subgroup) -> ClassFuncti
         row = table[rep * n:(rep + 1) * n]  # row[x] = rep * x
         fixed = sum(1 for i, x in enumerate(reps) if coset_of[row[x]] == i)
         values.append(Cyclotomic.from_rational(fixed, e))
-    result = ClassFunction(group, tuple(values))
-    group._perm_chars[subgroup.members] = result
-    return result
+    return ClassFunction(group, tuple(values))
 
 
 def _subgroup_weights(subgroup: Subgroup) -> tuple[list[int], list[int]]:

@@ -570,12 +570,11 @@ class ActionAnalysis:
     def theorem_c(self, collection: Sequence[Subgroup]) -> TheoremCReport:
         """Which hypotheses of the pairwise-permuting criterion hold.
 
-        Two subgroups permute exactly when their product set is closed, i.e.
-        when it already fills the join.
+        Two subgroups permute exactly when their product set HK fills the
+        join.  As |HK| = |H| |K| / |H n K|, that is |H| |K| = |H n K| |<H, K>|.
         """
         if not collection:
             raise DecompositionError("hypothesis check needs a non-empty collection")
-        group = self.group
         pairs_permute = True
         witness = None
         genera = []
@@ -583,10 +582,8 @@ class ActionAnalysis:
             for j in range(i + 1, len(collection)):
                 h, k = collection[i], collection[j]
                 join = subgroup_join(h, k)
-                product_size = len(
-                    {group.mul(a, b) for a in h.members for b in k.members}
-                )
-                if product_size != join.order and witness is None:
+                meet = sum(1 for x in h.members if x in k)
+                if h.order * k.order != meet * join.order and witness is None:
                     pairs_permute = False
                     witness = (i, j)
                 genera.append(self.profile(join).genus)

@@ -200,7 +200,6 @@ class FiniteGroup:
         self._rational_classes = None
         self._subgroups: tuple | None = None
         self._coset_actions: dict[tuple[int, ...], "CosetAction"] = {}
-        self._perm_chars: dict[tuple[int, ...], object] = {}
         self._fixed_dims: dict[tuple[int, ...], tuple[int, ...]] = {}
         self._orbit_counts: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
         self._words: tuple[str, ...] | None = None

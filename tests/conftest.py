@@ -106,6 +106,22 @@ def semidirect_7_9() -> FiniteGroup:
     return build_group([a, b], ["a", "b"])
 
 
+def dicyclic_group(n):
+    """Q_4n = <a, x | a^2n = 1, x^2 = a^n, x a x^-1 = a^-1> in its regular action.
+
+    Point k + 2n*s stands for a^k x^s, and a and x act by left multiplication:
+    a a^k x^s = a^(k+1) x^s, x a^k = a^-k x and x a^k x = a^(n-k).
+    """
+    m = 2 * n
+    a = Permutation(tuple((k + 1) % m + m * s for s in (0, 1) for k in range(m)))
+    x = Permutation(tuple(
+        (-k) % m + m if s == 0 else (n - k) % m for s in (0, 1) for k in range(m)
+    ))
+    group = build_group([a, x], ["a", "x"])
+    assert group.order == 4 * n
+    return group
+
+
 @pytest.fixture(scope="session")
 def library():
     return group_library()

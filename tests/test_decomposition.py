@@ -24,17 +24,27 @@ from jacdecomp.decomposition import (
     induced_join_analysis,
 )
 from jacdecomp.groups import (
+    FiniteGroup,
     enumerate_subgroups,
     full_subgroup,
+    is_partition,
     preset_dihedral,
     preset_elementary_abelian_2,
     subgroup_as_group,
     subgroup_class_representatives,
     subgroup_generate,
+    subgroup_join,
     trivial_subgroup,
 )
 from jacdecomp.scenario import parse_scenario
-from conftest import dihedral_action, fiber_action, group_library, random_action
+from conftest import (
+    dicyclic_group,
+    dihedral_action,
+    fiber_action,
+    group_library,
+    random_action,
+    semidirect_7_9,
+)
 from test_cli import GOLDEN_CASES
 from test_groups import ORBIT_ORACLE_GROUPS, is_conjugacy_canonical
 from test_characters import dihedral_label_map
@@ -519,6 +529,61 @@ def test_theorem_c_applicable_case_agrees_with_full_decomposition():
     pair = analysis.theorem_c([h, k])
     assert pair.pairs_permute and pair.pairwise_zero
     assert pair.genus_sum == 2 and not pair.applicable
+
+
+KANI_ROSEN_GROUPS = group_library() + [dicyclic_group(n) for n in (2, 3, 6)] + [semidirect_7_9()]
+
+
+@pytest.mark.parametrize("index", range(len(KANI_ROSEN_GROUPS)))
+def test_theorem_c_decides_permutability_by_lagrange_without_mul(index, monkeypatch):
+    """HK = KH exactly when the product set HK, built here, fills the join."""
+    group = KANI_ROSEN_GROUPS[index]
+    analysis = analyze(random_action(group, random.Random(index)))
+    analysis.factors  # the table is built by multiplying; theorem_c itself is not
+    pairs = list(itertools.combinations(enumerate_subgroups(group), 2))
+    expected = [
+        len({group.mul(a, b) for a in h for b in k}) == subgroup_join(h, k).order
+        for h, k in pairs
+    ]
+
+    def no_mul(self, i, j):
+        raise AssertionError("theorem_c multiplied group elements")
+
+    monkeypatch.setattr(FiniteGroup, "mul", no_mul)
+    for (h, k), permute in zip(pairs, expected):
+        report = analysis.theorem_c([h, k])
+        assert report.pairs_permute == permute
+        assert report.non_permuting_pair == (None if permute else (0, 1))
+
+
+def test_theorem1_extends_kani_rosen():
+    """Theorem C's hypotheses imply Theorem 1's full decomposition, and not back.
+
+    Over every pair of subgroup class representatives, and every triple where
+    there are at most 20 classes: a Theorem C collection is admissible and
+    full, every partition satisfies Theorem B, and Corollary 1's equality
+    holds exactly on the full admissible collections.  Some collection of a
+    positive-genus action is full without meeting Theorem C's hypotheses.
+    """
+    strict_gains = 0
+    for index, group in enumerate(KANI_ROSEN_GROUPS):
+        analysis = analyze(random_action(group, random.Random(index)))
+        reps = subgroup_class_representatives(group)
+        sizes = (2, 3) if len(reps) <= 20 else (2,)
+        for t in sizes:
+            for collection in itertools.combinations(reps, t):
+                full = False
+                if analysis.admissibility(collection):
+                    decomposition = analysis.theorem1(collection)
+                    full = decomposition.full
+                    assert all(c.equality == full for c in analysis.corollary1(decomposition))
+                if analysis.theorem_c(collection).applicable:
+                    assert full
+                elif full and analysis.genus > 0:  # on genus 0 every admissible one is full
+                    strict_gains += 1
+                if is_partition(group, collection):
+                    assert analysis.theorem_b(collection).holds
+    assert strict_gains
 
 
 # -- homology profile ----------------------------------------------------------------------------
