@@ -734,27 +734,34 @@ def regular_character(group: FiniteGroup) -> ClassFunction:
     return ClassFunction(group, tuple(values))
 
 
-def permutation_character(group: FiniteGroup, subgroup: Subgroup) -> ClassFunction:
-    """Character of the action on cosets: fixed-coset counts per class."""
+def _fixed_cosets(group: FiniteGroup, subgroup: Subgroup) -> list[int]:
+    """pi_H(rep_c) for each class c: the cosets x H with rep_c x H = x H."""
     cosets = coset_action(group, subgroup)
     reps, coset_of = cosets.representatives, cosets.coset_of
-    n, table, e = group.order, group._table, group.exponent
-    values = []
+    n, table = group.order, group._table
+    counts = []
     for rep in conjugacy_classes(group).representatives:
-        row = table[rep * n:(rep + 1) * n]  # row[x] = rep * x
-        fixed = sum(1 for i, x in enumerate(reps) if coset_of[row[x]] == i)
-        values.append(Cyclotomic.from_rational(fixed, e))
-    return ClassFunction(group, tuple(values))
+        base = rep * n  # table[base + x] = rep * x
+        counts.append(sum(1 for i, x in enumerate(reps) if coset_of[table[base + x]] == i))
+    return counts
+
+
+def permutation_character(group: FiniteGroup, subgroup: Subgroup) -> ClassFunction:
+    """Character of the action on cosets: fixed-coset counts per class."""
+    e = group.exponent
+    return ClassFunction(
+        group, tuple(Cyclotomic.from_rational(v, e) for v in _fixed_cosets(group, subgroup))
+    )
 
 
 def _subgroup_weights(subgroup: Subgroup) -> tuple[list[int], list[int]]:
     """The weights of the two fixed-space routes: counts[c] = |H n c|, w[c] = |c| pi_H(c)."""
-    classes = conjugacy_classes(subgroup.parent)
+    group = subgroup.parent
+    classes = conjugacy_classes(group)
     counts = [0] * len(classes)
     for h in subgroup.members:
         counts[classes.class_of[h]] += 1
-    pi = permutation_character(subgroup.parent, subgroup).values
-    return counts, [size * v.coeffs[0] for size, v in zip(classes.sizes, pi)]
+    return counts, list(map(mul, classes.sizes, _fixed_cosets(group, subgroup)))
 
 
 def _checked_dim(average, induced, subgroup: Subgroup, m: int = 1) -> int:
@@ -806,7 +813,7 @@ def fixed_dims(subgroup: Subgroup) -> tuple[int, ...]:
         counts, w = _subgroup_weights(subgroup)
         row = []
         for rc in rational_classes(character_table(subgroup.parent)):
-            psi = [xs[0] for xs in rc.rational_character.coords]  # proven rational
+            psi = [v.coeffs[0] for v in rc.rational_character.values]  # proven rational
             sums = sum(map(mul, counts, psi)), sum(map(mul, w, psi))
             row.append(_checked_dim(*sums, subgroup, rc.schur_index * rc.field_degree))
         cache[subgroup.members] = tuple(row)

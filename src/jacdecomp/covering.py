@@ -124,9 +124,7 @@ def validate_action(action: CoveringAction) -> GenusCertificate:
             f"vector generates subgroup of order {generated.order} < {group.order}"
         )
 
-    contributions = tuple(
-        group.order * (Fraction(1) - Fraction(1, m)) for m in action.periods
-    )
+    contributions = tuple(Fraction(group.order * (m - 1), m) for m in action.periods)
     rhs = group.order * (2 * action.orbit_genus - 2) + sum(contributions)
     if rhs.denominator != 1 or (rhs.numerator + 2) % 2 != 0:
         raise NonIntegralGenus(f"2g - 2 = {rhs} is not an even integer")

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, reduce
+from operator import add, mul
 from typing import Mapping, NamedTuple, Sequence
 
 from .characters import (
@@ -253,7 +254,7 @@ class ActionAnalysis:
     character table, the heuristic rational classes, fixed dimensions, coset
     actions, orbit counts) is cached by the group; the analysis memoizes only what its
     Schur overrides or branch data change: its override view of the rational
-    classes, factors and their support, and profiles.
+    classes, factors with their dimensions and support, and profiles.
     """
 
     def __init__(
@@ -291,28 +292,33 @@ class ActionAnalysis:
     def factors(self) -> tuple[IsotypicalFactor, ...]:
         if self._factors is None:
             factors = []
-            for l, rc in enumerate(self.rational_classes):
+            fixed = [0] * len(self.rational_classes)  # sum over branch points of dim V^<c>
+            for stab in self.stabilizers:
+                fixed = list(map(add, fixed, fixed_dims(stab)))
+            branch = 2 * self.orbit_genus - 2 + len(self.stabilizers)
+            for rc, f in zip(self.rational_classes, fixed):
                 if rc.is_trivial():
                     dim = self.orbit_genus
-                else:
-                    d = rc.degree
-                    acc = Fraction(d * (self.orbit_genus - 1))
-                    for stab in self.stabilizers:
-                        acc += Fraction(d - fixed_dims(stab)[l], 2)
-                    value = rc.schur_index * rc.field_degree * acc
-                    if value.denominator != 1 or value < 0:
+                else:  # twice m f (d (gamma - 1) + sum (d - dim V^<c>) / 2)
+                    twice = rc.schur_index * rc.field_degree * (rc.degree * branch - f)
+                    if twice % 2 or twice < 0:
                         raise NonIntegralDimension(
-                            f"factor dimension {value} for class at row {rc.representative}"
+                            f"factor dimension {Fraction(twice, 2)} for class at row "
+                            f"{rc.representative}"
                         )
-                    dim = int(value)
+                    dim = twice // 2
                 factors.append(IsotypicalFactor(rc, dim))
             _agree("conservation", sum(f.exponent * f.dim for f in factors), self.genus)
             self._factors = tuple(factors)
         return self._factors
 
     @cached_property
+    def _dims(self) -> tuple[int, ...]:
+        return tuple(f.dim for f in self.factors)
+
+    @cached_property
     def support(self) -> tuple[bool, ...]:
-        return tuple(f.dim > 0 for f in self.factors)
+        return tuple(d > 0 for d in self._dims)
 
     # -- per-subgroup data ----------------------------------------------------
 
@@ -334,9 +340,7 @@ class ActionAnalysis:
                     f"induced exponent {n_h} outside 0..{rc.n}"
                 )
             exponents.append(n_h)
-        genus_characters = sum(
-            n * factor.dim for n, factor in zip(exponents, self.factors)
-        )
+        genus_characters = sum(map(mul, exponents, self._dims))
         genus_surfaces = genus_from_branch_data(
             self.group, self.orbit_genus, self.stabilizers, subgroup
         )

@@ -1,6 +1,7 @@
 """Covering data validation, Riemann-Hurwitz genus, quotient genera."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -182,6 +183,18 @@ def test_certificate_contributions_sum():
     certificate = validate_action(action)
     rhs = group.order * (2 * action.orbit_genus - 2) + sum(certificate.contributions)
     assert rhs == 2 * certificate.total_genus - 2
+
+
+def test_certificate_contributions_are_fractions_of_riemann_hurwitz():
+    rng = random.Random(4242)
+    for group in group_library():
+        for _ in range(4):
+            action = random_action(group, rng)
+            contributions = validate_action(action).contributions
+            assert len(contributions) == len(action.periods)
+            for c, m in zip(contributions, action.periods):
+                assert type(c) is Fraction
+                assert c == group.order * (1 - Fraction(1, m))
 
 
 def test_orbit_count_of_the_rotations_on_the_cosets_of_a_reflection():

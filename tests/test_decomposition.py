@@ -3,12 +3,21 @@
 import gc
 import itertools
 import random
+import re
 import weakref
+from fractions import Fraction
 
 import pytest
 
 from jacdecomp import characters, cli, decomposition
-from jacdecomp.characters import CharacterError, character_table, fixed_dim, regular_character
+from jacdecomp.characters import (
+    CharacterError,
+    character_table,
+    fixed_dim,
+    fixed_dims,
+    rational_classes,
+    regular_character,
+)
 from jacdecomp.covering import CoveringAction, total_genus
 from jacdecomp.decomposition import (
     ActionAnalysis,
@@ -95,6 +104,69 @@ def test_trivial_factor_dim_equals_orbit_genus():
     factors = analyze(torus).factors
     assert factors[0].rational_class.is_trivial()
     assert factors[0].dim == 1
+
+
+def _fraction_factor_dims(analysis, rows=fixed_dims):
+    """Each factor dimension by the Fraction formula m f (d (gamma - 1) + sum (d - dim V^<c>) / 2)."""
+    dims = []
+    for l, rc in enumerate(analysis.rational_classes):
+        if rc.is_trivial():
+            dims.append(Fraction(analysis.orbit_genus))
+            continue
+        acc = Fraction(rc.degree * (analysis.orbit_genus - 1))
+        for stab in analysis.stabilizers:
+            acc += Fraction(rc.degree - rows(stab)[l], 2)
+        dims.append(rc.schur_index * rc.field_degree * acc)
+    return dims
+
+
+FACTOR_GROUPS = {
+    "library": group_library,
+    "Q8|Q12|Q24": lambda: [dicyclic_group(n) for n in (2, 3, 6)],
+    "Z7:Z9": lambda: [semidirect_7_9()],
+}
+
+
+@pytest.mark.parametrize("name", FACTOR_GROUPS)
+def test_integer_factor_dims_match_the_fraction_formula(name):
+    rng = random.Random(2424)
+    for group in FACTOR_GROUPS[name]():
+        classes = rational_classes(character_table(group))
+        # no overrides, then each class of degree > 1 with its degree as Schur index
+        views = [None] + [{rc.representative: rc.degree} for rc in classes if rc.degree > 1]
+        for _ in range(3):
+            action = random_action(group, rng)
+            for overrides in views:
+                analysis = analyze(action, overrides)
+                expected = _fraction_factor_dims(analysis)
+                assert all(v.denominator == 1 and v >= 0 for v in expected)
+                assert [f.dim for f in analysis.factors] == expected
+                assert all(type(f.dim) is int for f in analysis.factors)
+
+
+def test_an_odd_twice_factor_dimension_raises_with_the_fraction_text(monkeypatch):
+    group, action = dihedral_action(3)
+    analysis = analyze(action)  # fresh, so no factor is cached yet
+    sign = next(  # a nontrivial class with m f = 1, so one unit of fixed dimension is odd
+        l for l, rc in enumerate(analysis.rational_classes)
+        if not rc.is_trivial() and rc.schur_index * rc.field_degree == 1
+    )
+    first = analysis.stabilizers[0]
+    original = decomposition.fixed_dims
+
+    def shifted(subgroup):  # one more fixed dimension on one stabilizer's row
+        row = original(subgroup)
+        return row[:sign] + (row[sign] + 1,) + row[sign + 1:] if subgroup is first else row
+
+    monkeypatch.setattr(decomposition, "fixed_dims", shifted)
+    expected = _fraction_factor_dims(analysis, shifted)
+    bad = next(l for l, v in enumerate(expected) if v.denominator != 1 or v < 0)
+    assert expected[bad].denominator == 2
+    rep = analysis.rational_classes[bad].representative
+    message = f"factor dimension {expected[bad]} for class at row {rep}"
+    with pytest.raises(NonIntegralDimension, match=f"^{re.escape(message)}$"):
+        analysis.factors
+    assert message == "factor dimension 1/2 for class at row 1"
 
 
 # -- profiles --------------------------------------------------------------------------
@@ -1005,8 +1077,10 @@ def _fresh_nontrivial_row():
 
 def test_fixed_dim_fires_when_the_induction_route_is_wrong(monkeypatch):
     chi, whole = _fresh_nontrivial_row()
-    monkeypatch.setattr(
-        characters, "permutation_character", lambda group, subgroup: regular_character(group)
+    monkeypatch.setattr(  # the regular character's counts, as if H were trivial
+        characters,
+        "_fixed_cosets",
+        lambda group, subgroup: [v.coeffs[0] for v in regular_character(group).values],
     )
     with pytest.raises(CharacterError, match="fixed-space routes disagree: average 0, induction 1"):
         fixed_dim(chi, whole)
