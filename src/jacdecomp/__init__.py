@@ -15,7 +15,6 @@ __version__ = "0.1.0"
 from .characters import (
     CharacterTable,
     ClassFunction,
-    GroupAlgebraElement,
     RationalClass,
     central_idempotent,
     character_table,
@@ -77,7 +76,7 @@ __all__ = [
     # cyclotomic
     "Cyclotomic", "euler_phi", "cyclotomic_polynomial",
     # characters
-    "ClassFunction", "CharacterTable", "RationalClass", "GroupAlgebraElement",
+    "ClassFunction", "CharacterTable", "RationalClass",
     "character_table", "inner_product", "permutation_character",
     "trivial_character", "regular_character", "fixed_dim", "frobenius_schur",
     "rational_classes", "central_idempotent",

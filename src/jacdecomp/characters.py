@@ -943,87 +943,20 @@ def rational_classes(
     )
 
 
-# -- group algebra elements and central idempotents --------------------------------
+# -- central idempotents ------------------------------------------------------------
 
 
-class GroupAlgebraElement:
-    """Element of Q[G], dense rational coefficients indexed by element."""
-
-    __slots__ = ("group", "coeffs")
-
-    def __init__(self, group: FiniteGroup, coeffs: tuple[Fraction, ...]):
-        if len(coeffs) != group.order:
-            raise CharacterError("one coefficient per group element required")
-        self.group = group
-        self.coeffs = coeffs
-
-    def __eq__(self, other):
-        if type(other) is not GroupAlgebraElement:
-            return NotImplemented
-        return (self.group, self.coeffs) == (other.group, other.coeffs)
-
-    def __hash__(self) -> int:
-        return hash((self.group, self.coeffs))
-
-    @classmethod
-    def zero(cls, group: FiniteGroup) -> "GroupAlgebraElement":
-        return cls(group, tuple(Fraction(0) for _ in range(group.order)))
-
-    @classmethod
-    def one(cls, group: FiniteGroup) -> "GroupAlgebraElement":
-        coeffs = [Fraction(0)] * group.order
-        coeffs[0] = Fraction(1)
-        return cls(group, tuple(coeffs))
-
-    def _check(self, other: "GroupAlgebraElement") -> None:
-        if self.group is not other.group:
-            raise GroupMismatch("group algebra elements over different groups")
-
-    def __add__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
-        self._check(other)
-        return GroupAlgebraElement(
-            self.group, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __sub__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
-        self._check(other)
-        return GroupAlgebraElement(
-            self.group, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return GroupAlgebraElement(self.group, tuple(a * other for a in self.coeffs))
-        if not isinstance(other, GroupAlgebraElement):
-            return NotImplemented
-        self._check(other)
-        group = self.group
-        out = [Fraction(0)] * group.order
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    out[group.mul(i, j)] += a * b
-        return GroupAlgebraElement(group, tuple(out))
-
-    __rmul__ = __mul__
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(i for i, a in enumerate(self.coeffs) if a)
-
-
-def central_idempotent(rational_class: RationalClass) -> GroupAlgebraElement:
+def central_idempotent(rational_class: RationalClass) -> tuple[Fraction, ...]:
     """Central idempotent of Q[G] attached to one rational class.
 
-    Coefficient of g is (d/|G|) times the orbit-sum of chi(g^-1).  The orbit
+    A central element is constant on conjugacy classes, so it comes as one
+    coefficient per class of conjugacy_classes(group), in that order.  The
+    coefficient of g is (d/|G|) times the orbit sum of chi(g^-1); the orbit
     sum is the rational character over the Schur index, whose values
-    ``_rational_class`` has already proven rational.
+    ``_rational_class`` has already proven rational, hence equal at g and
+    g^-1.
     """
-    group = rational_class.table.group
-    class_of = rational_class.table.classes.class_of
-    scale = Fraction(rational_class.degree, group.order * rational_class.schur_index)
-    per_class = [v.coeffs[0] * scale for v in rational_class.rational_character.values]
-    return GroupAlgebraElement(
-        group, tuple(per_class[class_of[group.inv(g)]] for g in range(group.order))
+    scale = Fraction(
+        rational_class.degree, rational_class.table.group.order * rational_class.schur_index
     )
+    return tuple(v.coeffs[0] * scale for v in rational_class.rational_character.values)

@@ -184,9 +184,10 @@ def genus_from_branch_data(
     counts = group._orbit_counts
     for stab in stabilizers:
         key = (subgroup.members, stab.members)  # the count depends on these two subgroups only
-        if key not in counts:
-            counts[key] = orbit_count(stab, cosets)
-        rhs += index - counts[key]
+        count = counts.get(key)  # a count is at least 1, so None is a miss
+        if count is None:
+            count = counts[key] = orbit_count(stab, cosets)
+        rhs += index - count
     if rhs % 2 != 0:
         raise NonIntegralGenus(f"2g - 2 = {rhs} is odd")
     genus = (rhs + 2) // 2

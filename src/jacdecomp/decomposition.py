@@ -810,12 +810,12 @@ def cor3_plan(t: int) -> FiberPlan:
         s = t // 2
         genera = (2,) * s
         pairing = tuple((j + 1, j + 1 + s) for j in range(s))
-        predicted = 1 - 2**s + int(Fraction(3 * t) * Fraction(2) ** (s - 2))
+        predicted = 1 - 2**s + 3 * s * 2 ** (s - 1)
     else:
         s = (t - 1) // 2
         genera = (2,) * s + (1,)
         pairing = tuple((j + 1, j + 1 + s) for j in range(s)) + ((t,),)
-        predicted = 1 - 2 ** (s + 1) + int(Fraction(3 * t + 1) * Fraction(2) ** (s - 1))
+        predicted = 1 - 2 ** (s + 1) + (3 * t + 1) * 2 ** (s - 1)
     plan = _build_fiber_plan(genera, elliptic_count=t, pairing=pairing)
     _agree("parity genus", plan.genus, predicted)
     _agree("elliptic complement", plan.dim_p, plan.genus - t)

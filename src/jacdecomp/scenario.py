@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
 from .covering import CoveringAction, CoveringError, validate_action
-from .cyclotomic import Cyclotomic, is_prime
+from .cyclotomic import is_prime
 from .decomposition import ActionAnalysis
 from .groups import (
     DEFAULT_ORDER_CAP,
@@ -426,7 +426,9 @@ def dihedral_class_labels(analysis: ActionAnalysis) -> dict[str, int] | None:
 
     V1 is trivial; V2..V4 are the sign characters identified by their values
     on r and s; V5 carries the primitive 2q-th root on r and V6 the primitive
-    q-th root.  Returns None when the group is not a 4q dihedral with the
+    q-th root.  A 2-dimensional irreducible rho_k (r -> zeta_2q^k) has
+    rho_k(r^q) = (-1)^k I, so V5 is the one with value -2 at r^q and V6 the
+    one with +2.  Returns None when the group is not a 4q dihedral with the
     six-class structure.
     """
     group = analysis.group
@@ -440,34 +442,28 @@ def dihedral_class_labels(analysis: ActionAnalysis) -> dict[str, int] | None:
     classes = analysis.rational_classes
     if len(classes) != 6:
         return None
-    e = group.exponent
     class_of = analysis.table.classes.class_of
     r_cls, s_cls = class_of[r_idx], class_of[s_idx]
-    v5_value = Cyclotomic.from_terms({1: 1, -1: 1}, e)
-    v6_value = Cyclotomic.from_terms({2: 1, -2: 1}, e)
+    half_cls = class_of[group.power(r_idx, two_q // 2)]
+    linear = {(1, -1): "V2", (-1, 1): "V3", (-1, -1): "V4"}  # by the values on r and s
+    planar = {-2: "V5", 2: "V6"}  # by the value on r^q
     labels: dict[str, int] = {}
     for idx, rc in enumerate(classes):
-        if rc.is_trivial():
-            labels["V1"] = idx
-        elif rc.degree == 1:
-            try:
-                vr = rc.character.values[r_cls].as_integer()
-                vs = rc.character.values[s_cls].as_integer()
-            except ValueError:
+        values = rc.character.values
+        try:
+            if rc.is_trivial():
+                key = "V1"
+            elif rc.degree == 1:
+                key = linear.get((values[r_cls].as_integer(), values[s_cls].as_integer()))
+            elif rc.degree == 2:
+                key = planar.get(values[half_cls].as_integer())
+            else:
                 return None
-            key = {(1, -1): "V2", (-1, 1): "V3", (-1, -1): "V4"}.get((vr, vs))
-            if key is None:
-                return None
-            labels[key] = idx
-        elif rc.degree == 2:
-            member_values = {
-                analysis.table.irreducibles[j].values[r_cls]
-                for j in rc.member_indices
-            }
-            if v5_value in member_values:
-                labels["V5"] = idx
-            elif v6_value in member_values:
-                labels["V6"] = idx
+        except ValueError:
+            return None
+        if key is None:
+            return None
+        labels[key] = idx
     return labels if len(labels) == 6 else None
 
 

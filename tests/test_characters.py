@@ -10,7 +10,6 @@ import pytest
 from jacdecomp import characters
 from jacdecomp.characters import (
     ClassFunction,
-    GroupAlgebraElement,
     GroupMismatch,
     NonIntegralAverage,
     NonIntegralN,
@@ -1026,8 +1025,23 @@ def test_override_rejections_on_a_warm_cache():
 def test_trivial_idempotent_is_averaging_element():
     group = preset_dihedral(3)
     classes = rational_classes(character_table(group))
-    idem = central_idempotent(classes[0])
-    assert all(c == Fraction(1, group.order) for c in idem.coeffs)
+    k = len(conjugacy_classes(group))
+    assert central_idempotent(classes[0]) == (Fraction(1, group.order),) * k
+
+
+def _class_product(group, x, y):
+    """x * y for central elements held as coefficients of the class sums.
+
+    C_i C_j = sum_l a_ijl C_l, with row j of _class_matrix(group, i) listing
+    the pairs (l, a_ijl).
+    """
+    out = [Fraction(0)] * len(x)
+    for i, a in enumerate(x):
+        if a:
+            for j, row in enumerate(characters._class_matrix(group, i)):
+                for l, count in row:
+                    out[l] += a * y[j] * count
+    return tuple(out)
 
 
 @pytest.mark.parametrize("group_builder", [
@@ -1041,25 +1055,50 @@ def test_central_idempotent_suite(group_builder):
     group = group_builder()
     classes = rational_classes(character_table(group))
     idems = [central_idempotent(rc) for rc in classes]
-    total = GroupAlgebraElement.zero(group)
+    partition = conjugacy_classes(group)
+    k = len(partition)
+    zero = (Fraction(0),) * k
+    one = tuple(Fraction(int(c == partition.class_of[0])) for c in range(k))  # the identity's class
+    total = zero
     for e_l in idems:
-        assert e_l * e_l == e_l
-        total = total + e_l
-    assert total == GroupAlgebraElement.one(group)
+        assert len(e_l) == k
+        assert _class_product(group, e_l, e_l) == e_l
+        total = tuple(a + b for a, b in zip(total, e_l))
+    assert total == one
     for i in range(len(idems)):
         for j in range(i + 1, len(idems)):
-            assert idems[i] * idems[j] == GroupAlgebraElement.zero(group)
+            assert _class_product(group, idems[i], idems[j]) == zero
 
 
-def test_group_algebra_convolution_identity():
-    group = preset_dihedral(3)
-    one = GroupAlgebraElement.one(group)
-    coeffs = [Fraction(0)] * group.order
-    coeffs[group.generator_names["r"]] = Fraction(2, 3)
-    coeffs[group.generator_names["s"]] = Fraction(-1)
-    x = GroupAlgebraElement(group, tuple(coeffs))
-    assert one * x == x == x * one
-    assert x.support() == tuple(sorted((group.generator_names["r"], group.generator_names["s"])))
+IDEMPOTENT_GROUPS = {
+    "library": group_library,
+    "Q8|Q12|Q24": lambda: [dicyclic_group(n) for n in (2, 3, 6)],
+    "A4": lambda: [alternating_group_4()],  # Galois-paired linear characters
+    "Z7:Z9": lambda: [semidirect_7_9()],  # the override puts Schur index 3 on a degree-3 class
+}
+
+
+@pytest.mark.parametrize("name", IDEMPOTENT_GROUPS)
+def test_central_idempotent_matches_the_dense_formula_at_every_element(name):
+    """e_l at g is (d/(|G| s)) psi_l(g^-1), with psi_l = s * (orbit sum) of table rows."""
+    for group in IDEMPOTENT_GROUPS[name]():
+        table = character_table(group)
+        class_of = conjugacy_classes(group).class_of
+        classes = rational_classes(table)
+        # an override on the largest degree's class, with a Schur index that divides it
+        top = max(classes, key=lambda rc: rc.degree)
+        override = rational_classes(table, {top.representative: top.degree})[classes.index(top)]
+        for rc in (*classes, override):
+            idem = central_idempotent(rc)
+            assert len(idem) == len(table)
+            scale = Fraction(rc.degree, group.order * rc.schur_index)
+            for g in range(group.order):
+                c = class_of[group.inv(g)]
+                orbit_sum = table.irreducibles[rc.member_indices[0]].values[c]
+                for j in rc.member_indices[1:]:
+                    orbit_sum = orbit_sum + table.irreducibles[j].values[c]
+                psi = (orbit_sum * rc.schur_index).as_rational()
+                assert idem[class_of[g]] == scale * psi
 
 
 # -- class function arithmetic ----------------------------------------------------------------

@@ -1,12 +1,18 @@
 """Scenario parsing: presets, JSON documents, words, labeling, expectations."""
 
 import json
+import random
 from pathlib import Path
 
 import pytest
 
 from jacdecomp.decomposition import analyze
-from jacdecomp.groups import OrderCapExceeded, UnknownGenerator
+from jacdecomp.groups import (
+    OrderCapExceeded,
+    UnknownGenerator,
+    preset_elementary_abelian_2,
+    preset_quaternion,
+)
 from jacdecomp.scenario import (
     ParseError,
     ValidationError,
@@ -16,6 +22,7 @@ from jacdecomp.scenario import (
     make_fiber_scenario,
     parse_scenario,
 )
+from conftest import dihedral_action, random_action
 
 
 def test_preset_reference_d2q():
@@ -138,6 +145,27 @@ def test_dihedral_class_labels_complete():
         assert analysis.rational_classes[labels["V5"]].degree == 2
         assert analysis.rational_classes[labels["V6"]].degree == 2
         assert labels["V5"] != labels["V6"]
+
+
+LINEAR_LABELS = {"V1": 0, "V4": 1, "V3": 2, "V2": 3}
+
+
+@pytest.mark.parametrize("q, expected", [
+    (3, {**LINEAR_LABELS, "V6": 4, "V5": 5}),
+    (4, {**LINEAR_LABELS, "V5": 4, "V6": 5}),  # the primitive 2q-th root's class comes first here
+    (6, None),  # eight rational classes, as for q = 9
+    (9, None),
+], ids=["q3", "q4", "q6", "q9"])
+def test_dihedral_class_labels_are_pinned(q, expected):
+    assert dihedral_class_labels(analyze(dihedral_action(q)[1])) == expected
+
+
+@pytest.mark.parametrize(
+    "build", [preset_quaternion, lambda: preset_elementary_abelian_2(3)], ids=["Q8", "Z2^3"]
+)
+def test_dihedral_class_labels_are_none_off_the_dihedral_family(build):
+    action = random_action(build(), random.Random(5))
+    assert dihedral_class_labels(analyze(action)) is None
 
 
 def test_class_labels_generic_fallback():
