@@ -809,15 +809,15 @@ def fixed_dims(subgroup: Subgroup) -> tuple[int, ...]:
     An override view of the classes keeps their order, so index l holds there too.
     """
     cache = subgroup.parent._fixed_dims
-    if subgroup.members not in cache:
+    if subgroup.index not in cache:
         counts, w = _subgroup_weights(subgroup)
         row = []
         for rc in rational_classes(character_table(subgroup.parent)):
             psi = [v.coeffs[0] for v in rc.rational_character.values]  # proven rational
             sums = sum(map(mul, counts, psi)), sum(map(mul, w, psi))
             row.append(_checked_dim(*sums, subgroup, rc.schur_index * rc.field_degree))
-        cache[subgroup.members] = tuple(row)
-    return cache[subgroup.members]
+        cache[subgroup.index] = tuple(row)
+    return cache[subgroup.index]
 
 
 def frobenius_schur(chi: ClassFunction) -> int:

@@ -180,8 +180,8 @@ def _cmd_analyze(scenario: ScenarioFile, args) -> ReportDocument:
         body: dict = {}
         profiles = [analysis.profile(h) for h in spec.subgroups]
         body["profiles"] = [
-            profile_entry(f"H{i + 1}", spec.word_lists[i], p, analysis, labels)
-            for i, p in enumerate(profiles)
+            profile_entry(f"H{i + 1}", spec.word_lists[i], h, p, analysis, labels)
+            for i, (h, p) in enumerate(zip(spec.subgroups, profiles))
         ]
 
         if args.ambient == "join":

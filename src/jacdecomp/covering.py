@@ -183,7 +183,7 @@ def genus_from_branch_data(
     rhs = index * (2 * orbit_genus - 2)
     counts = group._orbit_counts
     for stab in stabilizers:
-        key = (subgroup.members, stab.members)  # the count depends on these two subgroups only
+        key = (subgroup.index, stab.index)  # the count depends on these two subgroups only
         count = counts.get(key)  # a count is at least 1, so None is a miss
         if count is None:
             count = counts[key] = orbit_count(stab, cosets)

@@ -112,9 +112,8 @@ class IsotypicalFactor(NamedTuple):
 
 
 class SubgroupProfile(NamedTuple):
-    """Induced decomposition data of one quotient: exponents and genus."""
+    """Quotient data shared by every generating set of one subgroup: genus, exponents, dims."""
 
-    subgroup: Subgroup
     genus: int
     exponents: tuple[int, ...]
     fixed_dims: tuple[int, ...]
@@ -254,7 +253,8 @@ class ActionAnalysis:
     character table, the heuristic rational classes, fixed dimensions, coset
     actions, orbit counts) is cached by the group; the analysis memoizes only what its
     Schur overrides or branch data change: its override view of the rational
-    classes, factors with their dimensions and support, and profiles.
+    classes, factors with their dimensions and support, and profiles keyed by
+    ``Subgroup.index``, which ``profile`` reads only for the group's own subgroups.
     """
 
     def __init__(
@@ -274,7 +274,7 @@ class ActionAnalysis:
         self.ambient = ambient
         self._rational: tuple[RationalClass, ...] | None = None
         self._factors: tuple[IsotypicalFactor, ...] | None = None
-        self._profiles: dict[tuple[int, ...], SubgroupProfile] = {}
+        self._profiles: dict[int, SubgroupProfile] = {}
 
     # -- cached layers ------------------------------------------------------
 
@@ -324,7 +324,7 @@ class ActionAnalysis:
 
     def profile(self, subgroup: Subgroup) -> SubgroupProfile:
         require_subgroup(self.group, subgroup)
-        cached = self._profiles.get(subgroup.members)
+        cached = self._profiles.get(subgroup.index)
         if cached is not None:
             return cached
         fixed = fixed_dims(subgroup)
@@ -346,12 +346,11 @@ class ActionAnalysis:
         )
         _agree("quotient genus", genus_characters, genus_surfaces)
         profile = SubgroupProfile(
-            subgroup=subgroup,
             genus=genus_surfaces,
             exponents=tuple(exponents),
             fixed_dims=fixed,
         )
-        self._profiles[subgroup.members] = profile
+        self._profiles[subgroup.index] = profile
         return profile
 
     # -- reports ---------------------------------------------------------------
@@ -555,11 +554,11 @@ class ActionAnalysis:
         for l, rc in enumerate(self.rational_classes):
             if rc.is_trivial():
                 continue
-            weighted = sum(p.fixed_dims[l] * p.subgroup.order for p in profiles)
+            weighted = sum(p.fixed_dims[l] * h.order for h, p in zip(collection, profiles))
             if weighted != (t - 1) * rc.degree:
                 class_identities = False
         dimension_lhs = (t - 1) * self.genus + group.order * self.orbit_genus
-        dimension_rhs = sum(p.subgroup.order * p.genus for p in profiles)
+        dimension_rhs = sum(h.order * p.genus for h, p in zip(collection, profiles))
         return TheoremBReport(
             t=t,
             character_identity=character_identity,

@@ -28,13 +28,17 @@ The table never changes after construction.  The lazy caches on a group
 (conjugacy classes, subgroup lattice, coset actions, and the character
 caches kept by characters.py) fill without locks: concurrent callers may
 compute the same entry twice, but every entry is deterministic, so they all
-see equal results.
+see equal results.  Only this module reads a member tuple as an identity:
+the group's registry gives each member set one index, drawn as
+``setdefault(members, next(counter))`` so racing callers read the one stored,
+and every per-subgroup cache keys on it, one entry per subgroup of G at most.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
+from itertools import count
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
@@ -199,9 +203,11 @@ class FiniteGroup:
         self._character_table = None
         self._rational_classes = None
         self._subgroups: tuple | None = None
-        self._coset_actions: dict[tuple[int, ...], "CosetAction"] = {}
-        self._fixed_dims: dict[tuple[int, ...], tuple[int, ...]] = {}
-        self._orbit_counts: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
+        self._subgroup_index: dict[tuple[int, ...], int] = {}  # members -> Subgroup.index
+        self._subgroup_counter = count()
+        self._coset_actions: dict[int, "CosetAction"] = {}
+        self._fixed_dims: dict[int, tuple[int, ...]] = {}
+        self._orbit_counts: dict[tuple[int, int], int] = {}
         self._words: tuple[str, ...] | None = None
 
     @property
@@ -416,10 +422,11 @@ class Subgroup:
     The constructor is the one place a subgroup is made: it checks each
     generator index and closes the generators under products, so the
     generators always generate the members.  Generators keep their order;
-    subgroups compare and hash by their sorted members.
+    ``index`` is the parent's registry number of the sorted members, and
+    subgroups compare by parent and index and hash by index.
     """
 
-    __slots__ = ("parent", "generators", "members", "_member_set")
+    __slots__ = ("parent", "generators", "members", "index", "_member_set")
 
     def __init__(self, parent: FiniteGroup, generators: Iterable[int]):
         self.parent = parent
@@ -435,6 +442,7 @@ class Subgroup:
                     frontier.append(y)
         self.members: tuple[int, ...] = tuple(sorted(members))
         self._member_set = frozenset(members)
+        self.index = parent._subgroup_index.setdefault(self.members, next(parent._subgroup_counter))
 
     @property
     def order(self) -> int:
@@ -447,14 +455,10 @@ class Subgroup:
         return iter(self.members)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Subgroup)
-            and self.parent is other.parent
-            and self.members == other.members
-        )
+        return type(other) is Subgroup and other.parent is self.parent and other.index == self.index
 
     def __hash__(self):
-        return hash((id(self.parent), self.members))
+        return self.index
 
     def __repr__(self):
         return f"<Subgroup order={self.order} of group order {self.parent.order}>"
@@ -515,16 +519,16 @@ def enumerate_subgroups(group: FiniteGroup, order_cap: int = DEFAULT_SUBGROUP_CA
     skip is proven, never guessed: the closure would have rediscovered that
     subgroup and recorded nothing.
     """
+    if group._subgroups is not None:
+        return group._subgroups
     if group.order > order_cap:
         raise OrderCapExceeded(
             f"subgroup enumeration capped at order {order_cap}, group has {group.order}"
         )
-    if group._subgroups is not None:
-        return group._subgroups
     n, table, orders = group.order, group._table, group._orders
     divisors = [e for e in range(2, n + 1) if n % e == 0]
     trivial = trivial_subgroup(group)
-    found = {trivial.members: trivial}
+    found = {trivial.index: trivial}
     containing = [1] + [0] * (n - 1)  # bit i: the i-th subgroup found holds x
     by_order = [0, 1] + [0] * (n - 1)  # bits of the found subgroups of each order
 
@@ -560,9 +564,9 @@ def enumerate_subgroups(group: FiniteGroup, order_cap: int = DEFAULT_SUBGROUP_CA
                         if settled(step, floor, cands):
                             continue
                 h = Subgroup(group, base + (g,))
-                if h.members not in found:
+                if h.index not in found:
                     bit = 1 << len(found)
-                    found[h.members] = h
+                    found[h.index] = h
                     for x in h.members:
                         containing[x] |= bit
                     by_order[h.order] |= bit
@@ -612,14 +616,14 @@ def require_subgroup(group: FiniteGroup, subgroup: Subgroup) -> None:
 
 def coset_action(group: FiniteGroup, subgroup: Subgroup) -> CosetAction:
     require_subgroup(group, subgroup)
-    cached = group._coset_actions.get(subgroup.members)
+    cached = group._coset_actions.get(subgroup.index)
     if cached is not None:
         return cached
     n, table = group.order, group._table
     # the cosets gH are the orbits of right multiplication by H's generators
     reps, coset_of = orbits(n, [table[h::n] for h in subgroup.generators])
     action = CosetAction(group=group, representatives=tuple(reps), coset_of=tuple(coset_of))
-    group._coset_actions[subgroup.members] = action
+    group._coset_actions[subgroup.index] = action
     return action
 
 

@@ -25,7 +25,7 @@ from .decomposition import (
     TheoremCReport,
 )
 from . import __version__ as ENGINE_VERSION
-from .groups import FiniteGroup
+from .groups import FiniteGroup, Subgroup
 from .scenario import ScenarioFile
 
 ENGINE_NAME = "jacdecomp"
@@ -186,6 +186,7 @@ def _profile_statement(
 def profile_entry(
     name: str,
     words: Sequence[str],
+    subgroup: Subgroup,
     profile: SubgroupProfile,
     analysis: ActionAnalysis,
     labels: Sequence[str],
@@ -194,8 +195,8 @@ def profile_entry(
     return {
         "name": name,
         "generators": list(words),
-        "description": profile.subgroup.describe(),
-        "order": profile.subgroup.order,
+        "description": subgroup.describe(),
+        "order": subgroup.order,
         "genus": profile.genus,
         "fixed_dims": [profile.fixed_dims[i] for i in order],
         "exponents": [profile.exponents[i] for i in order],

@@ -745,13 +745,13 @@ def test_the_fixed_dims_cache_is_bounded_by_the_lattice():
     rng = random.Random(1919)
     for group in group_library() + [semidirect_7_9()]:
         lattice = enumerate_subgroups(group)
-        members = {subgroup.members for subgroup in lattice}
+        indices = {subgroup.index for subgroup in lattice}
         for _ in range(3):
             analysis = analyze(random_action(group, rng))
             for subgroup in lattice:
                 analysis.profile(subgroup)
                 assert len(group._fixed_dims) <= len(lattice)
-        assert set(group._fixed_dims) <= members
+        assert set(group._fixed_dims) <= indices
 
 
 ROW_GROUPS = {
@@ -794,7 +794,7 @@ def test_one_wrong_weight_in_either_route_raises(monkeypatch, route):
             with pytest.raises(CharacterError):
                 fixed_dims(subgroup)
             monkeypatch.setattr(characters, "_subgroup_weights", original)
-            assert subgroup.members not in group._fixed_dims
+            assert subgroup.index not in group._fixed_dims
     classes = rational_classes(character_table(group))
     for subgroup in enumerate_subgroups(group):  # the true weights build every row
         assert fixed_dims(subgroup) == tuple(fixed_dim(rc.character, subgroup) for rc in classes)

@@ -180,6 +180,23 @@ def test_analyze_scores_each_collection_once(monkeypatch):
     assert len(doc.data["collections"]) == len(scored) == len(set(scored)) == 5
 
 
+def test_a_profile_describes_its_named_subgroup_whichever_collection_ran_first(capsys):
+    """pair's join has the members of single's H1; a profile cached for the join must not
+    lend single's H1 the join's generators."""
+    scenario = make_dihedral_scenario(3)
+    scenario["collections"] = {
+        "pair": {"subgroups": [["s"], ["s*r^3"]]},
+        "single": {"subgroups": [["r^3", "s"]]},
+    }
+    sections = []
+    for order in ("pair,single", "single,pair"):
+        assert cli.main(["analyze", json.dumps(scenario), "--collections", order]) == 0
+        paragraphs = capsys.readouterr().out.split("\n\n")
+        sections.append(next(p for p in paragraphs if p.startswith("collection 'single'")))
+    assert sections[0] == sections[1]
+    assert "\nH1   <s,r^3>      4      2" in sections[0]
+
+
 @pytest.mark.parametrize("q", [3, 5, 7])
 def test_analyze_reference_collections_clean_for_all_q(q):
     doc, code = run(["analyze", f"d2q?q={q}", "--collections", "main,h1,h1h3"])

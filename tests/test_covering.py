@@ -254,19 +254,19 @@ def test_every_cached_orbit_count_is_a_fresh_walk_and_the_dict_is_bounded():
     rng = random.Random(2020)
     for group in group_library():
         lattice = enumerate_subgroups(group)
-        by_members = {subgroup.members: subgroup for subgroup in lattice}
+        by_index = {subgroup.index: subgroup for subgroup in lattice}
         stabilizers = {}
         for _ in range(3):
             action = random_action(group, rng)
-            stabilizers.update((stab.members, stab) for stab in branch_stabilizers(action))
+            stabilizers.update((stab.index, stab) for stab in branch_stabilizers(action))
             analysis = analyze(action)
             for subgroup in lattice:
                 analysis.profile(subgroup)
                 assert len(group._orbit_counts) <= len(lattice) ** 2
         assert group._orbit_counts
-        for (members, stab_members), count in group._orbit_counts.items():
-            cosets = coset_action(group, by_members[members])
-            assert count == orbit_count(stabilizers[stab_members], cosets)
+        for (index, stab_index), count in group._orbit_counts.items():
+            cosets = coset_action(group, by_index[index])
+            assert count == orbit_count(stabilizers[stab_index], cosets)
 
 
 def test_a_second_analysis_of_the_same_action_walks_no_orbit(monkeypatch):

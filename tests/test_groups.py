@@ -2,11 +2,15 @@
 
 import itertools
 import random
+import sys
+import threading
 
 import pytest
 
-from conftest import group_library, semidirect_7_9
+from conftest import group_library, random_action, semidirect_7_9
 from jacdecomp import groups
+from jacdecomp.characters import fixed_dims
+from jacdecomp.decomposition import analyze
 from jacdecomp.groups import (
     DegreeMismatch,
     EmptyGeneratorList,
@@ -545,6 +549,79 @@ def test_enumerate_subgroups_cap():
     group = preset_dihedral(3)
     with pytest.raises(OrderCapExceeded):
         enumerate_subgroups(group, order_cap=4)
+
+
+def test_a_cached_lattice_is_returned_above_the_cap():
+    group = preset_dihedral(129)  # order 516, above DEFAULT_SUBGROUP_CAP
+    with pytest.raises(OrderCapExceeded):
+        subgroup_class_representatives(group)
+    lattice = enumerate_subgroups(group, order_cap=1024)
+    assert enumerate_subgroups(group) is lattice
+    representatives = subgroup_class_representatives(group)
+    assert representatives[0] == trivial_subgroup(group)
+    assert representatives[-1] == full_subgroup(group)
+    assert set(representatives) <= set(lattice)
+
+
+def test_one_member_set_has_one_index_within_its_own_group():
+    group = preset_dihedral(3)
+    r = group.generator_names["r"]
+    a, b = groups.Subgroup(group, (r,)), groups.Subgroup(group, (group.inv(r),))
+    assert a.generators != b.generators and a.members == b.members
+    assert a.index == b.index and a == b and hash(a) == hash(b)
+    row = fixed_dims(a)
+    assert fixed_dims(b) is row
+    assert list(group._fixed_dims) == [a.index]
+    twin = groups.Subgroup(preset_dihedral(3), (r,))
+    assert twin.members == a.members and twin != a
+
+
+def test_the_subgroup_registry_holds_no_more_entries_than_the_lattice():
+    rng = random.Random(2626)
+    for group in group_library():
+        lattice = enumerate_subgroups(group)
+        for _ in range(2):
+            analysis = analyze(random_action(group, rng))
+            for subgroup in lattice:
+                analysis.profile(subgroup)
+            analysis.theorem_c(lattice[-6:])  # closes joins outside the lattice walk
+        assert len(group._subgroup_index) <= len(lattice)
+        assert set(group._subgroup_index.values()) == {h.index for h in lattice}
+
+
+def test_racing_threads_give_each_member_set_one_index():
+    """The registry fills without a lock; shuffled registrations from more threads than
+    cores, switching every microsecond, still give one index per member set."""
+    generators = [h.generators for h in enumerate_subgroups(preset_dihedral(15))]
+
+    def race(group):
+        seen = [None] * 4
+        barrier = threading.Barrier(len(seen), timeout=60)
+
+        def register(k):
+            order = random.Random(k).sample(generators, len(generators))
+            barrier.wait()  # start together, so registrations overlap
+            seen[k] = [(h.members, h.index) for h in (groups.Subgroup(group, g) for g in order)]
+
+        workers = [threading.Thread(target=register, args=(k,)) for k in range(len(seen))]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+        assert not any(worker.is_alive() for worker in workers)
+        return {pair for registered in seen for pair in registered}
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(60):  # a lost update shows in about one race in fifteen
+            group = preset_dihedral(15)  # the same element numbering, an empty registry
+            pairs = race(group)
+            index = dict(pairs)
+            assert len(pairs) == len(index) == len(set(index.values())) == len(generators)
+            assert group._subgroup_index == index
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_subgroup_of_the_identity_alone_is_trivial():
