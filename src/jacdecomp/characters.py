@@ -821,10 +821,17 @@ def fixed_dims(subgroup: Subgroup) -> tuple[int, ...]:
 
 
 def frobenius_schur(chi: ClassFunction) -> int:
-    """Indicator (1/|G|) sum chi(g^2); -1, 0 or 1 for irreducible chi."""
-    if inner_product(chi, chi) != 1:
-        raise NotIrreducible("Frobenius-Schur indicator needs an irreducible character")
+    """Indicator (1/|G|) sum chi(g^2); -1, 0 or 1 for irreducible chi.
+
+    A row of the group's character table, the very object, skips the norm
+    check: the table's certificate already proved <chi, chi> = 1 for it.
+    Any other class function, even one equal to a row, is checked.
+    """
     group = chi.group
+    table = group._character_table
+    certified = table is not None and any(row is chi for row in table.irreducibles)
+    if not certified and inner_product(chi, chi) != 1:
+        raise NotIrreducible("Frobenius-Schur indicator needs an irreducible character")
     coords = chi.coords
     classes = conjugacy_classes(group)
     counts = [0] * len(coords)  # the squares of class c all lie in the class of rep_c^2

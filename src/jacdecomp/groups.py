@@ -513,11 +513,16 @@ def enumerate_subgroups(group: FiniteGroup, order_cap: int = DEFAULT_SUBGROUP_CA
     ord(x) whenever <x> is not a candidate, for then <x> misses g or a
     generator of P.  That last bound needs <x> to be found: the trivial
     subgroup's loop finds every cyclic subgroup, so it is used only for
-    P > 1.  Let d be the least divisor of |G| that meets all these bounds:
-    then o >= d, and every candidate has order at least o, so a candidate of
-    order exactly d is <P, g> itself.  Only then is the closure skipped, so a
-    skip is proven, never guessed: the closure would have rediscovered that
-    subgroup and recorded nothing.
+    P > 1.  The coset's bounds depend only on its distinct element orders,
+    read in one pass over column g of the table at P's members.  Let d be
+    the least divisor of |G| that meets all these bounds: then o >= d, and
+    every candidate has order at least o, so a candidate of order exactly d
+    is <P, g> itself.  Only then is the closure skipped, so a skip is proven,
+    never guessed: the closure would have rediscovered that subgroup and
+    recorded nothing.  The bounds come down to a step (the lcm) and a floor
+    (the largest strict lower bound), both divisors of |G|, so d is read
+    from a table of at most tau(|G|)^2 entries, each filled on first use and
+    dropped when the walk ends.
     """
     if group._subgroups is not None:
         return group._subgroups
@@ -531,17 +536,20 @@ def enumerate_subgroups(group: FiniteGroup, order_cap: int = DEFAULT_SUBGROUP_CA
     found = {trivial.index: trivial}
     containing = [1] + [0] * (n - 1)  # bit i: the i-th subgroup found holds x
     by_order = [0, 1] + [0] * (n - 1)  # bits of the found subgroups of each order
+    least: dict[tuple[int, int], int] = {}  # (step, floor) -> d, both divisors of |G|
 
     def settled(step: int, floor: int, cands: int) -> int:
         """The candidates of order d, the least multiple of step above floor dividing |G|."""
-        d = next(e for e in divisors if e > floor and e % step == 0)
+        d = least.get((step, floor))
+        if d is None:
+            d = least[step, floor] = next(e for e in divisors if e > floor and e % step == 0)
         return cands & by_order[d]
 
     layer = [trivial]
     while layer:
         next_layer = []
         for p in layer:
-            gens = p.generators
+            gens, order = p.generators, p.order
             base = tuple(sorted(set(gens) - {0}))
             within = -1  # the found subgroups that contain P
             for s in base:
@@ -550,17 +558,16 @@ def enumerate_subgroups(group: FiniteGroup, order_cap: int = DEFAULT_SUBGROUP_CA
             for g in orbits(n, moves)[0][1:]:  # the first double coset is P itself
                 cands = within & containing[g]
                 if cands:
-                    step, floor = math.lcm(p.order, orders[g]), p.order
+                    step, floor = math.lcm(order, orders[g]), order
                     if base and not cands & by_order[orders[g]]:
                         floor = max(floor, orders[g])
                     if settled(step, floor, cands):
                         continue
                     if base:  # for P = 1 the coset Pg is g alone
-                        for q in p.members:
-                            x = table[q * n + g]
-                            step = math.lcm(step, orders[x])
-                            if not cands & by_order[orders[x]]:
-                                floor = max(floor, orders[x])
+                        for o in {orders[table[q * n + g]] for q in p.members}:
+                            step = math.lcm(step, o)
+                            if not cands & by_order[o]:
+                                floor = max(floor, o)
                         if settled(step, floor, cands):
                             continue
                 h = Subgroup(group, base + (g,))

@@ -837,6 +837,29 @@ def test_frobenius_schur_rejects_an_irrational_indicator_sum():
         frobenius_schur(chi)
 
 
+def test_frobenius_schur_trusts_only_the_certified_row_objects(monkeypatch):
+    """A table row skips the norm check; an equal copy, a sum and the regular character do not."""
+    group = preset_quaternion()
+    table = character_table(group)
+    row = table.irreducibles[table.degrees.index(2)]
+    checked = []
+    original = characters.inner_product
+
+    def counting(chi, psi):
+        checked.append(chi)
+        return original(chi, psi)
+
+    monkeypatch.setattr(characters, "inner_product", counting)
+    assert frobenius_schur(row) == -1 and checked == []
+    copy = ClassFunction(group, row.values)
+    assert copy == row and copy is not row
+    assert frobenius_schur(copy) == -1 and checked == [copy]
+    for chi in (row + table.irreducibles[0], regular_character(group)):
+        with pytest.raises(NotIrreducible):
+            frobenius_schur(chi)
+        assert checked[-1] is chi
+
+
 # -- rational classes -------------------------------------------------------------------
 
 

@@ -510,11 +510,16 @@ def test_enumerate_subgroups_matches_every_element_walk(make_group):
     assert listed == every_element_walk(group)
 
 
-@pytest.mark.parametrize("make_group", [
-    *(lambda q=q: preset_dihedral(q) for q in (3, 11, 15, 21, 31)),
-    *(lambda t=t: preset_elementary_abelian_2(t) for t in (1, 2, 3, 4, 5)),
-], ids=[f"D{4 * q}" for q in (3, 11, 15, 21, 31)] + [f"Z2^{t}" for t in (1, 2, 3, 4, 5)])
-def test_lattice_closes_only_new_subgroups(make_group, monkeypatch):
+@pytest.mark.parametrize(("make_group", "limit"), [
+    *((lambda q=q: preset_dihedral(q), None) for q in (3, 11, 15, 21, 31)),
+    *((lambda t=t: preset_elementary_abelian_2(t), None) for t in (1, 2, 3, 4, 5)),
+    # A4 has no subgroup of order 6: for |P| = 2 and ord(g) = 3 the least order
+    # left names no candidate, so <P, g> = A4 is closed again (in S4 as well)
+    (lambda: group_from_images(A4_GENERATORS), 18),
+    (lambda: group_from_images(S4_GENERATORS), 63),
+], ids=[f"D{4 * q}" for q in (3, 11, 15, 21, 31)] + [f"Z2^{t}" for t in (1, 2, 3, 4, 5)] + ["A4", "S4"])
+def test_lattice_closes_only_new_subgroups(make_group, limit, monkeypatch):
+    """Every closure finds a new subgroup; where Lagrange falls short, at most ``limit`` run."""
     group = make_group()
     built = []
 
@@ -528,7 +533,7 @@ def test_lattice_closes_only_new_subgroups(make_group, monkeypatch):
     monkeypatch.setattr(groups, "Subgroup", CountedSubgroup)
     lattice = enumerate_subgroups(group)
     closures = len(built) - 1  # the walk starts from the trivial subgroup
-    assert closures <= len(lattice) - 1
+    assert closures <= (len(lattice) - 1 if limit is None else limit)
 
 
 def test_enumerate_subgroups_trivial_group():
