@@ -805,18 +805,18 @@ def fixed_dims(subgroup: Subgroup) -> tuple[int, ...]:
 
     A fixed dimension is rational, so Galois-invariant: the integer rational
     character psi_l = s (orbit sum) gives m_l = s * field_degree times it.
-    The group caches one row per subgroup, so at most one per lattice member.
+    The group keeps psi_l's values and m_l next to its rational classes and
+    caches one row per subgroup, so at most one per lattice member.
     An override view of the classes keeps their order, so index l holds there too.
     """
     cache = subgroup.parent._fixed_dims
     if subgroup.index not in cache:
         counts, w = _subgroup_weights(subgroup)
-        row = []
-        for rc in rational_classes(character_table(subgroup.parent)):
-            psi = [v.coeffs[0] for v in rc.rational_character.values]  # proven rational
-            sums = sum(map(mul, counts, psi)), sum(map(mul, w, psi))
-            row.append(_checked_dim(*sums, subgroup, rc.schur_index * rc.field_degree))
-        cache[subgroup.index] = tuple(row)
+        rational_classes(character_table(subgroup.parent))  # fills the parent's _psi_rows
+        cache[subgroup.index] = tuple(
+            _checked_dim(sum(map(mul, counts, psi)), sum(map(mul, w, psi)), subgroup, m)
+            for psi, m in subgroup.parent._psi_rows
+        )
     return cache[subgroup.index]
 
 
@@ -933,6 +933,10 @@ def rational_classes(
         classes = tuple(
             _rational_class(table, tuple(i for i, o in enumerate(orbit_of) if o == n))
             for n in range(len(reps))
+        )
+        table.group._psi_rows = tuple(  # set before the classes, so a reader of them finds these
+            (tuple(v.coeffs[0] for v in rc.rational_character.values), rc.schur_index * rc.field_degree)
+            for rc in classes  # _rational_class proved these values rational
         )
         table.group._rational_classes = classes
     if not overrides:

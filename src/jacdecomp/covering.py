@@ -14,8 +14,10 @@ from typing import NamedTuple, Sequence
 
 from .groups import (
     FiniteGroup,
+    NotASubgroup,
     Subgroup,
     coset_action,
+    require_subgroup,
     subgroup_generate,
 )
 
@@ -139,10 +141,13 @@ def total_genus(action: CoveringAction) -> int:
 
 
 def branch_stabilizers(action: CoveringAction) -> tuple[Subgroup, ...]:
-    """Cyclic stabilizer subgroup generated by each branch element."""
-    return tuple(
-        subgroup_generate(action.group, (c,)) for c in action.branch_elements
-    )
+    """Cyclic stabilizer subgroup <c> of each branch element c, generated by (c,)
+    and interned by the group under c, so equal elements share one object."""
+    cyclic = action.group._cyclic_subgroups
+    for c in action.branch_elements:
+        if c not in cyclic:
+            cyclic[c] = subgroup_generate(action.group, (c,))
+    return tuple(cyclic[c] for c in action.branch_elements)
 
 
 def orbit_count(stabilizer: Subgroup, cosets) -> int:
@@ -153,6 +158,7 @@ def orbit_count(stabilizer: Subgroup, cosets) -> int:
     """
     if len(stabilizer.generators) != 1:
         raise ValueError("the stabilizer must be cyclic with one generator")
+    require_subgroup(cosets.group, stabilizer)
     reps, coset_of, table = cosets.representatives, cosets.coset_of, cosets.group._table
     row = stabilizer.generators[0] * cosets.group.order
     seen = [False] * len(reps)
@@ -176,17 +182,22 @@ def genus_from_branch_data(
     """Genus of the intermediate quotient by a subgroup, via coset orbits.
 
     2g_H - 2 = [G:H](2*gamma - 2) + sum_k ([G:H] - #orbits of the k-th
-    stabilizer on the cosets of H).
+    stabilizer on the cosets of H).  Each count is read from the group's row for
+    H, keyed by <c>'s index, or walked once on a miss (the only time the cosets of
+    H are read); a subgroup or stabilizer of another group raises NotASubgroup.
     """
-    cosets = coset_action(group, subgroup)  # raises NotASubgroup for a foreign subgroup
-    index = cosets.degree
+    require_subgroup(group, subgroup)
+    index = group.order // subgroup.order  # [G:H], by Lagrange
     rhs = index * (2 * orbit_genus - 2)
-    counts = group._orbit_counts
+    row = group._orbit_counts.setdefault(subgroup.index, {})
+    cosets = None
     for stab in stabilizers:
-        key = (subgroup.index, stab.index)  # the count depends on these two subgroups only
-        count = counts.get(key)  # a count is at least 1, so None is a miss
+        if stab.parent is not group:
+            raise NotASubgroup("stabilizer belongs to a different group")
+        count = row.get(stab.index)  # a count is at least 1, so None is a miss
         if count is None:
-            count = counts[key] = orbit_count(stab, cosets)
+            cosets = cosets or coset_action(group, subgroup)
+            count = row[stab.index] = orbit_count(stab, cosets)
         rhs += index - count
     if rhs % 2 != 0:
         raise NonIntegralGenus(f"2g - 2 = {rhs} is odd")

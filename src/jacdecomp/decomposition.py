@@ -359,13 +359,10 @@ class ActionAnalysis:
         if not collection:
             raise DecompositionError("admissibility needs a non-empty collection")
         profiles = [self.profile(h) for h in collection]
-        r = len(self.rational_classes)
-        sums = tuple(sum(p.fixed_dims[l] for p in profiles) for l in range(r))
+        sums = tuple(map(sum, zip(*(p.fixed_dims for p in profiles))))
         degrees = tuple(rc.degree for rc in self.rational_classes)
         support = self.support
-        slacks = tuple(
-            degrees[l] - sums[l] if support[l] else None for l in range(r)
-        )
+        slacks = tuple(d - s if on else None for d, s, on in zip(degrees, sums, support))
         admissible = all(s is None or s >= 0 for s in slacks)
         return AdmissibilityReport(
             subgroups=tuple(collection),
@@ -698,8 +695,7 @@ def induced_join_analysis(
     gamma = quotient_genus(action, join)
 
     stabilizers = []
-    for c in action.branch_elements:
-        cyc = subgroup_generate(group, (c,))
+    for cyc in branch_stabilizers(action):
         cosets = coset_action(group, cyc)
         moves = [[cosets.image(j, k) for k in range(cosets.degree)] for j in join.generators]
         for k in orbits(cosets.degree, moves)[0]:

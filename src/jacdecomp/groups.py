@@ -202,12 +202,14 @@ class FiniteGroup:
         self._classes = None
         self._character_table = None
         self._rational_classes = None
+        self._psi_rows = None  # per rational class: its integer character values and m_l
         self._subgroups: tuple | None = None
         self._subgroup_index: dict[tuple[int, ...], int] = {}  # members -> Subgroup.index
         self._subgroup_counter = count()
         self._coset_actions: dict[int, "CosetAction"] = {}
         self._fixed_dims: dict[int, tuple[int, ...]] = {}
-        self._orbit_counts: dict[tuple[int, int], int] = {}
+        self._orbit_counts: dict[int, dict[int, int]] = {}  # H.index -> {<c>.index: count}
+        self._cyclic_subgroups: dict[int, "Subgroup"] = {}  # c -> <c>, generated by (c,)
         self._words: tuple[str, ...] | None = None
 
     @property

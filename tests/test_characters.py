@@ -2,6 +2,8 @@
 
 import functools
 import random
+import sys
+import threading
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -739,6 +741,62 @@ def test_a_second_analysis_on_the_same_group_builds_no_fixed_dims_row(monkeypatc
     for subgroup in lattice:
         assert second.profile(subgroup).fixed_dims == first.profile(subgroup).fixed_dims
     assert calls == []
+
+
+def test_a_schur_override_analysis_reads_the_same_fixed_dims_rows():
+    group = preset_quaternion()  # the heuristic gives the 2-dimensional row Schur index 2
+    action = random_action(group, random.Random(23))
+    plain = analyze(action)
+    quaternion = next(rc.representative for rc in plain.rational_classes if rc.schur_index == 2)
+    override = analyze(action, {quaternion: 1})
+    assert [rc.schur_index for rc in override.rational_classes] != [
+        rc.schur_index for rc in plain.rational_classes
+    ]
+    psi_rows = group._psi_rows
+    for subgroup in enumerate_subgroups(group):
+        row = plain.profile(subgroup).fixed_dims
+        assert override.profile(subgroup).fixed_dims is row
+        assert fixed_dims(subgroup) is row
+    assert group._psi_rows is psi_rows
+    assert [psi for psi, _ in psi_rows] == [
+        tuple(v.coeffs[0] for v in rc.rational_character.values) for rc in plain.rational_classes
+    ]
+    assert [m for _, m in psi_rows] == [rc.schur_index * rc.field_degree for rc in plain.rational_classes]
+
+
+def test_racing_first_fixed_dims_rows_all_read_the_psi_rows():
+    """The rational classes and their psi rows fill without a lock; threads that build
+    a group's first rows together, switching every microsecond, all find the rows."""
+
+    def race(subgroups):
+        errors = []
+        barrier = threading.Barrier(len(subgroups), timeout=60)
+
+        def build(subgroup):
+            barrier.wait()  # start together, so the first rational_classes calls overlap
+            try:
+                fixed_dims(subgroup)
+            except Exception as exc:  # a reader that saw the classes before their rows
+                errors.append(exc)
+
+        workers = [threading.Thread(target=build, args=(h,)) for h in subgroups]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+        assert not any(worker.is_alive() for worker in workers)
+        return errors
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(150):  # a reader that misses the rows shows in about one race in twelve
+            group = preset_dihedral(3)
+            character_table(group)  # built alone: the race is on the rational classes
+            lattice = enumerate_subgroups(group)
+            assert race(lattice[:4]) == []
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_the_fixed_dims_cache_is_bounded_by_the_lattice():

@@ -255,6 +255,9 @@ def test_every_cached_orbit_count_is_a_fresh_walk_and_the_dict_is_bounded():
     for group in group_library():
         lattice = enumerate_subgroups(group)
         by_index = {subgroup.index: subgroup for subgroup in lattice}
+        cyclic = sum(  # the cyclic subgroups: those with an element of full order
+            any(group.element_order(x) == subgroup.order for x in subgroup) for subgroup in lattice
+        )
         stabilizers = {}
         for _ in range(3):
             action = random_action(group, rng)
@@ -262,11 +265,13 @@ def test_every_cached_orbit_count_is_a_fresh_walk_and_the_dict_is_bounded():
             analysis = analyze(action)
             for subgroup in lattice:
                 analysis.profile(subgroup)
-                assert len(group._orbit_counts) <= len(lattice) ** 2
+                assert len(group._orbit_counts) <= len(lattice)
+                assert all(len(row) <= cyclic for row in group._orbit_counts.values())
         assert group._orbit_counts
-        for (index, stab_index), count in group._orbit_counts.items():
+        for index, row in group._orbit_counts.items():
             cosets = coset_action(group, by_index[index])
-            assert count == orbit_count(stabilizers[stab_index], cosets)
+            for stab_index, count in row.items():
+                assert count == orbit_count(stabilizers[stab_index], cosets)
 
 
 def test_a_second_analysis_of_the_same_action_walks_no_orbit(monkeypatch):
@@ -288,3 +293,67 @@ def test_a_second_analysis_of_the_same_action_walks_no_orbit(monkeypatch):
     second = analyze(action)
     assert [second.profile(subgroup).genus for subgroup in lattice] == genera
     assert calls == []
+
+
+def test_another_action_with_cached_counts_builds_no_coset_action_and_walks_no_orbit(monkeypatch):
+    group, action = dihedral_action(3)  # branch elements s, s, sr, sr, r, r^-1
+    r, s = group.generator_names["r"], group.generator_names["s"]
+    sr = group.mul(s, r)
+    # the same cyclic stabilizers from other elements and another order: r^-1 r = 1
+    other = action._replace(branch_elements=(sr, sr, s, s, group.inv(r), r))
+    validate_action(other)
+    lattice = enumerate_subgroups(group)
+    first = analyze(action)
+    genera = [first.profile(subgroup).genus for subgroup in lattice]
+    calls = []
+
+    def counted(name):
+        original = getattr(covering, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return original(*args)
+
+        return wrapper
+
+    for name in ("coset_action", "orbit_count"):
+        monkeypatch.setattr(covering, name, counted(name))
+    second = analyze(other)
+    assert [second.profile(subgroup).genus for subgroup in lattice] == genera
+    assert calls == []
+
+
+def test_equal_branch_elements_share_one_stabilizer_object():
+    rng = random.Random(2929)
+    for group in group_library() + [semidirect_7_9()]:
+        for _ in range(4):
+            action = random_action(group, rng)
+            stabilizers = branch_stabilizers(action)
+            again = branch_stabilizers(action)
+            for c, stab, same in zip(action.branch_elements, stabilizers, again):
+                assert stab is same
+                assert stab.generators == (c,)
+                assert stab.describe() == subgroup_generate(group, (c,)).describe()
+            pairs = list(zip(action.branch_elements, stabilizers))
+            assert all((stab is other) == (c == d) for c, stab in pairs for d, other in pairs)
+            assert len(group._cyclic_subgroups) <= group.order
+
+
+def test_a_stabilizer_of_another_group_raises_not_a_subgroup():
+    group, action = dihedral_action(3)  # D12
+    foreign = preset_dihedral(5)  # D20
+    lattice = enumerate_subgroups(group)
+    analysis = analyze(action)
+    for subgroup in lattice:  # every count of the action is cached, so a foreign index can hit one
+        analysis.profile(subgroup)
+    subgroup = lattice[3]
+    stabilizers = branch_stabilizers(action)
+    for c in range(foreign.order):
+        stab = subgroup_generate(foreign, (c,))
+        for given in ([stab] * 4, stabilizers[:2] + (stab,)):
+            with pytest.raises(NotASubgroup, match="^stabilizer belongs to a different group$"):
+                covering.genus_from_branch_data(group, 0, given, subgroup)
+        with pytest.raises(NotASubgroup):
+            orbit_count(stab, coset_action(group, subgroup))
+    genus = covering.genus_from_branch_data(group, 0, stabilizers, subgroup)
+    assert genus == analysis.profile(subgroup).genus

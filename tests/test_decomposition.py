@@ -107,15 +107,18 @@ def test_trivial_factor_dim_equals_orbit_genus():
 
 
 def _fraction_factor_dims(analysis, rows=fixed_dims):
-    """Each factor dimension by the Fraction formula m f (d (gamma - 1) + sum (d - dim V^<c>) / 2)."""
+    """Each factor dimension by the Fraction formula m f (d (gamma - 1) + sum (d - dim V^<c>) / 2).
+
+    rows is called once per stabilizer, in order, as ``factors`` calls fixed_dims."""
+    stab_rows = [rows(stab) for stab in analysis.stabilizers]
     dims = []
     for l, rc in enumerate(analysis.rational_classes):
         if rc.is_trivial():
             dims.append(Fraction(analysis.orbit_genus))
             continue
         acc = Fraction(rc.degree * (analysis.orbit_genus - 1))
-        for stab in analysis.stabilizers:
-            acc += Fraction(rc.degree - rows(stab)[l], 2)
+        for row in stab_rows:
+            acc += Fraction(rc.degree - row[l], 2)
         dims.append(rc.schur_index * rc.field_degree * acc)
     return dims
 
@@ -151,15 +154,20 @@ def test_an_odd_twice_factor_dimension_raises_with_the_fraction_text(monkeypatch
         l for l, rc in enumerate(analysis.rational_classes)
         if not rc.is_trivial() and rc.schur_index * rc.field_degree == 1
     )
-    first = analysis.stabilizers[0]
     original = decomposition.fixed_dims
 
-    def shifted(subgroup):  # one more fixed dimension on one stabilizer's row
-        row = original(subgroup)
-        return row[:sign] + (row[sign] + 1,) + row[sign + 1:] if subgroup is first else row
+    def shift_first_call():  # one more fixed dimension on the first row read, that of stabilizer 0
+        calls = []
 
-    monkeypatch.setattr(decomposition, "fixed_dims", shifted)
-    expected = _fraction_factor_dims(analysis, shifted)
+        def shifted(subgroup):
+            row = original(subgroup)
+            calls.append(subgroup)
+            return row[:sign] + (row[sign] + 1,) + row[sign + 1:] if len(calls) == 1 else row
+
+        return shifted
+
+    monkeypatch.setattr(decomposition, "fixed_dims", shift_first_call())
+    expected = _fraction_factor_dims(analysis, shift_first_call())
     bad = next(l for l, v in enumerate(expected) if v.denominator != 1 or v < 0)
     assert expected[bad].denominator == 2
     rep = analysis.rational_classes[bad].representative
