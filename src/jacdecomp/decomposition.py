@@ -694,12 +694,13 @@ def induced_join_analysis(
     join_group, mapping = subgroup_as_group(join)
     gamma = quotient_genus(action, join)
 
+    n, table = group.order, group._table
     stabilizers = []
     for cyc in branch_stabilizers(action):
-        cosets = coset_action(group, cyc)
-        moves = [[cosets.image(j, k) for k in range(cosets.degree)] for j in join.generators]
-        for k in orbits(cosets.degree, moves)[0]:
-            g = cosets.representatives[k]  # the smallest element of J g <c>
+        _, reps, coset_of = coset_action(group, cyc)
+        moves = [[coset_of[table[j * n + x]] for x in reps] for j in join.generators]
+        for k in orbits(len(reps), moves)[0]:
+            g = reps[k]  # the smallest element of J g <c>
             stab = [
                 mapping[y]
                 for y in (group.conjugate(m, g) for m in cyc.members)

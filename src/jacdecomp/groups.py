@@ -12,11 +12,11 @@ column by column, since x(ys) = (xy)s makes column y*s that action read
 along column y, and writes each column into the row-major table.  Closure
 under the generators, with every element reached, proves closure under
 products.
-Conjugacy classes, cosets and double cosets are all orbits of point maps
-read off the table (rows, columns, or their composition), and one routine,
-:func:`orbits`, walks them.  Those walks move points by a subgroup's
-generators only; :class:`Subgroup` is built from its generators alone and
-computes its members as their closure, so the generators always generate it.
+Conjugacy classes and double cosets are orbits of point maps read off the
+table, walked by :func:`orbits`; the cosets xH are read off table rows.  The
+walks move points by a subgroup's generators only; :class:`Subgroup` is built
+from its generators alone and computes its members as their closure, so the
+generators always generate it.
 The class partition owns the power map, the class of each rep^i, read down
 rep's column of the table with no product call.
 The subgroup lattice closes a subgroup only when it may be new: a closure
@@ -97,6 +97,20 @@ def orbits(n: int, moves: Sequence[Sequence[int]]) -> tuple[list[int], list[int]
                     orbit_of[y] = k
                     frontier.append(y)
     return reps, orbit_of
+
+
+def _left_cosets(group: "FiniteGroup", members: Sequence[int]) -> tuple[list[int], list[int]]:
+    """The left cosets xH, each read off x's row at H's members, x the least element
+    not yet placed: the cosets' least elements, ascending, and each element's coset."""
+    n, table = group.order, group._table
+    coset_of, reps = [-1] * n, []
+    for x in range(n):
+        if coset_of[x] < 0:
+            row, k = x * n, len(reps)
+            reps.append(x)
+            for q in members:
+                coset_of[table[row + q]] = k
+    return reps, coset_of
 
 
 class Permutation:
@@ -502,8 +516,8 @@ def enumerate_subgroups(group: FiniteGroup, order_cap: int = DEFAULT_SUBGROUP_CA
     and then g.  As <P, x> = <P, g> for all x in the double coset PgP, only
     the smallest g of each double coset is tried; the rest would only
     rediscover that subgroup, so the recorded generators do not change.  The
-    double cosets are the orbits of left and right multiplication by P's
-    generators, read off the table's rows and columns.
+    double cosets are the orbits of P's generators, by left multiplication, on
+    P's left cosets (read off rows), the first coset of each holding its least g.
 
     <P, g> is closed only when Lagrange's theorem cannot prove that it is a
     subgroup already found.  The candidates are the found subgroups that
@@ -556,8 +570,9 @@ def enumerate_subgroups(group: FiniteGroup, order_cap: int = DEFAULT_SUBGROUP_CA
             within = -1  # the found subgroups that contain P
             for s in base:
                 within &= containing[s]
-            moves = [table[s * n:s * n + n] for s in gens] + [table[s::n] for s in gens]
-            for g in orbits(n, moves)[0][1:]:  # the first double coset is P itself
+            reps, coset_of = _left_cosets(group, p.members)
+            moves = [[coset_of[table[s * n + x]] for x in reps] for s in base]
+            for g in [reps[k] for k in orbits(len(reps), moves)[0][1:]]:  # the first is P
                 cands = within & containing[g]
                 if cands:
                     step, floor = math.lcm(order, orders[g]), order
@@ -589,10 +604,10 @@ def enumerate_subgroups(group: FiniteGroup, order_cap: int = DEFAULT_SUBGROUP_CA
 def subgroup_class_representatives(group: FiniteGroup) -> tuple[Subgroup, ...]:
     """The first member, in the sorted lattice, of each conjugacy class of subgroups."""
     lattice = enumerate_subgroups(group)
-    index = {h.members: i for i, h in enumerate(lattice)}
+    registry, position = group._subgroup_index, {h.index: i for i, h in enumerate(lattice)}
     # conjugation is an automorphism: gHg^-1 has the images of H's members as its members
     moves = [
-        [index[tuple(sorted([conj[x] for x in h.members]))] for h in lattice]
+        [position[registry[tuple(sorted([conj[x] for x in h.members]))]] for h in lattice]
         for conj in _conjugations(group)
     ]
     return tuple(lattice[i] for i in orbits(len(lattice), moves)[0])
@@ -624,13 +639,12 @@ def require_subgroup(group: FiniteGroup, subgroup: Subgroup) -> None:
 
 
 def coset_action(group: FiniteGroup, subgroup: Subgroup) -> CosetAction:
+    """The left action on the cosets xH, filled from table rows and cached by H's index."""
     require_subgroup(group, subgroup)
     cached = group._coset_actions.get(subgroup.index)
     if cached is not None:
         return cached
-    n, table = group.order, group._table
-    # the cosets gH are the orbits of right multiplication by H's generators
-    reps, coset_of = orbits(n, [table[h::n] for h in subgroup.generators])
+    reps, coset_of = _left_cosets(group, subgroup.members)
     action = CosetAction(group=group, representatives=tuple(reps), coset_of=tuple(coset_of))
     group._coset_actions[subgroup.index] = action
     return action

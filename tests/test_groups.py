@@ -1,5 +1,6 @@
 """Group construction, presets, classes, subgroup machinery, coset actions."""
 
+import collections
 import itertools
 import random
 import sys
@@ -72,6 +73,8 @@ ORBIT_ORACLE_GROUPS = {
     "Z2^4": lambda: preset_elementary_abelian_2(4),
     "D20": lambda: preset_dihedral(5),
     "D12<D24": d12_inside_d24,
+    "D84": lambda: preset_dihedral(21),
+    "Z2^5": lambda: preset_elementary_abelian_2(5),
 }
 
 
@@ -466,6 +469,35 @@ def test_enumerate_subgroups_against_brute_force(group_builder, max_seed, expect
     assert len({h.members for h in listed}) == len(listed)
     if expected_count is not None:
         assert len(listed) == expected_count
+
+
+@pytest.mark.parametrize(("n", "expected"), [(22, 40), (30, 80), (42, 104), (62, 100), (126, 324)])
+def test_dihedral_lattice_matches_its_closed_form(n, expected):
+    """D_2n has, for each divisor d of n, one cyclic subgroup <r^(n/d)> of order d
+    and n/d dihedral subgroups <r^(n/d), r^i s> of order 2d: tau(n) + sigma(n) in all."""
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    by_order = collections.Counter(divisors)
+    by_order.update({2 * d: n // d for d in divisors})
+    lattice = enumerate_subgroups(preset_dihedral(n // 2))  # the preset has order 4q = 2n
+    assert collections.Counter(h.order for h in lattice) == by_order
+    assert len(lattice) == len(divisors) + sum(divisors) == expected
+
+
+def gaussian_binomial_2(t, k):
+    """[t choose k]_2, the number of k-dimensional subspaces of F_2^t."""
+    count = 1
+    for i in range(k):
+        count = count * (2 ** (t - i) - 1) // (2 ** (i + 1) - 1)
+    return count
+
+
+@pytest.mark.parametrize(("t", "expected"), [(1, 2), (2, 5), (3, 16), (4, 67), (5, 374)])
+def test_elementary_abelian_lattice_matches_its_closed_form(t, expected):
+    """Z2^t has [t choose k]_2 subgroups of order 2^k."""
+    lattice = enumerate_subgroups(preset_elementary_abelian_2(t))
+    by_order = collections.Counter(h.order for h in lattice)
+    assert by_order == {2**k: gaussian_binomial_2(t, k) for k in range(t + 1)}
+    assert len(lattice) == expected
 
 
 def every_element_walk(group: FiniteGroup) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
