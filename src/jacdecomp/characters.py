@@ -34,13 +34,15 @@ unique; each distinct value is written once as sum_j m_j z^(j e/n) from the
 reduced powers of z = zeta_e.  No floating point is involved anywhere.
 
 The table owns the Galois action: one row permutation per generator of
-(Z/e)^x, each image row looked up exactly.  Rational classes are its orbits,
-and row orthonormality is proven for one row pair per orbit of unordered
-pairs, because <chi^s, psi^s> = s(<chi, psi>), s fixes 0 and 1, and
-<psi, chi> is the conjugate of <chi, psi>.  Each pair is one integer test:
-rows are packed once per table by Kronecker evaluation at a power of two B
-wide enough that Phi_e(B) divides the packed sum exactly when the inner
-product is [i == j] (see _certify_orthonormality).
+(Z/e)^x, each image row looked up exactly, so the rows are closed under
+every sigma_u.  Rational classes are its orbits.  Row orthonormality is
+proven modulo one prime q = 1 (mod e), the least above twice a proven bound
+on the coordinates of each pair's remainder mod Phi_e: every ordered pair
+is checked at one root w of order e mod q, row j's values at w^-1 packed
+once per class, one slot per row, as the lift packs.  Row i at w^u is row
+sigma_u(i) at w, so that checks every pair at every root of Phi_e mod q,
+which proves each remainder zero (see _certify_orthonormality).  Primes are
+proven by deterministic Miller-Rabin (cyclotomic.is_prime).
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from math import gcd, isqrt
 from operator import mul
 from typing import Mapping, NamedTuple
 
-from .cyclotomic import ConductorMismatch, Cyclotomic, cyclotomic_polynomial, is_prime
+from .cyclotomic import ConductorMismatch, Cyclotomic, is_prime
 from .cyclotomic import _power_reductions, _reduce_coeffs
 from .groups import (
     ConjugacyClassPartition,
@@ -184,7 +186,7 @@ class CharacterTable(NamedTuple):
     irreducibles: tuple[ClassFunction, ...]
     degrees: tuple[int, ...]
     conductor: int
-    modulus: int  # prime used by the modular method (diagnostic only)
+    modulus: int  # the split's prime (diagnostic only); the certificate's prime is not stored
     # galois[g][i] is the row sigma_u(row i) for the g-th of _unit_generators(conductor)
     galois: tuple[tuple[int, ...], ...]
 
@@ -513,84 +515,71 @@ def _galois_permutations(rows: list[ClassFunction], units) -> tuple[tuple[int, .
     return tuple(perms)
 
 
-def _certify_orthonormality(rows: list[ClassFunction], galois) -> list[tuple[int, int]]:
-    """Prove <rows[i], rows[j]> = [i == j] for all i, j; return the pairs checked.
+def _certify_orthonormality(rows: list[ClassFunction], exponents) -> int:
+    """Prove <rows[i], rows[j]> = [i == j] for all i, j; return the prime q used.
 
-    One pair per orbit of unordered pairs (i, j), i <= j, under the Galois row
-    permutations proves every pair: <chi^s, psi^s> = s(<chi, psi>) and s fixes
-    0 and 1, while <psi, chi> is the conjugate of <chi, psi>.
-
-    Each pair is tested exactly by Kronecker evaluation at B = 2^W.  With x_c
-    row i's coordinates at class c and y-hat_c(z) = sum_t y_c[t] z^((-t) mod e)
+    With x_c row i's coordinates at class c and y-hat_c(z) = sum_t y_c[t] z^((-t) mod e)
     row j's conjugate, left unreduced, the integer polynomial
     f = sum_c |C_c| x_c y-hat_c - |G|[i = j] has f(zeta_e) = |G|(<chi_i, chi_j> - [i = j])
     and ||f||_1 <= |G|(n^2 + 1), n the largest coordinate 1-norm of a value.
     Its remainder r = f mod Phi_e sums f_k z^(k mod e), so every coordinate
-    of r is at most M |G|(n^2 + 1) in absolute value, M the largest coordinate
-    of a reduced z^s, s < e.  B > M |G|(n^2 + 1) + H + 1, H the largest
-    coefficient of Phi_e, so if r != 0 then 0 < |r(B)| < Phi_e(B); since
-    f(B) = r(B) (mod Phi_e(B)), Phi_e(B) divides f(B) exactly when f(zeta_e) = 0.
+    of r is at most R = M |G|(n^2 + 1) in absolute value, M the largest
+    coordinate of a reduced z^s, s < e.  q is the least prime = 1 (mod e)
+    above 2R and w has order e mod q, so the roots of Phi_e mod q are the
+    w^u, u a unit.  Every ordered pair is checked mod q at w^u for each u of
+    `exponents`.  Row i at w^u is row sigma_u(i) at w, so for rows closed
+    under every sigma_u, (1,) checks every pair at every root; other rows
+    pass every unit.  Then r, of degree < phi(e), has phi(e) roots in F_q,
+    so r = 0 (mod q), and r = 0 since |r_k| < q/2.
     """
-    tri = [j * (j + 1) // 2 for j in range(len(rows))]
-    pairs = [(i, j) for j in range(len(rows)) for i in range(j + 1)]  # (i, j) is tri[j] + i
-    moves = [
-        [tri[b] + a if a <= b else tri[a] + b for a, b in ((perm[i], perm[j]) for i, j in pairs)]
-        for perm in galois
-    ]
-    checked = [pairs[n] for n in orbits(len(pairs), moves)[0]]
-    e, order = rows[0].group.exponent, rows[0].group.order
-    values = {xs for row in rows for xs in row.coords}
-    if any(x.denominator != 1 for xs in values for x in xs):
+    e, order, k = rows[0].group.exponent, rows[0].group.order, len(rows[0].coords)
+    index: dict[tuple, int] = {}  # each distinct value's coordinates, numbered
+    cells = [[index.setdefault(xs, len(index)) for xs in row.coords] for row in rows]
+    if any(x.denominator != 1 for xs in index for x in xs):
         raise CharacterError("row orthonormality needs integer coordinates")
-    n = max(sum(map(abs, xs)) for xs in values)
+    n = max(sum(map(abs, xs)) for xs in index)
     m = max(abs(x) for power in _power_reductions(e) for x in power)
-    phi = cyclotomic_polynomial(e)
-    width = (m * order * (n * n + 1) + max(map(abs, phi)) + 1).bit_length()
-    b = [1 << (width * t) for t in range(e + 1)]  # b[t] = B^t
-    modulus = sum(map(mul, phi, b))
-    at_b = {xs: sum(map(mul, xs, b)) for xs in values}
-    conj_at_b = {xs: xs[0] + sum(map(mul, xs[1:], b[e - 1::-1])) for xs in values}
-    left = [[size * at_b[xs] for size, xs in zip(row.classes.sizes, row.coords)] for row in rows]
-    right = [[conj_at_b[xs] for xs in row.coords] for row in rows]
-    for i, j in checked:
-        if (sum(map(mul, left[i], right[j])) - (order if i == j else 0)) % modulus:
-            raise CharacterError("row orthonormality failed")
-    return checked
+    q = _find_prime(e, m * order * (n * n + 1))
+    w = _primitive_root_of_unity(q, e)
+    # slot j of a packed sum collects k products below q^2, so slots never carry
+    bits = 2 * q.bit_length() + k.bit_length()
+    mask = (1 << bits) - 1
+    shifts = range(0, bits * len(rows), bits)
+    sizes = rows[0].classes.sizes
+    for u in exponents:
+        powers = [pow(w, u * t, q) for t in range(e)]
+        at = [sum(map(mul, xs, powers)) % q for xs in index]
+        at_inverse = [sum(map(mul, xs, powers[:1] + powers[:0:-1])) % q for xs in index]
+        packed = [sum(at_inverse[v] << s for s, v in zip(shifts, column)) for column in zip(*cells)]
+        for i, row in enumerate(cells):
+            total = sum(size * at[v] % q * col for size, v, col in zip(sizes, row, packed))
+            for j, s in enumerate(shifts):
+                if ((total >> s) & mask) % q != (order if i == j else 0):
+                    raise CharacterError("row orthonormality failed")
+    return q
 
 
 # -- Dixon's method -------------------------------------------------------------
 
 
-def _find_prime(exponent: int, order: int) -> int:
-    p = 2 * order + 1
-    p += (1 - p) % exponent  # smallest p >= 2|G|+1 with p = 1 (mod e)
-    for _ in range(200000):
-        if is_prime(p):
-            return p
-        p += exponent
-    raise NoSuitablePrime(
-        f"no prime p = 1 (mod {exponent}) with p > {2 * order} within search bound"
-    )
+def _find_prime(exponent: int, bound: int) -> int:
+    """The least proven prime p = 1 (mod exponent) above 2 * bound."""
+    start = 2 * bound + 1 + (-2 * bound) % exponent
+    try:
+        return next(p for p in range(start, start + 200000 * exponent, exponent) if is_prime(p))
+    except (StopIteration, ValueError):  # none in the window, or p reached psi_12
+        raise NoSuitablePrime(f"no proven prime p = 1 (mod {exponent}) just above {2 * bound}") from None
 
 
 def _primitive_root_of_unity(p: int, e: int) -> int:
-    """Element of multiplicative order e in F_p (requires e | p-1)."""
-    n = p - 1
-    factors = []
-    m = n
-    f = 2
-    while f * f <= m:
-        if m % f == 0:
-            factors.append(f)
-            while m % f == 0:
-                m //= f
-        f += 1
-    if m > 1:
-        factors.append(m)
+    """g^((p-1)/e) for the least g where it has order e in F_p (e | p-1): that is,
+    where its (e/l)-th power is not 1 for each prime l | e, so p - 1 is never factored."""
+    primes = [l for l in range(2, e + 1) if e % l == 0 and is_prime(l)]
     for g in range(2, p):
-        if all(pow(g, n // q, p) != 1 for q in factors):
-            return pow(g, n // e, p)
-    raise NoSuitablePrime(f"no generator found for F_{p}")  # unreachable for prime p
+        root = pow(g, (p - 1) // e, p)
+        if all(pow(root, e // l, p) != 1 for l in primes):
+            return root
+    raise NoSuitablePrime(f"no element of order {e} in F_{p}")  # unreachable for prime p
 
 
 def character_table(group: FiniteGroup) -> CharacterTable:
@@ -704,7 +693,7 @@ def character_table(group: FiniteGroup) -> CharacterTable:
     if sum(d * d for d in degrees) != order:
         raise CharacterError("degree squares do not sum to the group order")
     galois = _galois_permutations(ordered, units)
-    _certify_orthonormality(ordered, galois)
+    _certify_orthonormality(ordered, (1,))
 
     table = CharacterTable(
         group=group,

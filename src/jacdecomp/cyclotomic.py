@@ -44,17 +44,18 @@ class NotCoprime(CyclotomicError):
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    """Miller-Rabin with the prime bases up to 37: exact below psi_12 (Sorenson
+    and Webster, Math. Comp. 86 (2017)), ValueError at or above it."""
+    if n >= 318665857834031151167461:
+        raise ValueError(f"{n} is at or above psi_12, where is_prime is unproven")
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2 or n in bases:
+        return n in bases
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2^s * d, d odd
+    for a in bases:
+        x = pow(a, (n - 1) >> s, n)
+        if x != 1 and all(pow(x, 1 << r, n) != n - 1 for r in range(s)):
             return False
-        f += 2
     return True
 
 

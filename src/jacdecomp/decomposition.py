@@ -747,6 +747,13 @@ def _fiber_analysis(genera: Sequence[int]) -> tuple[CoveringAction, tuple[Subgro
     return action, deck
 
 
+def fiber_closed_forms(genera: Sequence[int]) -> tuple[int, int]:
+    """Closed-form total genus and dim P of a fiber product of double covers."""
+    t, total = len(genera), sum(genera)
+    return (1 - 2**t + 2 ** (t - 1) * (t + total),
+            1 + 2 ** (t - 1) * t - 2**t + (2 ** (t - 1) - 1) * total)
+
+
 def _build_fiber_plan(
     genera: Sequence[int],
     elliptic_count: int | None = None,
@@ -755,15 +762,13 @@ def _build_fiber_plan(
     genera = tuple(int(g) for g in genera)
     if any(g < 1 for g in genera):
         raise DecompositionError(f"factor genera must be >= 1, got {genera}")
-    t = len(genera)
     action, deck = _fiber_analysis(genera)
     analysis = analyze(action)
     genus = analysis.genus
-    predicted_genus = 1 - 2**t + 2 ** (t - 1) * (t + sum(genera))
+    predicted_genus, predicted_dim_p = fiber_closed_forms(genera)
     _agree("fiber genus", genus, predicted_genus)
     _agree("deck quotient genus", tuple(analysis.profile(k).genus for k in deck), genera)
     report = analysis.theorem1(deck)  # raises NotAdmissible on an inadmissible deck
-    predicted_dim_p = 1 + 2 ** (t - 1) * t - 2**t + (2 ** (t - 1) - 1) * sum(genera)
     _agree("fiber dim P", report.dim_p, predicted_dim_p)
     return FiberPlan(
         genera=genera,

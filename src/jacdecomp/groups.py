@@ -507,7 +507,7 @@ def subgroup_join(a: Subgroup, b: Subgroup) -> Subgroup:
     return subgroup_generate(a.parent, tuple(a.generators) + tuple(b.generators))
 
 
-def enumerate_subgroups(group: FiniteGroup, order_cap: int = DEFAULT_SUBGROUP_CAP) -> tuple[Subgroup, ...]:
+def enumerate_subgroups(group: FiniteGroup) -> tuple[Subgroup, ...]:
     """All subgroups, unique, sorted by (order, members).
 
     Breadth-first from the trivial subgroup: each subgroup P found is extended
@@ -542,9 +542,9 @@ def enumerate_subgroups(group: FiniteGroup, order_cap: int = DEFAULT_SUBGROUP_CA
     """
     if group._subgroups is not None:
         return group._subgroups
-    if group.order > order_cap:
+    if group.order > DEFAULT_SUBGROUP_CAP:
         raise OrderCapExceeded(
-            f"subgroup enumeration capped at order {order_cap}, group has {group.order}"
+            f"subgroup enumeration capped at order {DEFAULT_SUBGROUP_CAP}, group has {group.order}"
         )
     n, table, orders = group.order, group._table, group._orders
     divisors = [e for e in range(2, n + 1) if n % e == 0]

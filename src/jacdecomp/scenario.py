@@ -14,9 +14,10 @@ from typing import Mapping, NamedTuple, Sequence
 
 from .covering import CoveringAction, CoveringError, validate_action
 from .cyclotomic import is_prime
-from .decomposition import ActionAnalysis
+from .decomposition import ActionAnalysis, fiber_closed_forms
 from .groups import (
     DEFAULT_ORDER_CAP,
+    TABLE_ORDER_LIMIT,
     FiniteGroup,
     Permutation,
     Subgroup,
@@ -70,10 +71,11 @@ def make_dihedral_scenario(q: int) -> dict:
     """Bundled dihedral family: order 4q acting on a genus 4q-1 surface.
 
     Six branch points: two with reflection stabilizer of each conjugacy type
-    and two with the full rotation stabilizer.  q must be an odd prime.
+    and two with the full rotation stabilizer.  q must be an odd prime, and
+    4q must fit the Cayley table, since a collection lists all 2q reflections.
     """
-    if q < 3 or q % 2 == 0 or not is_prime(q):
-        raise ParseError(f"the d2q family needs an odd prime q >= 3, got {q}")
+    if q < 3 or q % 2 == 0 or 4 * q > TABLE_ORDER_LIMIT or not is_prime(q):
+        raise ParseError(f"the d2q family needs an odd prime q with 4q <= {TABLE_ORDER_LIMIT}, got {q}")
     gq = 2 * q - 1
     reflections = [
         ["s"] if i == 0 else (["s*r"] if i == 1 else [f"s*r^{i}"])
@@ -161,8 +163,7 @@ def make_fiber_scenario(genera: Sequence[int]) -> dict:
     for i, g in enumerate(genera):
         vector.extend([f"e{i + 1}"] * (2 * g + 2))
         periods.extend([2] * (2 * g + 2))
-    total = 1 - 2**t + 2 ** (t - 1) * (t + sum(genera))
-    dim_p = 1 + 2 ** (t - 1) * t - 2**t + (2 ** (t - 1) - 1) * sum(genera)
+    total, dim_p = fiber_closed_forms(genera)
     deck = [
         [f"e{j + 1}" for j in range(t) if j != i] for i in range(t)
     ]

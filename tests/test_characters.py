@@ -32,7 +32,7 @@ from jacdecomp.characters import (
     trivial_character,
     _charpoly_mod,
 )
-from jacdecomp.cyclotomic import ConductorMismatch, Cyclotomic, cyclotomic_polynomial
+from jacdecomp.cyclotomic import ConductorMismatch, Cyclotomic, cyclotomic_polynomial, is_prime
 from jacdecomp.decomposition import analyze
 from jacdecomp.groups import (
     FiniteGroup,
@@ -376,7 +376,7 @@ def closed_form_dihedral_rows(q):
     return rows
 
 
-@pytest.mark.parametrize("q", [3, 5, 7, 31, 61])
+@pytest.mark.parametrize("q", [3, 5, 7, 31, 61, 127])
 def test_dihedral_table_matches_closed_form(q):
     table = character_table(preset_dihedral(q))
     assert {row.values for row in table.irreducibles} == closed_form_dihedral_rows(q)
@@ -1491,9 +1491,10 @@ def test_semidirect_7_9_table_shape():
     assert table.degrees == (1,) * 9 + (3,) * 6
 
 
-@pytest.mark.parametrize("n", [12, 30])
+@pytest.mark.parametrize("n", [12, 30, 105])
 def test_cyclic_table_matches_closed_form(n):
-    """chi_a(c^b) = zeta_n^(ab): singleton classes, non-real values."""
+    """chi_a(c^b) = zeta_n^(ab): singleton classes, non-real values.  Reduced powers
+    of zeta_105 have a coordinate 2, so the certificate's bound has M = 2."""
     group = build_group([Permutation(tuple((x + 1) % n for x in range(n)))], ["c"])
     c = group.generator_names["c"]
     classes = conjugacy_classes(group)
@@ -1720,11 +1721,17 @@ def replace_value(row, c, delta):
     return ClassFunction(row.group, tuple(values))
 
 
+PSI_12 = 318665857834031151167461  # least strong pseudoprime to the prime bases up to 37
+
+
+def every_unit(e):
+    return tuple(u for u in range(1, e + 1) if gcd(u, e) == 1)
+
+
 def certify(rows, e):
-    """The table's own checks on given rows: Galois lookup, then the pair walk."""
-    return characters._certify_orthonormality(
-        rows, characters._galois_permutations(rows, characters._unit_generators(e))
-    )
+    """The table's own checks on given rows: Galois lookup, then every pair at one root."""
+    characters._galois_permutations(rows, characters._unit_generators(e))
+    return characters._certify_orthonormality(rows, (1,))
 
 
 @pytest.mark.parametrize("e", range(1, 257))
@@ -1777,28 +1784,57 @@ def test_rational_class_orbits_match_every_automorphism(name):
     assert orbits == all_automorphism_galois_orbits(table)
 
 
+def certificate_bound(rows):
+    """R = M |G| (n^2 + 1), computed apart from the engine: M the largest coordinate
+    of a reduced zeta_e^s, n the largest coordinate 1-norm of a value."""
+    group = rows[0].group
+    e = group.exponent
+    m = max(abs(x) for s in range(e) for x in Cyclotomic.root(e, s).coeffs)
+    n = max(sum(map(abs, v.coeffs)) for row in rows for v in row.values)
+    return m * group.order * (n * n + 1)
+
+
 @pytest.mark.parametrize("name", GALOIS_GROUPS)
 def test_certified_pairs_expand_to_every_pair(name):
+    """The table's certificate checks every ordered pair at one root w of Phi_e mod q.
+    Row i at w^u is row sigma_u(i) at w, so those pairs are every pair at every
+    root, and checking every root gives the same verdict and the same q."""
     table = character_table(galois_group(name))
-    k = len(table)
-    checked = characters._certify_orthonormality(list(table.irreducibles), table.galois)
-    covered = set()
-    for pair in checked:
-        orbit = {pair}
-        frontier = [pair]
-        for i, j in frontier:
-            for perm in table.galois:
-                image = tuple(sorted((perm[i], perm[j])))
-                if image not in orbit:
-                    orbit.add(image)
-                    frontier.append(image)
-        assert not orbit & covered
-        assert len({i == j for i, j in orbit}) == 1
-        covered |= orbit
-    assert covered == {(i, j) for j in range(k) for i in range(j + 1)}
-    assert len(covered) == k * (k + 1) // 2
-    if any(v != v.conjugate() for row in table.irreducibles for v in row.values):
-        assert len(checked) < k * (k + 1) // 2
+    rows, e = list(table.irreducibles), table.conductor
+    q = characters._certify_orthonormality(rows, (1,))
+    assert q == characters._certify_orthonormality(rows, every_unit(e))
+    bound = 2 * certificate_bound(rows)
+    assert q > bound and q % e == 1 % e and is_prime(q)
+    assert not any(is_prime(p) for p in range(bound + 1, q) if p % e == 1 % e)
+    w = characters._primitive_root_of_unity(q, e)
+    assert [t for t in range(1, e + 1) if pow(w, t, q) == 1] == [e]
+
+    def at(row, u):
+        return [sum(x * pow(w, u * t, q) for t, x in enumerate(v.coeffs)) % q for v in row.values]
+
+    for u, perm in zip(characters._unit_generators(e), table.galois):
+        for i, row in enumerate(rows):
+            assert at(row, u) == at(rows[perm[i]], 1)
+
+
+def test_a_multiple_of_a_small_prime_is_rejected():
+    """The row (2, 1) on Z2 has <x, x> = 5/2, so f = 2(5/2 - 1) = 3: q = 3 would
+    accept it, and the least prime above 2R = 20 must reject it."""
+    group = cyclic_group(2)
+    row = ClassFunction(group, (Cyclotomic.from_rational(2, 2), Cyclotomic.one(2)))
+    assert inner_product(row, row) == Fraction(5, 2)
+    assert certificate_bound([row]) == 10
+    with pytest.raises(CharacterError, match="row orthonormality failed"):
+        characters._certify_orthonormality([row], (1,))
+
+
+def test_a_bound_beyond_psi12_raises_no_suitable_prime():
+    """n = 10^12 puts 2R above psi_12, where no prime is proven: the search stops at once."""
+    group = cyclic_group(2)
+    row = ClassFunction(group, (Cyclotomic.from_rational(10 ** 12, 2), Cyclotomic.one(2)))
+    assert 2 * certificate_bound([row]) >= PSI_12
+    with pytest.raises(characters.NoSuitablePrime):
+        characters._certify_orthonormality([row], (1,))
 
 
 @pytest.mark.parametrize("name", GALOIS_GROUPS)
@@ -1846,7 +1882,7 @@ def test_perturbing_a_galois_orbit_consistently_is_caught(name):
         generators = characters._unit_generators(e)
         assert characters._galois_permutations(perturbed, generators) == table.galois
         with pytest.raises(CharacterError):
-            characters._certify_orthonormality(perturbed, table.galois)
+            characters._certify_orthonormality(perturbed, (1,))
 
 
 def linear_character_rows(e):
@@ -1880,7 +1916,7 @@ def exact_pair_fails(a, b, expected):
 
 @pytest.mark.parametrize("e, trials", [(1, 400), (2, 300), (3, 150), (7, 60), (12, 40), (30, 20), (105, 6), (122, 8)])
 def test_certificate_agrees_with_exact_inner_products(e, trials):
-    """Random integer rows, no Galois generators, so every pair is checked: the
+    """Random integer rows, not closed under Galois, so every unit is checked: the
     packed certificate raises exactly when some exact inner product is not [i == j].
 
     Rows are linear characters of C_e times random units +-zeta^s (non-real when
@@ -1911,10 +1947,9 @@ def test_certificate_agrees_with_exact_inner_products(e, trials):
         )
         if fails:
             with pytest.raises(CharacterError, match="row orthonormality failed"):
-                characters._certify_orthonormality(rows, ())
+                characters._certify_orthonormality(rows, every_unit(e))
         else:
-            checked = characters._certify_orthonormality(rows, ())
-            assert len(checked) == len(rows) * (len(rows) + 1) // 2
+            characters._certify_orthonormality(rows, every_unit(e))
         outcomes.add(fails)
     assert outcomes == {True, False}
 
@@ -1924,7 +1959,7 @@ def test_certificate_rejects_non_integer_coordinates():
     rows = list(table.irreducibles)
     rows[1] = rows[1] * Fraction(1, 2)
     with pytest.raises(CharacterError, match="integer coordinates"):
-        characters._certify_orthonormality(rows, table.galois)
+        characters._certify_orthonormality(rows, (1,))
 
 
 def test_irrational_inner_product_is_a_character_error():

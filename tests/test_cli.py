@@ -7,6 +7,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -400,6 +401,18 @@ def test_order_cap_below_one_exits_1(capsys, tmp_path):
     path.write_text(json.dumps(scenario), encoding="utf-8")
     assert cli.main(["chartable", str(path)]) == 1
     assert "max_order must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("q", [1000000007 * 1000000009, 318665857834031151167461, 1000000007])
+def test_a_huge_d2q_parameter_exits_1_within_a_second(capsys, q):
+    """A product of two primes near 10^9, a q at or above psi_12, where primality
+    is unproven, and a prime whose 2q reflections would fill the collections:
+    each is rejected before any group or collection is built."""
+    start = time.monotonic()
+    assert cli.main(["chartable", f"d2q?q={q}"]) == 1
+    assert time.monotonic() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("jacdecomp: error:") and str(q) in err
 
 
 def test_mistyped_or_misspelt_expectations_exit_1(capsys):

@@ -216,3 +216,41 @@ def test_hash_consistency():
 def test_is_prime_helper():
     primes = [n for n in range(60) if is_prime(n)]
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
+    sieve = [True] * 10 ** 5  # and agreement with a sieve below 10^5
+    sieve[0] = sieve[1] = False
+    for f in range(2, 317):
+        if sieve[f]:
+            sieve[f * f::f] = [False] * len(range(f * f, 10 ** 5, f))
+    assert [n for n in range(10 ** 5) if is_prime(n)] == [n for n, p in enumerate(sieve) if p]
+
+
+PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+PSI_9 = 3825123056546413051  # least strong pseudoprime to the first 9 prime bases
+PSI_12 = 318665857834031151167461  # ... and to the first 12
+
+
+def strong_probable_prime(n, a):
+    """One Miller-Rabin round, written apart from the engine's."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    return x == 1 or any(pow(x, 2 ** r, n) == n - 1 for r in range(s))
+
+
+def test_is_prime_rejects_strong_pseudoprimes_to_fewer_bases():
+    """561 is a Carmichael number, 3 215 031 751 a strong pseudoprime to 2, 3, 5, 7,
+    and psi_9 to the first nine prime bases; 2^61 - 1 is a Mersenne prime."""
+    assert all(strong_probable_prime(3215031751, a) for a in PRIME_BASES[:4])
+    assert all(strong_probable_prime(PSI_9, a) for a in PRIME_BASES[:9])
+    assert all(strong_probable_prime(PSI_12, a) for a in PRIME_BASES)
+    for n in (561, 3215031751, PSI_9, 1000000007 * 1000000009):
+        assert not is_prime(n)
+    assert is_prime(2 ** 61 - 1) and is_prime(1000000007) and is_prime(1000000009)
+
+
+def test_is_prime_raises_at_and_above_psi12():
+    assert not is_prime(PSI_12 - 1)  # even, and still in range
+    for n in (PSI_12, PSI_12 + 2, 2 ** 89 - 1):
+        with pytest.raises(ValueError, match="psi_12"):
+            is_prime(n)

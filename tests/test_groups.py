@@ -582,17 +582,20 @@ def test_enumerate_subgroups_sorted_and_complete_ends():
     assert listed[-1].order == group.order
 
 
-def test_enumerate_subgroups_cap():
+def test_enumerate_subgroups_cap(monkeypatch):
     group = preset_dihedral(3)
-    with pytest.raises(OrderCapExceeded):
-        enumerate_subgroups(group, order_cap=4)
+    monkeypatch.setattr(groups, "DEFAULT_SUBGROUP_CAP", 4)
+    with pytest.raises(OrderCapExceeded, match="capped at order 4"):
+        enumerate_subgroups(group)
 
 
-def test_a_cached_lattice_is_returned_above_the_cap():
+def test_a_cached_lattice_is_returned_above_the_cap(monkeypatch):
     group = preset_dihedral(129)  # order 516, above DEFAULT_SUBGROUP_CAP
     with pytest.raises(OrderCapExceeded):
         subgroup_class_representatives(group)
-    lattice = enumerate_subgroups(group, order_cap=1024)
+    with monkeypatch.context() as raised:
+        raised.setattr(groups, "DEFAULT_SUBGROUP_CAP", 1024)
+        lattice = enumerate_subgroups(group)
     assert enumerate_subgroups(group) is lattice
     representatives = subgroup_class_representatives(group)
     assert representatives[0] == trivial_subgroup(group)
