@@ -30,19 +30,22 @@ read from the class partition's power map, takes sigma_u of each value, its
 multiplicities permuted by j -> ju mod n, and is checked mod p against the
 split.  Lifted rows share one packed pass, one bit slot per row in a Python
 int (Kronecker substitution).  Multiplicities are below p, so the lift is
-unique; each distinct value is written once as sum_j m_j z^(j e/n) from the
-reduced powers of z = zeta_e.  No floating point is involved anywhere.
+unique.  It numbers the distinct values in one pool: a new set of them,
+written as sum_j m_j z^(j e/n) from the reduced powers of z = zeta_e, gets
+a new id only when its coordinates are new, and each row is a tuple of ids.
+No floating point is involved anywhere.
 
 The table owns the Galois action: one row permutation per generator of
-(Z/e)^x, each image row looked up exactly, so the rows are closed under
-every sigma_u.  Rational classes are its orbits.  Row orthonormality is
-proven modulo one prime q = 1 (mod e), the least above twice a proven bound
-on the coordinates of each pair's remainder mod Phi_e: every ordered pair
-is checked at one root w of order e mod q, row j's values at w^-1 packed
-once per class, one slot per row, as the lift packs.  Row i at w^u is row
-sigma_u(i) at w, so that checks every pair at every root of Phi_e mod q,
-which proves each remainder zero (see _certify_orthonormality).  Primes are
-proven by deterministic Miller-Rabin (cyclotomic.is_prime).
+(Z/e)^x.  Each distinct value's image is looked up exactly by its
+coordinates, once per generator, and each image row by its ids, so the rows
+are closed under every sigma_u.  Rational classes are its orbits.  Row
+orthonormality is proven modulo one prime q = 1 (mod e), the least above
+twice a proven bound on the coordinates of each pair's remainder mod Phi_e:
+every ordered pair is checked at one root w of order e mod q, row j's values
+at w^-1 packed once per class, one slot per row, as the lift packs.  Row i
+at w^u is row sigma_u(i) at w, so that checks every pair at every root of
+Phi_e mod q, which proves each remainder zero (see _certify_orthonormality).
+Primes are proven by deterministic Miller-Rabin (cyclotomic.is_prime).
 """
 
 from __future__ import annotations
@@ -480,44 +483,36 @@ def _unit_generators(e: int) -> tuple[int, ...]:
     return tuple(generators)
 
 
-def _galois_permutations(rows: list[ClassFunction], units) -> tuple[tuple[int, ...], ...]:
-    """For each u of the units, _unit_generators(e), the map i -> index of sigma_u(rows[i]).
+def _galois_permutations(values, cells, units) -> tuple[tuple[int, ...], ...]:
+    """For each u of the units, _unit_generators(e), the map i -> index of sigma_u(cells[i]).
 
-    sigma_u : zeta_e -> zeta_e^u acts on every value; each image row is looked
-    up exactly by its coordinate tuple, and each map must be a permutation.
-    Generators suffice: if each of them permutes the rows, so does the whole
-    Galois group they generate.
+    Rows are tuples of ids into values.  sigma_u : zeta_e -> zeta_e^u maps each
+    value once, looked up exactly by its coordinates to an id; each image row
+    is then a tuple of ids, and each map must be a permutation.  Generators
+    suffice: if each of them permutes the rows, so does the whole Galois group.
     """
-    coords = [row.coords for row in rows]
-    row_index = {c: i for i, c in enumerate(coords)}
-    e = rows[0].group.exponent
+    id_of = {v.coeffs: i for i, v in enumerate(values)}
+    row_index = {row: i for i, row in enumerate(cells)}
+    e = values[0].conductor
     powers = _power_reductions(e)
     perms = []
     for u in units:
-        # basis z^i goes to reduced z^(iu); values repeat, so each is mapped once
+        # basis z^i goes to reduced z^(iu)
         basis_images = [powers[i * u % e] for i in range(len(powers[0]))]
-        image_of: dict[tuple, tuple] = {}
-        images = []
-        for row in coords:
-            image = []
-            for xs in row:
-                ys = image_of.get(xs)
-                if ys is None:
-                    ys = image_of[xs] = _combine(xs, basis_images)
-                image.append(ys)
-            j = row_index.get(tuple(image))
-            if j is None:
-                raise CharacterError("Galois action left the character table")
-            images.append(j)
-        if len(set(images)) != len(images):
+        image = [id_of.get(_combine(v.coeffs, basis_images)) for v in values]
+        perm = tuple(row_index.get(tuple(image[v] for v in row)) for row in cells)
+        if None in perm:
+            raise CharacterError("Galois action left the character table")
+        if len(set(perm)) != len(perm):
             raise CharacterError("Galois action does not permute the rows")
-        perms.append(tuple(images))
+        perms.append(perm)
     return tuple(perms)
 
 
-def _certify_orthonormality(rows: list[ClassFunction], exponents) -> int:
+def _certify_orthonormality(group: FiniteGroup, values, cells, exponents) -> int:
     """Prove <rows[i], rows[j]> = [i == j] for all i, j; return the prime q used.
 
+    Row i is cells[i], a tuple of ids into values, one per class of the group.
     With x_c row i's coordinates at class c and y-hat_c(z) = sum_t y_c[t] z^((-t) mod e)
     row j's conjugate, left unreduced, the integer polynomial
     f = sum_c |C_c| x_c y-hat_c - |G|[i = j] has f(zeta_e) = |G|(<chi_i, chi_j> - [i = j])
@@ -532,24 +527,23 @@ def _certify_orthonormality(rows: list[ClassFunction], exponents) -> int:
     pass every unit.  Then r, of degree < phi(e), has phi(e) roots in F_q,
     so r = 0 (mod q), and r = 0 since |r_k| < q/2.
     """
-    e, order, k = rows[0].group.exponent, rows[0].group.order, len(rows[0].coords)
-    index: dict[tuple, int] = {}  # each distinct value's coordinates, numbered
-    cells = [[index.setdefault(xs, len(index)) for xs in row.coords] for row in rows]
-    if any(x.denominator != 1 for xs in index for x in xs):
+    e, order, k = group.exponent, group.order, len(cells[0])
+    coords = [v.coeffs for v in values]
+    if any(x.denominator != 1 for xs in coords for x in xs):
         raise CharacterError("row orthonormality needs integer coordinates")
-    n = max(sum(map(abs, xs)) for xs in index)
+    n = max(sum(map(abs, xs)) for xs in coords)
     m = max(abs(x) for power in _power_reductions(e) for x in power)
     q = _find_prime(e, m * order * (n * n + 1))
     w = _primitive_root_of_unity(q, e)
     # slot j of a packed sum collects k products below q^2, so slots never carry
     bits = 2 * q.bit_length() + k.bit_length()
     mask = (1 << bits) - 1
-    shifts = range(0, bits * len(rows), bits)
-    sizes = rows[0].classes.sizes
+    shifts = range(0, bits * len(cells), bits)
+    sizes = conjugacy_classes(group).sizes
     for u in exponents:
         powers = [pow(w, u * t, q) for t in range(e)]
-        at = [sum(map(mul, xs, powers)) % q for xs in index]
-        at_inverse = [sum(map(mul, xs, powers[:1] + powers[:0:-1])) % q for xs in index]
+        at = [sum(map(mul, xs, powers)) % q for xs in coords]
+        at_inverse = [sum(map(mul, xs, powers[:1] + powers[:0:-1])) % q for xs in coords]
         packed = [sum(at_inverse[v] << s for s, v in zip(shifts, column)) for column in zip(*cells)]
         for i, row in enumerate(cells):
             total = sum(size * at[v] % q * col for size, v, col in zip(sizes, row, packed))
@@ -636,10 +630,12 @@ def character_table(group: FiniteGroup) -> CharacterTable:
     mask = (1 << bits) - 1
     shifts = range(0, bits * k, bits)
     columns = [sum(row[c] << s for s, row in zip(shifts, cvals_rows)) for c in range(k)]
-    values: list = [None] * k  # values[c]: class c's column, lifted or derived
-    images: dict[tuple, tuple] = {}  # sorted (z-exponent, m) pairs -> value, image mod p
+    pool: dict[tuple, int] = {}  # each distinct value's coordinates -> its id
+    ids: dict[tuple, int] = {}  # sorted (z-exponent, m) pairs -> the id of their value
+    residues: dict[int, int] = {}  # id -> the value's image mod p
+    cells: list = [None] * k  # cells[c]: class c's column of ids, lifted or derived
     for c, powers in enumerate(classes.power_map):
-        if values[c] is not None:
+        if cells[c] is not None:
             continue  # c is the class of rep^u for an earlier class rep, u a unit
         # m_j = (1/n) sum_i chi(rep^i) z^(-ij e/n), weights summed per class of rep^i
         n = len(powers)
@@ -666,39 +662,40 @@ def character_table(group: FiniteGroup) -> CharacterTable:
         # chi(rep^u) = sigma_u(chi(rep)) = sum_j m_j z^(j step u) for each unit u mod n
         for u in range(1, n + 1):  # u = n = 1 only for the identity class
             c2 = powers[u % n]
-            if gcd(u, n) != 1 or values[c2] is not None:
+            if gcd(u, n) != 1 or cells[c2] is not None:
                 continue
-            values[c2] = []
+            cells[c2] = []
             for r, row_terms in enumerate(terms):
                 key = tuple(sorted([(t * u % e, m) for t, m in row_terms]))
-                image = images.get(key)
-                if image is None:
+                v = ids.get(key)
+                if v is None:
                     ts, ms = zip(*key)
-                    value = Cyclotomic(e, _combine(ms, [z_coords[t] for t in ts]))
-                    image = images[key] = value, sum(map(mul, value.coeffs, root_pow)) % p
-                if image[1] != cvals_rows[r][c2]:
+                    coords = _combine(ms, [z_coords[t] for t in ts])
+                    v = ids[key] = pool.setdefault(coords, len(pool))  # keys may share a value
+                    residues[v] = sum(map(mul, coords, root_pow)) % p
+                if residues[v] != cvals_rows[r][c2]:
                     raise CharacterError("a Galois-derived column disagrees with the split mod p")
-                values[c2].append(image[0])
-    rows = [ClassFunction(group, row_values) for row_values in zip(*values)]
+                cells[c2].append(v)
 
-    trivial = ClassFunction(group, tuple(Cyclotomic.one(e) for _ in range(k)))
-    others = [row for row in rows if row != trivial]
+    values = [Cyclotomic(e, xs) for xs in pool]  # by id
+    trivial = (pool.get(Cyclotomic.one(e).coeffs),) * k
+    others = [row for row in zip(*cells) if row != trivial]
     if len(others) != k - 1:
         raise CharacterError("trivial character missing from the computed table")
-    others.sort(key=lambda row: (row.values[0].as_integer(), tuple(v.coeffs for v in row.values)))
+    others.sort(key=lambda row: [values[v].coeffs for v in row])  # (d, 0, ...) leads: degree first
     ordered = [trivial] + others
 
     # exact sanity guarantees before the table is released
-    degrees = tuple(row.values[0].as_integer() for row in ordered)
+    degrees = tuple(values[row[0]].as_integer() for row in ordered)
     if sum(d * d for d in degrees) != order:
         raise CharacterError("degree squares do not sum to the group order")
-    galois = _galois_permutations(ordered, units)
-    _certify_orthonormality(ordered, (1,))
+    galois = _galois_permutations(values, ordered, units)
+    _certify_orthonormality(group, values, ordered, (1,))
 
     table = CharacterTable(
         group=group,
         classes=classes,
-        irreducibles=tuple(ordered),
+        irreducibles=tuple(ClassFunction(group, tuple(values[v] for v in row)) for row in ordered),
         degrees=degrees,
         conductor=e,
         modulus=p,
@@ -755,7 +752,10 @@ def _subgroup_weights(subgroup: Subgroup) -> tuple[list[int], list[int]]:
 
 def _checked_dim(average, induced, subgroup: Subgroup, m: int = 1) -> int:
     """dim V^H from psi = m * chi's two route sums: sum counts * psi = m |H| dim
-    and, by Frobenius reciprocity, sum w * psi = m |G| <chi, pi_H> = m |G| dim."""
+    and, by Frobenius reciprocity, sum w * psi = m |G| <chi, pi_H> = m |G| dim.
+    The routes share psi and the classes, and |H| w[c] = |G| counts[c] class
+    by class (Frobenius), so this tests the coset fill behind w against H's
+    membership counts and the arithmetic of the sums, not the table or psi."""
     h, g = m * subgroup.order, m * subgroup.parent.order
     if average % h:
         raise NonIntegralAverage(f"average over subgroup is {Fraction(average, h)}; not a character")
@@ -774,7 +774,7 @@ def fixed_dim(chi: ClassFunction, subgroup: Subgroup) -> int:
 
     Computed as the average of the character over the subgroup, then
     cross-checked against the Frobenius-reciprocity route through the
-    permutation character; the two independent computations must agree.
+    permutation character (see _checked_dim for what the two routes share).
     """
     group = chi.group
     if subgroup.parent is not group:

@@ -172,11 +172,13 @@ def _cmd_analyze(scenario: ScenarioFile, args) -> ReportDocument:
         missing = [n for n in args.collections if n not in scenario.collections]
         if missing:
             raise UsageError(f"unknown collection(s): {', '.join(missing)}")
-        selected = [(n, scenario.collections[n]) for n in args.collections]
+        selected = {n: scenario.collections[n] for n in args.collections}
+        if len(selected) < len(args.collections):
+            raise UsageError(f"a collection is named twice in {', '.join(args.collections)}")
     else:
-        selected = list(scenario.collections.items())
+        selected = scenario.collections
 
-    for name, spec in selected:
+    for name, spec in selected.items():
         body: dict = {}
         profiles = [analysis.profile(h) for h in spec.subgroups]
         body["profiles"] = [

@@ -202,30 +202,25 @@ def make_fiber_scenario(genera: Sequence[int]) -> dict:
     }
 
 
+# each preset's one parameter, its default, and the builder that reads it
 _PRESETS = {
-    "d2q": lambda params: make_dihedral_scenario(int(params.get("q", 3))),
-    "fiber": lambda params: make_fiber_scenario(
-        [int(x) for x in str(params.get("genera", "1,1")).split(",")]
-    ),
+    "d2q": ("q", "3", lambda q: make_dihedral_scenario(int(q))),
+    "fiber": ("genera", "1,1", lambda genera: make_fiber_scenario(genera.split(","))),
 }
 
 
 def _resolve_preset(reference: str) -> dict:
     name, _, query = reference.partition("?")
-    params: dict[str, str] = {}
-    if query:
-        for part in query.split("&"):
-            key, eq, value = part.partition("=")
-            if not eq:
-                raise ParseError(f"bad preset parameter {part!r} in {reference!r}")
-            params[key.strip()] = value.strip()
     if name not in _PRESETS:
-        raise ParseError(
-            f"unknown preset {name!r}; available: {', '.join(sorted(_PRESETS))}"
-        )
+        raise ParseError(f"unknown preset {name!r}; available: {', '.join(sorted(_PRESETS))}")
+    key, value, build = _PRESETS[name]
+    for n, part in enumerate(query.split("&") if query else ()):
+        given, eq, value = part.partition("=")
+        if not eq or n or given.strip() != key:  # a second part repeats or is unknown
+            raise ParseError(f"bad preset parameter {part!r}; {name!r} takes {key}, once")
     try:
-        return _PRESETS[name](params)
-    except (ValueError, KeyError) as exc:
+        return build(value.strip())
+    except ValueError as exc:
         raise ParseError(f"bad parameters for preset {name!r}: {exc}") from exc
 
 

@@ -1728,10 +1728,18 @@ def every_unit(e):
     return tuple(u for u in range(1, e + 1) if gcd(u, e) == 1)
 
 
+def intern(rows):
+    """The rows as the table holds them: its distinct values, and each row as a tuple of their ids."""
+    ids = {}
+    cells = [tuple(ids.setdefault(v, len(ids)) for v in row.values) for row in rows]
+    return list(ids), cells
+
+
 def certify(rows, e):
     """The table's own checks on given rows: Galois lookup, then every pair at one root."""
-    characters._galois_permutations(rows, characters._unit_generators(e))
-    return characters._certify_orthonormality(rows, (1,))
+    values, cells = intern(rows)
+    characters._galois_permutations(values, cells, characters._unit_generators(e))
+    return characters._certify_orthonormality(rows[0].group, values, cells, (1,))
 
 
 @pytest.mark.parametrize("e", range(1, 257))
@@ -1755,6 +1763,14 @@ def test_table_galois_maps_rows_by_sigma_u(name):
         assert sorted(perm) == list(range(len(rows)))
         for i, row in enumerate(rows):
             assert tuple(v.galois(u) for v in row.values) == rows[perm[i]].values
+
+
+@pytest.mark.parametrize("name", GALOIS_GROUPS)
+def test_equal_table_values_are_one_object(name):
+    """The table reads its rows from one pool of distinct values, so equal values are one object."""
+    table = character_table(galois_group(name))
+    cells = [v for row in table.irreducibles for v in row.values]
+    assert len({id(v) for v in cells}) == len({v.coeffs for v in cells})
 
 
 @pytest.mark.parametrize("name", ["Z7:Z9", "C12", "C30", "D124"])
@@ -1801,8 +1817,9 @@ def test_certified_pairs_expand_to_every_pair(name):
     root, and checking every root gives the same verdict and the same q."""
     table = character_table(galois_group(name))
     rows, e = list(table.irreducibles), table.conductor
-    q = characters._certify_orthonormality(rows, (1,))
-    assert q == characters._certify_orthonormality(rows, every_unit(e))
+    group, (values, cells) = table.group, intern(rows)
+    q = characters._certify_orthonormality(group, values, cells, (1,))
+    assert q == characters._certify_orthonormality(group, values, cells, every_unit(e))
     bound = 2 * certificate_bound(rows)
     assert q > bound and q % e == 1 % e and is_prime(q)
     assert not any(is_prime(p) for p in range(bound + 1, q) if p % e == 1 % e)
@@ -1825,7 +1842,7 @@ def test_a_multiple_of_a_small_prime_is_rejected():
     assert inner_product(row, row) == Fraction(5, 2)
     assert certificate_bound([row]) == 10
     with pytest.raises(CharacterError, match="row orthonormality failed"):
-        characters._certify_orthonormality([row], (1,))
+        characters._certify_orthonormality(group, *intern([row]), (1,))
 
 
 def test_a_bound_beyond_psi12_raises_no_suitable_prime():
@@ -1834,7 +1851,7 @@ def test_a_bound_beyond_psi12_raises_no_suitable_prime():
     row = ClassFunction(group, (Cyclotomic.from_rational(10 ** 12, 2), Cyclotomic.one(2)))
     assert 2 * certificate_bound([row]) >= PSI_12
     with pytest.raises(characters.NoSuitablePrime):
-        characters._certify_orthonormality([row], (1,))
+        characters._certify_orthonormality(group, *intern([row]), (1,))
 
 
 @pytest.mark.parametrize("name", GALOIS_GROUPS)
@@ -1855,7 +1872,7 @@ def test_perturbing_one_value_of_one_row_is_caught(name):
         perturbed[r] = replace_value(rows[r], c, Cyclotomic.root(e))
         if e > 2:
             with pytest.raises(CharacterError, match="left the character table"):
-                characters._galois_permutations(perturbed, characters._unit_generators(e))
+                characters._galois_permutations(*intern(perturbed), characters._unit_generators(e))
         else:
             with pytest.raises(CharacterError):
                 certify(perturbed, e)
@@ -1880,9 +1897,9 @@ def test_perturbing_a_galois_orbit_consistently_is_caught(name):
             u = next(u for u in units(e) if tuple(v.galois(u) for v in chi.values) == rows[j].values)
             perturbed[j] = replace_value(rows[j], c, delta.galois(u))
         generators = characters._unit_generators(e)
-        assert characters._galois_permutations(perturbed, generators) == table.galois
+        assert characters._galois_permutations(*intern(perturbed), generators) == table.galois
         with pytest.raises(CharacterError):
-            characters._certify_orthonormality(perturbed, (1,))
+            characters._certify_orthonormality(group, *intern(perturbed), (1,))
 
 
 def linear_character_rows(e):
@@ -1924,7 +1941,7 @@ def test_certificate_agrees_with_exact_inner_products(e, trials):
     integer, some wholly random with ~10^6 coordinates.  Reduced powers of zeta_105
     and Phi_105 have coefficients of size 2; the other conductors have 1.
     """
-    _, characters_of = linear_character_rows(e)
+    group, characters_of = linear_character_rows(e)
     rng = random.Random(f"certificate:{e}")
     outcomes = set()
     for trial in range(trials):
@@ -1947,9 +1964,9 @@ def test_certificate_agrees_with_exact_inner_products(e, trials):
         )
         if fails:
             with pytest.raises(CharacterError, match="row orthonormality failed"):
-                characters._certify_orthonormality(rows, every_unit(e))
+                characters._certify_orthonormality(group, *intern(rows), every_unit(e))
         else:
-            characters._certify_orthonormality(rows, every_unit(e))
+            characters._certify_orthonormality(group, *intern(rows), every_unit(e))
         outcomes.add(fails)
     assert outcomes == {True, False}
 
@@ -1959,7 +1976,7 @@ def test_certificate_rejects_non_integer_coordinates():
     rows = list(table.irreducibles)
     rows[1] = rows[1] * Fraction(1, 2)
     with pytest.raises(CharacterError, match="integer coordinates"):
-        characters._certify_orthonormality(rows, (1,))
+        characters._certify_orthonormality(table.group, *intern(rows), (1,))
 
 
 def test_irrational_inner_product_is_a_character_error():

@@ -271,6 +271,13 @@ def test_unknown_collection_is_usage_error():
         run(["analyze", "d2q?q=3", "--collections", "nope"])
 
 
+def test_a_repeated_collection_is_usage_error(capsys):
+    with pytest.raises(cli.UsageError, match="named twice in h1h4, h1h4"):
+        run(["analyze", "d2q?q=3", "--collections", "h1h4,h1h4"])
+    assert cli.main(["analyze", "d2q?q=3", "--collections", "main,h1h4,main"]) == 1
+    assert "a collection is named twice in main, h1h4, main" in capsys.readouterr().err
+
+
 def test_main_exit_codes(capsys):
     assert cli.main(["analyze", "d2q?q=3", "--collections", "main"]) == 0
     capsys.readouterr()

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from jacdecomp import cli
 from jacdecomp.decomposition import analyze
 from jacdecomp.groups import (
     OrderCapExceeded,
@@ -60,6 +61,19 @@ def test_unknown_preset_and_bad_params():
         parse_scenario("d2q?q=three")
     with pytest.raises(ParseError):
         parse_scenario("d2q?q3")
+    for reference in ("d2q?Q=7", "d2q?p=5", "fiber?q=3", "fiber?genera=1,1&g=2",
+                      "d2q?q=3&q=5", "d2q?q=5&q=5", "fiber?genera=1,1&genera=1,2"):
+        with pytest.raises(ParseError, match="takes (q|genera), once$"):
+            parse_scenario(reference)
+    assert parse_scenario("d2q").genus == parse_scenario("d2q?q=3").genus == 11
+    assert parse_scenario("fiber").genus == parse_scenario("fiber?genera=1,1").genus == 5
+
+
+def test_an_unknown_or_repeated_preset_parameter_exits_1(capsys):
+    for reference in ("d2q?Q=7", "d2q?q=3&q=5"):
+        assert cli.main(["chartable", reference]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("jacdecomp: error:") and "'d2q' takes q, once" in err
 
 
 def test_parse_from_json_text_and_dict():
