@@ -794,17 +794,19 @@ def fixed_dims(subgroup: Subgroup) -> tuple[int, ...]:
 
     A fixed dimension is rational, so Galois-invariant: the integer rational
     character psi_l = s (orbit sum) gives m_l = s * field_degree times it.
-    The group keeps psi_l's values and m_l next to its rational classes and
+    Both are read from the group's heuristic rational classes, and the group
     caches one row per subgroup, so at most one per lattice member.
     An override view of the classes keeps their order, so index l holds there too.
     """
     cache = subgroup.parent._fixed_dims
     if subgroup.index not in cache:
         counts, w = _subgroup_weights(subgroup)
-        rational_classes(character_table(subgroup.parent))  # fills the parent's _psi_rows
         cache[subgroup.index] = tuple(
-            _checked_dim(sum(map(mul, counts, psi)), sum(map(mul, w, psi)), subgroup, m)
-            for psi, m in subgroup.parent._psi_rows
+            _checked_dim(
+                sum(map(mul, counts, rc.psi)), sum(map(mul, w, rc.psi)), subgroup,
+                rc.schur_index * rc.field_degree,
+            )
+            for rc in rational_classes(character_table(subgroup.parent))
         )
     return cache[subgroup.index]
 
@@ -842,9 +844,9 @@ class RationalClass(NamedTuple):
     """One Galois orbit of complex irreducibles: a rational irreducible.
 
     The rational character is schur_index times the orbit sum; its degree is
-    schur_index * degree * field_degree.  The exponent n = degree/schur_index
-    is the multiplicity of the associated factor in the group-algebra
-    decomposition.
+    schur_index * degree * field_degree, and psi holds its integer values,
+    one per conjugacy class.  The exponent n = degree/schur_index is the
+    multiplicity of the associated factor in the group-algebra decomposition.
     """
 
     table: CharacterTable
@@ -856,6 +858,7 @@ class RationalClass(NamedTuple):
     schur_source: str  # "heuristic" or "override"
     rational_character: ClassFunction
     n: int
+    psi: tuple[int, ...]
 
     @property
     def dim_w(self) -> int:
@@ -902,6 +905,7 @@ def _rational_class(
         schur_source=source,
         rational_character=rational_char,
         n=degree // s,
+        psi=tuple(v.coeffs[0] for v in rational_char.values),
     )
 
 
@@ -919,15 +923,10 @@ def rational_classes(
     classes = table.group._rational_classes
     if classes is None:
         reps, orbit_of = orbits(len(table), table.galois)
-        classes = tuple(
+        classes = table.group._rational_classes = tuple(
             _rational_class(table, tuple(i for i, o in enumerate(orbit_of) if o == n))
             for n in range(len(reps))
         )
-        table.group._psi_rows = tuple(  # set before the classes, so a reader of them finds these
-            (tuple(v.coeffs[0] for v in rc.rational_character.values), rc.schur_index * rc.field_degree)
-            for rc in classes  # _rational_class proved these values rational
-        )
-        table.group._rational_classes = classes
     if not overrides:
         return classes
     representatives = {rc.representative for rc in classes}
@@ -952,11 +951,10 @@ def central_idempotent(rational_class: RationalClass) -> tuple[Fraction, ...]:
     A central element is constant on conjugacy classes, so it comes as one
     coefficient per class of conjugacy_classes(group), in that order.  The
     coefficient of g is (d/|G|) times the orbit sum of chi(g^-1); the orbit
-    sum is the rational character over the Schur index, whose values
-    ``_rational_class`` has already proven rational, hence equal at g and
-    g^-1.
+    sum is psi, the rational character's integer values, over the Schur index,
+    and a rational value is equal at g and g^-1.
     """
     scale = Fraction(
         rational_class.degree, rational_class.table.group.order * rational_class.schur_index
     )
-    return tuple(v.coeffs[0] * scale for v in rational_class.rational_character.values)
+    return tuple(v * scale for v in rational_class.psi)

@@ -308,6 +308,7 @@ class ActionAnalysis:
                         )
                     dim = twice // 2
                 factors.append(IsotypicalFactor(rc, dim))
+            # both read gamma and the branch elements: rows of their stabilizers, or their orders
             _agree("conservation", sum(f.exponent * f.dim for f in factors), self.genus)
             self._factors = tuple(factors)
         return self._factors
@@ -344,7 +345,7 @@ class ActionAnalysis:
         genus_surfaces = genus_from_branch_data(
             self.group, self.orbit_genus, self.stabilizers, subgroup
         )
-        _agree("quotient genus", genus_characters, genus_surfaces)
+        _agree("quotient genus", genus_characters, genus_surfaces)  # both read H, gamma, stabilizers
         profile = SubgroupProfile(
             genus=genus_surfaces,
             exponents=tuple(exponents),
@@ -398,7 +399,7 @@ class ActionAnalysis:
             deltas.append(reduced)
             dim_p += reduced * factor.dim
         genera = tuple(self.profile(h).genus for h in collection)
-        _agree("theorem 1 dim P", dim_p, self.genus - sum(genera))
+        _agree("theorem 1 dim P", dim_p, self.genus - sum(genera))  # conservation + quotient genus imply it
         full = dim_p == 0
         names = " x ".join(f"JC_H{i + 1}" for i in range(len(collection)))
         statement = f"JC ~ {names}" if full else f"JC ~ {names} x P,  dim P = {dim_p}"
@@ -430,7 +431,7 @@ class ActionAnalysis:
             deltas.append(delta)
             dim_check += delta * factor.dim
         dim_p = self.genus + pj.genus - p1.genus - p2.genus
-        _agree("proposition 2 dim P", dim_p, dim_check)
+        _agree("proposition 2 dim P", dim_p, dim_check)  # conservation + quotient genus imply it
         degenerate_full = pj.genus == 0 and dim_p == 0
         statement = (
             "JC ~ JC_H1 x JC_H2"
@@ -463,6 +464,7 @@ class ActionAnalysis:
             prym = self.prym_dim(h)
             bounded = complement_sum <= prym
             equality = complement_sum == prym
+            # equality is the comparison that set full, and the bound is dim P >= 0
             _agree("Prym containment", (bounded, equality), (True, full))
             results.append(Corollary1Report(k, prym, complement_sum, bounded, equality, full))
         return tuple(results)
@@ -502,6 +504,7 @@ class ActionAnalysis:
                 reconstruction = reconstruction + int(a_l) * rc.rational_character
         if statement3 and reconstruction != residual:
             statement3 = False
+        # both read the collection, the support and the rational classes: rows, or characters
         _agree("statement (2) vs (3)", statement2, statement3)
 
         special_case = self.factors[0].dim == 0 and all(
@@ -518,6 +521,7 @@ class ActionAnalysis:
             if a1_frac.denominator != 1:
                 raise DecompositionError("trivial multiplicity non-integral")
             a1 = int(a1_frac)
+            # both read the collection's permutation characters; a1 = t always, by Frobenius
             _agree("regular-plus-trivial form", (eq8_holds, a1), (statement2, t))
             if eq8_holds:
                 statement = f"sum of induced trivials = regular + {t - 1}*W1"
@@ -610,10 +614,10 @@ class ActionAnalysis:
                     f"2 n dim B = {numerator} not divisible by dim W = {rc.dim_w}"
                 )
             mult = numerator // rc.dim_w
-            _agree("homology support", mult == 0, factor.dim == 0)
+            _agree("homology support", mult == 0, factor.dim == 0)  # mult = 2 n dim / dim_w
             mults.append(mult)
         total = sum(m * f.rational_class.dim_w for m, f in zip(mults, self.factors))
-        _agree("homology degree", total, 2 * self.genus)
+        _agree("homology degree", total, 2 * self.genus)  # twice conservation
         return RationalRepProfile(multiplicities=tuple(mults), total_degree=total)
 
     def search_admissible(
@@ -766,10 +770,11 @@ def _build_fiber_plan(
     analysis = analyze(action)
     genus = analysis.genus
     predicted_genus, predicted_dim_p = fiber_closed_forms(genera)
-    _agree("fiber genus", genus, predicted_genus)
+    _agree("fiber genus", genus, predicted_genus)  # both read only the genera
+    # both read only the genera: the deck's quotient genera, or the genera asked for
     _agree("deck quotient genus", tuple(analysis.profile(k).genus for k in deck), genera)
     report = analysis.theorem1(deck)  # raises NotAdmissible on an inadmissible deck
-    _agree("fiber dim P", report.dim_p, predicted_dim_p)
+    _agree("fiber dim P", report.dim_p, predicted_dim_p)  # both read only the genera
     return FiberPlan(
         genera=genera,
         action=action,
@@ -818,6 +823,6 @@ def cor3_plan(t: int) -> FiberPlan:
         pairing = tuple((j + 1, j + 1 + s) for j in range(s)) + ((t,),)
         predicted = 1 - 2 ** (s + 1) + (3 * t + 1) * 2 ** (s - 1)
     plan = _build_fiber_plan(genera, elliptic_count=t, pairing=pairing)
-    _agree("parity genus", plan.genus, predicted)
-    _agree("elliptic complement", plan.dim_p, plan.genus - t)
+    _agree("parity genus", plan.genus, predicted)  # after fiber genus, both are closed forms in t
+    _agree("elliptic complement", plan.dim_p, plan.genus - t)  # genus - dim P = sum of genera = t
     return plan

@@ -216,7 +216,6 @@ class FiniteGroup:
         self._classes = None
         self._character_table = None
         self._rational_classes = None
-        self._psi_rows = None  # per rational class: its integer character values and m_l
         self._subgroups: tuple | None = None
         self._subgroup_index: dict[tuple[int, ...], int] = {}  # members -> Subgroup.index
         self._subgroup_counter = count()

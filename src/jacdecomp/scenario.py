@@ -233,21 +233,24 @@ def _build_group(spec, order_cap: int) -> FiniteGroup:
     if "preset" in spec:
         preset = spec["preset"]
         if preset == "dihedral":
-            return preset_dihedral(int(spec["q"]), order_cap=order_cap)
+            return preset_dihedral(_typed("group 'q'", spec["q"], int), order_cap=order_cap)
         if preset == "elementary_abelian_2":
-            return preset_elementary_abelian_2(int(spec["t"]), order_cap=order_cap)
+            return preset_elementary_abelian_2(_typed("group 't'", spec["t"], int), order_cap=order_cap)
         if preset == "quaternion":
             return preset_quaternion(order_cap=order_cap)
         raise ParseError(f"unknown group preset {preset!r}")
     if "generators" in spec:
-        perms = [Permutation(tuple(images)) for images in spec["generators"]]
+        perms = [
+            Permutation(tuple(_typed("group 'generators'", x, int) for x in images))
+            for images in spec["generators"]
+        ]
         names = spec.get("names")
         return build_group(perms, names, order_cap=order_cap)
     raise ParseError("group spec needs either 'preset' or 'generators'")
 
 
 def _resolve_element(group: FiniteGroup, token) -> int:
-    if isinstance(token, int):
+    if type(token) is int:  # the rule of _typed: a bool is no index
         return group.check_index(token)
     if isinstance(token, str):
         return element_from_word(group, token)
@@ -260,10 +263,11 @@ _EXPECTATION_TYPES = {
 }
 
 
-def _typed(key: str, value, kind: type):
-    """The value itself, if it is exactly a JSON value of ``kind`` (a bool is no int)."""
+def _typed(field: str, value, kind: type):
+    """The value itself, if its type is exactly ``kind`` (so a bool, a float or a
+    numeric string is no int); else a ParseError naming the field."""
     if type(value) is not kind:
-        raise ParseError(f"expectation {key!r} needs a JSON {kind.__name__}, got {value!r}")
+        raise ParseError(f"{field} needs a JSON {kind.__name__}, got {value!r}")
     return value
 
 
@@ -272,30 +276,30 @@ def _expectations(raw, subgroups: int) -> dict:
 
     A fixed_dims table needs one row per subgroup and one cell per column.
     """
-    expect = dict(raw)
+    expect = _typed("collection expect", raw, dict)
     for key, value in expect.items():
         if key not in _EXPECTATION_TYPES:
             raise ParseError(f"unknown expectation {key!r}")
-        _typed(key, value, _EXPECTATION_TYPES[key])
+        _typed(f"expectation {key!r}", value, _EXPECTATION_TYPES[key])
     for g in expect.get("genera", ()):
-        _typed("genera", g, int)
+        _typed("expectation 'genera'", g, int)
     if "fixed_dims" in expect:
-        columns = _typed("fixed_dims", expect["fixed_dims"]["columns"], list)
+        columns = _typed("expectation 'fixed_dims'", expect["fixed_dims"]["columns"], list)
         for c in columns:
-            _typed("fixed_dims", c, str)
-        rows = _typed("fixed_dims", expect["fixed_dims"]["rows"], list)
+            _typed("expectation 'fixed_dims'", c, str)
+        rows = _typed("expectation 'fixed_dims'", expect["fixed_dims"]["rows"], list)
         if len(rows) != subgroups:
             raise ParseError(
                 f"expectation 'fixed_dims' has {len(rows)} rows for {subgroups} subgroups"
             )
         for i, row in enumerate(rows, 1):
-            if len(_typed("fixed_dims", row, list)) != len(columns):
+            if len(_typed("expectation 'fixed_dims'", row, list)) != len(columns):
                 raise ParseError(
                     f"expectation 'fixed_dims' row {i} has {len(row)} cells "
                     f"for {len(columns)} columns"
                 )
             for cell in row:
-                _typed("fixed_dims", cell, int)
+                _typed("expectation 'fixed_dims'", cell, int)
     return expect
 
 
@@ -342,7 +346,7 @@ def _parse_scenario(source: str | Path | Mapping, max_order: int | None) -> Scen
 
     options = raw.get("options") or {}
     order_cap = options.get("max_order") if max_order is None else max_order
-    order_cap = DEFAULT_ORDER_CAP if order_cap is None else int(order_cap)
+    order_cap = DEFAULT_ORDER_CAP if order_cap is None else _typed("max_order", order_cap, int)
     if order_cap < 1:
         raise ParseError(f"max_order must be at least 1, got {order_cap}")
     group = _build_group(raw["group"], order_cap)
@@ -357,8 +361,8 @@ def _parse_scenario(source: str | Path | Mapping, max_order: int | None) -> Scen
     )
     action = CoveringAction(
         group=group,
-        orbit_genus=int(action_spec.get("orbit_genus", 0)),
-        periods=tuple(int(m) for m in action_spec.get("periods", [])),
+        orbit_genus=_typed("action 'orbit_genus'", action_spec.get("orbit_genus", 0), int),
+        periods=tuple(_typed("action 'periods'", m, int) for m in action_spec.get("periods", [])),
         handles=handles,
         branch_elements=vector,
     )
@@ -369,27 +373,19 @@ def _parse_scenario(source: str | Path | Mapping, max_order: int | None) -> Scen
 
     collections: dict[str, CollectionSpec] = {}
     for name, body in (raw.get("collections") or {}).items():
-        if isinstance(body, dict):
-            word_lists = body.get("subgroups", [])
-            expect = _expectations(body.get("expect") or {}, len(word_lists))
-        else:
-            word_lists = body
-            expect = {}
-        subgroups = []
-        normalized = []
+        body = _typed("collection", body, dict)
+        word_lists = _typed("collection subgroups", body.get("subgroups", []), list)
+        expect = _expectations(body.get("expect", {}), len(word_lists))
+        subgroups, normalized = [], []
         for words in word_lists:
-            seeds = tuple(_resolve_element(group, w) for w in words)
+            seeds = tuple(_resolve_element(group, w) for w in _typed("collection subgroups", words, list))
             subgroups.append(subgroup_generate(group, seeds))
             normalized.append(tuple(str(w) for w in words))
-        collections[name] = CollectionSpec(
-            name=name,
-            word_lists=tuple(normalized),
-            subgroups=tuple(subgroups),
-            expect=expect,
-        )
+        collections[name] = CollectionSpec(name, tuple(normalized), tuple(subgroups), expect)
 
     overrides = {
-        int(k): int(v) for k, v in (options.get("schur_overrides") or {}).items()
+        int(k): _typed("schur_overrides", v, int)
+        for k, v in (options.get("schur_overrides") or {}).items()
     }
     return ScenarioFile(
         name=str(raw.get("name", "scenario")),

@@ -709,6 +709,28 @@ def test_fixed_dims_is_fixed_dim_of_each_rational_class(name):
             assert fixed_dims(subgroup) == expected
 
 
+@pytest.mark.parametrize("name", ["library", "Z7:Z9", "Q24", "D84", "Z2^5"])
+def test_fixed_space_weights_satisfy_the_frobenius_identity_class_by_class(name):
+    """|H| |c| pi_H(c) = |G| |H n c| for every class c: what the fixed-space check proves.
+
+    pi_H comes from _subgroup_weights' w[c] = |c| pi_H(c); |H n c| is counted here."""
+    groups = {
+        "library": group_library,
+        "Z7:Z9": lambda: [semidirect_7_9()],
+        "Q24": lambda: [dicyclic_group(6)],
+        "D84": lambda: [preset_dihedral(21)],
+        "Z2^5": lambda: [preset_elementary_abelian_2(5)],
+    }[name]()
+    for group in groups:
+        classes = conjugacy_classes(group)
+        for subgroup in enumerate_subgroups(group):
+            _, w = characters._subgroup_weights(subgroup)
+            members = set(subgroup.members)
+            for c, elements in enumerate(classes.classes):
+                meet = sum(1 for x in elements if x in members)
+                assert subgroup.order * w[c] == group.order * meet, (group.order, subgroup, c)
+
+
 def test_an_override_view_keeps_the_class_order_that_fixed_dims_indexes():
     group = semidirect_7_9()
     table = character_table(group)
@@ -752,16 +774,19 @@ def test_a_schur_override_analysis_reads_the_same_fixed_dims_rows():
     assert [rc.schur_index for rc in override.rational_classes] != [
         rc.schur_index for rc in plain.rational_classes
     ]
-    psi_rows = group._psi_rows
+    cached = rational_classes(character_table(group))
     for subgroup in enumerate_subgroups(group):
         row = plain.profile(subgroup).fixed_dims
         assert override.profile(subgroup).fixed_dims is row
         assert fixed_dims(subgroup) is row
-    assert group._psi_rows is psi_rows
-    assert [psi for psi, _ in psi_rows] == [
+    assert not hasattr(group, "_psi_rows")
+    assert rational_classes(character_table(group)) is cached
+    assert [rc.psi for rc in cached] == [
         tuple(v.coeffs[0] for v in rc.rational_character.values) for rc in plain.rational_classes
     ]
-    assert [m for _, m in psi_rows] == [rc.schur_index * rc.field_degree for rc in plain.rational_classes]
+    assert [rc.schur_index * rc.field_degree for rc in cached] == [
+        rc.schur_index * rc.field_degree for rc in plain.rational_classes
+    ]
 
 
 def test_racing_first_fixed_dims_rows_all_read_the_psi_rows():
@@ -1036,6 +1061,7 @@ def per_call_rational_classes(table, overrides=None):
             table=table, member_indices=members, representative=rep, degree=degree,
             field_degree=len(members), schur_index=s, schur_source=source,
             rational_character=total * s, n=degree // s,
+            psi=tuple(v.as_integer() for v in (total * s).values),
         ))
     return tuple(result)
 

@@ -250,3 +250,57 @@ def test_unknown_expectation_is_a_parse_error_naming_it():
 def test_group_presets_honour_the_order_cap(group):
     with pytest.raises(OrderCapExceeded):
         parse_scenario({"group": group, "action": {}, "options": {"max_order": 4}})
+
+
+def _d2q_with(value, *path):
+    """The q = 3 dihedral scenario with raw[path[0]]...[path[-1]] set to value."""
+    raw = make_dihedral_scenario(3)
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return raw
+
+
+@pytest.mark.parametrize("raw, field", [
+    (_d2q_with(2.7, "action", "periods", 0), "action 'periods'"),
+    (_d2q_with(0.9, "action", "orbit_genus"), "action 'orbit_genus'"),
+    (_d2q_with(True, "action", "orbit_genus"), "action 'orbit_genus'"),
+    (_d2q_with(3.6, "group", "q"), "group 'q'"),
+    (_d2q_with("3", "group", "q"), "group 'q'"),
+    ({"group": {"preset": "elementary_abelian_2", "t": 2.0}, "action": {}}, "group 't'"),
+    (_d2q_with(12.9, "options", "max_order"), "max_order"),
+    (_d2q_with("12", "options", "max_order"), "max_order"),
+    (_d2q_with({"0": 1.5}, "options", "schur_overrides"), "schur_overrides"),
+    (_d2q_with(True, "action", "vector", 0), "element must be a word or index"),
+    ({"group": {"generators": [[True, 0]]}, "action": {}}, "group 'generators'"),
+], ids=[
+    "period-float", "orbit-genus-float", "orbit-genus-bool", "q-float", "q-string", "t-float",
+    "max-order-float", "max-order-string", "schur-override-float", "element-bool",
+    "generator-image-bool",
+])
+def test_a_count_that_is_not_an_exact_json_integer_is_a_parse_error(raw, field):
+    with pytest.raises(ParseError, match=f"^{field}"):
+        parse_scenario(raw)
+
+
+@pytest.mark.parametrize("body, field", [
+    ("sr", "collection needs a JSON dict"),
+    (["s", "r"], "collection needs a JSON dict"),
+    ({"subgroups": "sr"}, "collection subgroups needs a JSON list"),
+    ({"subgroups": ["sr"]}, "collection subgroups needs a JSON list"),
+    ({"subgroups": [["s"]], "expect": [["admissible", True]]}, "collection expect needs a JSON dict"),
+], ids=["string", "word-list", "subgroups-string", "word-list-string", "expect-pairs"])
+def test_a_collection_of_another_shape_is_a_parse_error(body, field):
+    raw = make_dihedral_scenario(3)
+    raw["collections"] = {"c": body}
+    with pytest.raises(ParseError, match=f"^{field}"):
+        parse_scenario(raw)
+
+
+def test_a_fractional_period_exits_1_naming_the_field(capsys):
+    raw = make_dihedral_scenario(3)
+    raw["action"]["periods"][0] = 2.5
+    assert cli.main(["chartable", json.dumps(raw)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("jacdecomp: error:") and "action 'periods'" in err
