@@ -19,6 +19,7 @@ from .covering import CoveringError
 from .cyclotomic import CyclotomicError
 from .groups import GroupError
 from .reporting import (
+    Labels,
     ReportDocument,
     action_section,
     admissibility_section,
@@ -42,7 +43,6 @@ from .scenario import (
     ScenarioError,
     ScenarioFile,
     class_labels,
-    dihedral_class_labels,
     parse_scenario,
 )
 
@@ -84,6 +84,7 @@ def _discrepancy(collection: str | None, kind: str, expected, computed, detail: 
 def _check_collection_expectations(
     spec: CollectionSpec,
     analysis: dec.ActionAnalysis,
+    labels: Labels,
     profiles: Sequence[dec.SubgroupProfile],
     ambient: str,
     admissibility: dec.AdmissibilityReport,
@@ -129,18 +130,17 @@ def _check_collection_expectations(
     ]
 
     if "fixed_dims" in expect:
-        table_spec = expect["fixed_dims"]
-        labels = dihedral_class_labels(analysis)
-        if labels is None or not set(table_spec["columns"]) <= labels.keys():
+        columns = expect["fixed_dims"]["columns"]
+        # only the dihedral family's classes carry V-labels
+        named = {label: i for i, label in labels if label[0] == "V"}
+        if not set(columns) <= named.keys():
             raise UsageError(
                 "fixed_dims expectations need the dihedral preset labels V1..V6"
             )
-        columns = table_spec["columns"]
-        rows = table_spec["rows"]
-        for i, (profile, row) in enumerate(zip(profiles, rows)):
+        for i, (profile, row) in enumerate(zip(profiles, expect["fixed_dims"]["rows"])):
             for label, expected_cell in zip(columns, row):
-                rc = analysis.rational_classes[labels[label]]
-                computed_cell = profile.fixed_dims[labels[label]]
+                rc = analysis.rational_classes[named[label]]
+                computed_cell = profile.fixed_dims[named[label]]
                 if computed_cell != expected_cell:
                     notes.append(
                         _discrepancy(
@@ -196,9 +196,9 @@ def _cmd_analyze(scenario: ScenarioFile, args) -> ReportDocument:
                 "orbit_genus": join_analysis.orbit_genus,
                 "dims": [f.dim for f in join_analysis.factors],
             }
-            ambient_labels = [
-                f"U{i + 1}" for i in range(len(join_analysis.rational_classes))
-            ]
+            ambient_labels = tuple(
+                (i, f"U{i + 1}") for i in range(len(join_analysis.rational_classes))
+            )
         else:
             ambient_analysis, ambient_subgroups = analysis, spec.subgroups
             body["join"] = None
@@ -228,7 +228,7 @@ def _cmd_analyze(scenario: ScenarioFile, args) -> ReportDocument:
         body["theorem_c"] = theorem_c_section(analysis.theorem_c(spec.subgroups))
 
         notes = _check_collection_expectations(
-            spec, analysis, profiles, args.ambient, admissibility, theorem1
+            spec, analysis, labels, profiles, args.ambient, admissibility, theorem1
         )
         body["discrepancies"] = notes
         doc["discrepancies"].extend(notes)

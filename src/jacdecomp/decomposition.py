@@ -752,7 +752,13 @@ def _fiber_analysis(genera: Sequence[int]) -> tuple[CoveringAction, tuple[Subgro
 
 
 def fiber_closed_forms(genera: Sequence[int]) -> tuple[int, int]:
-    """Closed-form total genus and dim P of a fiber product of double covers."""
+    """Closed-form total genus and dim P of a fiber product of double covers.
+
+    Each genus must be an exact int >= 1 (a bool, a float or a numeric string is
+    none), else a DecompositionError: the one check both fiber entry points run.
+    """
+    if any(type(g) is not int or g < 1 for g in genera):
+        raise DecompositionError(f"factor genera must be ints >= 1, got {list(genera)}")
     t, total = len(genera), sum(genera)
     return (1 - 2**t + 2 ** (t - 1) * (t + total),
             1 + 2 ** (t - 1) * t - 2**t + (2 ** (t - 1) - 1) * total)
@@ -763,13 +769,11 @@ def _build_fiber_plan(
     elliptic_count: int | None = None,
     pairing: tuple[tuple[int, ...], ...] | None = None,
 ) -> FiberPlan:
-    genera = tuple(int(g) for g in genera)
-    if any(g < 1 for g in genera):
-        raise DecompositionError(f"factor genera must be >= 1, got {genera}")
+    predicted_genus, predicted_dim_p = fiber_closed_forms(genera)
+    genera = tuple(genera)
     action, deck = _fiber_analysis(genera)
     analysis = analyze(action)
     genus = analysis.genus
-    predicted_genus, predicted_dim_p = fiber_closed_forms(genera)
     _agree("fiber genus", genus, predicted_genus)  # both read only the genera
     # both read only the genera: the deck's quotient genera, or the genera asked for
     _agree("deck quotient genus", tuple(analysis.profile(k).genus for k in deck), genera)

@@ -4,6 +4,10 @@ The structured form uses only plain JSON types so it round-trips losslessly;
 the text form is generated purely from the structured record, so every number
 a reader sees in the text is present in the record.  Rendering is
 deterministic: no timestamps, no hash-ordered iteration.
+
+Per-class sections take the (rational-class index, label) pairs that
+``scenario.class_labels`` returns, already in display order, and list their
+values in that order; no function here sorts or permutes class indices.
 """
 
 from __future__ import annotations
@@ -43,15 +47,12 @@ class ReportDocument(NamedTuple):
         return render_text(self.data)
 
 
-def display_order(labels: Sequence[str]) -> tuple[int, ...]:
-    """Permutation putting class labels in natural order (V1, V2, ...)."""
+Labels = Sequence[tuple[int, str]]  # scenario.class_labels's (index, label) pairs
 
-    def key(i: int):
-        label = labels[i]
-        digits = "".join(ch for ch in label if ch.isdigit())
-        return (label.rstrip("0123456789"), int(digits) if digits else 0)
 
-    return tuple(sorted(range(len(labels)), key=key))
+def _ordered(labels: Labels, values: Sequence) -> list:
+    """One value per rational class, in display order."""
+    return [values[i] for i, _ in labels]
 
 
 def base_document(command: str, scenario: ScenarioFile | None = None) -> dict:
@@ -125,12 +126,12 @@ def character_table_section(analysis: ActionAnalysis) -> dict:
     }
 
 
-def rational_classes_section(analysis: ActionAnalysis, labels: Sequence[str]) -> dict:
+def rational_classes_section(analysis: ActionAnalysis, labels: Labels) -> dict:
     classes = analysis.rational_classes
     return {
         "classes": [
             {
-                "label": labels[i],
+                "label": label,
                 "rows": [j + 1 for j in classes[i].member_indices],
                 "degree": classes[i].degree,
                 "field_degree": classes[i].field_degree,
@@ -139,46 +140,38 @@ def rational_classes_section(analysis: ActionAnalysis, labels: Sequence[str]) ->
                 "exponent": classes[i].n,
                 "dim_w": classes[i].dim_w,
             }
-            for i in display_order(labels)
+            for i, label in labels
         ]
     }
 
 
-def _b_label(label: str) -> str:
-    return "B" + label[1:]
+def _b_term(label: str, exponent: int) -> str:
+    """The factor B_l of class V_l (or W_l, U_l), with its exponent when above 1."""
+    return "B" + label[1:] + (f"^{exponent}" if exponent > 1 else "")
 
 
-def factors_section(analysis: ActionAnalysis, labels: Sequence[str]) -> dict:
-    order = display_order(labels)
-    parts = []
-    for i in order:
-        factor = analysis.factors[i]
-        term = _b_label(labels[i])
-        if factor.exponent > 1:
-            term += f"^{factor.exponent}"
-        parts.append(term)
+def factors_section(analysis: ActionAnalysis, labels: Labels) -> dict:
+    factors = _ordered(labels, analysis.factors)
     return {
         "genus": analysis.genus,
         "orbit_genus": analysis.orbit_genus,
-        "dims": [analysis.factors[i].dim for i in order],
-        "exponents": [analysis.factors[i].exponent for i in order],
-        "labels": [labels[i] for i in order],
-        "statement": "JC ~G " + " x ".join(parts),
+        "dims": [f.dim for f in factors],
+        "exponents": [f.exponent for f in factors],
+        "labels": [label for _, label in labels],
+        "statement": "JC ~G " + " x ".join(
+            _b_term(label, f.exponent) for (_, label), f in zip(labels, factors)
+        ),
     }
 
 
 def _profile_statement(
-    name: str, profile: SubgroupProfile, analysis: ActionAnalysis, labels: Sequence[str]
+    name: str, profile: SubgroupProfile, analysis: ActionAnalysis, labels: Labels
 ) -> str:
-    parts = []
-    for i in display_order(labels):
-        factor = analysis.factors[i]
-        n_h = profile.exponents[i]
-        if n_h > 0 and factor.dim > 0:
-            term = _b_label(labels[i])
-            if n_h > 1:
-                term += f"^{n_h}"
-            parts.append(term)
+    parts = [
+        _b_term(label, profile.exponents[i])
+        for i, label in labels
+        if profile.exponents[i] > 0 and analysis.factors[i].dim > 0
+    ]
     product = " x ".join(parts) if parts else "0"
     return f"JC_{name} ~ {product}"
 
@@ -189,48 +182,44 @@ def profile_entry(
     subgroup: Subgroup,
     profile: SubgroupProfile,
     analysis: ActionAnalysis,
-    labels: Sequence[str],
+    labels: Labels,
 ) -> dict:
-    order = display_order(labels)
     return {
         "name": name,
         "generators": list(words),
         "description": subgroup.describe(),
         "order": subgroup.order,
         "genus": profile.genus,
-        "fixed_dims": [profile.fixed_dims[i] for i in order],
-        "exponents": [profile.exponents[i] for i in order],
+        "fixed_dims": _ordered(labels, profile.fixed_dims),
+        "exponents": _ordered(labels, profile.exponents),
         "statement": _profile_statement(name, profile, analysis, labels),
     }
 
 
-def admissibility_section(report: AdmissibilityReport, labels: Sequence[str]) -> dict:
-    order = display_order(labels)
+def admissibility_section(report: AdmissibilityReport, labels: Labels) -> dict:
     return {
         "ambient": report.ambient,
         "ambient_order": report.ambient_order,
-        "labels": [labels[i] for i in order],
-        "degrees": [report.degrees[i] for i in order],
-        "sums": [report.sums[i] for i in order],
-        "support": [report.support[i] for i in order],
-        "slacks": [report.slacks[i] for i in order],
+        "labels": [label for _, label in labels],
+        "degrees": _ordered(labels, report.degrees),
+        "sums": _ordered(labels, report.sums),
+        "support": _ordered(labels, report.support),
+        "slacks": _ordered(labels, report.slacks),
         "admissible": report.admissible,
     }
 
 
-def theorem1_section(report: DecompositionReport, labels: Sequence[str]) -> dict:
-    order = display_order(labels)
+def theorem1_section(report: DecompositionReport, labels: Labels) -> dict:
     return {
         "quotient_genera": list(report.quotient_genera),
-        "deltas": [report.deltas[i] for i in order],
+        "deltas": _ordered(labels, report.deltas),
         "dim_p": report.dim_p,
         "full": report.full,
         "statement": report.statement,
     }
 
 
-def proposition2_section(report: Proposition2Report, labels: Sequence[str]) -> dict:
-    order = display_order(labels)
+def proposition2_section(report: Proposition2Report, labels: Labels) -> dict:
     return {
         "join_description": report.join.describe(),
         "join_order": report.join.order,
@@ -238,23 +227,22 @@ def proposition2_section(report: Proposition2Report, labels: Sequence[str]) -> d
         "join_genus": report.join_genus,
         "h1_genus": report.h1_genus,
         "h2_genus": report.h2_genus,
-        "deltas": [report.deltas[i] for i in order],
+        "deltas": _ordered(labels, report.deltas),
         "dim_p": report.dim_p,
         "degenerate_full": report.degenerate_full,
         "statement": report.statement,
     }
 
 
-def proposition1_section(report: Proposition1Report, labels: Sequence[str]) -> dict:
-    order = display_order(labels)
+def proposition1_section(report: Proposition1Report, labels: Labels) -> dict:
     return {
         "statement2": report.statement2,
         "statement3": report.statement3,
         "special_case": report.special_case,
         "eq8_holds": report.eq8_holds,
         "a1": report.a1,
-        "sums": [report.sums[i] for i in order],
-        "degrees": [report.degrees[i] for i in order],
+        "sums": _ordered(labels, report.sums),
+        "degrees": _ordered(labels, report.degrees),
         "statement": report.statement,
     }
 
@@ -299,11 +287,10 @@ def theorem_b_section(report: TheoremBReport) -> dict:
     }
 
 
-def rational_rep_section(profile: RationalRepProfile, labels: Sequence[str]) -> dict:
-    order = display_order(labels)
+def rational_rep_section(profile: RationalRepProfile, labels: Labels) -> dict:
     return {
-        "labels": [labels[i] for i in order],
-        "multiplicities": [profile.multiplicities[i] for i in order],
+        "labels": [label for _, label in labels],
+        "multiplicities": _ordered(labels, profile.multiplicities),
         "total_degree": profile.total_degree,
     }
 

@@ -14,7 +14,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 from .covering import CoveringAction, CoveringError, validate_action
 from .cyclotomic import is_prime
-from .decomposition import ActionAnalysis, fiber_closed_forms
+from .decomposition import ActionAnalysis, DecompositionError, fiber_closed_forms
 from .groups import (
     DEFAULT_ORDER_CAP,
     TABLE_ORDER_LIMIT,
@@ -152,18 +152,19 @@ def make_dihedral_scenario(q: int) -> dict:
 
 def make_fiber_scenario(genera: Sequence[int]) -> dict:
     """Bundled fiber-product family over an elementary abelian 2-group."""
-    genera = [int(g) for g in genera]
+    genera = list(genera)
     if len(genera) < 2:
         raise ParseError(f"fiber scenarios need at least two genera, got {genera}")
-    if any(g < 1 for g in genera):
-        raise ParseError(f"fiber scenario genera must be >= 1, got {genera}")
+    try:
+        total, dim_p = fiber_closed_forms(genera)
+    except DecompositionError as exc:
+        raise ParseError(f"fiber scenario: {exc}") from None
     t = len(genera)
     vector = []
     periods = []
     for i, g in enumerate(genera):
         vector.extend([f"e{i + 1}"] * (2 * g + 2))
         periods.extend([2] * (2 * g + 2))
-    total, dim_p = fiber_closed_forms(genera)
     deck = [
         [f"e{j + 1}" for j in range(t) if j != i] for i in range(t)
     ]
@@ -205,7 +206,7 @@ def make_fiber_scenario(genera: Sequence[int]) -> dict:
 # each preset's one parameter, its default, and the builder that reads it
 _PRESETS = {
     "d2q": ("q", "3", lambda q: make_dihedral_scenario(int(q))),
-    "fiber": ("genera", "1,1", lambda genera: make_fiber_scenario(genera.split(","))),
+    "fiber": ("genera", "1,1", lambda genera: make_fiber_scenario([int(g) for g in genera.split(",")])),
 }
 
 
@@ -344,7 +345,7 @@ def _parse_scenario(source: str | Path | Mapping, max_order: int | None) -> Scen
         if key not in raw:
             raise ParseError(f"scenario is missing the {key!r} section")
 
-    options = raw.get("options") or {}
+    options = _typed("options", raw.get("options", {}), dict)
     order_cap = options.get("max_order") if max_order is None else max_order
     order_cap = DEFAULT_ORDER_CAP if order_cap is None else _typed("max_order", order_cap, int)
     if order_cap < 1:
@@ -372,7 +373,7 @@ def _parse_scenario(source: str | Path | Mapping, max_order: int | None) -> Scen
         raise ValidationError(f"action data invalid: {exc}") from exc
 
     collections: dict[str, CollectionSpec] = {}
-    for name, body in (raw.get("collections") or {}).items():
+    for name, body in _typed("collections", raw.get("collections", {}), dict).items():
         body = _typed("collection", body, dict)
         word_lists = _typed("collection subgroups", body.get("subgroups", []), list)
         expect = _expectations(body.get("expect", {}), len(word_lists))
@@ -385,10 +386,10 @@ def _parse_scenario(source: str | Path | Mapping, max_order: int | None) -> Scen
 
     overrides = {
         int(k): _typed("schur_overrides", v, int)
-        for k, v in (options.get("schur_overrides") or {}).items()
+        for k, v in _typed("schur_overrides", options.get("schur_overrides", {}), dict).items()
     }
     return ScenarioFile(
-        name=str(raw.get("name", "scenario")),
+        name=_typed("name", raw.get("name", "scenario"), str),
         raw=raw,
         group=group,
         action=action,
@@ -459,11 +460,11 @@ def dihedral_class_labels(analysis: ActionAnalysis) -> dict[str, int] | None:
     return labels if len(labels) == 6 else None
 
 
-def class_labels(analysis: ActionAnalysis) -> tuple[str, ...]:
-    """Display labels for the rational classes: V-labels for the dihedral
-    family, generic W-labels otherwise."""
+def class_labels(analysis: ActionAnalysis) -> tuple[tuple[int, str], ...]:
+    """Each rational class's (index, display label), in display order: V1..V6
+    for the dihedral family, else W1, W2, ... in class order.  Every report
+    section lists the classes in this order."""
     named = dihedral_class_labels(analysis)
     if named is not None:
-        by_index = {idx: label for label, idx in named.items()}
-        return tuple(by_index[i] for i in range(len(analysis.rational_classes)))
-    return tuple(f"W{i + 1}" for i in range(len(analysis.rational_classes)))
+        return tuple((named[label], label) for label in sorted(named))
+    return tuple((i, f"W{i + 1}") for i in range(len(analysis.rational_classes)))

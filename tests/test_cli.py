@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from jacdecomp import cli
+from jacdecomp import scenario as scenario_module
 from jacdecomp.scenario import make_dihedral_scenario, make_fiber_scenario, parse_scenario
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
@@ -179,6 +180,23 @@ def test_analyze_scores_each_collection_once(monkeypatch):
     doc, code = run(["analyze", "d2q?q=3"])
     assert code == 2
     assert len(doc.data["collections"]) == len(scored) == len(set(scored)) == 5
+
+
+def test_analyze_decides_the_class_labels_once(monkeypatch, capsys):
+    """Every section and the fixed_dims check read one class_labels result, although
+    main and h1h4 both carry fixed_dims expectations."""
+    calls = []
+    labels = scenario_module.dihedral_class_labels
+
+    def counted(analysis):
+        calls.append(analysis)
+        return labels(analysis)
+
+    monkeypatch.setattr(scenario_module, "dihedral_class_labels", counted)
+    monkeypatch.setattr(cli, "dihedral_class_labels", counted, raising=False)
+    assert cli.main(["analyze", "d2q?q=3"]) == 2
+    capsys.readouterr()
+    assert len(calls) == 1
 
 
 def test_a_profile_describes_its_named_subgroup_whichever_collection_ran_first(capsys):
@@ -375,6 +393,8 @@ GOLDEN_CASES = {
     "analyze_d2q_q3.txt": ["analyze", "d2q?q=3"],
     "analyze_d2q_q5.txt": ["analyze", "d2q?q=5"],
     "analyze_d2q_q7.txt": ["analyze", "d2q?q=7"],
+    "analyze_d2q_q3_join.txt": ["analyze", "d2q?q=3", "--ambient", "join"],
+    "analyze_d2q_q5.json": ["analyze", "d2q?q=5", "--format", "json"],
     "analyze_fiber_1_1.txt": ["analyze", "fiber?genera=1,1"],
     "analyze_fiber_1_1_1.txt": ["analyze", "fiber?genera=1,1,1"],
     "theorem_b_d2q_q3.txt": ["theorem-b", "d2q?q=3"],
@@ -386,7 +406,7 @@ GOLDEN_CASES = {
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
 def test_golden_reports(name):
     doc, _ = run(GOLDEN_CASES[name])
-    rendered = doc.to_text()
+    rendered = doc.to_json() if name.endswith(".json") else doc.to_text()
     path = GOLDEN_DIR / name
     if os.environ.get("REGEN_GOLDENS") == "1":
         GOLDEN_DIR.mkdir(exist_ok=True)
@@ -445,6 +465,21 @@ def test_fixed_dims_table_of_the_wrong_shape_exits_1(capsys, fixed_dims, message
     scenario["collections"]["main"]["expect"]["fixed_dims"] = fixed_dims
     assert cli.main(["analyze", json.dumps(scenario), "--collections", "main"]) == 1
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("preset, column", [
+    ((1, 1), "W1"), ((1, 1), "V2"), (None, "W1"),
+], ids=["fiber-W1", "fiber-V2", "d2q-W1"])
+def test_fixed_dims_columns_off_the_dihedral_labels_exit_1(capsys, preset, column):
+    scenario = make_dihedral_scenario(3) if preset is None else make_fiber_scenario(preset)
+    rows = len(scenario["collections"]["main"]["subgroups"])
+    scenario["collections"]["main"]["expect"]["fixed_dims"] = {
+        "columns": [column], "rows": [[0]] * rows,
+    }
+    assert cli.main(["analyze", json.dumps(scenario), "--collections", "main"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("jacdecomp: error:")
+    assert "need the dihedral preset labels" in err
 
 
 def test_search_max_t_below_one_exits_1(capsys):

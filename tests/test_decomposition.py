@@ -830,6 +830,13 @@ def test_fiber_rejects_zero_genus_factor():
         fiber_product_action([0, 1])
 
 
+@pytest.mark.parametrize("genera", [(2.7, 1), (True, 1), (1, 1.0), ("2", 1)],
+                         ids=["float", "bool", "integral-float", "string"])
+def test_fiber_rejects_a_genus_that_is_not_an_exact_int(genera):
+    with pytest.raises(DecompositionError, match="factor genera must be ints >= 1"):
+        fiber_product_action(genera)
+
+
 def test_fiber_rejects_too_many_factors():
     from jacdecomp.groups import OrderCapExceeded
 
@@ -994,7 +1001,9 @@ TWO_ROUTE_COMMANDS = {
 }
 TWO_ROUTE_CHECKS = {
     "analyze_d2q_q3.txt": _ANALYZE_CHECKS,
+    "analyze_d2q_q3_join.txt": _ANALYZE_CHECKS,
     "analyze_d2q_q5.txt": _ANALYZE_CHECKS,
+    "analyze_d2q_q5.json": _ANALYZE_CHECKS,
     "analyze_d2q_q7.txt": _ANALYZE_CHECKS,
     "analyze_fiber_1_1.txt": _ANALYZE_CHECKS,
     # no collection of fiber_1_1_1 is a pair, so Proposition 2 never runs

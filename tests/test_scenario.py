@@ -186,7 +186,16 @@ def test_class_labels_generic_fallback():
     scenario = parse_scenario("fiber?genera=1,1")
     analysis = analyze(scenario.action)
     assert dihedral_class_labels(analysis) is None
-    assert class_labels(analysis) == ("W1", "W2", "W3", "W4")
+    assert class_labels(analysis) == ((0, "W1"), (1, "W2"), (2, "W3"), (3, "W4"))
+
+
+@pytest.mark.parametrize("q, expected", [
+    (3, ((0, "V1"), (3, "V2"), (2, "V3"), (1, "V4"), (5, "V5"), (4, "V6"))),
+    (4, ((0, "V1"), (3, "V2"), (2, "V3"), (1, "V4"), (4, "V5"), (5, "V6"))),
+], ids=["q3", "q4"])
+def test_class_labels_are_v1_to_v6_in_display_order(q, expected):
+    """The two engine class orders (see the pinned label maps) give one display order."""
+    assert class_labels(analyze(dihedral_action(q)[1])) == expected
 
 
 def _with_expectations(**expect):
@@ -296,6 +305,55 @@ def test_a_collection_of_another_shape_is_a_parse_error(body, field):
     raw["collections"] = {"c": body}
     with pytest.raises(ParseError, match=f"^{field}"):
         parse_scenario(raw)
+
+
+@pytest.mark.parametrize("path, value", [
+    (("collections",), ""),
+    (("collections",), []),
+    (("collections",), None),
+    (("name",), 7),
+    (("options",), ""),
+    (("options",), []),
+    (("options",), None),
+    (("options", "schur_overrides"), ""),
+    (("options", "schur_overrides"), []),
+    (("options", "schur_overrides"), None),
+], ids=[
+    "collections-empty-string", "collections-empty-list", "collections-null", "name-int",
+    "options-empty-string", "options-empty-list", "options-null",
+    "schur-overrides-empty-string", "schur-overrides-empty-list", "schur-overrides-null",
+])
+def test_a_top_level_field_of_another_type_exits_1_naming_it(capsys, path, value):
+    raw = _d2q_with(value, *path)
+    with pytest.raises(ParseError, match=f"^{path[-1]} needs a JSON"):
+        parse_scenario(raw)
+    assert cli.main(["chartable", json.dumps(raw)]) == 1
+    assert capsys.readouterr().err.startswith(f"jacdecomp: error: {path[-1]} needs a JSON")
+
+
+def test_an_absent_name_collections_or_options_takes_its_default():
+    raw = make_fiber_scenario((1, 1))
+    for key in ("name", "collections", "options"):
+        del raw[key]
+    scenario = parse_scenario(raw)
+    assert (scenario.name, scenario.collections, scenario.schur_overrides) == ("scenario", {}, {})
+    presets = {"d2q?q=3": "d2q_q3", "d2q?q=13": "d2q_q13",
+               "fiber?genera=1,1": "fiber_1_1", "fiber?genera=2,1,1": "fiber_2_1_1"}
+    for reference, name in presets.items():
+        assert parse_scenario(reference).name == name
+
+
+@pytest.mark.parametrize("genera", [(True, 1), (True, 1.9), (2.7, 1), (1, 1.0), ("1", 1)],
+                         ids=["bool", "bool-and-float", "float", "integral-float", "string"])
+def test_a_fiber_genus_that_is_not_an_exact_int_is_a_parse_error(genera):
+    with pytest.raises(ParseError, match="^fiber scenario: factor genera must be ints >= 1"):
+        make_fiber_scenario(genera)
+
+
+def test_the_fiber_preset_reads_its_genera_as_ints(capsys):
+    assert parse_scenario("fiber?genera=1,1").name == "fiber_1_1"
+    assert cli.main(["chartable", "fiber?genera=1.5,1"]) == 1
+    assert capsys.readouterr().err.startswith("jacdecomp: error: bad parameters for preset 'fiber'")
 
 
 def test_a_fractional_period_exits_1_naming_the_field(capsys):
