@@ -65,6 +65,7 @@ from .groups import (
     conjugacy_classes,
     coset_action,
     orbits,
+    subgroup_class,
 )
 
 
@@ -794,21 +795,22 @@ def fixed_dims(subgroup: Subgroup) -> tuple[int, ...]:
 
     A fixed dimension is rational, so Galois-invariant: the integer rational
     character psi_l = s (orbit sum) gives m_l = s * field_degree times it.
-    Both are read from the group's heuristic rational classes, and the group
-    caches one row per subgroup, so at most one per lattice member.
+    Both are read from the group's heuristic rational classes.  The group caches
+    one row per conjugacy class of subgroups, keyed by ``subgroup_class``: dim V^H
+    = <chi, pi_H>, and pi_H is a class invariant, so a conjugate reads H's row.
     An override view of the classes keeps their order, so index l holds there too.
     """
-    cache = subgroup.parent._fixed_dims
-    if subgroup.index not in cache:
+    cache, key = subgroup.parent._fixed_dims, subgroup_class(subgroup)
+    if key not in cache:
         counts, w = _subgroup_weights(subgroup)
-        cache[subgroup.index] = tuple(
+        cache[key] = tuple(
             _checked_dim(
                 sum(map(mul, counts, rc.psi)), sum(map(mul, w, rc.psi)), subgroup,
                 rc.schur_index * rc.field_degree,
             )
             for rc in rational_classes(character_table(subgroup.parent))
         )
-    return cache[subgroup.index]
+    return cache[key]
 
 
 def frobenius_schur(chi: ClassFunction) -> int:

@@ -43,6 +43,7 @@ from .scenario import (
     ScenarioError,
     ScenarioFile,
     class_labels,
+    parse_decimal,
     parse_scenario,
 )
 
@@ -57,10 +58,7 @@ def _parse_schur(items: Sequence[str]) -> dict[int, int]:
         key, eq, value = item.partition("=")
         if not eq:
             raise UsageError(f"--schur expects INDEX=VALUE, got {item!r}")
-        try:
-            overrides[int(key)] = int(value)
-        except ValueError:
-            raise UsageError(f"--schur expects integers, got {item!r}") from None
+        overrides[parse_decimal("--schur INDEX", key)] = parse_decimal("--schur VALUE", value)
     return overrides
 
 

@@ -18,6 +18,7 @@ from .groups import (
     Subgroup,
     coset_action,
     require_subgroup,
+    subgroup_class,
     subgroup_generate,
 )
 
@@ -182,22 +183,25 @@ def genus_from_branch_data(
     """Genus of the intermediate quotient by a subgroup, via coset orbits.
 
     2g_H - 2 = [G:H](2*gamma - 2) + sum_k ([G:H] - #orbits of the k-th
-    stabilizer on the cosets of H).  Each count is read from the group's row for
-    H, keyed by <c>'s index, or walked once on a miss (the only time the cosets of
-    H are read); a subgroup or stabilizer of another group raises NotASubgroup.
+    stabilizer on the cosets of H).  By Burnside that count is (1/|c|) sum_j
+    pi_H(c^j), constant on the class of H and on the class of <c>: the group keeps
+    one row per class of H, keyed by ``subgroup_class``, with one entry per class
+    of <c>.  A miss walks <c> on H's own cosets (the only time they are read); a
+    subgroup or stabilizer of another group raises NotASubgroup.
     """
     require_subgroup(group, subgroup)
     index = group.order // subgroup.order  # [G:H], by Lagrange
     rhs = index * (2 * orbit_genus - 2)
-    row = group._orbit_counts.setdefault(subgroup.index, {})
+    row = group._orbit_counts.setdefault(subgroup_class(subgroup), {})
     cosets = None
     for stab in stabilizers:
         if stab.parent is not group:
             raise NotASubgroup("stabilizer belongs to a different group")
-        count = row.get(stab.index)  # a count is at least 1, so None is a miss
+        key = subgroup_class(stab)
+        count = row.get(key)  # a count is at least 1, so None is a miss
         if count is None:
             cosets = cosets or coset_action(group, subgroup)
-            count = row[stab.index] = orbit_count(stab, cosets)
+            count = row[key] = orbit_count(stab, cosets)
         rhs += index - count
     if rhs % 2 != 0:
         raise NonIntegralGenus(f"2g - 2 = {rhs} is odd")

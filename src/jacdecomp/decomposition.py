@@ -46,6 +46,7 @@ from .groups import (
     preset_elementary_abelian_2,
     require_subgroup,
     subgroup_as_group,
+    subgroup_class,
     subgroup_class_representatives,
     subgroup_generate,
     subgroup_join,
@@ -253,8 +254,10 @@ class ActionAnalysis:
     character table, the heuristic rational classes, fixed dimensions, coset
     actions, orbit counts) is cached by the group; the analysis memoizes only what its
     Schur overrides or branch data change: its override view of the rational
-    classes, factors with their dimensions and support, and profiles keyed by
-    ``Subgroup.index``, which ``profile`` reads only for the group's own subgroups.
+    classes, factors with their dimensions and support, and one profile per
+    conjugacy class of subgroups, keyed by ``subgroup_class``.  A profile reads H
+    only through pi_H, a class invariant, so the quotients X/H and X/gHg^-1 share
+    it; ``profile`` reads it only for the group's own subgroups.
     """
 
     def __init__(
@@ -325,7 +328,8 @@ class ActionAnalysis:
 
     def profile(self, subgroup: Subgroup) -> SubgroupProfile:
         require_subgroup(self.group, subgroup)
-        cached = self._profiles.get(subgroup.index)
+        key = subgroup_class(subgroup)
+        cached = self._profiles.get(key)
         if cached is not None:
             return cached
         fixed = fixed_dims(subgroup)
@@ -351,7 +355,7 @@ class ActionAnalysis:
             exponents=tuple(exponents),
             fixed_dims=fixed,
         )
-        self._profiles[subgroup.index] = profile
+        self._profiles[key] = profile
         return profile
 
     # -- reports ---------------------------------------------------------------

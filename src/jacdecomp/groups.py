@@ -32,13 +32,16 @@ see equal results.  Only this module reads a member tuple as an identity:
 the group's registry gives each member set one index, drawn as
 ``setdefault(members, next(counter))`` so racing callers read the one stored,
 and every per-subgroup cache keys on it, one entry per subgroup of G at most.
+The rows that depend on H only through its permutation character pi_H (fixed
+dimensions, orbit counts, profiles) key on :func:`subgroup_class` instead:
+conjugate subgroups give isomorphic G-sets, so one row serves the whole class.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from itertools import count
+from itertools import combinations, count, groupby
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
@@ -211,6 +214,9 @@ class FiniteGroup:
                 orders[y], inverse[y] = m // math.gcd(m, k), cycle[-k]
         self._inverse = tuple(inverse)
         self._orders = tuple(orders)
+        self._conjugations = [  # x -> g x g^-1: row g is x -> g x, column g^-1 is y -> y g^-1
+            list(map(table[inverse[g]::n].__getitem__, table[g * n:g * n + n])) for g in gens
+        ]
         self.exponent = math.lcm(*self._orders)
         # lazy caches
         self._classes = None
@@ -220,8 +226,10 @@ class FiniteGroup:
         self._subgroup_index: dict[tuple[int, ...], int] = {}  # members -> Subgroup.index
         self._subgroup_counter = count()
         self._coset_actions: dict[int, "CosetAction"] = {}
-        self._fixed_dims: dict[int, tuple[int, ...]] = {}
-        self._orbit_counts: dict[int, dict[int, int]] = {}  # H.index -> {<c>.index: count}
+        # rows keyed by class of subgroups, sound as pi_H = pi_gHg^-1 (see subgroup_class)
+        self._subgroup_classes: dict[int, int] = {}  # Subgroup.index -> its class's key
+        self._fixed_dims: dict[int, tuple[int, ...]] = {}  # class of H -> row
+        self._orbit_counts: dict[int, dict[int, int]] = {}  # class of H -> {class of <c>: count}
         self._cyclic_subgroups: dict[int, "Subgroup"] = {}  # c -> <c>, generated by (c,)
         self._words: tuple[str, ...] | None = None
 
@@ -263,19 +271,13 @@ class FiniteGroup:
             names = sorted(self.generator_names.items(), key=lambda kv: (kv[1], kv[0]))
             letters: dict[int, tuple[str, ...]] = {0: ()}
             frontier = [0]
-            while frontier:
-                nxt = []
-                for x in frontier:
-                    for name, g in names:
-                        y = self.mul(x, g)
-                        if y not in letters:
-                            letters[y] = letters[x] + (name,)
-                            nxt.append(y)
-                frontier = nxt
-            rendered = []
-            for idx in range(self.order):
-                rendered.append(_compress_word(letters.get(idx, ())) if idx else "1")
-            self._words = tuple(rendered)
+            for x in frontier:
+                for name, g in names:
+                    y = self.mul(x, g)
+                    if y not in letters:
+                        letters[y] = letters[x] + (name,)
+                        frontier.append(y)
+            self._words = tuple(_compress_word(letters.get(idx, ())) for idx in range(self.order))
         return self._words[i]
 
     def __repr__(self):
@@ -284,18 +286,8 @@ class FiniteGroup:
 
 
 def _compress_word(letters: tuple[str, ...]) -> str:
-    if not letters:
-        return "1"
-    parts = []
-    run_name, run_len = letters[0], 1
-    for name in letters[1:]:
-        if name == run_name:
-            run_len += 1
-        else:
-            parts.append(run_name if run_len == 1 else f"{run_name}^{run_len}")
-            run_name, run_len = name, 1
-    parts.append(run_name if run_len == 1 else f"{run_name}^{run_len}")
-    return "*".join(parts)
+    runs = [(name, len(list(run))) for name, run in groupby(letters)]
+    return "*".join(name if k == 1 else f"{name}^{k}" for name, k in runs) or "1"
 
 
 def build_group(
@@ -393,21 +385,11 @@ class ConjugacyClassPartition(NamedTuple):
         return len(self.classes)
 
 
-def _conjugations(group: FiniteGroup) -> list[list[int]]:
-    """The maps x -> g x g^-1 for the group's generators g, read off the table."""
-    n, table = group.order, group._table
-    moves = []
-    for g in full_subgroup(group).generators:
-        after = table[group.inv(g)::n]  # y -> y g^-1
-        moves.append([after[y] for y in table[g * n:g * n + n]])
-    return moves
-
-
 def conjugacy_classes(group: FiniteGroup) -> ConjugacyClassPartition:
     """Orbits of conjugation x -> g x g^-1 by the group's generators."""
     if group._classes is not None:
         return group._classes
-    reps, class_of = orbits(group.order, _conjugations(group))
+    reps, class_of = orbits(group.order, group._conjugations)
     classes: list[list[int]] = [[] for _ in reps]
     for x, k in enumerate(class_of):
         classes[k].append(x)
@@ -600,16 +582,36 @@ def enumerate_subgroups(group: FiniteGroup) -> tuple[Subgroup, ...]:
     return group._subgroups
 
 
+def subgroup_class(subgroup: Subgroup) -> int:
+    """The key of H's conjugacy class of subgroups: the least registry index of a conjugate.
+
+    One walk of H's orbit under the generators' conjugation maps registers each gHg^-1
+    by its members, the images of H's, as ``Subgroup`` does, with no closure.  Registry
+    indices never change, so racing callers publish equal keys, in one update."""
+    group = subgroup.parent
+    key = group._subgroup_classes.get(subgroup.index)
+    if key is None:
+        orbit = [subgroup.members]
+        seen = set(orbit)
+        for members in orbit:
+            for conj in group._conjugations:
+                image = tuple(sorted(map(conj.__getitem__, members)))
+                if image not in seen:
+                    seen.add(image)
+                    orbit.append(image)
+        registry, counter = group._subgroup_index, group._subgroup_counter
+        indices = [registry.setdefault(members, next(counter)) for members in orbit]
+        key = min(indices)
+        group._subgroup_classes.update(dict.fromkeys(indices, key))
+    return key
+
+
 def subgroup_class_representatives(group: FiniteGroup) -> tuple[Subgroup, ...]:
     """The first member, in the sorted lattice, of each conjugacy class of subgroups."""
-    lattice = enumerate_subgroups(group)
-    registry, position = group._subgroup_index, {h.index: i for i, h in enumerate(lattice)}
-    # conjugation is an automorphism: gHg^-1 has the images of H's members as its members
-    moves = [
-        [position[registry[tuple(sorted([conj[x] for x in h.members]))]] for h in lattice]
-        for conj in _conjugations(group)
-    ]
-    return tuple(lattice[i] for i in orbits(len(lattice), moves)[0])
+    first = {}
+    for h in enumerate_subgroups(group):
+        first.setdefault(subgroup_class(h), h)
+    return tuple(first.values())
 
 
 class CosetAction(NamedTuple):
@@ -664,25 +666,11 @@ def is_partition(group: FiniteGroup, collection: Sequence[Subgroup]) -> Partitio
     """True iff the subgroups cover the group and pairwise meet trivially."""
     for h in collection:
         require_subgroup(group, h)
-    uncovered = None
-    covered = set()
-    for h in collection:
-        covered.update(h.members)
-    for g in range(group.order):
-        if g not in covered:
-            uncovered = g
-            break
-    overlap = None
-    for i in range(len(collection)):
-        for j in range(i + 1, len(collection)):
-            shared = set(collection[i].members) & set(collection[j].members) - {0}
-            if shared:
-                overlap = (i, j, min(shared))
-                break
-        if overlap:
-            break
-    ok = uncovered is None and overlap is None
-    return PartitionVerdict(ok, uncovered, overlap)
+    uncovered = min(set(range(group.order)).difference(*collection), default=None)
+    overlaps = ((i, j, min(shared)) for (i, a), (j, b) in combinations(enumerate(collection), 2)
+                if (shared := a._member_set & b._member_set - {0}))
+    overlap = next(overlaps, None)
+    return PartitionVerdict(uncovered is None and overlap is None, uncovered, overlap)
 
 
 def subgroup_as_group(subgroup: Subgroup) -> tuple[FiniteGroup, dict[int, int]]:
@@ -712,17 +700,12 @@ def element_from_word(group: FiniteGroup, word: str) -> int:
         factor = factor.strip()
         if not factor:
             raise UnknownGenerator(f"empty factor in word {word!r}")
-        if "^" in factor:
-            name, _, power_text = factor.partition("^")
-            name = name.strip()
-            try:
-                power = int(power_text.strip())
-            except ValueError:
-                raise UnknownGenerator(
-                    f"bad exponent {power_text!r} in word {word!r}"
-                ) from None
-        else:
-            name, power = factor, 1
+        name, caret, power_text = factor.partition("^")
+        name = name.strip()
+        try:
+            power = int(power_text) if caret else 1
+        except ValueError:
+            raise UnknownGenerator(f"bad exponent {power_text!r} in word {word!r}") from None
         if name == "1":
             continue
         if name not in group.generator_names:

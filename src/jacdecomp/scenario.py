@@ -272,6 +272,15 @@ def _typed(field: str, value, kind: type):
     return value
 
 
+def parse_decimal(field: str, text) -> int:
+    """A string of plain ASCII decimal digits as an int; a sign, a space, an
+    underscore, a decimal point or another script's digits is a ParseError
+    naming the field, never read as a nearby integer."""
+    if type(text) is not str or not (text.isascii() and text.isdecimal()):
+        raise ParseError(f"{field} needs plain ASCII decimal digits, got {text!r}")
+    return int(text)
+
+
 def _expectations(raw, subgroups: int) -> dict:
     """A collection's reference expectations, every value checked to be of its type.
 
@@ -385,7 +394,7 @@ def _parse_scenario(source: str | Path | Mapping, max_order: int | None) -> Scen
         collections[name] = CollectionSpec(name, tuple(normalized), tuple(subgroups), expect)
 
     overrides = {
-        int(k): _typed("schur_overrides", v, int)
+        parse_decimal("schur_overrides key", k): _typed("schur_overrides", v, int)
         for k, v in _typed("schur_overrides", options.get("schur_overrides", {}), dict).items()
     }
     return ScenarioFile(

@@ -45,10 +45,12 @@ from jacdecomp.groups import (
     preset_dihedral,
     preset_elementary_abelian_2,
     preset_quaternion,
+    subgroup_class,
     subgroup_generate,
     trivial_subgroup,
 )
 from conftest import dicyclic_group, dihedral_action, group_library, random_action, semidirect_7_9
+from test_groups import is_conjugacy_canonical
 
 LIBRARY = [
     preset_dihedral(3),
@@ -825,16 +827,18 @@ def test_racing_first_fixed_dims_rows_all_read_the_psi_rows():
 
 
 def test_the_fixed_dims_cache_is_bounded_by_the_lattice():
+    """One row per conjugacy class of subgroups, under the class's key."""
     rng = random.Random(1919)
     for group in group_library() + [semidirect_7_9()]:
         lattice = enumerate_subgroups(group)
-        indices = {subgroup.index for subgroup in lattice}
+        classes = sum(map(is_conjugacy_canonical, lattice))
         for _ in range(3):
             analysis = analyze(random_action(group, rng))
             for subgroup in lattice:
                 analysis.profile(subgroup)
-                assert len(group._fixed_dims) <= len(lattice)
-        assert set(group._fixed_dims) <= indices
+                assert len(group._fixed_dims) <= classes
+                assert len(group._subgroup_classes) <= len(lattice)
+        assert set(group._fixed_dims) == {subgroup_class(subgroup) for subgroup in lattice}
 
 
 ROW_GROUPS = {

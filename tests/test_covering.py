@@ -26,11 +26,13 @@ from jacdecomp.groups import (
     full_subgroup,
     preset_dihedral,
     preset_elementary_abelian_2,
+    subgroup_class,
     subgroup_generate,
     trivial_subgroup,
 )
 from jacdecomp.decomposition import analyze
 from conftest import dihedral_action, fiber_action, group_library, random_action, semidirect_7_9
+from test_groups import is_conjugacy_canonical
 
 
 @pytest.mark.parametrize("q", [3, 5, 7])
@@ -247,16 +249,19 @@ def test_orbit_count_needs_a_cyclic_stabilizer_with_one_generator():
         orbit_count(Subgroup(group, (r, s)), cosets)
 
 
-# -- the group's orbit counts: one walk per (H, <c>) --------------------------------------
+# -- the group's orbit counts: one walk per (class of H, class of <c>) -------------------
 
 
 def test_every_cached_orbit_count_is_a_fresh_walk_and_the_dict_is_bounded():
+    """Rows are keyed by H's class and entries by <c>'s: every lattice member H, not just
+    the row's key, reads a fresh walk's count for each stabilizer and each conjugate."""
     rng = random.Random(2020)
     for group in group_library():
         lattice = enumerate_subgroups(group)
-        by_index = {subgroup.index: subgroup for subgroup in lattice}
-        cyclic = sum(  # the cyclic subgroups: those with an element of full order
-            any(group.element_order(x) == subgroup.order for x in subgroup) for subgroup in lattice
+        canonical = [h for h in lattice if is_conjugacy_canonical(h)]  # one per class
+        classes = len(canonical)
+        cyclic = sum(  # the cyclic ones: those with an element of full order
+            any(group.element_order(x) == h.order for x in h) for h in canonical
         )
         stabilizers = {}
         for _ in range(3):
@@ -265,13 +270,16 @@ def test_every_cached_orbit_count_is_a_fresh_walk_and_the_dict_is_bounded():
             analysis = analyze(action)
             for subgroup in lattice:
                 analysis.profile(subgroup)
-                assert len(group._orbit_counts) <= len(lattice)
+                assert len(group._orbit_counts) <= classes
                 assert all(len(row) <= cyclic for row in group._orbit_counts.values())
-        assert group._orbit_counts
-        for index, row in group._orbit_counts.items():
-            cosets = coset_action(group, by_index[index])
-            for stab_index, count in row.items():
-                assert count == orbit_count(stabilizers[stab_index], cosets)
+                assert len(group._subgroup_classes) <= len(lattice)
+        conjugates = {c.members: c for stab in stabilizers.values()
+                      for c in (stab.conjugate_by(g) for g in range(group.order))}
+        assert len(group._orbit_counts) == classes
+        for subgroup in lattice:
+            row, cosets = group._orbit_counts[subgroup_class(subgroup)], coset_action(group, subgroup)
+            for stab in conjugates.values():
+                assert row[subgroup_class(stab)] == orbit_count(stab, cosets)
 
 
 def test_a_second_analysis_of_the_same_action_walks_no_orbit(monkeypatch):

@@ -34,6 +34,7 @@ from jacdecomp.decomposition import (
 )
 from jacdecomp.groups import (
     FiniteGroup,
+    Subgroup,
     enumerate_subgroups,
     full_subgroup,
     is_partition,
@@ -962,6 +963,36 @@ def test_admissibility_conjugation_invariance():
         conjugated = list(collection)
         conjugated[i] = conjugated[i].conjugate_by(rng.randrange(data["group"].order))
         assert analysis.admissibility(conjugated).admissible == base
+
+
+CONJUGATION_GROUPS = {
+    "library": group_library,
+    "Z7:Z9": lambda: [semidirect_7_9()],
+    "Q24": lambda: [dicyclic_group(6)],
+    "D84": lambda: [preset_dihedral(21)],
+}
+
+
+@pytest.mark.parametrize("name", CONJUGATION_GROUPS)
+def test_the_profile_of_every_conjugate_on_a_fresh_group_is_the_class_keyed_profile(name):
+    """Oracle for the class-keyed rows: for every H and g, the profile of gHg^-1, built on
+    a second copy of the group with every row emptied first, is the profile read for H."""
+    build = CONJUGATION_GROUPS[name]
+    for k, (group, fresh) in enumerate(zip(build(), build())):  # one element numbering
+        action = random_action(group, random.Random(k))
+        keyed, twin = analyze(action), analyze(action._replace(group=fresh))
+        twin.factors  # the stabilizers' rows are read here, before the rows are emptied
+        built = {}
+        for h in enumerate_subgroups(group):
+            profile = keyed.profile(h)
+            for g in range(group.order):
+                conjugate = Subgroup(fresh, [fresh.conjugate(x, g) for x in h.generators])
+                if conjugate.members not in built:
+                    fresh._fixed_dims.clear()
+                    fresh._orbit_counts.clear()
+                    twin._profiles.clear()
+                    built[conjugate.members] = twin.profile(conjugate)
+                assert built[conjugate.members] == profile, (h.members, g)
 
 
 def test_removing_a_subgroup_preserves_admissibility():

@@ -664,6 +664,51 @@ def test_racing_threads_give_each_member_set_one_index():
         sys.setswitchinterval(interval)
 
 
+def test_racing_threads_give_each_class_of_subgroups_one_key():
+    """Class keys publish without a lock; threads that ask for the keys of shuffled
+    conjugates at once, switching every microsecond, all read one key per class: the
+    least registry index of its members."""
+    template = preset_dihedral(15)  # 80 subgroups in 20 classes
+    classes = collections.defaultdict(list)  # least conjugate's members -> the class's members
+    for h in enumerate_subgroups(template):
+        conjugates = (tuple(sorted(template.conjugate(x, g) for x in h)) for g in range(template.order))
+        classes[min(conjugates)].append(h.members)
+    generators = [h.generators for h in enumerate_subgroups(template)]
+
+    def race(group):
+        seen = [None] * 4
+        barrier = threading.Barrier(len(seen), timeout=60)
+
+        def ask(k):
+            order = random.Random(k).sample(generators, len(generators))
+            barrier.wait()  # start together, so the orbit walks and registrations overlap
+            seen[k] = [(h.members, groups.subgroup_class(h)) for h in (groups.Subgroup(group, g) for g in order)]
+
+        workers = [threading.Thread(target=ask, args=(k,)) for k in range(len(seen))]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+        assert not any(worker.is_alive() for worker in workers)
+        return {pair for asked in seen for pair in asked}
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(60):
+            group = preset_dihedral(15)  # the same element numbering, no index or key yet
+            pairs = race(group)
+            key = dict(pairs)
+            assert len(pairs) == len(key) == len(generators)  # one key per member set
+            registry = group._subgroup_index
+            expected = {m: min(registry[c] for c in members) for members in classes.values() for m in members}
+            assert key == expected
+            assert len(set(key.values())) == len(classes)
+            assert group._subgroup_classes == {registry[m]: k for m, k in key.items()}
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_subgroup_of_the_identity_alone_is_trivial():
     group = preset_dihedral(3)
     subgroup = groups.Subgroup(group, (0,))

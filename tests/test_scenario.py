@@ -331,6 +331,34 @@ def test_a_top_level_field_of_another_type_exits_1_naming_it(capsys, path, value
     assert capsys.readouterr().err.startswith(f"jacdecomp: error: {path[-1]} needs a JSON")
 
 
+@pytest.mark.parametrize("text", [" 1", "+1", "\u0661", "1_0", "1.5", "-1", ""],
+                         ids=["space", "plus", "arabic-indic-one", "underscore", "point", "minus", "empty"])
+@pytest.mark.parametrize("entry", ["scenario key", "--schur INDEX", "--schur VALUE"])
+def test_a_schur_row_or_index_that_is_not_plain_ascii_digits_exits_1_naming_it(capsys, entry, text):
+    """int() would read " 1", "+1" and "\u0661" as 1 and "1_0" as 10: one strict parser
+    serves the scenario's schur_overrides keys and both sides of --schur."""
+    if entry == "scenario key":
+        raw = _d2q_with({text: 1}, "options", "schur_overrides")
+        field = "schur_overrides key"
+        with pytest.raises(ParseError, match=f"^{field} needs plain ASCII decimal digits"):
+            parse_scenario(raw)
+        argv = ["chartable", json.dumps(raw)]
+    else:
+        field = entry
+        pair = f"{text}=1" if entry.endswith("INDEX") else f"1={text}"
+        argv = ["chartable", "d2q?q=3", f"--schur={pair}"]  # one token, so "-1=1" is no option
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"jacdecomp: error: {field} needs plain ASCII decimal digits, got {text!r}\n"
+
+
+def test_plain_ascii_digits_are_read_as_the_schur_row_and_index():
+    raw = _d2q_with({"01": 1, "2": 1}, "options", "schur_overrides")
+    assert parse_scenario(raw).schur_overrides == {1: 1, 2: 1}
+    assert cli._parse_schur(["1=2", "03=1"]) == {1: 2, 3: 1}
+
+
 def test_an_absent_name_collections_or_options_takes_its_default():
     raw = make_fiber_scenario((1, 1))
     for key in ("name", "collections", "options"):
