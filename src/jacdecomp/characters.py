@@ -25,15 +25,17 @@ when its eigenvalue is a simple root of the characteristic polynomial,
 since only then is that eigenspace the line it spans: eigenvalues that
 differ as algebraic integers may agree mod p.
 
-One class per orbit of x -> x^u (u a unit) is lifted: the class of rep^u,
-read from the class partition's power map, takes sigma_u of each value, its
-multiplicities permuted by j -> ju mod n, and is checked mod p against the
-split.  Lifted rows share one packed pass, one bit slot per row in a Python
-int (Kronecker substitution).  Multiplicities are below p, so the lift is
-unique.  It numbers the distinct values in one pool: a new set of them,
-written as sum_j m_j z^(j e/n) from the reduced powers of z = zeta_e, gets
-a new id only when its coordinates are new, and each row is a tuple of ids.
-No floating point is involved anywhere.
+The rows' Galois action is read mod p first: sigma_u(chi) is the row whose
+central character is chi's at the classes of rep_l^u.  One class per orbit
+of x -> x^u (u a unit) is lifted, its rep's multiplicities m_j computed only
+at the divisors j of its order n: tau(n) packed transforms, one bit slot per
+row in a Python int (Kronecker substitution).  The other m_j, as m_j(sigma_u
+chi) = m_(j/u)(chi), and the columns of the classes rep^u, as chi(rep^u) =
+(sigma_u chi)(rep), are read through the row permutations.  Multiplicities
+are below p, so the lift is unique, and they sum to the degree.  One pool
+numbers the values sum_j m_j z^(j e/n), z = zeta_e, by their coordinates,
+and every cell is checked mod p against the split, so a wrong permutation
+fails there.  No floating point is involved anywhere.
 
 The table owns the Galois action: one row permutation per generator of
 (Z/e)^x.  Each distinct value's image is looked up exactly by its
@@ -471,16 +473,10 @@ def _unit_generators(e: int) -> tuple[int, ...]:
     generated = {1 % e}
     generators: list[int] = []
     for u in range(2, e):
-        if u in generated or gcd(u, e) != 1:
-            continue
-        generators.append(u)
-        frontier = list(generated)
-        for x in frontier:
-            for g in generators:
-                y = x * g % e
-                if y not in generated:
-                    generated.add(y)
-                    frontier.append(y)
+        if u not in generated and gcd(u, e) == 1:
+            generators.append(u)
+            moves = [([x * g % e for x in range(e)], []) for g in generators]
+            generated = _walk(1 % e, [], moves).keys()
     return tuple(generators)
 
 
@@ -577,6 +573,19 @@ def _primitive_root_of_unity(p: int, e: int) -> int:
     raise NoSuitablePrime(f"no element of order {e} in F_{p}")  # unreachable for prime p
 
 
+def _walk(key, values: list, moves) -> dict:
+    """{key: values} closed under the moves.  A move (step, perm) takes a found
+    key to step[key] and pulls its values through perm, [values[r] for r in perm].
+    The moves must commute, as the Galois group's do: then one pass of each
+    move's chains over the keys found so far closes the set under it."""
+    found = {key: values}
+    for step, perm in moves:
+        for key, values in list(found.items()):
+            while (key := step[key]) not in found:
+                values = found[key] = [values[r] for r in perm]
+    return found
+
+
 def character_table(group: FiniteGroup) -> CharacterTable:
     """Exact complex irreducible character table of the group."""
     if group._character_table is not None:
@@ -609,7 +618,7 @@ def character_table(group: FiniteGroup) -> CharacterTable:
         root_pow[t] = root_pow[t - 1] * z_root % p
     z_coords = _power_reductions(e)  # z_coords[t]: reduced coordinates of zeta_e^t
 
-    degrees, cvals_rows = [], []
+    degrees, cvals_rows, row_of = [], [], {}  # row_of: central character -> row
     for vec in eigenvectors:
         if vec[0] % p == 0:
             raise CharacterError("eigenvector vanishes on the identity class")
@@ -620,9 +629,17 @@ def character_table(group: FiniteGroup) -> CharacterTable:
         d = isqrt(d_squared)
         if d * d != d_squared or not 1 <= d * d <= order:
             raise CharacterError("degree reconstruction failed")
+        row_of[tuple(omega)] = len(degrees)
         degrees.append(d)
         # character values mod p per class
         cvals_rows.append([(d * omega[l] * inv_sizes[l]) % p for l in range(k)])
+
+    # sigma_u on the rows mod p, for each generator u: the row whose central
+    # character is row r's read through the power map for u
+    perms = [[row_of.get(tuple(omega[l] for l in image)) for omega in row_of] for image in images]
+    if any(None in perm for perm in perms):
+        raise CharacterError("a Galois image of a row is missing from the split")
+    moves = list(zip(images, perms))  # class c -> class of rep_c^u; rows pulled through sigma_u
 
     # Lift every row at once: column c packs each row's value on class c into
     # its own slot of `bits` bits.  A slot of sum(w_c * column_c) with weights
@@ -630,53 +647,48 @@ def character_table(group: FiniteGroup) -> CharacterTable:
     bits = 2 * p.bit_length() + e.bit_length() + 1
     mask = (1 << bits) - 1
     shifts = range(0, bits * k, bits)
-    columns = [sum(row[c] << s for s, row in zip(shifts, cvals_rows)) for c in range(k)]
+    split = list(zip(*cvals_rows))  # split[c]: class c's values mod p, one per row
+    columns = [sum(x << s for s, x in zip(shifts, column)) for column in split]
     pool: dict[tuple, int] = {}  # each distinct value's coordinates -> its id
-    ids: dict[tuple, int] = {}  # sorted (z-exponent, m) pairs -> the id of their value
+    ids: dict[tuple, int] = {}  # (m, z-exponent) pairs in walk order -> the id of their value
     residues: dict[int, int] = {}  # id -> the value's image mod p
     cells: list = [None] * k  # cells[c]: class c's column of ids, lifted or derived
     for c, powers in enumerate(classes.power_map):
         if cells[c] is not None:
             continue  # c is the class of rep^u for an earlier class rep, u a unit
-        # m_j = (1/n) sum_i chi(rep^i) z^(-ij e/n), weights summed per class of rep^i
+        # m_j = (1/n) sum_i chi(rep^i) z^(-ij e/n), weights summed per class of rep^i,
+        # is computed at each divisor j = d of n only.  m_j(sigma_u chi) = m_(j/u)(chi),
+        # so the rest of {j : gcd(j, n) = d} is walked from d, rows pulled through sigma_u.
         n = len(powers)
         step, inv_n = e // n, pow(n, -1, p)
-        positions: dict[int, list[int]] = {}
-        for i, c2 in enumerate(powers):
-            positions.setdefault(c2, []).append(i)
-        terms: list[tuple] = [()] * k  # per row, its (z-exponent, m_j) pairs
-        totals = [0] * k
-        for j in range(n):
-            packed = sum(
-                sum(root_pow[(-i * j * step) % e] for i in where) % p * columns[c2]
-                for c2, where in positions.items()
-            )
-            for r, (s, d) in enumerate(zip(shifts, degrees)):
-                m_j = ((packed >> s) & mask) * inv_n % p
-                if m_j > d:
-                    raise CharacterError("eigenvalue multiplicity exceeds the degree")
-                if m_j:
-                    terms[r] += ((j * step, m_j),)
-                    totals[r] += m_j
-        if totals != degrees:
+        j_moves = [([j * pow(u, -1, n) % n for j in range(n)], perm) for u, perm in zip(units, perms)]
+        found: dict[int, list[int]] = {}  # j -> m_j of each row
+        for d in (d for d in range(1, n + 1) if n % d == 0):
+            weights = dict.fromkeys(powers, 0)
+            for i, c2 in enumerate(powers):
+                weights[c2] += root_pow[-i * d * step % e]
+            packed = sum(w % p * columns[c2] for c2, w in weights.items())
+            found |= _walk(d % n, [(packed >> s & mask) * inv_n % p for s in shifts], j_moves)
+        # multiplicities are nonnegative, so each is at most a degree they sum to
+        multiplicities = list(zip(*found.values()))
+        if list(map(sum, multiplicities)) != degrees:
             raise CharacterError("eigenvalue multiplicities do not sum to the degree")
-        # chi(rep^u) = sigma_u(chi(rep)) = sum_j m_j z^(j step u) for each unit u mod n
-        for u in range(1, n + 1):  # u = n = 1 only for the identity class
-            c2 = powers[u % n]
-            if gcd(u, n) != 1 or cells[c2] is not None:
-                continue
-            cells[c2] = []
-            for r, row_terms in enumerate(terms):
-                key = tuple(sorted([(t * u % e, m) for t, m in row_terms]))
-                v = ids.get(key)
-                if v is None:
-                    ts, ms = zip(*key)
-                    coords = _combine(ms, [z_coords[t] for t in ts])
-                    v = ids[key] = pool.setdefault(coords, len(pool))  # keys may share a value
-                    residues[v] = sum(map(mul, coords, root_pow)) % p
-                if residues[v] != cvals_rows[r][c2]:
-                    raise CharacterError("a Galois-derived column disagrees with the split mod p")
-                cells[c2].append(v)
+        exponents = [j * step for j in found]  # z^(j e/n) = zeta_n^j
+        column = []  # class c's values, numbered in one pool
+        for row in multiplicities:
+            key = tuple([(m, t) for t, m in zip(exponents, row) if m])
+            v = ids.get(key)
+            if v is None:
+                ms, ts = zip(*key)
+                coords = _combine(ms, [z_coords[t] for t in ts])
+                v = ids[key] = pool.setdefault(coords, len(pool))  # keys may share a value
+                residues[v] = sum(map(mul, coords, root_pow)) % p
+            column.append(v)
+        # chi(rep^u) = (sigma_u chi)(rep): class rep^u's column is c's pulled through sigma_u
+        for c2, derived in _walk(c, column, moves).items():
+            if tuple(residues[v] for v in derived) != split[c2]:
+                raise CharacterError("a lifted or derived column disagrees with the split mod p")
+            cells[c2] = derived
 
     values = [Cyclotomic(e, xs) for xs in pool]  # by id
     trivial = (pool.get(Cyclotomic.one(e).coeffs),) * k
@@ -690,7 +702,7 @@ def character_table(group: FiniteGroup) -> CharacterTable:
     degrees = tuple(values[row[0]].as_integer() for row in ordered)
     if sum(d * d for d in degrees) != order:
         raise CharacterError("degree squares do not sum to the group order")
-    galois = _galois_permutations(values, ordered, units)
+    galois = _galois_permutations(values, ordered, units)  # exact; the mod-p perms are not kept
     _certify_orthonormality(group, values, ordered, (1,))
 
     table = CharacterTable(

@@ -282,11 +282,7 @@ def _cmd_fiber(args) -> ReportDocument:
     if (args.genera is None) == (args.elliptic is None):
         raise UsageError("fiber needs exactly one of --genera or --elliptic")
     if args.genera is not None:
-        try:
-            genera = [int(x) for x in args.genera.split(",")]
-        except ValueError:
-            raise UsageError(f"--genera expects integers, got {args.genera!r}") from None
-        plan = dec.fiber_product_action(genera)
+        plan = dec.fiber_product_action([parse_decimal("--genera", x) for x in args.genera.split(",")])
     else:
         plan = dec.cor3_plan(args.elliptic)
     doc = base_document("fiber")

@@ -40,6 +40,7 @@ conjugate subgroups give isomorphic G-sets, so one row serves the whole class.
 from __future__ import annotations
 
 import math
+import re
 from array import array
 from itertools import combinations, count, groupby
 from operator import itemgetter
@@ -690,6 +691,19 @@ def subgroup_as_group(subgroup: Subgroup) -> tuple[FiniteGroup, dict[int, int]]:
 
 # -- words in named generators ------------------------------------------------
 
+def parse_integer(field: str, text, error: type[Exception], signed: bool = False) -> int:
+    """Plain ASCII decimal digits as an int, after one leading '-' if signed; a
+    '+', a space, an underscore, a decimal point or another script's digits
+    raises ``error`` naming the field, never read as a nearby integer."""
+    if type(text) is not str or not re.fullmatch("-?[0-9]+" if signed else "[0-9]+", text):
+        sign = "an optional '-' and " if signed else ""
+        raise error(f"{field} needs {sign}plain ASCII decimal digits, got {text!r}")
+    try:
+        return int(text)
+    except ValueError:  # more digits than the interpreter converts
+        raise error(f"{field} has {len(text)} characters, too many to read") from None
+
+
 def element_from_word(group: FiniteGroup, word: str) -> int:
     """Resolve a word like 's*r^2' or 'r^-1' (or '1') to an element index."""
     text = word.strip()
@@ -702,10 +716,9 @@ def element_from_word(group: FiniteGroup, word: str) -> int:
             raise UnknownGenerator(f"empty factor in word {word!r}")
         name, caret, power_text = factor.partition("^")
         name = name.strip()
-        try:
-            power = int(power_text) if caret else 1
-        except ValueError:
-            raise UnknownGenerator(f"bad exponent {power_text!r} in word {word!r}") from None
+        power = 1
+        if caret:
+            power = parse_integer(f"exponent in word {word!r}", power_text, UnknownGenerator, signed=True)
         if name == "1":
             continue
         if name not in group.generator_names:

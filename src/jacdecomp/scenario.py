@@ -24,6 +24,7 @@ from .groups import (
     UnknownGenerator,
     build_group,
     element_from_word,
+    parse_integer,
     preset_dihedral,
     preset_elementary_abelian_2,
     preset_quaternion,
@@ -205,8 +206,12 @@ def make_fiber_scenario(genera: Sequence[int]) -> dict:
 
 # each preset's one parameter, its default, and the builder that reads it
 _PRESETS = {
-    "d2q": ("q", "3", lambda q: make_dihedral_scenario(int(q))),
-    "fiber": ("genera", "1,1", lambda genera: make_fiber_scenario([int(g) for g in genera.split(",")])),
+    "d2q": ("q", "3", lambda q: make_dihedral_scenario(
+        parse_decimal("bad parameters for preset 'd2q': q", q)
+    )),
+    "fiber": ("genera", "1,1", lambda genera: make_fiber_scenario(
+        [parse_decimal("bad parameters for preset 'fiber': genera", g) for g in genera.split(",")]
+    )),
 }
 
 
@@ -219,10 +224,7 @@ def _resolve_preset(reference: str) -> dict:
         given, eq, value = part.partition("=")
         if not eq or n or given.strip() != key:  # a second part repeats or is unknown
             raise ParseError(f"bad preset parameter {part!r}; {name!r} takes {key}, once")
-    try:
-        return build(value.strip())
-    except ValueError as exc:
-        raise ParseError(f"bad parameters for preset {name!r}: {exc}") from exc
+    return build(value)
 
 
 # -- document -> ScenarioFile -----------------------------------------------------
@@ -273,12 +275,9 @@ def _typed(field: str, value, kind: type):
 
 
 def parse_decimal(field: str, text) -> int:
-    """A string of plain ASCII decimal digits as an int; a sign, a space, an
-    underscore, a decimal point or another script's digits is a ParseError
-    naming the field, never read as a nearby integer."""
-    if type(text) is not str or not (text.isascii() and text.isdecimal()):
-        raise ParseError(f"{field} needs plain ASCII decimal digits, got {text!r}")
-    return int(text)
+    """groups.parse_integer, unsigned: a ParseError naming the field unless
+    the text is plain ASCII decimal digits."""
+    return parse_integer(field, text, ParseError)
 
 
 def _expectations(raw, subgroups: int) -> dict:

@@ -1490,6 +1490,23 @@ def test_a_perturbed_derived_eigenvector_is_rejected(monkeypatch, name, which):
     assert perturbed
 
 
+@pytest.mark.parametrize("name", ["D20", "Q8", "A4", "Z7:Z9"])
+def test_a_row_permutation_shifted_by_one_row_is_rejected(monkeypatch, name):
+    """sigma_u mod p, off by one row: the lift walks each divisor's multiplicities
+    and each lifted column through it, and the sums or the residues catch it."""
+    walk, shifted = characters._walk, []
+
+    def shifting(key, values, moves):
+        moves = [(step, perm[1:] + perm[:1]) for step, perm in moves]
+        shifted.extend(perm for _, perm in moves if perm)
+        return walk(key, values, moves)
+
+    monkeypatch.setattr(characters, "_walk", shifting)
+    with pytest.raises(CharacterError, match="do not sum to the degree|disagrees with the split"):
+        character_table(FIRING_GROUPS[name]())
+    assert shifted
+
+
 def first_split(group):
     """The first class matrix the split reads, dense, with the table's prime and
     the class permutations l -> class of rep_l^u for each unit generator u."""

@@ -546,3 +546,66 @@ def test_exit_contract_fuzz(capsys):
         code = cli.main(head + tail)
         capsys.readouterr()
         assert code in (0, 1, 2), (head, tail)
+
+
+# Non-canonical spellings of a small integer v: int() reads every one but
+# "point", "fraction" and "empty" as v (or 10v), and the strict reader none.
+_SPELLINGS = {
+    "plus": "+{}", "space": " {}", "trailing-space": "{} ", "underscore": "0_{}",
+    "arabic-indic": "{}", "fullwidth": "{}", "point": "{}.0", "fraction": "{}/1", "empty": "",
+}
+_SCRIPTS = {"arabic-indic": 0x660, "fullwidth": 0xFF10}
+
+
+def _spell(kind: str, value: int) -> str:
+    text = _SPELLINGS[kind].format(value)
+    if kind in _SCRIPTS:
+        text = "".join(chr(_SCRIPTS[kind] + int(c)) for c in text)
+    return text
+
+
+def _word_scenario(exponent: str) -> str:
+    doc = make_dihedral_scenario(3)
+    doc["action"]["vector"][4] = f"r^{exponent}"  # "r^1" is the canonical word
+    return json.dumps(doc)
+
+
+# entry point -> (argv for a spelled value, the field the error names)
+_INTEGER_ENTRIES = {
+    "preset q": (lambda t: ["chartable", f"d2q?q={t}"], lambda t: "bad parameters for preset 'd2q': q"),
+    "preset genera": (lambda t: ["chartable", f"fiber?genera={t},1"], lambda t: "bad parameters for preset 'fiber': genera"),
+    "--genera": (lambda t: ["fiber", "--genera", f"1,{t}"], lambda t: "--genera"),
+    "--schur": (lambda t: ["chartable", "d2q?q=3", f"--schur=1={t}"], lambda t: "--schur VALUE"),
+    "word exponent": (
+        lambda t: ["chartable", _word_scenario(t)],
+        lambda t: f"exponent in word {'r^' + t!r}",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_SPELLINGS))
+@pytest.mark.parametrize("entry", sorted(_INTEGER_ENTRIES))
+def test_every_non_canonical_integer_spelling_exits_1_naming_its_field(capsys, entry, kind):
+    """Each integer the input spells goes through one strict reader: a preset
+    value, a --genera entry, a --schur side or a word's exponent in a scenario
+    exits 1, and the message names the field.  A word may pad its factors and
+    a scenario source is trimmed as a whole, so a trailing space at the end of
+    either is no misspelling."""
+    argv_of, field_of = _INTEGER_ENTRIES[entry]
+    value = 3 if entry == "preset q" else 1
+    text = _spell(kind, value)
+    if entry in ("word exponent", "preset q") and kind == "trailing-space":
+        assert cli.main(argv_of(text)) == 0
+        return
+    assert cli.main(argv_of(text)) == 1, (entry, text)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"jacdecomp: error: {field_of(text)} "), captured.err
+
+
+@pytest.mark.parametrize("entry", sorted(_INTEGER_ENTRIES))
+def test_an_integer_with_more_digits_than_int_reads_exits_1(capsys, entry):
+    argv_of, field_of = _INTEGER_ENTRIES[entry]
+    text = "1" * 5000
+    assert cli.main(argv_of(text)) == 1
+    assert capsys.readouterr().err.startswith(f"jacdecomp: error: {field_of(text)} ")
