@@ -25,17 +25,15 @@ when its eigenvalue is a simple root of the characteristic polynomial,
 since only then is that eigenspace the line it spans: eigenvalues that
 differ as algebraic integers may agree mod p.
 
-The rows' Galois action is read mod p first: sigma_u(chi) is the row whose
+The lift reads the rows' Galois action mod p: sigma_u(chi) is the row whose
 central character is chi's at the classes of rep_l^u.  One class per orbit
-of x -> x^u (u a unit) is lifted, its rep's multiplicities m_j computed only
-at the divisors j of its order n: tau(n) packed transforms, one bit slot per
-row in a Python int (Kronecker substitution).  The other m_j, as m_j(sigma_u
-chi) = m_(j/u)(chi), and the columns of the classes rep^u, as chi(rep^u) =
-(sigma_u chi)(rep), are read through the row permutations.  Multiplicities
-are below p, so the lift is unique, and they sum to the degree.  One pool
-numbers the values sum_j m_j z^(j e/n), z = zeta_e, by their coordinates,
-and every cell is checked mod p against the split, so a wrong permutation
-fails there.  No floating point is involved anywhere.
+of x -> x^u (u a unit) is lifted, its multiplicities m_j computed only at
+the divisors j of its order n, in tau(n) packed transforms (one bit slot per
+row in a Python int); m_j(sigma_u chi) = m_(j/u)(chi) gives the other m_j,
+and chi(rep^u) = (sigma_u chi)(rep) the other columns, as row permutations.
+Multiplicities are below p, so the lift is unique, and sum to the degree.
+Every cell is checked mod p against the split, so a wrong permutation fails
+there.  No floating point is involved anywhere.
 
 The table owns the Galois action: one row permutation per generator of
 (Z/e)^x.  Each distinct value's image is looked up exactly by its
@@ -470,13 +468,12 @@ def _unit_generators(e: int) -> tuple[int, ...]:
     """Generators of (Z/e)^x: each is the smallest unit outside the subgroup
     generated so far, so each at least doubles it and there are at most
     log2 phi(e) of them."""
-    generated = {1 % e}
+    generated = {}  # keyed by the subgroup generated so far
     generators: list[int] = []
     for u in range(2, e):
         if u not in generated and gcd(u, e) == 1:
             generators.append(u)
-            moves = [([x * g % e for x in range(e)], []) for g in generators]
-            generated = _walk(1 % e, [], moves).keys()
+            generated = _walk(1, [], [([x * g % e for x in range(e)], []) for g in generators])
     return tuple(generators)
 
 
@@ -573,7 +570,7 @@ def _primitive_root_of_unity(p: int, e: int) -> int:
     raise NoSuitablePrime(f"no element of order {e} in F_{p}")  # unreachable for prime p
 
 
-def _walk(key, values: list, moves) -> dict:
+def _walk(key, values, moves) -> dict:
     """{key: values} closed under the moves.  A move (step, perm) takes a found
     key to step[key] and pulls its values through perm, [values[r] for r in perm].
     The moves must commute, as the Galois group's do: then one pass of each
@@ -613,12 +610,10 @@ def character_table(group: FiniteGroup) -> CharacterTable:
     inv_sizes = [pow(size, -1, p) for size in classes.sizes]
     # root_pow[t] = z^t mod p for a primitive e-th root z; zeta_n^i is z^(i*e/n)
     z_root = _primitive_root_of_unity(p, e)
-    root_pow = [1] * e
-    for t in range(1, e):
-        root_pow[t] = root_pow[t - 1] * z_root % p
+    root_pow = [pow(z_root, t, p) for t in range(e)]
     z_coords = _power_reductions(e)  # z_coords[t]: reduced coordinates of zeta_e^t
 
-    degrees, cvals_rows, row_of = [], [], {}  # row_of: central character -> row
+    degrees, row_of = [], {}  # row_of: central character omega -> row
     for vec in eigenvectors:
         if vec[0] % p == 0:
             raise CharacterError("eigenvector vanishes on the identity class")
@@ -631,15 +626,15 @@ def character_table(group: FiniteGroup) -> CharacterTable:
             raise CharacterError("degree reconstruction failed")
         row_of[tuple(omega)] = len(degrees)
         degrees.append(d)
-        # character values mod p per class
-        cvals_rows.append([(d * omega[l] * inv_sizes[l]) % p for l in range(k)])
+    # split[c]: class c's character values mod p, one per row
+    split = [[d * omega[c] * inv_sizes[c] % p for d, omega in zip(degrees, row_of)] for c in range(k)]
 
     # sigma_u on the rows mod p, for each generator u: the row whose central
     # character is row r's read through the power map for u
-    perms = [[row_of.get(tuple(omega[l] for l in image)) for omega in row_of] for image in images]
-    if any(None in perm for perm in perms):
-        raise CharacterError("a Galois image of a row is missing from the split")
-    moves = list(zip(images, perms))  # class c -> class of rep_c^u; rows pulled through sigma_u
+    try:
+        perms = [[row_of[tuple(omega[l] for l in image)] for omega in row_of] for image in images]
+    except KeyError:
+        raise CharacterError("a Galois image of a row is missing from the split") from None
 
     # Lift every row at once: column c packs each row's value on class c into
     # its own slot of `bits` bits.  A slot of sum(w_c * column_c) with weights
@@ -647,48 +642,42 @@ def character_table(group: FiniteGroup) -> CharacterTable:
     bits = 2 * p.bit_length() + e.bit_length() + 1
     mask = (1 << bits) - 1
     shifts = range(0, bits * k, bits)
-    split = list(zip(*cvals_rows))  # split[c]: class c's values mod p, one per row
     columns = [sum(x << s for s, x in zip(shifts, column)) for column in split]
     pool: dict[tuple, int] = {}  # each distinct value's coordinates -> its id
-    ids: dict[tuple, int] = {}  # (m, z-exponent) pairs in walk order -> the id of their value
-    residues: dict[int, int] = {}  # id -> the value's image mod p
     cells: list = [None] * k  # cells[c]: class c's column of ids, lifted or derived
     for c, powers in enumerate(classes.power_map):
         if cells[c] is not None:
             continue  # c is the class of rep^u for an earlier class rep, u a unit
-        # m_j = (1/n) sum_i chi(rep^i) z^(-ij e/n), weights summed per class of rep^i,
-        # is computed at each divisor j = d of n only.  m_j(sigma_u chi) = m_(j/u)(chi),
-        # so the rest of {j : gcd(j, n) = d} is walked from d, rows pulled through sigma_u.
+        # m_j = (1/n) sum_i chi(rep^i) z^(-ij e/n).  m_j(sigma_u chi) = m_(j/u)(chi), so
+        # the j with gcd(j, n) = d are walked from d, rows pulled through sigma_u: the
+        # sum is computed at the least j of each walk, the divisors d of n, only.
         n = len(powers)
         step, inv_n = e // n, pow(n, -1, p)
-        j_moves = [([j * pow(u, -1, n) % n for j in range(n)], perm) for u, perm in zip(units, perms)]
-        found: dict[int, list[int]] = {}  # j -> m_j of each row
-        for d in (d for d in range(1, n + 1) if n % d == 0):
-            weights = dict.fromkeys(powers, 0)
-            for i, c2 in enumerate(powers):
-                weights[c2] += root_pow[-i * d * step % e]
-            packed = sum(w % p * columns[c2] for c2, w in weights.items())
-            found |= _walk(d % n, [(packed >> s & mask) * inv_n % p for s in shifts], j_moves)
+        j_moves = [([j * v % n for j in range(n)], perm)
+                   for v, perm in zip([pow(u, -1, n) for u in units], perms)]
+        found = {}  # j -> m_j of each row
+        for d in range(n):
+            if d not in found:
+                weights = dict.fromkeys(powers, 0)  # summed per class of rep^i
+                for i, c2 in enumerate(powers):
+                    weights[c2] += root_pow[-i * d * step % e]
+                packed = sum(w % p * columns[c2] for c2, w in weights.items())
+                found |= _walk(d, [(packed >> s & mask) * inv_n % p for s in shifts], j_moves)
         # multiplicities are nonnegative, so each is at most a degree they sum to
         multiplicities = list(zip(*found.values()))
         if list(map(sum, multiplicities)) != degrees:
             raise CharacterError("eigenvalue multiplicities do not sum to the degree")
-        exponents = [j * step for j in found]  # z^(j e/n) = zeta_n^j
-        column = []  # class c's values, numbered in one pool
-        for row in multiplicities:
-            key = tuple([(m, t) for t, m in zip(exponents, row) if m])
-            v = ids.get(key)
-            if v is None:
-                ms, ts = zip(*key)
-                coords = _combine(ms, [z_coords[t] for t in ts])
-                v = ids[key] = pool.setdefault(coords, len(pool))  # keys may share a value
-                residues[v] = sum(map(mul, coords, root_pow)) % p
-            column.append(v)
-        # chi(rep^u) = (sigma_u chi)(rep): class rep^u's column is c's pulled through sigma_u
-        for c2, derived in _walk(c, column, moves).items():
-            if tuple(residues[v] for v in derived) != split[c2]:
+        exponents = [z_coords[j * step] for j in found]  # z^(j e/n) = zeta_n^j
+        ids = {}  # each distinct row of multiplicities -> its value's id and residue mod p
+        for m in dict.fromkeys(multiplicities):
+            coords = _combine(m, exponents)  # rows may share a value, so one pool numbers them
+            ids[m] = pool.setdefault(coords, len(pool)), sum(map(mul, coords, root_pow)) % p
+        # chi(rep^u) = (sigma_u chi)(rep): the column of class rep^u, the image of c
+        # under the power map for u, is c's pulled through sigma_u
+        for c2, derived in _walk(c, [ids[m] for m in multiplicities], zip(images, perms)).items():
+            if [residue for _, residue in derived] != split[c2]:
                 raise CharacterError("a lifted or derived column disagrees with the split mod p")
-            cells[c2] = derived
+            cells[c2] = [v for v, _ in derived]
 
     values = [Cyclotomic(e, xs) for xs in pool]  # by id
     trivial = (pool.get(Cyclotomic.one(e).coeffs),) * k

@@ -17,7 +17,7 @@ from . import decomposition as dec
 from .characters import CharacterError
 from .covering import CoveringError
 from .cyclotomic import CyclotomicError
-from .groups import GroupError
+from .groups import GroupError, parse_integer
 from .reporting import (
     Labels,
     ReportDocument,
@@ -43,7 +43,6 @@ from .scenario import (
     ScenarioError,
     ScenarioFile,
     class_labels,
-    parse_decimal,
     parse_scenario,
 )
 
@@ -58,7 +57,7 @@ def _parse_schur(items: Sequence[str]) -> dict[int, int]:
         key, eq, value = item.partition("=")
         if not eq:
             raise UsageError(f"--schur expects INDEX=VALUE, got {item!r}")
-        overrides[parse_decimal("--schur INDEX", key)] = parse_decimal("--schur VALUE", value)
+        overrides[parse_integer("--schur INDEX", key, UsageError)] = parse_integer("--schur VALUE", value, UsageError)
     return overrides
 
 
@@ -282,7 +281,7 @@ def _cmd_fiber(args) -> ReportDocument:
     if (args.genera is None) == (args.elliptic is None):
         raise UsageError("fiber needs exactly one of --genera or --elliptic")
     if args.genera is not None:
-        plan = dec.fiber_product_action([parse_decimal("--genera", x) for x in args.genera.split(",")])
+        plan = dec.fiber_product_action([parse_integer("--genera", x, UsageError) for x in args.genera.split(",")])
     else:
         plan = dec.cor3_plan(args.elliptic)
     doc = base_document("fiber")

@@ -695,13 +695,12 @@ def parse_integer(field: str, text, error: type[Exception], signed: bool = False
     """Plain ASCII decimal digits as an int, after one leading '-' if signed; a
     '+', a space, an underscore, a decimal point or another script's digits
     raises ``error`` naming the field, never read as a nearby integer."""
-    if type(text) is not str or not re.fullmatch("-?[0-9]+" if signed else "[0-9]+", text):
-        sign = "an optional '-' and " if signed else ""
-        raise error(f"{field} needs {sign}plain ASCII decimal digits, got {text!r}")
     try:
-        return int(text)
+        if type(text) is str and re.fullmatch("-?[0-9]+" if signed else "[0-9]+", text):
+            return int(text)
     except ValueError:  # more digits than the interpreter converts
-        raise error(f"{field} has {len(text)} characters, too many to read") from None
+        raise error(f"{field} has {len(text)} digits, too many to read") from None
+    raise error(f"{field} needs plain ASCII decimal digits, got {text!r}")
 
 
 def element_from_word(group: FiniteGroup, word: str) -> int:
@@ -716,9 +715,9 @@ def element_from_word(group: FiniteGroup, word: str) -> int:
             raise UnknownGenerator(f"empty factor in word {word!r}")
         name, caret, power_text = factor.partition("^")
         name = name.strip()
-        power = 1
-        if caret:
-            power = parse_integer(f"exponent in word {word!r}", power_text, UnknownGenerator, signed=True)
+        power = parse_integer(
+            f"exponent in word {word!r}", power_text, UnknownGenerator, signed=True
+        ) if caret else 1
         if name == "1":
             continue
         if name not in group.generator_names:

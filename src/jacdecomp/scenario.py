@@ -206,11 +206,9 @@ def make_fiber_scenario(genera: Sequence[int]) -> dict:
 
 # each preset's one parameter, its default, and the builder that reads it
 _PRESETS = {
-    "d2q": ("q", "3", lambda q: make_dihedral_scenario(
-        parse_decimal("bad parameters for preset 'd2q': q", q)
-    )),
-    "fiber": ("genera", "1,1", lambda genera: make_fiber_scenario(
-        [parse_decimal("bad parameters for preset 'fiber': genera", g) for g in genera.split(",")]
+    "d2q": ("q", "3", lambda field, q: make_dihedral_scenario(parse_integer(field, q, ParseError))),
+    "fiber": ("genera", "1,1", lambda field, genera: make_fiber_scenario(
+        [parse_integer(field, g, ParseError) for g in genera.split(",")]
     )),
 }
 
@@ -224,7 +222,7 @@ def _resolve_preset(reference: str) -> dict:
         given, eq, value = part.partition("=")
         if not eq or n or given.strip() != key:  # a second part repeats or is unknown
             raise ParseError(f"bad preset parameter {part!r}; {name!r} takes {key}, once")
-    return build(value)
+    return build(f"bad parameters for preset {name!r}: {key}", value)
 
 
 # -- document -> ScenarioFile -----------------------------------------------------
@@ -272,12 +270,6 @@ def _typed(field: str, value, kind: type):
     if type(value) is not kind:
         raise ParseError(f"{field} needs a JSON {kind.__name__}, got {value!r}")
     return value
-
-
-def parse_decimal(field: str, text) -> int:
-    """groups.parse_integer, unsigned: a ParseError naming the field unless
-    the text is plain ASCII decimal digits."""
-    return parse_integer(field, text, ParseError)
 
 
 def _expectations(raw, subgroups: int) -> dict:
@@ -393,7 +385,7 @@ def _parse_scenario(source: str | Path | Mapping, max_order: int | None) -> Scen
         collections[name] = CollectionSpec(name, tuple(normalized), tuple(subgroups), expect)
 
     overrides = {
-        parse_decimal("schur_overrides key", k): _typed("schur_overrides", v, int)
+        parse_integer("schur_overrides key", k, ParseError): _typed("schur_overrides", v, int)
         for k, v in _typed("schur_overrides", options.get("schur_overrides", {}), dict).items()
     }
     return ScenarioFile(

@@ -1,12 +1,13 @@
 """Alternating parent/change benchmark pairs, summarised into BENCH_<pr>.json.
 
     python3 tools/bench_pairs.py run --pr 36 --parent ../parent --change . \\
-        --workloads ladder_cold --seeds 1 2 --pairs 10 --seconds 30 --out BENCH_36.json
+        --workloads ladder_cold --seeds 1 2 --out BENCH_36.json
     python3 tools/bench_pairs.py check BENCH_*.json
 
-``run`` runs ``perfbench/run.py`` in each checkout, one pair at a time, the
-parent first in even pairs and the change first in odd ones, for each
-workload and seed in turn.  Each run's result line (the last line ``run.py``
+``run`` runs ``perfbench/run.py`` in each checkout for PAIRS pairs at a time,
+each run as long as BENCHMARK.json's ``run_seconds``, the parent first in
+even pairs and the change first in odd ones, for each workload and seed in
+turn.  Each run's result line (the last line ``run.py``
 prints) and the unscaled metrics and provenance of the record it writes to
 ``perfbench/out/`` are kept in the file, so the summary can be recomputed
 from it.  Per workload, seed and end-to-end metric the summary gives the
@@ -14,8 +15,10 @@ parent's and the change's median and quartiles (inclusive method) and the
 pairs the change wins and loses (ties count for neither), in the direction
 ``BENCHMARK.json`` declares, and each side's median host scale.
 
-``check`` parses each file, recomputes every summary from its runs and
-exits 1 when one does not match.  The script needs only the standard library.
+``check`` parses each file and exits 1 when a series has fewer than PAIRS
+pairs, a command other than ``run``'s at the current ``run_seconds``, or a
+summary that differs from the one recomputed from its runs in the directions
+the summary itself records.  The script needs only the standard library.
 """
 
 from __future__ import annotations
@@ -28,23 +31,24 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
+PAIRS = 10  # alternating pairs per workload and seed
 
 
 def directions() -> dict[str, str]:
     """Each end-to-end metric's better direction, "lower" or "higher"."""
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    return {metric["name"]: metric["better"] for metric in spec["end_to_end"]}
+    return {metric["name"]: metric["better"] for metric in SPEC["end_to_end"]}
 
 
-def command(workload: str, seed: int, seconds: float) -> list[str]:
+def command(workload: str, seed: int) -> list[str]:
     return ["perfbench/run.py", "--workload", workload, "--seed", str(seed),
-            "--seconds", f"{seconds:g}", "--trace", "0"]
+            "--seconds", str(SPEC["run_seconds"]), "--trace", "0"]
 
 
-def one_run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def one_run(checkout: Path, workload: str, seed: int) -> dict:
     """One run of the benchmark in the checkout: its result line, and the
     provenance and unscaled metrics from the record it wrote."""
-    proc = subprocess.run([sys.executable, *command(workload, seed, seconds)], cwd=checkout,
+    proc = subprocess.run([sys.executable, *command(workload, seed)], cwd=checkout,
                           stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True, check=True)
     record = json.loads((checkout / "perfbench" / "out" / f"{workload}-seed{seed}-trace0.json").read_text())
     return {
@@ -95,18 +99,18 @@ def run(args) -> int:
     for workload in args.workloads:
         for seed in args.seeds:
             pairs = []
-            for i in range(args.pairs):
+            for i in range(PAIRS):
                 sides = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 pair = {"first": sides[0]}
                 for side in sides:
                     checkout = Path(args.parent if side == "parent" else args.change)
-                    pair[side] = one_run(checkout, workload, seed, args.seconds)
+                    pair[side] = one_run(checkout, workload, seed)
                 pairs.append(pair)
-                print(f"{workload} seed {seed} pair {i + 1}/{args.pairs} done", file=sys.stderr)
+                print(f"{workload} seed {seed} pair {i + 1}/{PAIRS} done", file=sys.stderr)
             series.append({
                 "workload": workload,
                 "seed": seed,
-                "command": "python3 " + " ".join(command(workload, seed, args.seconds)),
+                "command": "python3 " + " ".join(command(workload, seed)),
                 "pairs": pairs,
                 "summary": summarize(pairs, better),
             })
@@ -116,15 +120,22 @@ def run(args) -> int:
 
 
 def check(args) -> int:
-    better = directions()
     status = 0
     for path in args.files:
         try:
             document = json.loads(Path(path).read_text())
             for series in document["series"]:
-                if summarize(series["pairs"], better) != series["summary"]:
-                    raise ValueError(f"{series['workload']} seed {series['seed']}: "
-                                     "summary does not match its runs")
+                name = f"{series['workload']} seed {series['seed']}"
+                if len(series["pairs"]) < PAIRS:
+                    raise ValueError(f"{name}: {len(series['pairs'])} pairs, fewer than {PAIRS}")
+                if series["command"] != "python3 " + " ".join(command(series["workload"], series["seed"])):
+                    raise ValueError(f"{name}: command {series['command']!r} is not the benchmark's")
+                # the directions the file was written with, so a later BENCHMARK.json
+                # that adds or drops a metric leaves committed files valid
+                summary = series["summary"]
+                better = {metric: summary[metric]["better"] for metric in summary if metric != "host_scale"}
+                if summarize(series["pairs"], better) != summary:
+                    raise ValueError(f"{name}: summary does not match its runs")
         except (OSError, ValueError, KeyError, TypeError) as exc:
             print(f"{path}: {exc!r}", file=sys.stderr)
             status = 1
@@ -142,8 +153,6 @@ def main(argv=None) -> int:
     p_run.add_argument("--change", required=True, help="checkout of the change")
     p_run.add_argument("--workloads", nargs="+", required=True)
     p_run.add_argument("--seeds", type=int, nargs="+", required=True)
-    p_run.add_argument("--pairs", type=int, default=10)
-    p_run.add_argument("--seconds", type=float, default=30.0)
     p_run.add_argument("--note", default="", help="what the change claims, in one line")
     p_run.add_argument("--out", required=True)
     p_check = sub.add_parser("check", help="parse files and recompute their summaries")
