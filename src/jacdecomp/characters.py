@@ -8,8 +8,9 @@ multiplicities of the e-th roots of unity through discrete Fourier sums mod p.
 The class matrices are sparse rows, built only when the split reaches them,
 and only subspaces still above dimension 1 are refined.  Each restriction to
 such a subspace is put in Hessenberg form once: that form gives the
-characteristic polynomial and, by elimination on H - lam*I, every eigenspace,
-mapped back through the recorded steps.  Every returned vector is checked to
+characteristic polynomial and every eigenspace, by back-substitution on
+H - lam*I over its unreduced diagonal blocks, bottom-up, mapped back through
+the recorded steps.  Every returned vector is checked to
 satisfy restr * v = lam * v exactly, beside the invariance, split-dimension
 and one-dimensional-end checks.
 
@@ -52,8 +53,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from math import gcd, isqrt
-from operator import mul
+from operator import add, mul
 from typing import Mapping, NamedTuple
 
 from .cyclotomic import ConductorMismatch, Cyclotomic, is_prime
@@ -293,46 +295,49 @@ def _poly_roots_mod(coeffs: list[int], p: int) -> list[int]:
 def _hessenberg_kernel(h: list[list[int]], lam: int, p: int) -> list[list[int]]:
     """Basis of the right kernel of h - lam*I over F_p, for h upper Hessenberg.
 
-    Row i of h - lam*I is zero left of column i - 1, so the elimination at
-    column c only looks at rows r..c+1 (r the next pivot row); then each free
-    column gives one kernel vector by back-substitution.
+    h splits where h[i][i-1] = 0 into unreduced diagonal blocks, solved
+    bottom-up: the partials are a basis of the kernel on the blocks below.
+    In a block [s, t) each row i > s gives x[i-1] from x[i:], its subdiagonal
+    entry being a unit, and row s leaves a residual linear in x[t-1].  The
+    block's own solution (x[t-1] = 1, zero below the block) and each partial
+    (x[t-1] = 0) are back-substituted, and those with a nonzero residual are
+    combined with the first of them, which is dropped.  That is the own
+    solution when lam is not an eigenvalue of the block, so its residual fixes
+    each partial's x[t-1]; else the own solution joins the partials, and a
+    partial with a nonzero residual ends a Jordan chain across the blocks.
     """
     n = len(h)
-    a = [row[:] for row in h]
-    for i in range(n):
-        a[i][i] = (a[i][i] - lam) % p
-    pivots: list[int] = []
-    r = 0
-    for c in range(n):
-        last = min(c + 2, n)
-        pivot = next((i for i in range(r, last) if a[i][c]), None)
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        # rows r..last-1 are zero left of column c, so only their tails change
-        inv = pow(a[r][c], -1, p)
-        tail = a[r][c:] = [x * inv % p for x in a[r][c:]]
-        for i in range(r + 1, last):
-            f = a[i][c]
-            if f:
-                a[i][c:] = [(x - f * y) % p for x, y in zip(a[i][c:], tail)]
-        pivots.append(c)
-        r += 1
-    basis = []
-    for free in sorted(set(range(n)) - set(pivots)):
-        v = [0] * n
-        v[free] = 1
-        for c, row in zip(reversed(pivots), reversed(a[:r])):
-            v[c] = -sum(map(mul, row[c + 1:], v[c + 1:])) % p
-        basis.append(v)
-    return basis
+    partials: list[list[int]] = []
+    t = n
+    while t:
+        s = t - 1
+        while s and h[s][s - 1]:
+            s -= 1
+        rows = [(i, h[i][i:], pow(h[i][i - 1], -1, p)) for i in range(t - 1, s, -1)]
+        own = [0] * n
+        own[t - 1] = 1
+        partials.insert(0, own)
+        residuals = []
+        for x in partials:
+            for i, row, inv in rows:
+                x[i - 1] = (lam * x[i] - sum(map(mul, row, x[i:]))) * inv % p
+            residuals.append((sum(map(mul, h[s][s:], x[s:])) - lam * x[s]) % p)
+        chained = [k for k, r in enumerate(residuals) if r]
+        if chained:
+            first, inv = partials.pop(chained[0]), pow(residuals[chained[0]], -1, p)
+            for k in chained[1:]:
+                x, f = partials[k - 1], residuals[k] * inv
+                x[s:] = [(y - f * z) % p for y, z in zip(x[s:], first[s:])]
+        t = s
+    return partials
 
 
 def _eigenspaces(matrix: list[list[int]], p: int, images) -> list[tuple[int, list[list[int]]]]:
     """Each eigenvalue of the matrix in F_p, ascending, with a basis of its eigenspace.
 
     One Hessenberg form h = S A S^-1 gives the characteristic polynomial and
-    every kernel of h - lam*I; a kernel vector v of h maps to the eigenvector
+    every kernel of h - lam*I, by back-substitution on its unreduced diagonal
+    blocks (_hessenberg_kernel); a kernel vector v of h maps to the eigenvector
     S^-1 v of A through the recorded steps, inverted and in reverse order.
 
     Each of the images is a coordinate permutation pi that should carry an
@@ -880,7 +885,12 @@ def _rational_class(
     table: CharacterTable, members: tuple[int, ...], override: int | None = None
 ) -> RationalClass:
     """The rational class of one Galois orbit, with its heuristic Schur index
-    (2 when the Frobenius-Schur indicator is -1, else 1) or the override."""
+    (2 when the Frobenius-Schur indicator is -1, else 1) or the override.
+
+    The members' rows are summed once, their coordinates laid end to end; psi
+    is s times coordinate 0 of each class, every other coordinate must be 0,
+    and the rational character shares one value per distinct entry of psi.
+    A singleton orbit with s = 1 keeps its row, the table's certified object."""
     rep = members[0]
     degree = table.degrees[rep]
     if override is None:
@@ -891,13 +901,19 @@ def _rational_class(
         s, source = override, "override"
     if degree % s != 0:
         raise NonIntegralN(f"Schur index {s} does not divide degree {degree} on row {rep}")
-    total = table.irreducibles[rep]
+    total = list(chain.from_iterable(table.irreducibles[rep].coords))
     for j in members[1:]:
-        total = total + table.irreducibles[j]
-    rational_char = total if s == 1 else total * s
-    for v in rational_char.values:
-        if not v.is_rational():
-            raise CharacterError("orbit sum has irrational values")
+        total = list(map(add, total, chain.from_iterable(table.irreducibles[j].coords)))
+    width = len(total) // len(table.classes)  # phi(e) coordinates per class
+    psi = tuple(s * x for x in total[::width])
+    del total[::width]
+    if any(total):
+        raise CharacterError("orbit sum has irrational values")
+    if len(members) == 1 and s == 1:
+        rational_char = table.irreducibles[rep]
+    else:
+        shared = {v: Cyclotomic.from_rational(v, table.conductor) for v in set(psi)}
+        rational_char = ClassFunction(table.group, tuple(map(shared.get, psi)))
     return RationalClass(
         table=table,
         member_indices=members,
@@ -908,7 +924,7 @@ def _rational_class(
         schur_source=source,
         rational_character=rational_char,
         n=degree // s,
-        psi=tuple(v.coeffs[0] for v in rational_char.values),
+        psi=psi,
     )
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 from typing import Sequence
 
 from . import decomposition as dec
@@ -355,6 +356,11 @@ def run_command(command: str, scenario: ScenarioFile | None, args) -> tuple[Repo
     return doc, code
 
 
+def _integer(option: str):
+    """argparse type of an integer option: the strict reader, exit 1 naming it."""
+    return partial(parse_integer, option, error=argparse.ArgumentTypeError, signed=True)
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # exit 1 on usage errors, per the exit-code contract
         self.exit(1, f"{self.prog}: error: {message}\n")
@@ -381,7 +387,7 @@ def _build_parser() -> argparse.ArgumentParser:
         add_format(p)
         p.add_argument("--schur", action="append", default=[], metavar="INDEX=VALUE",
                        help="override the Schur index of an orbit representative row")
-        p.add_argument("--max-order", type=int, default=None,
+        p.add_argument("--max-order", type=_integer("--max-order"), default=None,
                        help="cap on group order during construction")
 
     p_analyze = sub.add_parser("analyze", help="full decomposition report")
@@ -396,14 +402,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_search = sub.add_parser("search", help="search admissible collections")
     add_common(p_search)
-    p_search.add_argument("--max-t", type=int, default=3)
+    p_search.add_argument("--max-t", type=_integer("--max-t"), default=3)
     p_search.add_argument("--require-full", action="store_true")
     p_search.add_argument("--dedupe-conjugates", action="store_true")
 
     p_fiber = sub.add_parser("fiber", help="fiber-product construction plan")
     add_format(p_fiber)
     p_fiber.add_argument("--genera", default=None, help="comma-separated factor genera")
-    p_fiber.add_argument("--elliptic", type=int, default=None,
+    p_fiber.add_argument("--elliptic", type=_integer("--elliptic"), default=None,
                          help="plan for this many elliptic factors")
 
     p_tb = sub.add_parser("theorem-b", help="partition decomposition identities")

@@ -215,6 +215,63 @@ def conjugated(diagonal, superdiagonal, rng, p):
     return mat_mul(mat_mul(s, j, p), s_inv, p)
 
 
+def inverse_mod(a, p):
+    n = len(a)
+    augmented, _ = gauss_jordan([row + [int(i == j) for j in range(n)] for i, row in enumerate(a)], p)
+    return [row[n:] for row in augmented]
+
+
+def companion_block(lam, size, rng, p):
+    """An unreduced upper Hessenberg block with lam among its eigenvalues: the
+    companion matrix of (x - lam) g, g random and monic, conjugated by a random
+    invertible upper triangular matrix, which keeps the subdiagonal nonzero."""
+    g = [rng.randrange(p) for _ in range(size - 1)] + [1]
+    f = [(a - lam * b) % p for a, b in zip([0] + g, g + [0])]  # (x - lam) g, low degree first
+    companion = [[int(i == j + 1) for j in range(size)] for i in range(size)]
+    for i in range(size):
+        companion[i][-1] = -f[i] % p
+    u = [[rng.randrange(1, p) if i == j else rng.randrange(p) * (i < j) for j in range(size)]
+         for i in range(size)]
+    return mat_mul(mat_mul(u, companion, p), inverse_mod(u, p), p)
+
+
+# block sizes and each block's eigenvalue, None for a block drawn with another one
+BLOCK_SHAPES = [
+    ((2, 3), (3, 3)),
+    ((1, 2, 2), (3, 3, 3)),
+    ((3, 1, 3), (3, None, 3)),
+    ((2, 2, 1, 2), (3, 3, None, 3)),
+    ((1, 1, 2), (3, 3, 3)),
+]
+
+
+def block_hessenberg_inputs(p):
+    """(matrix, block sizes): upper Hessenberg, zero on the subdiagonal exactly at
+    the block boundaries, 3 an eigenvalue of two or more diagonal blocks.  Coupled,
+    the entries above the blocks are random, which for almost every draw chains
+    3's eigenvectors of two blocks into a Jordan block.  Uncoupled, the block
+    diagonal matrix is conjugated by a random unit upper triangular one: the
+    subdiagonal and the diagonal blocks stay, every entry above them fills, and
+    each block's eigenvector for 3 extends to one of the whole."""
+    rng = random.Random(f"blocks:{p}")
+    inputs = []
+    for sizes, eigenvalues in BLOCK_SHAPES:
+        for coupled in (False, True):
+            blocks = [companion_block(rng.randrange(4, p) if lam is None else lam, size, rng, p)
+                      for size, lam in zip(sizes, eigenvalues)]
+            n, starts = sum(sizes), [sum(sizes[:k]) for k in range(len(sizes))]
+            a = [[rng.randrange(p) * coupled for _ in range(n)] for _ in range(n)]
+            for s, block in zip(starts, blocks):
+                for i, row in enumerate(block):
+                    a[s + i][:s] = [0] * s
+                    a[s + i][s:s + len(row)] = row
+            if not coupled:
+                t = [[int(i == j) or rng.randrange(p) * (i < j) for j in range(n)] for i in range(n)]
+                a = mat_mul(mat_mul(t, a, p), inverse_mod(t, p), p)
+            inputs.append((a, sizes))
+    return inputs
+
+
 def eigenspace_inputs(p):
     rng = random.Random(f"eigenspaces:{p}")
     matrices = [
@@ -239,7 +296,7 @@ def eigenspace_inputs(p):
             blocks = [int(a == b and rng.random() < 0.5) for a, b in zip(diagonal, diagonal[1:])]
             matrices.append(conjugated(diagonal, blocks, rng, p))
             matrices.append([[rng.randrange(p) for _ in range(n)] for _ in range(n)])
-    return matrices
+    return matrices + [a for a, _ in block_hessenberg_inputs(p)]
 
 
 @pytest.mark.parametrize("p", [13, 101])
@@ -259,6 +316,35 @@ def test_eigenspaces_match_a_dense_kernel_oracle(p):
                 assert mat_mul(m, [[x] for x in v], p) == [[lam * x % p] for x in v]
             if vectors:
                 assert len(gauss_jordan(vectors + oracle, p)[1]) == len(oracle)
+
+
+def shifted(a, lam, p):
+    return [[(x - lam * int(i == j)) % p for j, x in enumerate(row)] for i, row in enumerate(a)]
+
+
+@pytest.mark.parametrize("p", [13, 101])
+def test_block_hessenberg_kernels_reach_both_coupling_branches(p):
+    """On the block inputs _hessenberg_kernel spans the dense kernel at every lam.
+    Where 3 is an eigenvalue of b >= 2 diagonal blocks, each block's eigenvector
+    extends past the blocks below (the consistent branch, run with a partial
+    present) exactly when the kernel has dimension b; with a smaller one, some
+    residual was nonzero and two partials were combined (the inconsistent one).
+    The inputs reach both."""
+    branches = set()
+    for a, sizes in block_hessenberg_inputs(p):
+        for lam in range(p):
+            oracle = kernel_mod(shifted(a, lam, p), p)
+            vectors = characters._hessenberg_kernel(a, lam, p)
+            assert len(vectors) == len(oracle)
+            for v in vectors:
+                assert mat_mul(a, [[x] for x in v], p) == [[lam * x % p] for x in v]
+        starts = [sum(sizes[:k]) for k in range(len(sizes))]
+        b = sum(1 for s, size in zip(starts, sizes)
+                if kernel_mod(shifted([row[s:s + size] for row in a[s:s + size]], 3, p), p))
+        d = len(kernel_mod(shifted(a, 3, p), p))
+        assert b >= 2 and 1 <= d <= b
+        branches.add("consistent" if d == b else "inconsistent")
+    assert branches == {"consistent", "inconsistent"}
 
 
 def recording_kernels(monkeypatch):

@@ -570,16 +570,29 @@ def _word_scenario(exponent: str) -> str:
     return json.dumps(doc)
 
 
-# entry point -> (argv for a spelled value, the field the error names)
+def _option_error(command: str, option: str) -> str:
+    """The start of argparse's message for an option its type rejects."""
+    return f"jacdecomp {command}: error: argument {option}: {option} "
+
+
+# entry point -> (argv for a spelled value, the start of the error that names the field)
 _INTEGER_ENTRIES = {
-    "preset q": (lambda t: ["chartable", f"d2q?q={t}"], lambda t: "bad parameters for preset 'd2q': q"),
-    "preset genera": (lambda t: ["chartable", f"fiber?genera={t},1"], lambda t: "bad parameters for preset 'fiber': genera"),
-    "--genera": (lambda t: ["fiber", "--genera", f"1,{t}"], lambda t: "--genera"),
-    "--schur": (lambda t: ["chartable", "d2q?q=3", f"--schur=1={t}"], lambda t: "--schur VALUE"),
+    "preset q": (lambda t: ["chartable", f"d2q?q={t}"], lambda t: "jacdecomp: error: bad parameters for preset 'd2q': q "),
+    "preset genera": (
+        lambda t: ["chartable", f"fiber?genera={t},1"],
+        lambda t: "jacdecomp: error: bad parameters for preset 'fiber': genera ",
+    ),
+    "--genera": (lambda t: ["fiber", "--genera", f"1,{t}"], lambda t: "jacdecomp: error: --genera "),
+    "--schur": (lambda t: ["chartable", "d2q?q=3", f"--schur=1={t}"], lambda t: "jacdecomp: error: --schur VALUE "),
     "word exponent": (
         lambda t: ["chartable", _word_scenario(t)],
-        lambda t: f"exponent in word {'r^' + t!r}",
+        lambda t: f"jacdecomp: error: exponent in word {'r^' + t!r} ",
     ),
+    "--max-order": (
+        lambda t: ["chartable", "d2q?q=3", "--max-order", t], lambda t: _option_error("chartable", "--max-order"),
+    ),
+    "--max-t": (lambda t: ["search", "d2q?q=3", "--max-t", t], lambda t: _option_error("search", "--max-t")),
+    "--elliptic": (lambda t: ["fiber", "--elliptic", t], lambda t: _option_error("fiber", "--elliptic")),
 }
 
 
@@ -587,11 +600,11 @@ _INTEGER_ENTRIES = {
 @pytest.mark.parametrize("entry", sorted(_INTEGER_ENTRIES))
 def test_every_non_canonical_integer_spelling_exits_1_naming_its_field(capsys, entry, kind):
     """Each integer the input spells goes through one strict reader: a preset
-    value, a --genera entry, a --schur side or a word's exponent in a scenario
-    exits 1, and the message names the field.  A word may pad its factors and
-    a scenario source is trimmed as a whole, so a trailing space at the end of
-    either is no misspelling."""
-    argv_of, field_of = _INTEGER_ENTRIES[entry]
+    value, a --genera entry, a --schur side, a word's exponent in a scenario,
+    --max-order, --max-t or --elliptic exits 1, and the message names the
+    field.  A word may pad its factors and a scenario source is trimmed as a
+    whole, so a trailing space at the end of either is no misspelling."""
+    argv_of, prefix_of = _INTEGER_ENTRIES[entry]
     value = 3 if entry == "preset q" else 1
     text = _spell(kind, value)
     if entry in ("word exponent", "preset q") and kind == "trailing-space":
@@ -600,12 +613,12 @@ def test_every_non_canonical_integer_spelling_exits_1_naming_its_field(capsys, e
     assert cli.main(argv_of(text)) == 1, (entry, text)
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(f"jacdecomp: error: {field_of(text)} "), captured.err
+    assert captured.err.startswith(prefix_of(text)), captured.err
 
 
 @pytest.mark.parametrize("entry", sorted(_INTEGER_ENTRIES))
 def test_an_integer_with_more_digits_than_int_reads_exits_1(capsys, entry):
-    argv_of, field_of = _INTEGER_ENTRIES[entry]
+    argv_of, prefix_of = _INTEGER_ENTRIES[entry]
     text = "1" * 5000
     assert cli.main(argv_of(text)) == 1
-    assert capsys.readouterr().err.startswith(f"jacdecomp: error: {field_of(text)} ")
+    assert capsys.readouterr().err.startswith(prefix_of(text))
