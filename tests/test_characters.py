@@ -336,6 +336,8 @@ def test_block_hessenberg_kernels_reach_both_coupling_branches(p):
             oracle = kernel_mod(shifted(a, lam, p), p)
             vectors = characters._hessenberg_kernel(a, lam, p)
             assert len(vectors) == len(oracle)
+            if vectors:  # independent, so they span the kernel
+                assert len(gauss_jordan(vectors, p)[1]) == len(oracle)
             for v in vectors:
                 assert mat_mul(a, [[x] for x in v], p) == [[lam * x % p] for x in v]
         starts = [sum(sizes[:k]) for k in range(len(sizes))]
