@@ -255,14 +255,11 @@ def _hessenberg_mod(matrix: list[list[int]], p: int) -> tuple[list[list[int]], l
     return h, steps
 
 
-def _charpoly_mod(matrix: list[list[int]], p: int) -> list[int]:
-    """Characteristic polynomial over F_p, low degree first, in O(n^3).
-
-    Hessenberg reduction by similarity, then the recurrence on its leading
-    minors (Cohen, A Course in Computational Algebraic Number Theory, 2.2.9).
-    A matrix already in Hessenberg form is only scanned, in O(n^2).
+def _charpoly_mod(h: list[list[int]], p: int) -> list[int]:
+    """Characteristic polynomial over F_p, low degree first, of an upper Hessenberg h
+    (_hessenberg_mod's form), by the recurrence on its leading minors in O(n^3)
+    (Cohen, A Course in Computational Algebraic Number Theory, 2.2.9).
     """
-    h, _ = _hessenberg_mod(matrix, p)
     n = len(h)
     # polys[m] is the charpoly of the leading m x m block of h
     polys = [[1]]
@@ -851,10 +848,10 @@ def frobenius_schur(chi: ClassFunction) -> int:
 class RationalClass(NamedTuple):
     """One Galois orbit of complex irreducibles: a rational irreducible.
 
-    The rational character is schur_index times the orbit sum; its degree is
-    schur_index * degree * field_degree, and psi holds its integer values,
-    one per conjugacy class.  The exponent n = degree/schur_index is the
-    multiplicity of the associated factor in the group-algebra decomposition.
+    psi holds the rational character's integer values, one per conjugacy
+    class: schur_index times the orbit sum, of degree dim_w.  The exponent
+    n = degree/schur_index is the multiplicity of the associated factor in the
+    group-algebra decomposition.  Overrides are views (rational_classes).
     """
 
     table: CharacterTable
@@ -864,7 +861,6 @@ class RationalClass(NamedTuple):
     field_degree: int
     schur_index: int
     schur_source: str  # "heuristic" or "override"
-    rational_character: ClassFunction
     n: int
     psi: tuple[int, ...]
 
@@ -877,28 +873,25 @@ class RationalClass(NamedTuple):
         """Representative complex irreducible character of the orbit."""
         return self.table.irreducibles[self.representative]
 
+    @property
+    def rational_character(self) -> ClassFunction:
+        """psi as a class function, one Cyclotomic per distinct value."""
+        value = {v: Cyclotomic.from_rational(v, self.table.conductor) for v in set(self.psi)}
+        return ClassFunction(self.table.group, tuple(map(value.get, self.psi)))
+
     def is_trivial(self) -> bool:
         return self.representative == 0
 
 
-def _rational_class(
-    table: CharacterTable, members: tuple[int, ...], override: int | None = None
-) -> RationalClass:
-    """The rational class of one Galois orbit, with its heuristic Schur index
-    (2 when the Frobenius-Schur indicator is -1, else 1) or the override.
+def _rational_class(table: CharacterTable, members: tuple[int, ...]) -> RationalClass:
+    """The rational class of one Galois orbit, with its heuristic Schur index:
+    2 when the Frobenius-Schur indicator is -1, else 1.
 
     The members' rows are summed once, their coordinates laid end to end; psi
-    is s times coordinate 0 of each class, every other coordinate must be 0,
-    and the rational character shares one value per distinct entry of psi.
-    A singleton orbit with s = 1 keeps its row, the table's certified object."""
+    is s times coordinate 0 of each class, and every other coordinate must be 0."""
     rep = members[0]
     degree = table.degrees[rep]
-    if override is None:
-        s, source = (2 if frobenius_schur(table.irreducibles[rep]) == -1 else 1), "heuristic"
-    elif override < 1:
-        raise NonIntegralN(f"Schur index must be positive, got {override}")
-    else:
-        s, source = override, "override"
+    s = 2 if frobenius_schur(table.irreducibles[rep]) == -1 else 1
     if degree % s != 0:
         raise NonIntegralN(f"Schur index {s} does not divide degree {degree} on row {rep}")
     total = list(chain.from_iterable(table.irreducibles[rep].coords))
@@ -909,22 +902,9 @@ def _rational_class(
     del total[::width]
     if any(total):
         raise CharacterError("orbit sum has irrational values")
-    if len(members) == 1 and s == 1:
-        rational_char = table.irreducibles[rep]
-    else:
-        shared = {v: Cyclotomic.from_rational(v, table.conductor) for v in set(psi)}
-        rational_char = ClassFunction(table.group, tuple(map(shared.get, psi)))
     return RationalClass(
-        table=table,
-        member_indices=members,
-        representative=rep,
-        degree=degree,
-        field_degree=len(members),
-        schur_index=s,
-        schur_source=source,
-        rational_character=rational_char,
-        n=degree // s,
-        psi=psi,
+        table=table, member_indices=members, representative=rep, degree=degree,
+        field_degree=len(members), schur_index=s, schur_source="heuristic", n=degree // s, psi=psi,
     )
 
 
@@ -937,7 +917,7 @@ def rational_classes(
     The Schur index is heuristic unless overridden per orbit representative;
     every class records which source produced its index.  The heuristic
     classes depend only on the table, so the group caches them next to its
-    character table, and an override rebuilds only its own orbit.
+    character table; an override is a view of its cached class, psi rescaled.
     """
     classes = table.group._rational_classes
     if classes is None:
@@ -954,11 +934,18 @@ def rational_classes(
             raise CharacterError(
                 f"Schur override on row {key}, which is not an orbit representative"
             )
-    return tuple(
-        _rational_class(table, rc.member_indices, int(overrides[rc.representative]))
-        if rc.representative in overrides else rc
-        for rc in classes
-    )
+    views = []
+    for rc in classes:
+        if rc.representative in overrides:
+            s = int(overrides[rc.representative])
+            if s < 1:
+                raise NonIntegralN(f"Schur index must be positive, got {s}")
+            if rc.degree % s:
+                raise NonIntegralN(f"Schur index {s} does not divide degree {rc.degree} on row {rc.representative}")
+            rc = rc._replace(schur_index=s, schur_source="override", n=rc.degree // s,
+                             psi=tuple(x // rc.schur_index * s for x in rc.psi))
+        views.append(rc)
+    return tuple(views)
 
 
 # -- central idempotents ------------------------------------------------------------

@@ -58,7 +58,10 @@ def _parse_schur(items: Sequence[str]) -> dict[int, int]:
         key, eq, value = item.partition("=")
         if not eq:
             raise UsageError(f"--schur expects INDEX=VALUE, got {item!r}")
-        overrides[parse_integer("--schur INDEX", key, UsageError)] = parse_integer("--schur VALUE", value, UsageError)
+        row = parse_integer("--schur INDEX", key, UsageError)
+        if row in overrides:
+            raise UsageError(f"--schur INDEX {key!r} repeats row {row}")
+        overrides[row] = parse_integer("--schur VALUE", value, UsageError)
     return overrides
 
 
@@ -361,6 +364,14 @@ def _integer(option: str):
     return partial(parse_integer, option, error=argparse.ArgumentTypeError, signed=True)
 
 
+def _collection_names(text: str) -> list[str]:
+    """argparse type of --collections: comma-separated names, none of them empty."""
+    names = [n.strip() for n in text.split(",")]
+    if not all(names):
+        raise argparse.ArgumentTypeError(f"--collections has an empty name in {text!r}")
+    return names
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # exit 1 on usage errors, per the exit-code contract
         self.exit(1, f"{self.prog}: error: {message}\n")
@@ -392,7 +403,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_analyze = sub.add_parser("analyze", help="full decomposition report")
     add_common(p_analyze)
-    p_analyze.add_argument("--collections", default=None,
+    p_analyze.add_argument("--collections", type=_collection_names, default=None,
                            help="comma-separated collection names (default: all)")
     p_analyze.add_argument("--ambient", choices=("acting", "join"), default="acting",
                            help="test admissibility against the acting group or the join")
@@ -429,8 +440,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         scenario = None
         if getattr(args, "scenario", None) is not None:
             scenario = parse_scenario(args.scenario, max_order=args.max_order)
-        if hasattr(args, "collections") and isinstance(args.collections, str):
-            args.collections = [n.strip() for n in args.collections.split(",") if n.strip()]
         doc, code = run_command(args.command, scenario, args)
     except (ScenarioError, GroupError, CoveringError, CharacterError,
             CyclotomicError, dec.DecompositionError) as exc:

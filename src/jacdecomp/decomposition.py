@@ -275,7 +275,6 @@ class ActionAnalysis:
         self.genus = genus
         self.schur_overrides = dict(schur_overrides or {})
         self.ambient = ambient
-        self._rational: tuple[RationalClass, ...] | None = None
         self._factors: tuple[IsotypicalFactor, ...] | None = None
         self._profiles: dict[int, SubgroupProfile] = {}
 
@@ -285,11 +284,9 @@ class ActionAnalysis:
     def table(self) -> CharacterTable:
         return character_table(self.group)
 
-    @property
+    @cached_property
     def rational_classes(self) -> tuple[RationalClass, ...]:
-        if self._rational is None:
-            self._rational = rational_classes(self.table, self.schur_overrides)
-        return self._rational
+        return rational_classes(self.table, self.schur_overrides)
 
     @property
     def factors(self) -> tuple[IsotypicalFactor, ...]:
@@ -649,7 +646,7 @@ class ActionAnalysis:
         degrees = [rc.degree for rc in self.rational_classes]
         level = [((), [0] * len(degrees))]  # (indices, per-class sums)
         results = []
-        for _ in range(max_t):
+        while level and len(level[0][0]) < max_t:  # an empty level has no extension, at any size
             extended = []
             for combo, prefix_sums in level:
                 for j in range(combo[-1] + 1 if combo else 0, len(subgroups)):

@@ -246,6 +246,8 @@ def _build_group(spec, order_cap: int) -> FiniteGroup:
             for images in spec["generators"]
         ]
         names = spec.get("names")
+        if names is not None:
+            names = [_typed("group 'names'", n, str) for n in _typed("group 'names'", names, list)]
         return build_group(perms, names, order_cap=order_cap)
     raise ParseError("group spec needs either 'preset' or 'generators'")
 
@@ -352,19 +354,20 @@ def _parse_scenario(source: str | Path | Mapping, max_order: int | None) -> Scen
         raise ParseError(f"max_order must be at least 1, got {order_cap}")
     group = _build_group(raw["group"], order_cap)
 
-    action_spec = raw["action"]
-    handles = tuple(
-        (_resolve_element(group, a), _resolve_element(group, b))
-        for a, b in action_spec.get("handles", [])
-    )
+    action_spec = _typed("action", raw["action"], dict)
+    handles = []
+    for pair in _typed("action 'handles'", action_spec.get("handles", []), list):
+        if len(_typed("action 'handles'", pair, list)) != 2:
+            raise ParseError(f"action 'handles' needs pairs of two elements, got {pair!r}")
+        handles.append(tuple(_resolve_element(group, x) for x in pair))
     vector = tuple(
-        _resolve_element(group, token) for token in action_spec.get("vector", [])
+        _resolve_element(group, x) for x in _typed("action 'vector'", action_spec.get("vector", []), list)
     )
     action = CoveringAction(
         group=group,
         orbit_genus=_typed("action 'orbit_genus'", action_spec.get("orbit_genus", 0), int),
         periods=tuple(_typed("action 'periods'", m, int) for m in action_spec.get("periods", [])),
-        handles=handles,
+        handles=tuple(handles),
         branch_elements=vector,
     )
     try:
@@ -384,10 +387,12 @@ def _parse_scenario(source: str | Path | Mapping, max_order: int | None) -> Scen
             normalized.append(tuple(str(w) for w in words))
         collections[name] = CollectionSpec(name, tuple(normalized), tuple(subgroups), expect)
 
-    overrides = {
-        parse_integer("schur_overrides key", k, ParseError): _typed("schur_overrides", v, int)
-        for k, v in _typed("schur_overrides", options.get("schur_overrides", {}), dict).items()
-    }
+    overrides: dict[int, int] = {}
+    for key, value in _typed("schur_overrides", options.get("schur_overrides", {}), dict).items():
+        row = parse_integer("schur_overrides key", key, ParseError)
+        if row in overrides:
+            raise ParseError(f"schur_overrides key {key!r} repeats row {row}")
+        overrides[row] = _typed("schur_overrides", value, int)
     return ScenarioFile(
         name=_typed("name", raw.get("name", "scenario"), str),
         raw=raw,

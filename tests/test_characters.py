@@ -1,6 +1,7 @@
 """Character tables, inner products, fixed subspaces, rational classes."""
 
 import functools
+import inspect
 import random
 import sys
 import threading
@@ -138,7 +139,8 @@ def det_mod(matrix, p):
 
 
 def test_charpoly_mod_matches_determinant_oracle():
-    """charpoly(M) evaluated at every lam in F_p equals det(lam*I - M) mod p."""
+    """charpoly(H) of M's Hessenberg form H, evaluated at every lam in F_p, equals
+    det(lam*I - M) mod p."""
     p = 13
     rng = random.Random(2026)
     matrices = [
@@ -153,7 +155,7 @@ def test_charpoly_mod_matches_determinant_oracle():
             matrices.append([[rng.randrange(-p, 2 * p) for _ in range(n)] for _ in range(n)])
     for m in matrices:
         n = len(m)
-        coeffs = _charpoly_mod(m, p)
+        coeffs = _charpoly_mod(characters._hessenberg_mod(m, p)[0], p)
         assert len(coeffs) == n + 1 and coeffs[n] == 1
         for lam in range(p):
             value = sum(c * pow(lam, i, p) for i, c in enumerate(coeffs)) % p
@@ -179,6 +181,24 @@ def gauss_jordan(rows, p):
                 rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
     return rows[:len(pivots)], pivots
+
+
+def test_rref_mod_matches_gauss_jordan():
+    """_rref_mod's elimination against the dense reference on random rows mod p,
+    rank-deficient ones among them; its input is left as it was."""
+    rng = random.Random(38)
+    for p in (13, 211):
+        for _ in range(60):
+            ncols = rng.randint(1, 7)
+            base = [[rng.randrange(p) if rng.random() < 0.7 else 0 for _ in range(ncols)]
+                    for _ in range(rng.randint(1, 5))]
+            combos = [[sum(rng.randrange(p) * row[j] for row in base) % p for j in range(ncols)]
+                      for _ in range(rng.randint(0, 3))]
+            rows = base + combos
+            rng.shuffle(rows)
+            before = [row[:] for row in rows]
+            assert characters._rref_mod(rows, p) == gauss_jordan(rows, p)
+            assert rows == before
 
 
 def kernel_mod(matrix, p):
@@ -1132,12 +1152,15 @@ def all_automorphism_galois_orbits(table):
 
 
 def per_call_rational_classes(table, overrides=None):
-    """Reference: every orbit, orbit sum and Schur index recomputed on each call."""
+    """Reference: every orbit, orbit sum and Schur index recomputed on each call.
+
+    Returns the classes and, apart, each one's rational character: s times the
+    ClassFunction sum of its orbit's rows."""
     overrides = dict(overrides or {})
     rows = table.irreducibles
     orbits = all_automorphism_galois_orbits(table)
     assert set(overrides) <= {members[0] for members in orbits}
-    result = []
+    result, rational_characters = [], []
     for members in orbits:
         rep = members[0]
         degree = table.degrees[rep]
@@ -1151,31 +1174,79 @@ def per_call_rational_classes(table, overrides=None):
             total = total + rows[j]
         result.append(RationalClass(
             table=table, member_indices=members, representative=rep, degree=degree,
-            field_degree=len(members), schur_index=s, schur_source=source,
-            rational_character=total * s, n=degree // s,
+            field_degree=len(members), schur_index=s, schur_source=source, n=degree // s,
             psi=tuple(v.as_integer() for v in (total * s).values),
         ))
-    return tuple(result)
+        rational_characters.append(total * s)
+    return tuple(result), rational_characters
 
 
-def rational_class_fields(classes):
+def rational_class_fields(classes, rational_characters=None):
+    """Each class's fields, dim_w, central idempotent and rational character (its own
+    unless given)."""
+    if rational_characters is None:
+        rational_characters = [rc.rational_character for rc in classes]
     return [
-        [getattr(rc, name) for name in RationalClass._fields] for rc in classes
+        [getattr(rc, name) for name in RationalClass._fields]
+        + [rc.dim_w, central_idempotent(rc), chi]
+        for rc, chi in zip(classes, rational_characters, strict=True)
     ]
 
 
 @pytest.mark.parametrize("group", group_library(), ids=lambda g: f"order{g.order}")
 def test_cached_rational_classes_match_per_call_reference(group):
-    table = character_table(group)
+    assert_rational_classes_match_per_call_reference(character_table(group))
+
+
+@pytest.mark.parametrize("build", [
+    semidirect_7_9, lambda: dicyclic_group(6), lambda: preset_dihedral(21),
+], ids=["Z7xZ9", "Q24", "D84"])
+def test_override_views_match_per_call_reference_beyond_the_library(build):
+    assert_rational_classes_match_per_call_reference(character_table(build()))
+
+
+def assert_rational_classes_match_per_call_reference(table):
+    """The cached classes and every override view (each class, each s dividing its
+    degree) equal the reference, which sums the orbit again for each call."""
     cached = rational_classes(table)
-    assert rational_class_fields(cached) == rational_class_fields(per_call_rational_classes(table))
+    assert rational_class_fields(cached) == rational_class_fields(*per_call_rational_classes(table))
     for rc in cached:
         for s in range(1, rc.degree + 1):
             if rc.degree % s == 0:
                 overrides = {rc.representative: s}
                 assert rational_class_fields(rational_classes(table, overrides)) == (
-                    rational_class_fields(per_call_rational_classes(table, overrides))
+                    rational_class_fields(*per_call_rational_classes(table, overrides))
                 )
+
+
+def test_an_override_is_a_view_of_the_cached_class(monkeypatch):
+    """No orbit is summed for an override: the cached class is rescaled, and the
+    class stores psi as its only character."""
+    assert "override" not in inspect.signature(characters._rational_class).parameters
+    assert "rational_character" not in RationalClass._fields
+    table = character_table(preset_dihedral(21))
+    cached = rational_classes(table)
+    calls = []
+    original = characters._rational_class
+    monkeypatch.setattr(
+        characters, "_rational_class", lambda *args: calls.append(args) or original(*args)
+    )
+    for rc in cached:
+        for s in (1, 2):
+            if rc.degree % s == 0:
+                view = rational_classes(table, {rc.representative: s})[cached.index(rc)]
+                assert view.member_indices is rc.member_indices
+                assert view.psi == tuple(x // rc.schur_index * s for x in rc.psi)
+    assert calls == []
+
+
+def test_a_heuristic_index_that_does_not_divide_the_degree_is_rejected(monkeypatch):
+    """An indicator of -1 forces an even degree; were it read on a degree-1 row, the
+    class would not be built."""
+    table = character_table(preset_dihedral(3))
+    monkeypatch.setattr(characters, "frobenius_schur", lambda chi: -1)
+    with pytest.raises(NonIntegralN, match="^Schur index 2 does not divide degree 1 on row 0$"):
+        characters._rational_class(table, (0,))
 
 
 def test_rational_class_overrides_do_not_leak_into_the_group_cache():

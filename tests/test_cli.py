@@ -26,8 +26,6 @@ def run(argv):
     scenario = None
     if getattr(args, "scenario", None) is not None:
         scenario = parse_scenario(args.scenario, max_order=args.max_order)
-    if hasattr(args, "collections") and isinstance(args.collections, str):
-        args.collections = [n.strip() for n in args.collections.split(",") if n.strip()]
     return cli.run_command(args.command, scenario, args)
 
 
@@ -389,6 +387,14 @@ def test_every_number_in_text_exists_in_structured_record(argv):
 # -- golden reports --------------------------------------------------------------------
 
 
+# Z3 acting freely on a torus: an explicit generators group and one handle pair
+Z3_TORUS = json.dumps({
+    "name": "z3_torus", "description": "Z3 acting freely on a torus, by translations",
+    "group": {"generators": [[1, 2, 0]], "names": ["a"]},
+    "action": {"orbit_genus": 1, "periods": [], "vector": [], "handles": [["a", "1"]]},
+    "collections": {"main": {"subgroups": [["a"]]}},
+})
+
 GOLDEN_CASES = {
     "analyze_d2q_q3.txt": ["analyze", "d2q?q=3"],
     "analyze_d2q_q5.txt": ["analyze", "d2q?q=5"],
@@ -400,6 +406,7 @@ GOLDEN_CASES = {
     "theorem_b_d2q_q3.txt": ["theorem-b", "d2q?q=3"],
     "search_d2q_q5.txt": ["search", "d2q?q=5", "--max-t", "3"],
     "search_d2q_q3_dedupe.txt": ["search", "d2q?q=3", "--max-t", "2", "--dedupe-conjugates"],
+    "analyze_z3_torus.txt": ["analyze", Z3_TORUS],
 }
 
 
@@ -480,6 +487,58 @@ def test_fixed_dims_columns_off_the_dihedral_labels_exit_1(capsys, preset, colum
     err = capsys.readouterr().err
     assert err.startswith("jacdecomp: error:")
     assert "need the dihedral preset labels" in err
+
+
+def _d2q_schur_overrides(overrides):
+    raw = make_dihedral_scenario(3)
+    raw["options"]["schur_overrides"] = overrides
+    return json.dumps(raw)
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["chartable", "d2q?q=3", "--schur", "4=1", "--schur", "4=2"], "--schur INDEX '4' repeats row 4"),
+    (["chartable", "d2q?q=3", "--schur", "4=1", "--schur", "04=2"], "--schur INDEX '04' repeats row 4"),
+    (["chartable", _d2q_schur_overrides({"4": 1, "04": 2})], "schur_overrides key '04' repeats row 4"),
+    (["analyze", "d2q?q=3", "--collections", ""], "--collections has an empty name in ''"),
+    (["analyze", "d2q?q=3", "--collections", "main,,h1"], "--collections has an empty name"),
+    (["analyze", "d2q?q=3", "--collections", "main, "], "--collections has an empty name"),
+], ids=["schur-twice", "schur-leading-zero", "scenario-key-leading-zero", "collections-empty",
+        "collections-inner-empty", "collections-trailing-blank"])
+def test_a_name_given_twice_or_left_empty_exits_1_naming_it(capsys, argv, field):
+    """As a collection named twice does, a repeated --schur row or schur_overrides
+    key and an empty collection name exit 1: no value silently wins or is dropped."""
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("jacdecomp") and field in captured.err
+
+
+def test_a_schur_row_the_scenario_also_sets_takes_the_schur_value():
+    doc, code = run(["chartable", _d2q_schur_overrides({"4": 2}), "--schur", "4=1"])
+    assert code == 0
+    x5 = next(c for c in doc.data["rational_classes"]["classes"] if c["rows"] == [5])
+    assert (x5["schur_index"], x5["schur_source"]) == (1, "override")
+    doc, _ = run(["chartable", _d2q_schur_overrides({"4": 2})])
+    x5 = next(c for c in doc.data["rational_classes"]["classes"] if c["rows"] == [5])
+    assert (x5["schur_index"], x5["schur_source"]) == (2, "override")
+
+
+def test_search_stops_once_no_collection_extends():
+    """A --max-t far above the number of subgroups ends as soon as no admissible
+    collection is left, with the results of a bound that admits every size.  It
+    runs in a child with a timeout, so a search that keeps looping fails."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    results = []
+    for max_t in ("1000000000000", "16"):  # D12 has 16 subgroups
+        done = subprocess.run(
+            [sys.executable, "-m", "jacdecomp", "search", "d2q?q=3", "--max-t", max_t,
+             "--format", "json"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        results.append(json.loads(done.stdout)["results"])
+    assert results[0] == results[1] and results[0]
 
 
 def test_search_max_t_below_one_exits_1(capsys):

@@ -2,6 +2,7 @@
 
 import gc
 import itertools
+import json
 import random
 import re
 import weakref
@@ -1042,6 +1043,10 @@ TWO_ROUTE_CHECKS = {
     "theorem_b_d2q_q3.txt": _REPORT_CHECKS,
     "search_d2q_q5.txt": _REPORT_CHECKS | {"theorem 1 dim P"},
     "search_d2q_q3_dedupe.txt": _REPORT_CHECKS | {"theorem 1 dim P"},
+    # one subgroup, and the trivial class carries the torus: no pair, no special case
+    "analyze_z3_torus.txt": _ANALYZE_CHECKS - {
+        "proposition 2 dim P", "regular-plus-trivial form",
+    },
     "fiber_1_1": _FIBER_CHECKS,
     "fiber_elliptic_5": _FIBER_CHECKS | {"parity genus", "elliptic complement"},
 }
@@ -1115,6 +1120,48 @@ def test_complement_dimension_fires_when_the_genus_route_is_off():
         analysis.theorem1([h1, h3])
     with pytest.raises(RoutesDisagree, match=r"^proposition 2 dim P: routes disagree, 6 vs 5$"):
         analysis.proposition2(h1, h3)
+
+
+@pytest.mark.parametrize("perturb", [lambda c: -c, lambda c: 0 * c], ids=["negated", "zeroed"])
+def test_proposition1_fires_when_an_off_support_coefficient_is_wrong(monkeypatch, perturb):
+    """Statement (3) reads each class's coefficient in the residual.  Negated, the
+    trivial class's a_1 is negative; zeroed, the reconstruction misses the residual.
+    Either way statement (3) fails where statement (2) holds."""
+    data = named_subgroups(3)
+    analysis = analyze(data["action"])
+    report = analysis.admissibility([data["H1"], data["H2"], data["H3"]])
+    original = decomposition.inner_product
+    monkeypatch.setattr(decomposition, "inner_product", lambda a, b: perturb(original(a, b)))
+    with pytest.raises(RoutesDisagree, match=r"^statement \(2\) vs \(3\): routes disagree, True vs False$"):
+        analysis.proposition1(report)
+
+
+def test_theorem_b_class_identity_fails_when_a_fixed_dimension_is_off(monkeypatch, capsys):
+    """One more fixed dimension per class breaks every per-class identity of a true
+    partition: the report does not hold, and the command notes the discrepancy (exit 2)."""
+    data = named_subgroups(3)
+    group = data["group"]
+    r, s = group.generator_names["r"], group.generator_names["s"]
+    reflections = [subgroup_generate(group, (group.mul(s, group.power(r, i)),)) for i in range(6)]
+    assert analyze(data["action"]).theorem_b([data["H3"]] + reflections).holds
+    original = ActionAnalysis.profile
+
+    def shifted(self, subgroup):
+        profile = original(self, subgroup)
+        return profile._replace(fixed_dims=tuple(d + 1 for d in profile.fixed_dims))
+
+    monkeypatch.setattr(ActionAnalysis, "profile", shifted)
+    report = analyze(data["action"]).theorem_b([data["H3"]] + reflections)
+    assert (report.character_identity, report.class_identities, report.holds) == (True, False, False)
+    assert report.dimension_lhs == report.dimension_rhs
+    assert cli.main(["theorem-b", "d2q?q=3", "--format", "json"]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert [d["kind"] for d in doc["discrepancies"]] == ["theorem_b"]
+
+
+def test_theorem_b_on_a_collection_neither_a_partition_nor_marked_one_exits_1(capsys):
+    assert cli.main(["theorem-b", "d2q?q=3", "--collection", "main"]) == 1
+    assert capsys.readouterr().err.startswith("jacdecomp: error: element ")
 
 
 def _fresh_nontrivial_row():

@@ -390,3 +390,44 @@ def test_a_fractional_period_exits_1_naming_the_field(capsys):
     assert cli.main(["chartable", json.dumps(raw)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("jacdecomp: error:") and "action 'periods'" in err
+
+
+def _klein(**changes):
+    """V4 on four points, generated by a and b, acting with four branch points of
+    periods (2, 2, 2, 2) over a sphere.  Each keyword names a path through the
+    document, its keys joined by "__", and replaces the value there."""
+    raw = {
+        "group": {"generators": [[1, 0, 3, 2], [2, 3, 0, 1]], "names": ["a", "b"]},
+        "action": {"orbit_genus": 0, "periods": [2, 2, 2, 2],
+                   "vector": ["a", "b", "a", "b"], "handles": []},
+    }
+    for path, value in changes.items():
+        *outer, last = path.split("__")
+        target = raw
+        for key in outer:
+            target = target[key]
+        target[last] = value
+    return raw
+
+
+@pytest.mark.parametrize("raw, field", [
+    (_klein(action__vector="abab"), "action 'vector' needs a JSON list"),
+    (_klein(action__orbit_genus=1, action__periods=[], action__vector=[], action__handles=["ab"]),
+     "action 'handles' needs a JSON list"),
+    (_klein(action__handles="ab"), "action 'handles' needs a JSON list"),
+    (_klein(action__orbit_genus=1, action__handles=[["a", "b", "a"]]),
+     "action 'handles' needs pairs of two elements"),
+    (_klein(action=[1]), "action needs a JSON dict"),
+    (_klein(group__names="ab"), "group 'names' needs a JSON list"),
+    (_klein(group__names=["a", 2]), "group 'names' needs a JSON str"),
+], ids=["vector-string", "handle-string", "handles-string", "handle-of-three", "action-list",
+        "names-string", "name-int"])
+def test_the_action_and_group_containers_exit_1_naming_their_field(capsys, raw, field):
+    """A string is not read letter by letter as a vector, a handle pair or a list of
+    names, and a container of another shape names its field, not a Python error."""
+    assert cli.main(["chartable", json.dumps(_klein())]) == 0
+    capsys.readouterr()
+    with pytest.raises(ParseError, match=f"^{field}"):
+        parse_scenario(raw)
+    assert cli.main(["chartable", json.dumps(raw)]) == 1
+    assert capsys.readouterr().err.startswith(f"jacdecomp: error: {field}")
