@@ -802,10 +802,17 @@ def fixed_dims(subgroup: Subgroup) -> tuple[int, ...]:
     one row per conjugacy class of subgroups, keyed by ``subgroup_class``: dim V^H
     = <chi, pi_H>, and pi_H is a class invariant, so a conjugate reads H's row.
     An override view of the classes keeps their order, so index l holds there too.
+    A row build first checks Frobenius's |H| w[c] = |G| counts[c] class by class.
     """
     cache, key = subgroup.parent._fixed_dims, subgroup_class(subgroup)
     if key not in cache:
         counts, w = _subgroup_weights(subgroup)
+        h, g = subgroup.order, subgroup.parent.order
+        for c, (n, x) in enumerate(zip(counts, w)):
+            if h * x != g * n:
+                raise CharacterError(
+                    f"conjugacy class {c}: |H| |c| pi_H(c) = {h * x}, but |G| |H n c| = {g * n}"
+                )
         cache[key] = tuple(
             _checked_dim(
                 sum(map(mul, counts, rc.psi)), sum(map(mul, w, rc.psi)), subgroup,

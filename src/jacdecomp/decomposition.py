@@ -244,6 +244,23 @@ class FiberPlan(NamedTuple):
     pairing: tuple[tuple[int, ...], ...] | None = None
 
 
+def exponent_row(fixed: Sequence[int], classes: Sequence[RationalClass]) -> tuple[int, ...]:
+    """n_{H,l} = dim V_l^H / s_l for each rational class, from H's fixed_dims row."""
+    exponents = []
+    for rc, f in zip(classes, fixed):
+        if f % rc.schur_index != 0:
+            raise NonIntegralDimension(
+                f"fixed dimension {f} not divisible by Schur index {rc.schur_index}"
+            )
+        n_h = f // rc.schur_index
+        if not 0 <= n_h <= rc.n:
+            raise DecompositionError(
+                f"induced exponent {n_h} outside 0..{rc.n}"
+            )
+        exponents.append(n_h)
+    return tuple(exponents)
+
+
 class ActionAnalysis:
     """Character-side data of one covering: table, factors, profiles, reports.
 
@@ -251,10 +268,10 @@ class ActionAnalysis:
     or by ``induced_join_analysis`` from induced branch data (a subgroup
     reinterpreted as the acting group).  It is a plain object that its caller
     holds: nothing at module level keeps it alive.  Per-group data (the
-    character table, the heuristic rational classes, fixed dimensions, coset
-    actions, orbit counts) is cached by the group; the analysis memoizes only what its
-    Schur overrides or branch data change: its override view of the rational
-    classes, factors with their dimensions and support, and one profile per
+    character table, the heuristic rational classes, fixed dimensions and exponent
+    rows, coset actions, orbit counts) is cached by the group; the analysis memoizes
+    only what its Schur overrides or branch data change: its override view of the
+    rational classes, factors with their dimensions and support, and one profile per
     conjugacy class of subgroups, keyed by ``subgroup_class``.  A profile reads H
     only through pi_H, a class invariant, so the quotients X/H and X/gHg^-1 share
     it; ``profile`` reads it only for the group's own subgroups.
@@ -330,18 +347,10 @@ class ActionAnalysis:
         if cached is not None:
             return cached
         fixed = fixed_dims(subgroup)
-        exponents = []
-        for rc, f in zip(self.rational_classes, fixed):
-            if f % rc.schur_index != 0:
-                raise NonIntegralDimension(
-                    f"fixed dimension {f} not divisible by Schur index {rc.schur_index}"
-                )
-            n_h = f // rc.schur_index
-            if not 0 <= n_h <= rc.n:
-                raise DecompositionError(
-                    f"induced exponent {n_h} outside 0..{rc.n}"
-                )
-            exponents.append(n_h)
+        rows = {} if self.schur_overrides else self.group._exponent_rows  # an override's are its own
+        exponents = rows.get(key)
+        if exponents is None:
+            exponents = rows[key] = exponent_row(fixed, self.rational_classes)
         genus_characters = sum(map(mul, exponents, self._dims))
         genus_surfaces = genus_from_branch_data(
             self.group, self.orbit_genus, self.stabilizers, subgroup
@@ -349,7 +358,7 @@ class ActionAnalysis:
         _agree("quotient genus", genus_characters, genus_surfaces)  # both read H, gamma, stabilizers
         profile = SubgroupProfile(
             genus=genus_surfaces,
-            exponents=tuple(exponents),
+            exponents=exponents,
             fixed_dims=fixed,
         )
         self._profiles[key] = profile

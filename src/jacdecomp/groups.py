@@ -230,6 +230,7 @@ class FiniteGroup:
         # rows keyed by class of subgroups, sound as pi_H = pi_gHg^-1 (see subgroup_class)
         self._subgroup_classes: dict[int, int] = {}  # Subgroup.index -> its class's key
         self._fixed_dims: dict[int, tuple[int, ...]] = {}  # class of H -> row
+        self._exponent_rows: dict[int, tuple[int, ...]] = {}  # class of H -> its heuristic n_H row
         self._orbit_counts: dict[int, dict[int, int]] = {}  # class of H -> {class of <c>: count}
         self._cyclic_subgroups: dict[int, "Subgroup"] = {}  # c -> <c>, generated by (c,)
         self._words: tuple[str, ...] | None = None

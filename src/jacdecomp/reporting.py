@@ -65,7 +65,7 @@ def base_document(command: str, scenario: ScenarioFile | None = None) -> dict:
     if scenario is not None:
         doc["scenario"] = {
             "name": scenario.name,
-            "description": str(scenario.raw.get("description", "")),
+            "description": scenario.description,
         }
     return doc
 

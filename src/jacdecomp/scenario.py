@@ -57,7 +57,7 @@ class ScenarioFile(NamedTuple):
     """A parsed scenario: group, validated action, named collections."""
 
     name: str
-    raw: dict
+    description: str
     group: FiniteGroup
     action: CoveringAction
     genus: int
@@ -395,7 +395,7 @@ def _parse_scenario(source: str | Path | Mapping, max_order: int | None) -> Scen
         overrides[row] = _typed("schur_overrides", value, int)
     return ScenarioFile(
         name=_typed("name", raw.get("name", "scenario"), str),
-        raw=raw,
+        description=_typed("description", raw.get("description", ""), str),
         group=group,
         action=action,
         genus=certificate.total_genus,
@@ -404,13 +404,25 @@ def _parse_scenario(source: str | Path | Mapping, max_order: int | None) -> Scen
     )
 
 
+def _unique_keys(pairs: list) -> dict:
+    """json's object_pairs_hook, so a key repeated in any object is a ParseError."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ParseError(f"repeated key {key!r}")
+        data[key] = value
+    return data
+
+
 def _load_json_text(text: str, origin: str) -> dict:
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"{origin}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except ParseError as exc:  # from _unique_keys
+        raise ParseError(f"{origin}: {exc}") from None
     if not isinstance(data, dict):
         raise ParseError(f"{origin}: scenario document must be a JSON object")
     return data

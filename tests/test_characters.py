@@ -995,6 +995,29 @@ def test_one_wrong_weight_in_either_route_raises(monkeypatch, route):
         assert fixed_dims(subgroup) == tuple(fixed_dim(rc.character, subgroup) for rc in classes)
 
 
+def test_a_coset_count_off_by_one_fails_the_per_class_check_naming_its_class(monkeypatch):
+    """Seeded mutation of the coset fill: one class's pi_H(c) off by one breaks
+    |H| w[c] = |G| counts[c] for that class alone, and the row build names it."""
+    rng = random.Random(1939)
+    original = characters._fixed_cosets
+    for group in (preset_dihedral(5), semidirect_7_9(), dicyclic_group(6)):  # rows built here
+        lattice = enumerate_subgroups(group)
+        for _ in range(6):
+            subgroup, c = rng.choice(lattice), rng.randrange(len(conjugacy_classes(group)))
+            delta = rng.choice((-1, 1))
+
+            def perturbed(g, h):
+                counts = original(g, h)
+                counts[c] += delta
+                return counts
+
+            monkeypatch.setattr(characters, "_fixed_cosets", perturbed)
+            with pytest.raises(CharacterError, match=rf"^conjugacy class {c}: "):
+                fixed_dims(subgroup)
+            monkeypatch.setattr(characters, "_fixed_cosets", original)
+            assert subgroup_class(subgroup) not in group._fixed_dims
+
+
 # -- Frobenius-Schur -------------------------------------------------------------------
 
 

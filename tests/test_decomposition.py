@@ -41,7 +41,9 @@ from jacdecomp.groups import (
     is_partition,
     preset_dihedral,
     preset_elementary_abelian_2,
+    preset_quaternion,
     subgroup_as_group,
+    subgroup_class,
     subgroup_class_representatives,
     subgroup_generate,
     subgroup_join,
@@ -990,6 +992,7 @@ def test_the_profile_of_every_conjugate_on_a_fresh_group_is_the_class_keyed_prof
                 conjugate = Subgroup(fresh, [fresh.conjugate(x, g) for x in h.generators])
                 if conjugate.members not in built:
                     fresh._fixed_dims.clear()
+                    fresh._exponent_rows.clear()
                     fresh._orbit_counts.clear()
                     twin._profiles.clear()
                     built[conjugate.members] = twin.profile(conjugate)
@@ -1012,6 +1015,117 @@ def test_schur_override_breaking_integrality_is_rejected():
     rep = classes[labels["V5"]].representative
     with pytest.raises(NonIntegralDimension):
         analyze(data["action"], {rep: 2}).profile(data["H1"])
+
+
+# -- exponent rows, one per class of subgroups on the group --------------------------
+
+
+def test_a_second_analysis_of_the_same_group_computes_no_exponent_row(monkeypatch):
+    group = semidirect_7_9()  # built here, so no exponent row is cached yet
+    rng = random.Random(39)
+    lattice = enumerate_subgroups(group)
+    calls = []
+    original = decomposition.exponent_row
+
+    def counting(fixed, classes):
+        calls.append(fixed)
+        return original(fixed, classes)
+
+    monkeypatch.setattr(decomposition, "exponent_row", counting)
+    first, second = (analyze(random_action(group, rng)) for _ in range(2))
+    assert first.stabilizers != second.stabilizers
+    profiles = [first.profile(h) for h in lattice]
+    assert len(calls) == len(group._exponent_rows) == sum(map(is_conjugacy_canonical, lattice))
+    calls.clear()
+    for h, profile in zip(lattice, profiles):
+        assert second.profile(h).exponents is profile.exponents
+    assert calls == []
+
+
+def _outcome(analysis: ActionAnalysis, subgroup: Subgroup):
+    try:
+        return analysis.profile(subgroup)
+    except DecompositionError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("override_first", [True, False], ids=["override-first", "plain-first"])
+@pytest.mark.parametrize("build", [preset_quaternion, semidirect_7_9], ids=["Q8", "Z7:Z9"])
+def test_override_and_plain_analyses_interleaved_on_one_group_match_fresh_groups(build, override_first):
+    """The group's exponent rows belong to its heuristic classes: an analysis with a
+    Schur override builds its own rows from its view and never reads or writes the
+    group's, so every profile, or its error, is the one a fresh group gives."""
+    group = build()
+    rc = max(rational_classes(character_table(group)), key=lambda rc: rc.degree)
+    overrides = {rc.representative: 1 if rc.schur_index > 1 else rc.degree}  # not the heuristic
+    lattice = enumerate_subgroups(group)
+    rng = random.Random(41)
+    for i in range(4):
+        action = random_action(group, rng)
+        override = (i % 2 == 0) == override_first
+        rows = dict(group._exponent_rows)
+        shared = analyze(action, overrides if override else None)
+        fresh_group = build()
+        fresh = analyze(action._replace(group=fresh_group), overrides if override else None)
+        for h in lattice:
+            outcome = _outcome(shared, h)
+            assert outcome == _outcome(fresh, Subgroup(fresh_group, h.generators)), (i, h.members)
+            if not override:
+                assert group._exponent_rows[subgroup_class(h)] == outcome.exponents
+        if override:
+            assert group._exponent_rows == rows
+    assert group._exponent_rows
+
+
+@pytest.mark.parametrize("error, message", [
+    (NonIntegralDimension, r"^fixed dimension \d+ not divisible by Schur index 2$"),
+    (DecompositionError, r"^induced exponent 2 outside 0\.\.1$"),
+], ids=["divisibility", "range"])
+def test_a_perturbed_fixed_dims_row_raises_when_its_exponent_row_is_first_filled(monkeypatch, error, message):
+    group = preset_quaternion()  # the heuristic gives the 2-dimensional row Schur index 2, n = 1
+    analysis = analyze(random_action(group, random.Random(23)))
+    analysis.factors  # the stabilizers' rows are read here, before the perturbation
+    l = next(i for i, rc in enumerate(analysis.rational_classes) if rc.schur_index == 2)
+    original = decomposition.fixed_dims
+
+    def perturbed(subgroup):
+        row = list(original(subgroup))
+        row[l] = row[l] + 1 if error is NonIntegralDimension else 4
+        return tuple(row)
+
+    monkeypatch.setattr(decomposition, "fixed_dims", perturbed)
+    for h in enumerate_subgroups(group):
+        with pytest.raises(error, match=message):
+            analysis.profile(h)
+    assert group._exponent_rows == {} and analysis._profiles == {}
+    monkeypatch.setattr(decomposition, "fixed_dims", original)
+    assert [analysis.profile(h).fixed_dims for h in enumerate_subgroups(group)] == [
+        fixed_dims(h) for h in enumerate_subgroups(group)
+    ]
+
+
+def test_every_profile_built_runs_the_quotient_genus_check_once(monkeypatch):
+    """The exponent rows are shared by a group's analyses; the quotient genus,
+    which also reads the action, is still checked once per profile built."""
+    agreements = []
+    agree = decomposition._agree
+
+    def counting(what, first, second):
+        agreements.append(what)
+        agree(what, first, second)
+
+    monkeypatch.setattr(decomposition, "_agree", counting)
+    rng = random.Random(1939)
+    analyses = []
+    for group in group_library() + [semidirect_7_9()]:
+        lattice = enumerate_subgroups(group)
+        for _ in range(3):
+            analysis = analyze(random_action(group, rng))
+            for h in lattice + lattice:  # the second pass reads the analysis's profiles
+                analysis.profile(h)
+            analyses.append(analysis)
+    built = sum(len(analysis._profiles) for analysis in analyses)
+    assert agreements.count("quotient genus") == built > 0
 
 
 # -- the two-route checks ------------------------------------------------------------

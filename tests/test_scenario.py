@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -318,10 +319,13 @@ def test_a_collection_of_another_shape_is_a_parse_error(body, field):
     (("options", "schur_overrides"), ""),
     (("options", "schur_overrides"), []),
     (("options", "schur_overrides"), None),
+    (("description",), [1, 2]),
+    (("description",), {"x": 1}),
 ], ids=[
     "collections-empty-string", "collections-empty-list", "collections-null", "name-int",
     "options-empty-string", "options-empty-list", "options-null",
     "schur-overrides-empty-string", "schur-overrides-empty-list", "schur-overrides-null",
+    "description-list", "description-object",
 ])
 def test_a_top_level_field_of_another_type_exits_1_naming_it(capsys, path, value):
     raw = _d2q_with(value, *path)
@@ -361,10 +365,12 @@ def test_plain_ascii_digits_are_read_as_the_schur_row_and_index():
 
 def test_an_absent_name_collections_or_options_takes_its_default():
     raw = make_fiber_scenario((1, 1))
-    for key in ("name", "collections", "options"):
+    for key in ("name", "description", "collections", "options"):
         del raw[key]
     scenario = parse_scenario(raw)
-    assert (scenario.name, scenario.collections, scenario.schur_overrides) == ("scenario", {}, {})
+    assert (scenario.name, scenario.description, scenario.collections, scenario.schur_overrides) == (
+        "scenario", "", {}, {}
+    )
     presets = {"d2q?q=3": "d2q_q3", "d2q?q=13": "d2q_q13",
                "fiber?genera=1,1": "fiber_1_1", "fiber?genera=2,1,1": "fiber_2_1_1"}
     for reference, name in presets.items():
@@ -431,3 +437,26 @@ def test_the_action_and_group_containers_exit_1_naming_their_field(capsys, raw, 
         parse_scenario(raw)
     assert cli.main(["chartable", json.dumps(raw)]) == 1
     assert capsys.readouterr().err.startswith(f"jacdecomp: error: {field}")
+
+
+_D2Q3_TEXT = json.dumps(_d2q_with({"4": 1}, "options", "schur_overrides"))
+
+
+@pytest.mark.parametrize("text, key", [
+    (_D2Q3_TEXT.replace('{"4": 1}', '{"4": 1, "4": 2}'), "'4'"),
+    (_D2Q3_TEXT.replace('"collections": {', '"collections": {"main": {"subgroups": [["r"]]}, '), "'main'"),
+    (_D2Q3_TEXT.replace('"subgroups": [["s"]], ', '"subgroups": [["s"]], "subgroups": [["r"]], '), "'subgroups'"),
+    (_D2Q3_TEXT.replace('"options": {', '"options": {"max_order": 64, "max_order": 8, '), "'max_order'"),
+], ids=["schur-override", "collection", "collection-subgroups", "option"])
+def test_a_repeated_key_at_any_depth_exits_1_naming_it(capsys, tmp_path, text, key):
+    """JSON lets an object repeat a key, and a plain load keeps the last value:
+    a scenario's file or text that repeats one is rejected instead."""
+    assert text != _D2Q3_TEXT
+    assert parse_scenario(_D2Q3_TEXT).schur_overrides == {4: 1}
+    path = tmp_path / "repeated.json"
+    path.write_text(text, encoding="utf-8")
+    for source, origin in ((text, "<text>"), (path, str(path))):
+        with pytest.raises(ParseError, match=f"^{re.escape(origin)}: repeated key {key}$"):
+            parse_scenario(source)
+    assert cli.main(["chartable", text]) == 1
+    assert capsys.readouterr().err == f"jacdecomp: error: <text>: repeated key {key}\n"
