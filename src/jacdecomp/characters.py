@@ -5,7 +5,7 @@ class-sum matrices over a prime field F_p with p = 1 (mod e) and p > 2|G|,
 then each character value is lifted exactly by reconstructing the eigenvalue
 multiplicities of the e-th roots of unity through discrete Fourier sums mod p.
 
-The class matrices are sparse rows, built only when the split reaches them,
+The class matrices are sparse columns, built only when the split reaches them,
 and only subspaces still above dimension 1 are refined.  Each restriction to
 such a subspace is put in Hessenberg form once: that form gives the
 characteristic polynomial and every eigenspace, by back-substitution on
@@ -21,7 +21,7 @@ sigma_u(chi) is chi's with class l read at the class of rep_l^u.  That is an
 identity of algebraic integers, so it holds mod p as well, and the image of
 a one-dimensional eigenspace's vector under this permutation is again an
 eigenvector, exactly.  Its eigenvalue is read off row 0 and it is checked
-against the sparse rows like every other vector.  It replaces a kernel only
+against the sparse columns like every other vector.  It replaces a kernel only
 when its eigenvalue is a simple root of the characteristic polynomial,
 since only then is that eigenspace the line it spans: eigenvalues that
 differ as algebraic integers may agree mod p.
@@ -51,9 +51,10 @@ Primes are proven by deterministic Miller-Rabin (cyclotomic.is_prime).
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
+from itertools import accumulate, chain
 from math import gcd, isqrt
 from operator import add, mul
 from typing import Mapping, NamedTuple
@@ -285,8 +286,19 @@ def _poly_eval_mod(coeffs, x, p):
     return acc
 
 
-def _poly_roots_mod(coeffs: list[int], p: int) -> list[int]:
-    return [x for x in range(p) if not _poly_eval_mod(coeffs, x, p)]
+def _poly_roots_mod(coeffs: list[int], p: int, hints=()) -> list[int]:
+    """The distinct roots in F_p of a nonzero polynomial, low degree first, ascending.  Each
+    hint is verified: x - hint is divided out while the polynomial vanishes at the hint, and
+    only a nonconstant quotient left is scanned over F_p, by a call without hints."""
+    if not hints:
+        return [x for x in range(p) if not _poly_eval_mod(coeffs, x, p)]
+    roots = set()
+    for x in hints:  # Horner's partial sums: the quotient by x - hint, then the value at hint
+        while len(coeffs) > 1 and not (partials := list(accumulate(
+                reversed(coeffs), lambda acc, c: (acc * x + c) % p)))[-1]:
+            coeffs = partials[-2::-1]
+            roots.add(x)
+    return sorted(roots.union(_poly_roots_mod(coeffs, p) if len(coeffs) > 1 else ()))
 
 
 def _hessenberg_kernel(h: list[list[int]], lam: int, p: int) -> list[list[int]]:
@@ -329,7 +341,7 @@ def _hessenberg_kernel(h: list[list[int]], lam: int, p: int) -> list[list[int]]:
     return partials
 
 
-def _eigenspaces(matrix: list[list[int]], p: int, images) -> list[tuple[int, list[list[int]]]]:
+def _eigenspaces(matrix: list[list[int]], p: int, images, hints=()) -> list[tuple[int, list[list[int]]]]:
     """Each eigenvalue of the matrix in F_p, ascending, with a basis of its eigenspace.
 
     One Hessenberg form h = S A S^-1 gives the characteristic polynomial and
@@ -348,7 +360,7 @@ def _eigenspaces(matrix: list[list[int]], p: int, images) -> list[tuple[int, lis
     h, steps = _hessenberg_mod(matrix, p)
     poly = _charpoly_mod(h, p)
     slope = [i * c for i, c in enumerate(poly)][1:]
-    roots = _poly_roots_mod(poly, p)
+    roots = _poly_roots_mod(poly, p, hints)  # hints: candidate eigenvalues (see there)
     spaces = {}
     for lam in roots:
         if lam in spaces:
@@ -372,34 +384,36 @@ def _eigenspaces(matrix: list[list[int]], p: int, images) -> list[tuple[int, lis
 
 
 def _class_matrix(group: FiniteGroup, i: int) -> list[list[tuple[int, int]]]:
-    """Sparse rows of class i's structure constants: C_i C_j = sum_l a_ijl C_l.
+    """Sparse columns of class i's structure constants: C_i C_j = sum_l a_ijl C_l.
 
-    Row j lists the pairs (l, a_ijl) with a_ijl != 0, by ascending l, where
+    Column l lists the pairs (j, a_ijl) with a_ijl != 0, by ascending j, where
     a_ijl counts the x in C_i with x^-1 z_l in C_j for the representative z_l.
     """
     classes = conjugacy_classes(group)
     class_of = classes.class_of
     inverses = [group.inv(x) for x in classes.classes[i]]
-    rows: list[list[tuple[int, int]]] = [[] for _ in classes.classes]
-    for l, z in enumerate(classes.representatives):
-        counts: dict[int, int] = {}
-        for x in inverses:
-            j = class_of[group.mul(x, z)]
-            counts[j] = counts.get(j, 0) + 1
-        for j, a in counts.items():
-            rows[j].append((l, a))
-    return rows
+    return [sorted(Counter(class_of[group.mul(x, z)] for x in inverses).items())
+            for z in classes.representatives]
 
 
-def _restriction(rows, basis, pivots, p):
-    """Matrix of the action of sparse rows on the span of the basis (which must be invariant).
+def _apply(columns, v, p) -> list[int]:
+    """A v over F_p for sparse columns (see _class_matrix), reading only v's nonzero entries."""
+    w = [0] * len(columns)
+    for x, column in zip(v, columns):
+        for j, a in column if x else ():
+            w[j] += a * x
+    return [y % p for y in w]
 
-    The basis is in reduced echelon form, so the coordinates of a vector of the
-    span are its entries at the pivots.
+
+def _restriction(columns, basis, pivots, p):
+    """Matrix of the action of sparse columns on the span of the basis (which must be invariant).
+
+    Each basis vector is the identity at the pivots, so the coordinates of a vector of
+    the span are its entries there; the basis need not be reduced echelon in F_p^n.
     """
     cols = []
     for b in basis:
-        w = [sum(a * b[l] for l, a in row) % p for row in rows]
+        w = _apply(columns, b, p)
         coords = [w[c] for c in pivots]
         # the span must be invariant; verify the reconstruction exactly
         if [r % p for r in _combine(coords, basis)] != w:
@@ -411,45 +425,48 @@ def _restriction(rows, basis, pivots, p):
 def _common_eigenvectors(mats, n: int, p: int, images) -> list[list[int]]:
     """Split F_p^n into the common eigenvectors of commuting n x n matrices.
 
-    The matrices come as sparse rows (see _class_matrix) from an iterable that
-    is read only as far as the split needs.  Each eigenspace of one matrix is
-    invariant under the rest, so the subspaces still above dimension 1 are
-    refined matrix by matrix; the algebra is semisimple and split over F_p,
-    hence everything ends one-dimensional.
+    The matrices come as sparse columns (see _class_matrix) from an iterable
+    that is read only as far as the split needs.  Each eigenspace of one
+    matrix is invariant under the rest, so the subspaces still above
+    dimension 1 are refined matrix by matrix; the algebra is semisimple and
+    split over F_p, hence everything ends one-dimensional.
 
-    The first split is of all of F_p^n, whose echelon basis is the identity:
-    the restriction is the matrix itself, densified, and every vector is
-    checked against the sparse rows, in O(nnz) steps.  Only that split
-    derives eigenvectors through the coordinate permutations `images` (see
-    _eigenspaces).
+    A space is a basis B that is the identity at its pivots P.  Its eigenspaces'
+    kernel vectors, d long, are reduced in B's coordinates, and only the rows u
+    are lifted, as B u, with pivots P[c] for u's c.  A matrix keeps the (at most
+    n) eigenvalues found on its earlier spaces as hints for the later ones.
+
+    The first split is of all of F_p^n, whose basis is the identity: the
+    restriction is the matrix itself, densified, and every vector is checked
+    against the sparse columns, in O(nnz) steps.  Only that split derives
+    eigenvectors through the coordinate permutations `images` (see
+    _eigenspaces), and it has no hints.
     """
     identity_basis = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     spaces: list[tuple[list[list[int]], list[int]]] = [(identity_basis, list(range(n)))]
     for matrix in mats:
         new_spaces: list[tuple[list[list[int]], list[int]]] = []
+        found: set[int] = set()  # this matrix's eigenvalues on the spaces read so far
         for basis, pivots in spaces:
             if len(basis) == 1:
                 new_spaces.append((basis, pivots))
                 continue
             whole = len(basis) == n
             restr = (
-                [[row.get(l, 0) for l in range(n)] for row in map(dict, matrix)] if whole
-                else _restriction(matrix, basis, pivots, p)
+                [list(row) for row in zip(*([c.get(j, 0) for j in range(n)] for c in map(dict, matrix)))]
+                if whole else _restriction(matrix, basis, pivots, p)
             )
             split_dim = 0
-            for lam, kernel in _eigenspaces(restr, p, images if whole else ()):
-                vectors = []
+            for lam, kernel in _eigenspaces(restr, p, images if whole else (), found):
+                found.add(lam)
                 for u in kernel:
-                    image = (
-                        [sum(a * u[l] for l, a in row) % p for row in matrix] if whole
-                        else [sum(map(mul, row, u)) % p for row in restr]
-                    )
+                    image = _apply(matrix, u, p) if whole else [sum(map(mul, row, u)) % p for row in restr]
                     if image != [lam * x % p for x in u]:
                         raise CharacterError("eigenspace vector fails restr * v = lambda * v")
-                    vectors.append(u if whole else [y % p for y in _combine(u, basis)])
-                rref, piv = _rref_mod(vectors, p)
+                rref, piv = _rref_mod(kernel, p)
                 split_dim += len(rref)
-                new_spaces.append((rref, piv))
+                lifted = rref if whole else [[y % p for y in _combine(u, basis)] for u in rref]
+                new_spaces.append((lifted, [pivots[c] for c in piv]))
             if split_dim != len(basis):
                 raise CharacterError("class-sum matrix was not diagonalizable mod p")
         spaces = new_spaces

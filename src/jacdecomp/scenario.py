@@ -234,13 +234,17 @@ def _build_group(spec, order_cap: int) -> FiniteGroup:
     if "preset" in spec:
         preset = spec["preset"]
         if preset == "dihedral":
+            _known("group", spec, ("preset", "q"))
             return preset_dihedral(_typed("group 'q'", spec["q"], int), order_cap=order_cap)
         if preset == "elementary_abelian_2":
+            _known("group", spec, ("preset", "t"))
             return preset_elementary_abelian_2(_typed("group 't'", spec["t"], int), order_cap=order_cap)
         if preset == "quaternion":
+            _known("group", spec, ("preset",))
             return preset_quaternion(order_cap=order_cap)
         raise ParseError(f"unknown group preset {preset!r}")
     if "generators" in spec:
+        _known("group", spec, ("generators", "names"))
         perms = [
             Permutation(tuple(_typed("group 'generators'", x, int) for x in images))
             for images in spec["generators"]
@@ -274,6 +278,15 @@ def _typed(field: str, value, kind: type):
     return value
 
 
+def _known(field: str, spec: dict, keys: tuple[str, ...]) -> dict:
+    """The object itself, if it has no key outside ``keys``, the keys its reader
+    reads; else a ParseError naming the object and the first unknown key."""
+    unknown = [key for key in spec if key not in keys]
+    if unknown:
+        raise ParseError(f"{field} has unknown key {unknown[0]!r}; it reads {', '.join(keys)}")
+    return spec
+
+
 def _expectations(raw, subgroups: int) -> dict:
     """A collection's reference expectations, every value checked to be of its type.
 
@@ -287,6 +300,7 @@ def _expectations(raw, subgroups: int) -> dict:
     for g in expect.get("genera", ()):
         _typed("expectation 'genera'", g, int)
     if "fixed_dims" in expect:
+        _known("expectation 'fixed_dims'", expect["fixed_dims"], ("columns", "rows"))
         columns = _typed("expectation 'fixed_dims'", expect["fixed_dims"]["columns"], list)
         for c in columns:
             _typed("expectation 'fixed_dims'", c, str)
@@ -346,15 +360,18 @@ def _parse_scenario(source: str | Path | Mapping, max_order: int | None) -> Scen
     for key in ("group", "action"):
         if key not in raw:
             raise ParseError(f"scenario is missing the {key!r} section")
+    _known("scenario", raw, ("name", "description", "group", "action", "collections", "options"))
 
-    options = _typed("options", raw.get("options", {}), dict)
+    options = _known("options", _typed("options", raw.get("options", {}), dict),
+                     ("max_order", "schur_overrides"))
     order_cap = options.get("max_order") if max_order is None else max_order
     order_cap = DEFAULT_ORDER_CAP if order_cap is None else _typed("max_order", order_cap, int)
     if order_cap < 1:
         raise ParseError(f"max_order must be at least 1, got {order_cap}")
     group = _build_group(raw["group"], order_cap)
 
-    action_spec = _typed("action", raw["action"], dict)
+    action_spec = _known("action", _typed("action", raw["action"], dict),
+                         ("orbit_genus", "periods", "vector", "handles"))
     handles = []
     for pair in _typed("action 'handles'", action_spec.get("handles", []), list):
         if len(_typed("action 'handles'", pair, list)) != 2:
@@ -377,7 +394,7 @@ def _parse_scenario(source: str | Path | Mapping, max_order: int | None) -> Scen
 
     collections: dict[str, CollectionSpec] = {}
     for name, body in _typed("collections", raw.get("collections", {}), dict).items():
-        body = _typed("collection", body, dict)
+        body = _known(f"collection {name!r}", _typed("collection", body, dict), ("subgroups", "expect"))
         word_lists = _typed("collection subgroups", body.get("subgroups", []), list)
         expect = _expectations(body.get("expect", {}), len(word_lists))
         subgroups, normalized = [], []

@@ -319,6 +319,38 @@ def eigenspace_inputs(p):
     return matrices + [a for a, _ in block_hessenberg_inputs(p)]
 
 
+def times_linear(poly, r, p):
+    """poly * (x - r) over F_p, coefficients low degree first."""
+    return [(a - r * b) % p for a, b in zip([0] + poly, poly + [0])]
+
+
+@pytest.mark.parametrize("p", [67, 211])
+def test_poly_roots_mod_with_hints_matches_the_full_scan(p):
+    """Seeded products of linear factors, some repeated, times a nonzero constant and
+    sometimes an irreducible x^2 - c: with hints that are every root, some of them,
+    none, or roots and non-roots, in any order, the roots are the full scan's,
+    distinct and ascending, so no non-root hint is returned.  The input is kept."""
+    rng = random.Random(p)
+    c = next(c for c in range(2, p) if pow(c, (p - 1) // 2, p) == p - 1)  # a non-square
+    for _ in range(60):
+        factors = [rng.randrange(p) for _ in range(rng.randint(1, 8))]
+        factors += rng.choices(factors, k=rng.randint(0, 4))
+        poly = [rng.randrange(1, p)] if rng.random() < 0.7 else [(-c) % p, 0, 1]
+        for r in factors:
+            poly = times_linear(poly, r, p)
+        full = characters._poly_roots_mod(poly, p)
+        assert full == sorted(set(factors))
+        non_roots = rng.sample([x for x in range(p) if x not in full], 3)
+        some = rng.sample(full, rng.randint(1, len(full)))
+        for hints in (full, some, full + non_roots, some + non_roots, non_roots, (), set(full)):
+            hints = list(hints)
+            rng.shuffle(hints)
+            before = poly[:]
+            found = characters._poly_roots_mod(poly, p, hints)
+            assert found == full == sorted(set(found))
+            assert poly == before
+
+
 @pytest.mark.parametrize("p", [13, 101])
 def test_eigenspaces_match_a_dense_kernel_oracle(p):
     """Per lam in F_p: each vector returned satisfies A v = lam v, and the vectors
@@ -1325,14 +1357,14 @@ def test_trivial_idempotent_is_averaging_element():
 def _class_product(group, x, y):
     """x * y for central elements held as coefficients of the class sums.
 
-    C_i C_j = sum_l a_ijl C_l, with row j of _class_matrix(group, i) listing
-    the pairs (l, a_ijl).
+    C_i C_j = sum_l a_ijl C_l, with column l of _class_matrix(group, i) listing
+    the pairs (j, a_ijl).
     """
     out = [Fraction(0)] * len(x)
     for i, a in enumerate(x):
         if a:
-            for j, row in enumerate(characters._class_matrix(group, i)):
-                for l, count in row:
+            for l, column in enumerate(characters._class_matrix(group, i)):
+                for j, count in column:
                     out[l] += a * y[j] * count
     return tuple(out)
 
@@ -1527,9 +1559,9 @@ def class_matrices(group):
     return mats
 
 
-def sparse_rows(matrix):
-    """A dense matrix as the engine stores class matrices: per row, its nonzero (column, entry)."""
-    return [[(l, a) for l, a in enumerate(row) if a] for row in matrix]
+def sparse_columns(matrix):
+    """A dense matrix as the engine stores class matrices: per column, its nonzero (row, entry)."""
+    return [[(j, row[l]) for j, row in enumerate(matrix) if row[l]] for l in range(len(matrix))]
 
 
 def per_row_lift(group):
@@ -1541,7 +1573,7 @@ def per_row_lift(group):
     class_of, sizes = classes.class_of, classes.sizes
     z_root = characters._primitive_root_of_unity(p, e)
     rows = []
-    mats = [sparse_rows(m) for m in class_matrices(group)]
+    mats = [sparse_columns(m) for m in class_matrices(group)]
     for vec in characters._common_eigenvectors(mats, k, p, ()):
         omega = [v * pow(vec[0], -1, p) % p for v in vec]
         sigma = sum(
@@ -1589,7 +1621,7 @@ def test_packed_lift_matches_per_row_reference(group):
 def test_sparse_class_matrices_equal_the_dense_structure_constants(group):
     dense = class_matrices(group)
     assert [characters._class_matrix(group, i) for i in range(len(dense))] == [
-        sparse_rows(m) for m in dense
+        sparse_columns(m) for m in dense
     ]
 
 
@@ -1604,6 +1636,54 @@ def test_class_matrices_are_built_only_as_the_split_reaches_them(monkeypatch):
     monkeypatch.setattr(characters, "_class_matrix", recording)
     assert len(character_table(alternating_group_4())) == 4
     assert built == [1]
+
+
+def recording_root_calls(monkeypatch):
+    """Each outer _poly_roots_mod call, in call order, as [hints, nested]: nested is
+    whether it called itself to scan the quotient its hints left.  A call without
+    hints scans F_p, so the scans are the calls without hints and the nested ones."""
+    find, calls, depth = characters._poly_roots_mod, [], []
+
+    def recording(coeffs, p, hints=()):
+        if depth:
+            calls[-1][1] = True
+        else:
+            calls.append([tuple(hints), False])
+        depth.append(hints)
+        try:
+            return find(coeffs, p, hints)
+        finally:
+            depth.pop()
+
+    monkeypatch.setattr(characters, "_poly_roots_mod", recording)
+    return calls
+
+
+def test_the_z2_5_split_scans_f_p_once_per_class_matrix_it_reads(monkeypatch):
+    """Every class matrix of Z2^5 has the eigenvalues 1 and -1 only: the first space
+    each matrix reads scans F_p for them and every later one divides them out, so
+    5 matrices make 5 scans, where a scan per space made 1 + 2 + 4 + 8 + 16 = 31."""
+    build, built = characters._class_matrix, []
+
+    def recording(group, i):
+        built.append(i)
+        return build(group, i)
+
+    monkeypatch.setattr(characters, "_class_matrix", recording)
+    calls = recording_root_calls(monkeypatch)
+    assert len(character_table(preset_elementary_abelian_2(5))) == 32
+    assert len(built) == 5 and len(calls) == 31
+    assert sum(not hints or nested for hints, nested in calls) == 5
+
+
+def test_some_refined_spaces_take_every_root_from_hints_and_some_scan_a_remainder(monkeypatch):
+    """Over fresh copies of the lift groups: Z7:Z9 has a refined space whose
+    eigenvalues are not all among its matrix's earlier ones."""
+    calls = recording_root_calls(monkeypatch)
+    for group in group_library() + [alternating_group_4(), symmetric_group_4(),
+                                    KERNEL_GROUPS["F20"](), semidirect_7_9()]:
+        character_table(group)
+    assert {nested for hints, nested in calls if hints} == {False, True}
 
 
 FIRING_GROUPS = {
@@ -1622,12 +1702,12 @@ def test_a_perturbed_class_matrix_entry_is_rejected(monkeypatch, name, which):
     build = characters._class_matrix
 
     def perturbed(group, i):
-        rows = build(group, i)
+        columns = build(group, i)
         if i == 1:
-            j, n = [(j, n) for j, row in enumerate(rows) for n in range(len(row))][which]
-            l, a = rows[j][n]
-            rows[j][n] = (l, a + 1)
-        return rows
+            l, n = [(l, n) for l, column in enumerate(columns) for n in range(len(column))][which]
+            j, a = columns[l][n]
+            columns[l][n] = (j, a + 1)
+        return columns
 
     monkeypatch.setattr(characters, "_class_matrix", perturbed)
     with pytest.raises(CharacterError):
@@ -1639,8 +1719,8 @@ def test_a_wrong_eigenspace_vector_is_rejected(monkeypatch, name):
     """v + u, with u from another eigenspace, is never an eigenvector: A(v + u) = lam v + mu u."""
     eigenspaces = characters._eigenspaces
 
-    def wrong(matrix, p, images):
-        spaces = eigenspaces(matrix, p, images)
+    def wrong(matrix, p, images, hints):
+        spaces = eigenspaces(matrix, p, images, hints)
         if len(spaces) > 1:
             (_, vs), (_, us) = spaces[:2]
             vs[0] = [(v + u) % p for v, u in zip(vs[0], us[0])]
@@ -1657,8 +1737,8 @@ def test_a_perturbed_derived_eigenvector_is_rejected(monkeypatch, name, which):
     """One entry of a Galois-derived eigenvector of the first split, moved by 1 mod p."""
     eigenspaces, computed, perturbed = characters._eigenspaces, recording_kernels(monkeypatch), []
 
-    def perturbing(matrix, p, images):
-        spaces = eigenspaces(matrix, p, images)
+    def perturbing(matrix, p, images, hints):
+        spaces = eigenspaces(matrix, p, images, hints)
         derived = [vectors[0] for lam, vectors in spaces if lam not in computed]
         if derived and not perturbed:
             v = derived[which]
@@ -1695,9 +1775,9 @@ def first_split(group):
     classes = conjugacy_classes(group)
     k, e = len(classes), group.exponent
     dense = [[0] * k for _ in range(k)]
-    for row, sparse in zip(dense, characters._class_matrix(group, 1)):
-        for l, a in sparse:
-            row[l] = a
+    for l, sparse in enumerate(characters._class_matrix(group, 1)):
+        for j, a in sparse:
+            dense[j][l] = a
     images = [[powers[u % len(powers)] for powers in classes.power_map]
               for u in characters._unit_generators(e)]
     return dense, characters._find_prime(e, group.order), images
@@ -1743,7 +1823,7 @@ def test_cyclic_table_matches_closed_form(n):
     "group", group_library() + [build_group([Permutation((0,))])], ids=lambda g: f"order{g.order}"
 )
 def test_identity_class_matrix_never_splits(group):
-    mats = [sparse_rows(m) for m in class_matrices(group)]
+    mats = [sparse_columns(m) for m in class_matrices(group)]
     k = len(mats)
     p = characters._find_prime(group.exponent, group.order)
     split = characters._common_eigenvectors(mats[1:], k, p, ())

@@ -252,6 +252,60 @@ def test_unknown_expectation_is_a_parse_error_naming_it():
         parse_scenario(_with_expectations(admissible=True, genra=[99]))
 
 
+def _misspelt(path, key=None, value=None):
+    """A scenario that runs as it stands, with key: value (if a key is given)
+    added to the object at path: in d2q's q = 3 document, or in the "fiber",
+    "quaternion" or "klein" one that path starts with."""
+    head = path[0] if path else None
+    if head == "fiber":
+        raw = make_fiber_scenario((1, 1))
+    elif head == "quaternion":  # i, j and (ij)^-1, each of order 4: genus 2
+        raw = {"group": {"preset": "quaternion"},
+               "action": {"orbit_genus": 0, "periods": [4, 4, 4], "vector": ["i", "j", "j^-1*i^-1"]}}
+    elif head == "klein":
+        raw = _klein()
+    else:
+        raw = make_dihedral_scenario(3)
+    node = raw
+    for step in path[1:] if head in ("fiber", "quaternion", "klein") else path:
+        node = node[step]
+    if key is not None:
+        node[key] = value
+    return raw
+
+
+@pytest.mark.parametrize("path, key, value, field", [
+    ((), "descripton", "a typo", "scenario"),
+    (("group",), "qq", 5, "group"),
+    (("fiber", "group"), "tt", 2, "group"),
+    (("quaternion", "group"), "q", 3, "group"),
+    (("klein", "group"), "name", ["a", "b"], "group"),
+    (("action",), "handle", [], "action"),
+    (("collections", "h1"), "expects", {"admissible": False}, "collection 'h1'"),
+    (("options",), "schur_override", {"4": 2}, "options"),
+    (("collections", "main", "expect", "fixed_dims"), "row", [], "expectation 'fixed_dims'"),
+], ids=["top-level", "dihedral-group", "elementary-abelian-group", "quaternion-group",
+        "generators-group", "action", "collection", "options", "fixed-dims"])
+def test_a_misspelt_key_exits_1_naming_its_object_and_the_key(capsys, tmp_path, path, key, value, field):
+    """No object drops a key it does not read: each misspelling, in a document that
+    runs without it, exits 1 as text and as a file, naming the object and the key."""
+    raw = _misspelt(path, key, value)
+    file = tmp_path / "misspelt.json"
+    file.write_text(json.dumps(raw), encoding="utf-8")
+    for source in (json.dumps(raw), str(file)):
+        assert cli.main(["chartable", source]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"jacdecomp: error: {field} has unknown key {key!r}")
+
+
+@pytest.mark.parametrize("path", [(), ("fiber",), ("quaternion",), ("klein",)],
+                         ids=["d2q", "fiber", "quaternion", "klein"])
+def test_each_document_a_key_is_misspelt_in_runs_without_it(capsys, path):
+    assert cli.main(["chartable", json.dumps(_misspelt(path))]) == 0
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("group", [
     {"preset": "quaternion"},
     {"preset": "dihedral", "q": 3},
