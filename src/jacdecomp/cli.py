@@ -281,7 +281,7 @@ def _cmd_search(scenario: ScenarioFile, args) -> ReportDocument:
     return ReportDocument(doc)
 
 
-def _cmd_fiber(args) -> ReportDocument:
+def _cmd_fiber(scenario: None, args) -> ReportDocument:
     if (args.genera is None) == (args.elliptic is None):
         raise UsageError("fiber needs exactly one of --genera or --elliptic")
     if args.genera is not None:
@@ -338,25 +338,19 @@ def _cmd_theorem_b(scenario: ScenarioFile, args) -> ReportDocument:
     return ReportDocument(doc)
 
 
+_COMMANDS = {"analyze": _cmd_analyze, "chartable": _cmd_chartable, "search": _cmd_search,
+             "fiber": _cmd_fiber, "theorem-b": _cmd_theorem_b}
+
+
 def run_command(command: str, scenario: ScenarioFile | None, args) -> tuple[ReportDocument, int]:
     """Execute one command and return its report plus the exit code."""
-    if command == "analyze":
-        doc = _cmd_analyze(scenario, args)
-    elif command == "chartable":
-        doc = _cmd_chartable(scenario, args)
-    elif command == "search":
-        doc = _cmd_search(scenario, args)
-    elif command == "fiber":
-        doc = _cmd_fiber(args)
-    elif command == "theorem-b":
-        doc = _cmd_theorem_b(scenario, args)
-    else:
+    if command not in _COMMANDS:
         raise UsageError(f"unknown command {command!r}")
-    code = 0
-    if doc.data["discrepancies"]:
-        doc.data["status"] = "discrepancy"
-        code = 2
-    return doc, code
+    doc = _COMMANDS[command](scenario, args)
+    if not doc.data["discrepancies"]:
+        return doc, 0
+    doc.data["status"] = "discrepancy"
+    return doc, 2
 
 
 def _integer(option: str):

@@ -740,25 +740,13 @@ def induced_join_analysis(
 # -- fiber products over elementary abelian 2-groups -------------------------------
 
 
-def _fiber_analysis(genera: Sequence[int]) -> tuple[CoveringAction, tuple[Subgroup, ...]]:
-    t = len(genera)
-    group = preset_elementary_abelian_2(t)
-    gens = [group.generator_names[f"e{i + 1}"] for i in range(t)]
-    vector: list[int] = []
-    for i, g in enumerate(genera):
-        vector.extend([gens[i]] * (2 * g + 2))
-    action = CoveringAction(
-        group=group,
-        orbit_genus=0,
-        periods=tuple(2 for _ in vector),
-        handles=(),
-        branch_elements=tuple(vector),
-    )
-    deck = tuple(
-        subgroup_generate(group, tuple(gens[j] for j in range(t) if j != i))
-        for i in range(t)
-    )
-    return action, deck
+def fiber_generators(genera: Sequence[int]) -> tuple[list[str], list[list[str]]]:
+    """The fiber product's generating vector and deck generators, as generator
+    names of (Z_2)^t: factor i brings 2g_i + 2 branch points at e{i}, and deck
+    subgroup i is generated by every e_j but e_i."""
+    names = [f"e{i + 1}" for i in range(len(genera))]
+    vector = [e for e, g in zip(names, genera) for _ in range(2 * g + 2)]
+    return vector, [[e for e in names if e != name] for name in names]
 
 
 def fiber_closed_forms(genera: Sequence[int]) -> tuple[int, int]:
@@ -781,7 +769,17 @@ def _build_fiber_plan(
 ) -> FiberPlan:
     predicted_genus, predicted_dim_p = fiber_closed_forms(genera)
     genera = tuple(genera)
-    action, deck = _fiber_analysis(genera)
+    group = preset_elementary_abelian_2(len(genera))
+    index = group.generator_names
+    vector, deck_words = fiber_generators(genera)
+    action = CoveringAction(
+        group=group,
+        orbit_genus=0,
+        periods=(2,) * len(vector),
+        handles=(),
+        branch_elements=tuple(index[e] for e in vector),
+    )
+    deck = tuple(subgroup_generate(group, [index[e] for e in words]) for words in deck_words)
     analysis = analyze(action)
     genus = analysis.genus
     _agree("fiber genus", genus, predicted_genus)  # both read only the genera
@@ -826,6 +824,8 @@ def cor3_plan(t: int) -> FiberPlan:
     """
     if t < 2:
         raise TooFewFactors(f"need at least two elliptic factors, got {t}")
+    if t > 22:  # ceil(t/2) factors, and preset_elementary_abelian_2 stops at (Z_2)^11
+        raise DecompositionError(f"need at most 22 elliptic factors, got {t}")
     if t % 2 == 0:
         s = t // 2
         genera = (2,) * s

@@ -277,14 +277,7 @@ def theorem_c_section(report: TheoremCReport) -> dict:
 
 
 def theorem_b_section(report: TheoremBReport) -> dict:
-    return {
-        "t": report.t,
-        "character_identity": report.character_identity,
-        "class_identities": report.class_identities,
-        "dimension_lhs": report.dimension_lhs,
-        "dimension_rhs": report.dimension_rhs,
-        "holds": report.holds,
-    }
+    return report._asdict()
 
 
 def rational_rep_section(profile: RationalRepProfile, labels: Labels) -> dict:

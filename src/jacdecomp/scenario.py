@@ -14,7 +14,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 from .covering import CoveringAction, CoveringError, validate_action
 from .cyclotomic import is_prime
-from .decomposition import ActionAnalysis, DecompositionError, fiber_closed_forms
+from .decomposition import ActionAnalysis, DecompositionError, fiber_closed_forms, fiber_generators
 from .groups import (
     DEFAULT_ORDER_CAP,
     TABLE_ORDER_LIMIT,
@@ -161,14 +161,7 @@ def make_fiber_scenario(genera: Sequence[int]) -> dict:
     except DecompositionError as exc:
         raise ParseError(f"fiber scenario: {exc}") from None
     t = len(genera)
-    vector = []
-    periods = []
-    for i, g in enumerate(genera):
-        vector.extend([f"e{i + 1}"] * (2 * g + 2))
-        periods.extend([2] * (2 * g + 2))
-    deck = [
-        [f"e{j + 1}" for j in range(t) if j != i] for i in range(t)
-    ]
+    vector, deck = fiber_generators(genera)
     collections: dict = {
         "main": {
             "subgroups": deck,
@@ -195,7 +188,7 @@ def make_fiber_scenario(genera: Sequence[int]) -> dict:
         "group": {"preset": "elementary_abelian_2", "t": t},
         "action": {
             "orbit_genus": 0,
-            "periods": periods,
+            "periods": [2] * len(vector),
             "vector": vector,
             "handles": [],
         },
@@ -473,20 +466,18 @@ def dihedral_class_labels(analysis: ActionAnalysis) -> dict[str, int] | None:
     r_cls, s_cls = class_of[r_idx], class_of[s_idx]
     half_cls = class_of[group.power(r_idx, two_q // 2)]
     linear = {(1, -1): "V2", (-1, 1): "V3", (-1, -1): "V4"}  # by the values on r and s
-    planar = {-2: "V5", 2: "V6"}  # by the value on r^q
+    planar = {-1: "V5", 1: "V6"}  # by the sign of the value on r^q
     labels: dict[str, int] = {}
     for idx, rc in enumerate(classes):
-        values = rc.character.values
-        try:
-            if rc.is_trivial():
-                key = "V1"
-            elif rc.degree == 1:
-                key = linear.get((values[r_cls].as_integer(), values[s_cls].as_integer()))
-            elif rc.degree == 2:
-                key = planar.get(values[half_cls].as_integer())
-            else:
-                return None
-        except ValueError:
+        # psi(g) = +-psi(1) exactly when g acts as +-1 under every member of the orbit
+        sign = {rc.psi[0]: 1, -rc.psi[0]: -1}.get
+        if rc.is_trivial():
+            key = "V1"
+        elif rc.degree == 1 and rc.field_degree == 1:
+            key = linear.get((sign(rc.psi[r_cls]), sign(rc.psi[s_cls])))
+        elif rc.degree == 2:
+            key = planar.get(sign(rc.psi[half_cls]))
+        else:
             return None
         if key is None:
             return None

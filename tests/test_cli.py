@@ -235,6 +235,12 @@ def test_fiber_elliptic_command():
     assert doc.data["plan"]["elliptic_count"] == 5
 
 
+def test_fiber_elliptic_over_the_limit_names_the_count_asked_for(capsys):
+    """ceil(t/2) factors must fit (Z_2)^11, so t = 22 is the largest plan."""
+    assert cli.main(["fiber", "--elliptic", "23"]) == 1
+    assert capsys.readouterr().err == "jacdecomp: error: need at most 22 elliptic factors, got 23\n"
+
+
 def test_fiber_requires_exactly_one_mode():
     with pytest.raises(cli.UsageError):
         run(["fiber"])
@@ -338,8 +344,20 @@ def test_module_entry_point_subprocess():
 # -- document properties ------------------------------------------------------------
 
 
-def test_json_round_trips_losslessly():
-    doc, _ = run(["analyze", "d2q?q=3"])
+@pytest.mark.parametrize("argv", [
+    ["analyze", "d2q?q=3"],
+    ["analyze", "d2q?q=3", "--ambient", "join"],
+    ["chartable", "d2q?q=3"],
+    ["search", "d2q?q=3"],
+    ["search", "d2q?q=3", "--require-full", "--dedupe-conjugates"],
+    ["fiber", "--genera", "2,1"],
+    ["fiber", "--elliptic", "5"],
+    ["theorem-b", "d2q?q=3"],
+    ["theorem-b", "fiber?genera=1,1"],
+], ids=["analyze", "analyze-join", "chartable", "search", "search-full-dedupe",
+        "fiber-genera", "fiber-elliptic", "theorem-b-d2q", "theorem-b-fiber"])
+def test_json_round_trips_losslessly(argv):
+    doc, _ = run(argv)
     assert json.loads(doc.to_json()) == doc.data
 
 

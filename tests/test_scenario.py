@@ -8,10 +8,11 @@ from pathlib import Path
 import pytest
 
 from jacdecomp import cli
-from jacdecomp.decomposition import analyze
+from jacdecomp.decomposition import analyze, fiber_product_action
 from jacdecomp.groups import (
     OrderCapExceeded,
     UnknownGenerator,
+    build_group,
     preset_elementary_abelian_2,
     preset_quaternion,
 )
@@ -24,7 +25,7 @@ from jacdecomp.scenario import (
     make_fiber_scenario,
     parse_scenario,
 )
-from conftest import dihedral_action, random_action
+from conftest import dicyclic_group, dihedral_action, group_library, random_action, semidirect_7_9
 
 
 def test_preset_reference_d2q():
@@ -181,6 +182,78 @@ def test_dihedral_class_labels_are_pinned(q, expected):
 def test_dihedral_class_labels_are_none_off_the_dihedral_family(build):
     action = random_action(build(), random.Random(5))
     assert dihedral_class_labels(analyze(action)) is None
+
+
+def _labels_from_character_values(analysis):
+    """The labelling read off each representative's complex values, as an
+    oracle: a value that is not an integer leaves the group unlabelled."""
+    group = analysis.group
+    names = group.generator_names
+    if set(names) != {"r", "s"}:
+        return None
+    r_idx, s_idx = names["r"], names["s"]
+    two_q = group.element_order(r_idx)
+    if two_q % 2 or group.order != 2 * two_q or group.exponent != two_q:
+        return None
+    if len(analysis.rational_classes) != 6:
+        return None
+    class_of = analysis.table.classes.class_of
+    r_cls, s_cls = class_of[r_idx], class_of[s_idx]
+    half_cls = class_of[group.power(r_idx, two_q // 2)]
+    labels = {}
+    for idx, rc in enumerate(analysis.rational_classes):
+        values = rc.character.values
+        try:
+            if rc.is_trivial():
+                key = "V1"
+            elif rc.degree == 1:
+                key = {(1, -1): "V2", (-1, 1): "V3", (-1, -1): "V4"}.get(
+                    (values[r_cls].as_integer(), values[s_cls].as_integer()))
+            elif rc.degree == 2:
+                key = {-2: "V5", 2: "V6"}.get(values[half_cls].as_integer())
+            else:
+                return None
+        except ValueError:
+            return None
+        if key is None:
+            return None
+        labels[key] = idx
+    return labels if len(labels) == 6 else None
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 11, 13])
+def test_dihedral_class_labels_agree_with_the_character_values_on_d2q(q):
+    analysis = analyze(parse_scenario(f"d2q?q={q}").action)
+    labels = dihedral_class_labels(analysis)
+    assert labels is not None and labels == _labels_from_character_values(analysis)
+
+
+TWO_GENERATOR_GROUPS = [g for g in group_library() if len(g.generator_names) == 2] + [
+    semidirect_7_9(), dicyclic_group(3), dicyclic_group(4)
+]
+
+
+@pytest.mark.parametrize("group", TWO_GENERATOR_GROUPS,
+                         ids=lambda g: f"{g.order}:{','.join(sorted(g.generator_names))}")
+@pytest.mark.parametrize("swap", [False, True], ids=["rs", "sr"])
+def test_dihedral_class_labels_agree_with_the_character_values_under_names_r_and_s(group, swap):
+    """Each two-generator group, rebuilt with its generators named r and s (in
+    either order), gets the labels its representatives' values give."""
+    gens = sorted(group.generator_names.values(), reverse=swap)
+    rebuilt = build_group([group.elements[g] for g in gens], ["r", "s"])
+    analysis = analyze(random_action(rebuilt, random.Random(7)))
+    assert dihedral_class_labels(analysis) == _labels_from_character_values(analysis)
+
+
+@pytest.mark.parametrize("genera", [(1, 1), (2, 1), (1, 1, 1), (3, 1, 2)], ids=str)
+def test_the_fiber_preset_and_the_fiber_plan_build_one_action(genera):
+    scenario = parse_scenario(make_fiber_scenario(genera))
+    plan = fiber_product_action(genera)
+    assert scenario.action.periods == plan.action.periods
+    assert scenario.action.branch_elements == plan.action.branch_elements
+    assert [set(h) for h in scenario.collections["main"].subgroups] == [
+        set(k) for k in plan.deck_subgroups
+    ]
 
 
 def test_class_labels_generic_fallback():
