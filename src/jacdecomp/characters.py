@@ -5,26 +5,43 @@ class-sum matrices over a prime field F_p with p = 1 (mod e) and p > 2|G|,
 then each character value is lifted exactly by reconstructing the eigenvalue
 multiplicities of the e-th roots of unity through discrete Fourier sums mod p.
 
+Linear characters are entered before the split (Schneider's improvement of
+Dixon's method): for each named generator g, the character sending g to a
+primitive d-th root of unity and every other generator to 1, for the largest d
+that works, is extended along a BFS spanning tree of the Cayley table and
+checked on every edge x -> x h, so each row is a proven homomorphism; their
+products close the rows into a group, closed under every sigma_u.  Each enters
+as its central character, a finished one-dimensional space, and the split
+refines only the complement {v : sum_l conj(lambda)(z_l) v_l = 0 for every
+entered lambda}, which the other central characters span by the orthogonality
+of the rows.  Its basis is the identity at the free columns with r entries at
+the forms' pivot columns, so its invariance and its lifts read r entries per
+vector.  An abelian group enters every row and builds no class matrix.  The
+edge check proves an entered row, and the orthonormality certificate below
+proves the table it joins.
+
 The class matrices are sparse columns, built only when the split reaches them,
 and only subspaces still above dimension 1 are refined.  Each restriction to
 such a subspace is put in Hessenberg form once: that form gives the
 characteristic polynomial and every eigenspace, by back-substitution on
 H - lam*I over its unreduced diagonal blocks, bottom-up, mapped back through
-the recorded steps.  Every returned vector is checked to
-satisfy restr * v = lam * v exactly, beside the invariance, split-dimension
-and one-dimensional-end checks.
+the recorded steps.  Every returned vector is checked against the sparse
+columns to satisfy A v = lam * v exactly, beside the invariance,
+split-dimension and one-dimensional-end checks.
 
-The first split, of the whole space by the first class matrix, computes one
+The first split, of the complement by the first class matrix, computes one
 kernel per Galois orbit of rows.  For a unit u, sigma_u(chi)(x) = chi(x^u)
 and the class of rep^u has the size of rep's, so the central character of
 sigma_u(chi) is chi's with class l read at the class of rep_l^u.  That is an
 identity of algebraic integers, so it holds mod p as well, and the image of
 a one-dimensional eigenspace's vector under this permutation is again an
-eigenvector, exactly.  Its eigenvalue is read off row 0 and it is checked
-against the sparse columns like every other vector.  It replaces a kernel only
-when its eigenvalue is a simple root of the characteristic polynomial,
-since only then is that eigenspace the line it spans: eigenvalues that
-differ as algebraic integers may agree mod p.
+eigenvector, exactly.  The complement is closed under it, since the entered
+rows are, so a vector is lifted to its r entries at the pivot columns,
+permuted, and read back at the free ones.  Its eigenvalue is read off the
+identity class's row and it is checked against the sparse columns like every
+other vector.  It replaces a kernel only when its eigenvalue is a simple root
+of the characteristic polynomial, since only then is that eigenspace the line
+it spans: eigenvalues that differ as algebraic integers may agree mod p.
 
 The lift reads the rows' Galois action mod p: sigma_u(chi) is the row whose
 central character is chi's at the classes of rep_l^u.  One class per orbit
@@ -56,7 +73,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, chain
 from math import gcd, isqrt
-from operator import add, mul
+from operator import add, mul, sub
 from typing import Mapping, NamedTuple
 
 from .cyclotomic import ConductorMismatch, Cyclotomic, is_prime
@@ -341,7 +358,9 @@ def _hessenberg_kernel(h: list[list[int]], lam: int, p: int) -> list[list[int]]:
     return partials
 
 
-def _eigenspaces(matrix: list[list[int]], p: int, images, hints=()) -> list[tuple[int, list[list[int]]]]:
+def _eigenspaces(
+    matrix: list[list[int]], p: int, images, hints=(), extension=()
+) -> list[tuple[int, list[list[int]]]]:
     """Each eigenvalue of the matrix in F_p, ascending, with a basis of its eigenspace.
 
     One Hessenberg form h = S A S^-1 gives the characteristic polynomial and
@@ -349,13 +368,15 @@ def _eigenspaces(matrix: list[list[int]], p: int, images, hints=()) -> list[tupl
     blocks (_hessenberg_kernel); a kernel vector v of h maps to the eigenvector
     S^-1 v of A through the recorded steps, inverted and in reverse order.
 
-    Each of the images is a coordinate permutation pi that should carry an
-    eigenvector v to another one, w_l = v_pi(l), with eigenvalue
-    mu = (A w)_0 / w_0.  A one-dimensional eigenspace's images are walked to
-    closure, and w stands in for the kernel of mu when the derivative of the
-    characteristic polynomial does not vanish at mu.  If A w = mu w, which
-    the caller checks for every vector, mu is then a simple root, and its
-    eigenspace is the line that w spans.
+    Each of the images is a list of positions pi that should carry an
+    eigenvector v to another one, w_l = x_pi(l), with eigenvalue
+    mu = (A w)_0 / w_0, where x is v extended: the dot products of the
+    extension's rows with v, then v itself (without an extension, x = v and
+    pi is a coordinate permutation).  The images of a one-dimensional
+    eigenspace with v_0 != 0 are walked to closure, and w stands in for the
+    kernel of mu when the derivative of the characteristic polynomial does not
+    vanish at mu.  If A w = mu w, which the caller checks for every vector, mu is
+    then a simple root, and its eigenspace is the line that w spans.
     """
     h, steps = _hessenberg_mod(matrix, p)
     poly = _charpoly_mod(h, p)
@@ -374,8 +395,9 @@ def _eigenspaces(matrix: list[list[int]], p: int, images, hints=()) -> list[tupl
                     v[i] = (v[i] + u * v[m]) % p
         orbit = vectors[:] if len(vectors) == 1 and vectors[0][0] else []
         for v in orbit:
+            x = [sum(map(mul, row, v)) % p for row in extension] + v
             for pi in images:
-                w = [v[l] for l in pi]
+                w = [x[l] for l in pi]
                 mu = sum(map(mul, matrix[0], w)) * pow(w[0], -1, p) % p
                 if mu not in spaces and _poly_eval_mod(slope, mu, p):
                     spaces[mu] = [w]
@@ -405,79 +427,120 @@ def _apply(columns, v, p) -> list[int]:
     return [y % p for y in w]
 
 
-def _restriction(columns, basis, pivots, p):
-    """Matrix of the action of sparse columns on the span of the basis (which must be invariant).
+def _lift(space, u, n: int, p: int) -> list[int]:
+    """The vector of F_p^n with coordinates u in the space (see _restriction)."""
+    pivots, others, rows = space
+    v = [0] * n
+    for c, x in zip(pivots, u):
+        v[c] = x
+    for c, row in zip(others, rows):
+        v[c] = sum(map(mul, row, u)) % p
+    return v
 
-    Each basis vector is the identity at the pivots, so the coordinates of a vector of
-    the span are its entries there; the basis need not be reduced echelon in F_p^n.
+
+def _restriction(columns, space, p):
+    """The action of sparse columns on a space (which must be invariant), in its coordinates.
+
+    A space is (pivots, others, rows): its vectors have their coordinates u at
+    the pivots and rows[j] . u at others[j], every other column.  So an image
+    is in the span exactly when it agrees with its reconstruction at the
+    others: the invariance is checked there, in one dot product each.
     """
+    pivots, others, rows = space
+    n = len(columns)
     cols = []
-    for b in basis:
+    for f, c in enumerate(pivots):
+        b = [0] * n
+        b[c] = 1
+        for o, row in zip(others, rows):
+            b[o] = row[f]
         w = _apply(columns, b, p)
         coords = [w[c] for c in pivots]
         # the span must be invariant; verify the reconstruction exactly
-        if [r % p for r in _combine(coords, basis)] != w:
+        if any(w[o] != sum(map(mul, row, coords)) % p for o, row in zip(others, rows)):
             raise CharacterError("class-sum matrix does not preserve a split subspace")
         cols.append(coords)
     return [list(row) for row in zip(*cols)]
 
 
-def _common_eigenvectors(mats, n: int, p: int, images) -> list[list[int]]:
+def _common_eigenvectors(mats, n: int, p: int, images, entered=()) -> list[list[int]]:
     """Split F_p^n into the common eigenvectors of commuting n x n matrices.
+
+    Some may be known in advance.  Each entered pair (v, f) is a common
+    eigenvector v and a linear form f that vanishes on every other one (for a
+    linear character lambda: its central character and f_l = conj(lambda)(z_l),
+    by the orthogonality of the rows).  The entered vectors come back first,
+    as they are, and only the complement where every f vanishes, which the
+    other common eigenvectors span, is split.  When n are entered, no matrix
+    is read.
 
     The matrices come as sparse columns (see _class_matrix) from an iterable
     that is read only as far as the split needs.  Each eigenspace of one
-    matrix is invariant under the rest, so the subspaces still above
-    dimension 1 are refined matrix by matrix; the algebra is semisimple and
-    split over F_p, hence everything ends one-dimensional.
+    matrix is invariant under the rest, so the spaces still above dimension 1
+    are refined matrix by matrix; the algebra is semisimple and split over
+    F_p, hence everything ends one-dimensional.
 
-    A space is a basis B that is the identity at its pivots P.  Its eigenspaces'
-    kernel vectors, d long, are reduced in B's coordinates, and only the rows u
-    are lifted, as B u, with pivots P[c] for u's c.  A matrix keeps the (at most
-    n) eigenvalues found on its earlier spaces as hints for the later ones.
+    A space is its pivots, where its vectors have their coordinates, and a row
+    for each other column (see _restriction).  The complement's pivots are the
+    columns the reduced echelon form of the forms leaves free, and its rows
+    are the r forms' pivot columns, so its invariance is checked at r entries
+    and a vector is lifted by r dot products.  The forms are reduced with
+    column 0 read last, so the identity class stays free: every central
+    character is nonzero there.  A space's eigenspaces' kernel vectors, d long,
+    are reduced in its coordinates, and only the rows u are lifted, with
+    pivots P[c] for u's c; each is checked against the sparse columns, in
+    O(nnz) steps.  A matrix keeps the eigenvalues found on its earlier spaces
+    as hints for the later ones.
 
-    The first split is of all of F_p^n, whose basis is the identity: the
-    restriction is the matrix itself, densified, and every vector is checked
-    against the sparse columns, in O(nnz) steps.  Only that split derives
-    eigenvectors through the coordinate permutations `images` (see
-    _eigenspaces), and it has no hints.
+    Only the first split, of the complement, derives eigenvectors through the
+    coordinate permutations `images` (see _eigenspaces), and it has no hints.
+    The complement is closed under them when the entered pairs are, so a
+    vector is extended by its entries at the forms' pivots, permuted, and
+    read back at the free columns.
     """
-    identity_basis = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    spaces: list[tuple[list[list[int]], list[int]]] = [(identity_basis, list(range(n)))]
-    for matrix in mats:
-        new_spaces: list[tuple[list[list[int]], list[int]]] = []
-        found: set[int] = set()  # this matrix's eigenvalues on the spaces read so far
-        for basis, pivots in spaces:
-            if len(basis) == 1:
-                new_spaces.append((basis, pivots))
-                continue
-            whole = len(basis) == n
-            restr = (
-                [list(row) for row in zip(*([c.get(j, 0) for j in range(n)] for c in map(dict, matrix)))]
-                if whole else _restriction(matrix, basis, pivots, p)
-            )
-            split_dim = 0
-            for lam, kernel in _eigenspaces(restr, p, images if whole else (), found):
-                found.add(lam)
-                for u in kernel:
-                    image = _apply(matrix, u, p) if whole else [sum(map(mul, row, u)) % p for row in restr]
-                    if image != [lam * x % p for x in u]:
-                        raise CharacterError("eigenspace vector fails restr * v = lambda * v")
-                rref, piv = _rref_mod(kernel, p)
-                split_dim += len(rref)
-                lifted = rref if whole else [[y % p for y in _combine(u, basis)] for u in rref]
-                new_spaces.append((lifted, [pivots[c] for c in piv]))
-            if split_dim != len(basis):
-                raise CharacterError("class-sum matrix was not diagonalizable mod p")
-        spaces = new_spaces
-        if all(len(basis) == 1 for basis, _ in spaces):
-            break  # before the next matrix is built
-    result = []
-    for basis, _ in spaces:
-        if len(basis) != 1:
+    lines = [v for v, _ in entered]
+    if len(lines) >= n:
+        return lines
+    forms, where = _rref_mod([f[1:] + f[:1] for _, f in entered], p)
+    where = [(c + 1) % n for c in where]
+    free = sorted(set(range(n)).difference(where))
+    if free[0]:
+        raise CharacterError("every vector of the complement vanishes at the identity class")
+    complement = (free, where, [[-form[c - 1] % p for c in free] for form in forms])
+    if len(free) == 1:
+        return lines + [_lift(complement, [1], n, p)]
+    position = {c: i for i, c in enumerate(where + free)}
+    images = [[position[pi[c]] for c in free] for pi in images]
+    spaces = [complement]  # each above dimension 1; a line found joins the lines
+    mats = iter(mats)
+    while spaces:
+        matrix = next(mats, None)
+        if matrix is None:
             raise CharacterError("class algebra failed to split over the chosen prime")
-        result.append(basis[0])
-    return result
+        new_spaces: list[tuple[list[int], list[int], list[list[int]]]] = []
+        found: set[int] = set()  # this matrix's eigenvalues on the spaces read so far
+        for space in spaces:
+            pivots, _, rows = space
+            split_dim = 0
+            restr = _restriction(matrix, space, p)
+            for lam, kernel in _eigenspaces(restr, p, images, found, rows if images else ()):
+                found.add(lam)
+                reduced, piv = _rref_mod(kernel, p)
+                split_dim += len(reduced)
+                vectors = [_lift(space, u, n, p) for u in reduced]
+                for v in vectors:
+                    if _apply(matrix, v, p) != [lam * x % p for x in v]:
+                        raise CharacterError("eigenspace vector fails restr * v = lambda * v")
+                if len(vectors) == 1:
+                    lines += vectors
+                    continue
+                child = [pivots[c] for c in piv]
+                rest = sorted(set(range(n)).difference(child))
+                new_spaces.append((child, rest, [[v[o] for v in vectors] for o in rest]))
+            if split_dim != len(pivots):
+                raise CharacterError("class-sum matrix was not diagonalizable mod p")
+        spaces, images = new_spaces, ()
+    return lines
 
 
 # -- the Galois action on the rows ------------------------------------------------
@@ -602,6 +665,49 @@ def _walk(key, values, moves) -> dict:
     return found
 
 
+def _linear_characters(group: FiniteGroup) -> list[list[int]]:
+    """Linear characters read off the named generators, as exponent rows:
+    lambda(rep_c) = zeta_e^row[c] for each class c.  The trivial row comes first.
+
+    For each generator g, the candidate sends g to zeta_d and every other
+    generator to 1, for a divisor d of ord(g).  Along a BFS spanning tree of
+    the Cayley graph (edges x -> x h, h a generator), w(x) counts the letters
+    g in x's tree word, so the candidate is zeta_d^w(x).  It holds on the edge
+    x -> x h exactly when d divides w(x h) - w(x) - [h = g], so the largest d
+    that works is the gcd of ord(g) and these defects over every edge, and
+    that row is checked on every edge: lambda(x h) = lambda(x) lambda(h) for
+    every x and generator h, so it is a homomorphism into mu_e.  Their
+    pointwise products close the rows into a group, closed under every
+    sigma_u (lambda^u is a product) and holding the trivial row; a product of
+    homomorphisms needs no new check.  The rows differ on the generators, so
+    they are distinct.  The set may be partial: S4 under a transposition and
+    a 4-cycle gives the trivial row only.
+    """
+    n, table, e = group.order, group._table, group.exponent
+    generators = sorted(set(group.generator_names.values()))
+    tree, parent, letter = [0], [None] * n, [None] * n
+    parent[0] = 0
+    for x in tree:
+        for h, g in enumerate(generators):
+            y = table[x * n + g]
+            if parent[y] is None:
+                parent[y], letter[y] = x, h
+                tree.append(y)
+    edges = [table[g::n] for g in generators]  # edges[h][x] = x * generator h
+    representatives = conjugacy_classes(group).representatives
+    rows = [[0] * len(representatives)]
+    for i, g in enumerate(generators):
+        w = [0] * n
+        for y in tree[1:]:
+            w[y] = w[parent[y]] + (letter[y] == i)
+        d = group.element_order(g)
+        for h, column in enumerate(edges):  # the defects w(x h) - w(x) - [h = g]
+            d = gcd(d, *map(sub, map(w.__getitem__, column), [x + 1 for x in w] if h == i else w))
+        row = [e // d * w[rep] for rep in representatives]
+        rows = [[(a + j * b) % e for a, b in zip(old, row)] for j in range(d) for old in rows]
+    return rows
+
+
 def character_table(group: FiniteGroup) -> CharacterTable:
     """Exact complex irreducible character table of the group."""
     if group._character_table is not None:
@@ -616,9 +722,18 @@ def character_table(group: FiniteGroup) -> CharacterTable:
     # central character of sigma_u(chi) reads chi's at the class of rep^u
     units = _unit_generators(e)
     images = [[powers[u % len(powers)] for powers in classes.power_map] for u in units]
-    # class matrices are built as the split reaches them; the identity's never splits
+    # root_pow[t] = z^t mod p for a primitive e-th root z; zeta_n^i is z^(i*e/n)
+    z_root = _primitive_root_of_unity(p, e)
+    root_pow = [pow(z_root, t, p) for t in range(e)]
+    # a linear character lambda enters as its central character |C_l| lambda(z_l),
+    # with the form conj(lambda)(z_l); class matrices are built as the split of the
+    # rest reaches them, and the identity's never splits
+    entered = [
+        ([size * root_pow[a] % p for size, a in zip(classes.sizes, row)], [root_pow[-a] for a in row])
+        for row in _linear_characters(group)
+    ]
     eigenvectors = _common_eigenvectors(
-        (_class_matrix(group, i) for i in range(1, k)), k, p, images
+        (_class_matrix(group, i) for i in range(1, k)), k, p, images, entered
     )
     if len(eigenvectors) != k:
         raise CharacterError(
@@ -627,9 +742,6 @@ def character_table(group: FiniteGroup) -> CharacterTable:
 
     inv_class = [classes.class_of[group.inv(rep)] for rep in classes.representatives]
     inv_sizes = [pow(size, -1, p) for size in classes.sizes]
-    # root_pow[t] = z^t mod p for a primitive e-th root z; zeta_n^i is z^(i*e/n)
-    z_root = _primitive_root_of_unity(p, e)
-    root_pow = [pow(z_root, t, p) for t in range(e)]
     z_coords = _power_reductions(e)  # z_coords[t]: reduced coordinates of zeta_e^t
 
     degrees, row_of = [], {}  # row_of: central character omega -> row

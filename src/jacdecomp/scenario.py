@@ -449,7 +449,8 @@ def dihedral_class_labels(analysis: ActionAnalysis) -> dict[str, int] | None:
     q-th root.  A 2-dimensional irreducible rho_k (r -> zeta_2q^k) has
     rho_k(r^q) = (-1)^k I, so V5 is the one with value -2 at r^q and V6 the
     one with +2.  Returns None when the group is not a 4q dihedral with the
-    six-class structure.
+    six-class structure: s must be an involution with s r s^-1 = r^-1, which
+    the dicyclic Q16 (r of order 8, s of order 4) is not.
     """
     group = analysis.group
     names = group.generator_names
@@ -458,6 +459,8 @@ def dihedral_class_labels(analysis: ActionAnalysis) -> dict[str, int] | None:
     r_idx, s_idx = names["r"], names["s"]
     two_q = group.element_order(r_idx)
     if two_q % 2 or group.order != 2 * two_q or group.exponent != two_q:
+        return None
+    if group.element_order(s_idx) != 2 or group.mul(group.mul(s_idx, r_idx), s_idx) != group.inv(r_idx):
         return None
     classes = analysis.rational_classes
     if len(classes) != 6:

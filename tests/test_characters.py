@@ -1625,8 +1625,8 @@ def test_sparse_class_matrices_equal_the_dense_structure_constants(group):
     ]
 
 
-def test_class_matrices_are_built_only_as_the_split_reaches_them(monkeypatch):
-    """A4's first non-identity class matrix already splits all four eigenvectors."""
+def recording_class_matrices(monkeypatch):
+    """The classes whose matrices _class_matrix builds, in call order."""
     build, built = characters._class_matrix, []
 
     def recording(group, i):
@@ -1634,8 +1634,100 @@ def test_class_matrices_are_built_only_as_the_split_reaches_them(monkeypatch):
         return build(group, i)
 
     monkeypatch.setattr(characters, "_class_matrix", recording)
+    return built
+
+
+def test_class_matrices_are_built_only_as_the_split_reaches_them(monkeypatch):
+    """A4's first non-identity class matrix already splits all four eigenvectors."""
+    built = recording_class_matrices(monkeypatch)
     assert len(character_table(alternating_group_4())) == 4
     assert built == [1]
+
+
+# -- linear characters entered before the split ---------------------------------------
+
+
+def alternating_group_4_by_a_double_transposition():
+    """A4 under (0 1)(2 3) and (0 1 2): the 3-cycle alone maps onto A4/V4."""
+    return build_group([Permutation((1, 0, 3, 2)), Permutation((1, 2, 0, 3))], ["v", "c"])
+
+
+def dihedral_group(n):
+    """D_2n on the n-gon under a rotation r and a reflection s."""
+    return build_group([Permutation(tuple((x + 1) % n for x in range(n))),
+                        Permutation(tuple((-x) % n for x in range(n)))], ["r", "s"])
+
+
+# each group with the closed-form count of the linear characters its generators give
+LINEAR_COUNTS = {
+    **{f"D{4 * q}": (lambda q=q: preset_dihedral(q), 4) for q in (1, 2, 3, 5, 7, 10)},
+    **{f"D{2 * n}": (lambda n=n: dihedral_group(n), 2) for n in (3, 5, 7)},
+    **{f"Z2^{t}": (lambda t=t: preset_elementary_abelian_2(t), 2 ** t) for t in range(1, 7)},
+    "Q8": (preset_quaternion, 4),
+    "A4": (alternating_group_4_by_a_double_transposition, 3),
+    "F20": (KERNEL_GROUPS["F20"], 4),
+    "Z7:Z9": (semidirect_7_9, 9),
+    "C30": (lambda: cyclic_group(30), 30),
+    # partial: no linear character sends one generator to 1 and the other not
+    "A4 under two 3-cycles": (alternating_group_4, 1),
+    "S4": (symmetric_group_4, 1),
+}
+
+
+@pytest.mark.parametrize("name", LINEAR_COUNTS)
+def test_linear_characters_are_homomorphisms_closed_under_galois(name):
+    """Every row is a homomorphism into mu_e, checked over all pairs with group.mul;
+    the rows are distinct, the trivial one first, as many as the closed form says,
+    and closed under lambda -> lambda^u for every unit u."""
+    make, count = LINEAR_COUNTS[name]
+    group = make()
+    class_of, e = conjugacy_classes(group).class_of, group.exponent
+    rows = characters._linear_characters(group)
+    assert len(rows) == count == len(set(map(tuple, rows)))
+    assert set(rows[0]) == {0}
+    for row in rows:
+        exponent = [row[c] for c in class_of]  # lambda(x) = zeta_e^exponent[x]
+        for x in range(group.order):
+            for y in range(group.order):
+                assert exponent[group.mul(x, y)] == (exponent[x] + exponent[y]) % e
+    found = set(map(tuple, rows))
+    for u in every_unit(e):
+        assert {tuple(a * u % e for a in row) for row in found} == found
+
+
+@pytest.mark.parametrize("t", [3, 4, 5, 6])
+def test_elementary_abelian_tables_build_no_class_matrix(monkeypatch, t):
+    built = recording_class_matrices(monkeypatch)
+    table = character_table(preset_elementary_abelian_2(t))
+    assert len(table) == 2 ** t and set(table.degrees) == {1}
+    assert built == []
+
+
+@pytest.mark.parametrize("q, kernels", [(15, 6), (61, 2)], ids=["D60", "D244"])
+def test_the_first_split_of_the_complement_derives_its_kernels(monkeypatch, q, kernels):
+    """D60's and D244's first split, of the complement of their four linear rows,
+    computes 6 and 2 kernels: one per Galois orbit of the other rows, as the split of
+    the whole space did, which computed 2 more, for the double roots 2 and -2 of the
+    linear rows (8 and 4).  Without the derivation it computes one per eigenvalue."""
+    eigenspaces, computed, first = characters._eigenspaces, recording_kernels(monkeypatch), []
+
+    def recording(matrix, p, images, hints, extension):
+        spaces = eigenspaces(matrix, p, images, hints, extension)
+        first.append((len(matrix), len(computed), len(spaces)))
+        return spaces
+
+    monkeypatch.setattr(characters, "_eigenspaces", recording)
+    table = character_table(preset_dihedral(q))
+    k = len(table)
+    assert first[0] == (k - 4, kernels, k - 4)
+    split = characters._common_eigenvectors
+    monkeypatch.setattr(characters, "_common_eigenvectors",
+                        lambda mats, n, p, images, entered: split(mats, n, p, [], entered))
+    first.clear()
+    computed.clear()
+    underived = character_table(preset_dihedral(q))
+    assert [row.values for row in underived.irreducibles] == [row.values for row in table.irreducibles]
+    assert first[0] == (k - 4, k - 4, k - 4)
 
 
 def recording_root_calls(monkeypatch):
@@ -1660,20 +1752,41 @@ def recording_root_calls(monkeypatch):
 
 
 def test_the_z2_5_split_scans_f_p_once_per_class_matrix_it_reads(monkeypatch):
-    """Every class matrix of Z2^5 has the eigenvalues 1 and -1 only: the first space
-    each matrix reads scans F_p for them and every later one divides them out, so
-    5 matrices make 5 scans, where a scan per space made 1 + 2 + 4 + 8 + 16 = 31."""
-    build, built = characters._class_matrix, []
-
-    def recording(group, i):
-        built.append(i)
-        return build(group, i)
-
-    monkeypatch.setattr(characters, "_class_matrix", recording)
+    """Every character of Z2^5 is linear and entered before the split, so it reads
+    no class matrix and scans F_p never, where the split of the whole space read 5
+    matrices and scanned 5 times."""
+    built = recording_class_matrices(monkeypatch)
     calls = recording_root_calls(monkeypatch)
     assert len(character_table(preset_elementary_abelian_2(5))) == 32
-    assert len(built) == 5 and len(calls) == 31
-    assert sum(not hints or nested for hints, nested in calls) == 5
+    assert built == [] and calls == []
+
+
+def elementary_abelian_times_s3(t):
+    """Z2^t x S3 on 2t + 3 points: generators e1..et, then a transposition and a 3-cycle."""
+    n = 2 * t + 3
+
+    def cycle(*points):
+        images = list(range(n))
+        for a, b in zip(points, points[1:] + points[:1]):
+            images[a] = b
+        return Permutation(tuple(images))
+
+    gens = [cycle(2 * i, 2 * i + 1) for i in range(t)]
+    return build_group(gens + [cycle(2 * t, 2 * t + 1), cycle(2 * t, 2 * t + 1, 2 * t + 2)])
+
+
+def test_the_z2_3_x_s3_split_scans_f_p_once_per_class_matrix_it_reads(monkeypatch):
+    """Z2^3 x S3 enters its 16 linear rows; the complement, spanned by its 8 rows of
+    degree 2, splits under 3 class matrices into 1 + 2 + 4 spaces.  Each matrix has
+    the eigenvalues 1 and -1 only there: the first space each matrix reads scans F_p
+    for them and every later one divides them out, so 3 matrices make 3 scans, where
+    a scan per space made 7."""
+    built = recording_class_matrices(monkeypatch)
+    calls = recording_root_calls(monkeypatch)
+    table = character_table(elementary_abelian_times_s3(3))
+    assert table.degrees == (1,) * 16 + (2,) * 8
+    assert len(built) == 3 and len(calls) == 7
+    assert sum(not hints or nested for hints, nested in calls) == 3
 
 
 def test_some_refined_spaces_take_every_root_from_hints_and_some_scan_a_remainder(monkeypatch):
@@ -1691,20 +1804,32 @@ FIRING_GROUPS = {
     "Z2^3": lambda: preset_elementary_abelian_2(3),
     "Q8": preset_quaternion,
     "A4": lambda: alternating_group_4(),
+    "S4": symmetric_group_4,
     "Z7:Z9": semidirect_7_9,
 }
+SPLITTING = ["D20", "A4", "S4", "Z7:Z9"]  # their complements of the entered rows still split
+ENTERING = ["Z2^3", "Q8", "D20", "Z7:Z9"]  # they enter more rows than the trivial one
 
 
-@pytest.mark.parametrize("name", FIRING_GROUPS)
+def read_classes(group):
+    """The classes where some row of degree above 1 is nonzero: the complement of
+    the entered rows holds every such row, so the split reads the columns there."""
+    table = character_table(group)
+    rows = [row for row, d in zip(table.irreducibles, table.degrees) if d > 1]
+    return [c for c in range(len(table.classes)) if any(any(row.values[c].coeffs) for row in rows)]
+
+
+@pytest.mark.parametrize("name", SPLITTING)
 @pytest.mark.parametrize("which", [0, -1])
 def test_a_perturbed_class_matrix_entry_is_rejected(monkeypatch, name, which):
-    """One nonzero structure constant of the first class matrix the split reads, off by one."""
-    build = characters._class_matrix
+    """One nonzero structure constant of the first class matrix the split reads, off
+    by one, in a column the split reads."""
+    build, read = characters._class_matrix, read_classes(FIRING_GROUPS[name]())
 
     def perturbed(group, i):
         columns = build(group, i)
         if i == 1:
-            l, n = [(l, n) for l, column in enumerate(columns) for n in range(len(column))][which]
+            l, n = [(l, n) for l in read for n in range(len(columns[l]))][which]
             j, a = columns[l][n]
             columns[l][n] = (j, a + 1)
         return columns
@@ -1714,13 +1839,84 @@ def test_a_perturbed_class_matrix_entry_is_rejected(monkeypatch, name, which):
         character_table(FIRING_GROUPS[name]())
 
 
-@pytest.mark.parametrize("name", FIRING_GROUPS)
+@pytest.mark.parametrize("name", ENTERING)
+@pytest.mark.parametrize("which", [0, -1])
+@pytest.mark.parametrize("how", ["entry", "sum"])
+def test_a_perturbed_entered_row_is_rejected(monkeypatch, name, which, how):
+    """The split's perturbations applied to an entered row: one entry of its central
+    character off by one, or the central character of another entered row added."""
+    split = characters._common_eigenvectors
+
+    def perturbed(mats, n, p, images, entered):
+        v, form = entered[which]
+        if how == "entry":
+            v = [v[0], (v[1] + 1) % p, *v[2:]]
+        else:
+            v = [(x + y) % p for x, y in zip(v, entered[which - 1][0])]
+        entered[which] = v, form
+        return split(mats, n, p, images, entered)
+
+    monkeypatch.setattr(characters, "_common_eigenvectors", perturbed)
+    with pytest.raises(CharacterError):
+        character_table(FIRING_GROUPS[name]())
+
+
+@pytest.mark.parametrize("name", ENTERING)
+@pytest.mark.parametrize("row", [1, -1])
+@pytest.mark.parametrize("generator", [0, -1])
+def test_a_linear_character_changed_on_one_generator_is_rejected(monkeypatch, name, row, generator):
+    """One entered row's value on one generator moved to the next e-th root of unity:
+    the row is no longer a homomorphism, and the table's checks reject it."""
+    find = characters._linear_characters
+
+    def changed(group):
+        rows = find(group)
+        g = sorted(group.generator_names.values())[generator]
+        c = conjugacy_classes(group).class_of[g]
+        rows[row][c] = (rows[row][c] + 1) % group.exponent
+        return rows
+
+    monkeypatch.setattr(characters, "_linear_characters", changed)
+    with pytest.raises(CharacterError):
+        character_table(FIRING_GROUPS[name]())
+
+
+def test_the_restriction_rejects_a_space_the_matrix_does_not_preserve():
+    """A space is (pivots, others, rows).  The line of the identity class's unit vector
+    is not invariant, since C_1 C_0 = C_1: its image e_1 is 0 at the pivot but 1 at an
+    other column, so the reconstruction fails there.  The whole space is invariant."""
+    group = preset_dihedral(5)
+    columns = characters._class_matrix(group, 1)
+    k, p = len(columns), characters._find_prime(group.exponent, group.order)
+    line = ([0], list(range(1, k)), [[0]] * (k - 1))
+    with pytest.raises(CharacterError, match="does not preserve a split subspace"):
+        characters._restriction(columns, line, p)
+    whole = (list(range(k)), [], [])
+    dense = [[0] * k for _ in range(k)]
+    for l, column in enumerate(columns):
+        for j, a in column:
+            dense[j][l] = a
+    assert characters._restriction(columns, whole, p) == dense
+
+
+def test_entered_forms_that_leave_the_identity_class_zero_are_rejected():
+    """A form that vanishes off the identity class pivots there: every vector of the
+    complement is then 0 at the identity class, so it holds no central character."""
+    group = preset_dihedral(5)
+    mats = [sparse_columns(m) for m in class_matrices(group)]
+    k, p = len(mats), characters._find_prime(group.exponent, group.order)
+    delta = [1] + [0] * (k - 1)
+    with pytest.raises(CharacterError, match="vanishes at the identity class"):
+        characters._common_eigenvectors(mats[1:], k, p, (), [(delta, delta)])
+
+
+@pytest.mark.parametrize("name", SPLITTING)
 def test_a_wrong_eigenspace_vector_is_rejected(monkeypatch, name):
     """v + u, with u from another eigenspace, is never an eigenvector: A(v + u) = lam v + mu u."""
     eigenspaces = characters._eigenspaces
 
-    def wrong(matrix, p, images, hints):
-        spaces = eigenspaces(matrix, p, images, hints)
+    def wrong(matrix, p, images, hints, extension):
+        spaces = eigenspaces(matrix, p, images, hints, extension)
         if len(spaces) > 1:
             (_, vs), (_, us) = spaces[:2]
             vs[0] = [(v + u) % p for v, u in zip(vs[0], us[0])]
@@ -1737,8 +1933,8 @@ def test_a_perturbed_derived_eigenvector_is_rejected(monkeypatch, name, which):
     """One entry of a Galois-derived eigenvector of the first split, moved by 1 mod p."""
     eigenspaces, computed, perturbed = characters._eigenspaces, recording_kernels(monkeypatch), []
 
-    def perturbing(matrix, p, images, hints):
-        spaces = eigenspaces(matrix, p, images, hints)
+    def perturbing(matrix, p, images, hints, extension):
+        spaces = eigenspaces(matrix, p, images, hints, extension)
         derived = [vectors[0] for lam, vectors in spaces if lam not in computed]
         if derived and not perturbed:
             v = derived[which]
@@ -1842,8 +2038,8 @@ def test_identity_class_matrix_never_splits(group):
 def test_lift_checks_reject_a_perturbed_eigenvector(monkeypatch, make_group, which):
     split = characters._common_eigenvectors
 
-    def perturbed(mats, n, p, images):
-        vectors = split(mats, n, p, images)
+    def perturbed(mats, n, p, images, entered):
+        vectors = split(mats, n, p, images, entered)
         vectors[which] = [vectors[which][0], (vectors[which][1] + 1) % p, *vectors[which][2:]]
         return vectors
 
@@ -1910,8 +2106,8 @@ def test_lift_rejects_a_perturbed_eigenvector_on_any_column(monkeypatch, kind, w
     assert len(targets) >= 2
     split = characters._common_eigenvectors
     for c in targets:
-        def perturbed(mats, n, p, images, c=c):
-            vectors = split(mats, n, p, images)
+        def perturbed(mats, n, p, images, entered, c=c):
+            vectors = split(mats, n, p, images, entered)
             vectors[which][c] = (vectors[which][c] + 1) % p
             return vectors
 
@@ -2088,9 +2284,9 @@ def test_split_class_permutations_are_the_table_galois_action(monkeypatch, name)
     class of rep^u: that is row galois[g][i], sigma_u(chi)(x) = chi(x^u)."""
     split, seen = characters._common_eigenvectors, []
 
-    def recording(mats, n, p, images):
+    def recording(mats, n, p, images, entered):
         seen.append(images)
-        return split(mats, n, p, images)
+        return split(mats, n, p, images, entered)
 
     monkeypatch.setattr(characters, "_common_eigenvectors", recording)
     table = character_table(GALOIS_GROUPS[name]())

@@ -195,6 +195,9 @@ def _labels_from_character_values(analysis):
     two_q = group.element_order(r_idx)
     if two_q % 2 or group.order != 2 * two_q or group.exponent != two_q:
         return None
+    # the dihedral relations: s is an involution that inverts r
+    if group.power(s_idx, 2) != 0 or s_idx == 0 or group.conjugate(r_idx, s_idx) != group.power(r_idx, -1):
+        return None
     if len(analysis.rational_classes) != 6:
         return None
     class_of = analysis.table.classes.class_of
@@ -243,6 +246,18 @@ def test_dihedral_class_labels_agree_with_the_character_values_under_names_r_and
     rebuilt = build_group([group.elements[g] for g in gens], ["r", "s"])
     analysis = analyze(random_action(rebuilt, random.Random(7)))
     assert dihedral_class_labels(analysis) == _labels_from_character_values(analysis)
+
+
+def test_the_dicyclic_q16_named_r_and_s_gets_no_dihedral_labels():
+    """Q16 with r of order 8 passes every shape check (|G| = 16, exponent 8, six
+    rational classes), but s has order 4: it gets W-labels."""
+    group = dicyclic_group(4)
+    rebuilt = build_group([group.elements[g] for g in sorted(group.generator_names.values())], ["r", "s"])
+    r, s = rebuilt.generator_names["r"], rebuilt.generator_names["s"]
+    analysis = analyze(random_action(rebuilt, random.Random(7)))
+    assert (rebuilt.element_order(r), rebuilt.element_order(s), len(analysis.rational_classes)) == (8, 4, 6)
+    assert dihedral_class_labels(analysis) is None
+    assert [label for _, label in class_labels(analysis)] == [f"W{i}" for i in range(1, 7)]
 
 
 @pytest.mark.parametrize("genera", [(1, 1), (2, 1), (1, 1, 1), (3, 1, 2)], ids=str)
