@@ -670,9 +670,10 @@ def _linear_characters(group: FiniteGroup) -> list[list[int]]:
     lambda(rep_c) = zeta_e^row[c] for each class c.  The trivial row comes first.
 
     For each generator g, the candidate sends g to zeta_d and every other
-    generator to 1, for a divisor d of ord(g).  Along a BFS spanning tree of
-    the Cayley graph (edges x -> x h, h a generator), w(x) counts the letters
-    g in x's tree word, so the candidate is zeta_d^w(x).  It holds on the edge
+    generator to 1, for a divisor d of ord(g).  Along the table walk's
+    breadth-first spanning tree of the Cayley graph (edges x -> x h, h a
+    generator), kept on the group, w(x) counts the letters g in x's tree word,
+    read in walk order, so the candidate is zeta_d^w(x).  It holds on the edge
     x -> x h exactly when d divides w(x h) - w(x) - [h = g], so the largest d
     that works is the gcd of ord(g) and these defects over every edge, and
     that row is checked on every edge: lambda(x h) = lambda(x) lambda(h) for
@@ -685,21 +686,14 @@ def _linear_characters(group: FiniteGroup) -> list[list[int]]:
     """
     n, table, e = group.order, group._table, group.exponent
     generators = sorted(set(group.generator_names.values()))
-    tree, parent, letter = [0], [None] * n, [None] * n
-    parent[0] = 0
-    for x in tree:
-        for h, g in enumerate(generators):
-            y = table[x * n + g]
-            if parent[y] is None:
-                parent[y], letter[y] = x, h
-                tree.append(y)
+    tree, parent, via = group._walk, group._parent, group._via
     edges = [table[g::n] for g in generators]  # edges[h][x] = x * generator h
     representatives = conjugacy_classes(group).representatives
     rows = [[0] * len(representatives)]
     for i, g in enumerate(generators):
         w = [0] * n
         for y in tree[1:]:
-            w[y] = w[parent[y]] + (letter[y] == i)
+            w[y] = w[parent[y]] + (via[y] == g)
         d = group.element_order(g)
         for h, column in enumerate(edges):  # the defects w(x h) - w(x) - [h = g]
             d = gcd(d, *map(sub, map(w.__getitem__, column), [x + 1 for x in w] if h == i else w))

@@ -11,7 +11,11 @@ A walk over the generators' words from the identity then builds the table
 column by column, since x(ys) = (xy)s makes column y*s that action read
 along column y, and writes each column into the row-major table.  Closure
 under the generators, with every element reached, proves closure under
-products.
+products.  The walk is breadth-first over the named generators in index order
+(every element when none is named), and the group keeps it as a spanning tree
+of the Cayley graph: the order in which it reached the elements, and each
+element's parent and the generator that led there.  Element words and the
+linear characters read that tree.
 Conjugacy classes and double cosets are orbits of point maps read off the
 table, walked by :func:`orbits`; the cosets xH are read off table rows.  The
 walks move points by a subgroup's generators only; :class:`Subgroup` is built
@@ -151,7 +155,10 @@ class FiniteGroup:
     """Finite group given by its Cayley table, with a fixed element order.
 
     ``elements`` keeps the permutations the group was built from (identity
-    first); after construction every operation reads the table.  Use
+    first); after construction every operation reads the table.  ``_walk``,
+    ``_parent`` and ``_via`` are the table walk's breadth-first spanning tree:
+    the elements in the order reached, and for each x other than the identity
+    the element y and generator s with y*s = x that reached it.  Use
     :func:`build_group` or one of the presets; the constructor raises
     :class:`GroupError` if the element list is not closed or the named
     generators do not generate it.
@@ -184,18 +191,21 @@ class FiniteGroup:
         # column y*s is right[k] read along column y, as x(ys) = (xy)s; a walk over
         # the generators' words that reaches every element proves closure.  Each
         # column is written into the row-major table, and dropped, once its
-        # children are built.
+        # children are built; the walk, and the parent y and generator s of each
+        # z = y*s it reaches, are kept as the group's spanning tree.
         table = self._table = array("H", bytes(2 * n * n))
+        parent, via = self._parent, self._via = [0] * n, [0] * n
         columns = [None] * n
         columns[0] = range(n)
-        walk = [0]
+        walk = self._walk = [0]
         for y in walk:
             column, columns[y] = columns[y], ()
             get = itemgetter(*column)
-            for action in right:
+            for s, action in zip(gens, right):
                 z = action[y]
                 if columns[z] is None:
                     columns[z] = get(action)
+                    parent[z], via[z] = y, s
                     walk.append(z)
             table[y::n] = array("H", column)
         if len(walk) != n:
@@ -268,18 +278,17 @@ class FiniteGroup:
         return i
 
     def element_word(self, i: int) -> str:
-        """Shortest word for element i in the named generators (BFS order)."""
+        """Shortest word for element i in the named generators, read along the table
+        walk's spanning tree; a generator named twice takes its least name, and with
+        no names every word is "1"."""
         if self._words is None:
-            names = sorted(self.generator_names.items(), key=lambda kv: (kv[1], kv[0]))
-            letters: dict[int, tuple[str, ...]] = {0: ()}
-            frontier = [0]
-            for x in frontier:
-                for name, g in names:
-                    y = self.mul(x, g)
-                    if y not in letters:
-                        letters[y] = letters[x] + (name,)
-                        frontier.append(y)
-            self._words = tuple(_compress_word(letters.get(idx, ())) for idx in range(self.order))
+            least: dict[int, str] = {}
+            for name, g in sorted(self.generator_names.items()):
+                least.setdefault(g, name)
+            letters: list[tuple[str, ...]] = [()] * self.order
+            for x in self._walk[1:] if least else ():
+                letters[x] = letters[self._parent[x]] + (least[self._via[x]],)
+            self._words = tuple(map(_compress_word, letters))
         return self._words[i]
 
     def __repr__(self):
@@ -309,7 +318,9 @@ def build_group(
     if len(names) != len(generators):
         raise GroupError("one name per generator required")
 
-    # breadth-first over image tuples: itemgetter(*gen)(cur) is cur*gen (see FiniteGroup)
+    # breadth-first over image tuples: itemgetter(*gen)(cur) is cur*gen (see FiniteGroup);
+    # the walk stops at the Cayley table's limit too, past which FiniteGroup rejects it
+    cap = min(order_cap, TABLE_ORDER_LIMIT)
     getters = [itemgetter(*gen.images) if degree > 1 else tuple for gen in generators]
     walk = [tuple(range(degree))]
     seen = {walk[0]: 0}
@@ -319,8 +330,11 @@ def build_group(
             if new not in seen:
                 seen[new] = len(walk)
                 walk.append(new)
-                if len(walk) > order_cap:
-                    raise OrderCapExceeded(f"closure exceeded order cap {order_cap}")
+                if len(walk) > cap:
+                    raise OrderCapExceeded(
+                        f"closure exceeded order cap {order_cap}" if cap == order_cap
+                        else f"closure exceeded the Cayley table limit {TABLE_ORDER_LIMIT}"
+                    )
     name_map = {name: seen[gen.images] for name, gen in zip(names, generators)}
     return FiniteGroup([Permutation(x) for x in walk], name_map)
 

@@ -13,7 +13,7 @@ values in that order; no function here sorts or permutes class indices.
 from __future__ import annotations
 
 import json
-from typing import NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .decomposition import (
     ActionAnalysis,
@@ -316,152 +316,118 @@ def fiber_section(plan: FiberPlan) -> dict:
 # -- text rendering ---------------------------------------------------------------
 
 
-def _rule(title: str) -> list[str]:
-    return [title, "-" * len(title)]
-
-
-def _grid(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> list[str]:
-    widths = [len(h) for h in headers]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    out = ["  ".join(h.rjust(w) for h, w in zip(headers, widths))]
-    for row in rows:
-        out.append("  ".join(cell.rjust(w) for cell, w in zip(row, widths)))
-    return out
+def _grid(headers: Sequence[str], rows: Iterable[Sequence]) -> list[str]:
+    """Right-aligned columns; every cell is turned into text here, None as "-"."""
+    cells = [["-" if cell is None else str(cell) for cell in row] for row in [headers, *rows]]
+    widths = [max(map(len, column)) for column in zip(*cells)]
+    return ["  ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in cells]
 
 
 def _yesno(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
-def render_text(doc: dict) -> str:
-    lines: list[str] = []
-    engine = doc["engine"]
-    lines.append(f"{engine['name']} {engine['version']} :: {doc['command']}")
-    if "scenario" in doc:
-        lines.append(f"scenario: {doc['scenario']['name']}")
-        if doc["scenario"].get("description"):
-            lines.append(f"  {doc['scenario']['description']}")
-    lines.append("")
+def _listed(values: Iterable, sep: str = ", ") -> str:
+    return sep.join(map(str, values))
 
+
+def render_text(doc: dict) -> str:
+    engine, scenario = doc["engine"], doc.get("scenario")
+    lines = [f"{engine['name']} {engine['version']} :: {doc['command']}"]
+    if scenario is not None:
+        lines.append(f"scenario: {scenario['name']}")
+        if scenario.get("description"):
+            lines.append(f"  {scenario['description']}")
+    lines.append("")
+    for title, body in _text_sections(doc):
+        lines += [title, "-" * len(title), *body, ""]
+    for d in doc.get("discrepancies") or []:
+        scope = f" [{d['collection']}]" if d.get("collection") else ""
+        lines.append(f"DISCREPANCY{scope}: {d['detail']}")
+    lines.append(f"status: {doc['status']}")
+    return "\n".join(lines) + "\n"
+
+
+def _text_sections(doc: dict) -> Iterator[tuple[str, list[str]]]:
+    """Each section of the text report, as its title and its lines, in report order."""
     if "group" in doc:
         g = doc["group"]
-        lines += _rule("group")
-        lines.append(
+        yield "group", [
             f"order {g['order']}, degree {g['degree']}, exponent {g['exponent']}, "
-            f"{len(g['classes'])} conjugacy classes"
-        )
-        rows = [
-            [str(c["index"]), c["representative"], str(c["size"]), str(c["element_order"])]
-            for c in g["classes"]
+            f"{len(g['classes'])} conjugacy classes",
+            *_grid(
+                ["class", "rep", "size", "order"],
+                [[c["index"], c["representative"], c["size"], c["element_order"]]
+                 for c in g["classes"]],
+            ),
         ]
-        lines += _grid(["class", "rep", "size", "order"], rows)
-        lines.append("")
 
     if "action" in doc:
         a = doc["action"]
-        lines += _rule("action")
-        lines.append(
-            f"orbit genus {a['orbit_genus']}, periods ({', '.join(map(str, a['periods']))})"
-        )
-        lines.append(f"vector: ({', '.join(a['vector'])})")
+        lines = [
+            f"orbit genus {a['orbit_genus']}, periods ({_listed(a['periods'])})",
+            f"vector: ({_listed(a['vector'])})",
+        ]
         if a["handles"]:
-            pairs = ", ".join(f"[{x}, {y}]" for x, y in a["handles"])
-            lines.append(f"handles: {pairs}")
-        lines.append(f"total genus: {a['genus']}")
-        lines.append("")
+            lines.append(f"handles: {_listed(f'[{x}, {y}]' for x, y in a['handles'])}")
+        yield "action", lines + [f"total genus: {a['genus']}"]
 
     if "character_table" in doc:
         t = doc["character_table"]
-        lines += _rule(f"character table (values in Q(zeta_{t['conductor']}))")
-        headers = ["row", "deg"] + [str(c) for c in t["columns"]]
-        rows = [
-            [f"X{r['index']}", str(r["degree"])] + [str(v) for v in r["values"]]
-            for r in t["rows"]
-        ]
-        lines += _grid(headers, rows)
-        lines.append("")
+        yield f"character table (values in Q(zeta_{t['conductor']}))", _grid(
+            ["row", "deg", *t["columns"]],
+            [[f"X{r['index']}", r["degree"], *r["values"]] for r in t["rows"]],
+        )
 
     if "rational_classes" in doc:
-        lines += _rule("rational classes")
-        headers = ["label", "rows", "degree", "[K:Q]", "schur", "n", "dim W"]
-        rows = []
-        for c in doc["rational_classes"]["classes"]:
-            rows.append(
-                [
-                    c["label"],
-                    ",".join(f"X{j}" for j in c["rows"]),
-                    str(c["degree"]),
-                    str(c["field_degree"]),
-                    f"{c['schur_index']} ({c['schur_source']})",
-                    str(c["exponent"]),
-                    str(c["dim_w"]),
-                ]
-            )
-        lines += _grid(headers, rows)
-        lines.append("")
+        yield "rational classes", _grid(
+            ["label", "rows", "degree", "[K:Q]", "schur", "n", "dim W"],
+            [
+                [c["label"], _listed((f"X{j}" for j in c["rows"]), ","), c["degree"],
+                 c["field_degree"], f"{c['schur_index']} ({c['schur_source']})",
+                 c["exponent"], c["dim_w"]]
+                for c in doc["rational_classes"]["classes"]
+            ],
+        )
 
     if "factors" in doc:
         f = doc["factors"]
-        lines += _rule("group algebra decomposition")
-        lines.append(f["statement"])
-        rows = [
-            [label, str(dim), str(exp)]
-            for label, dim, exp in zip(f["labels"], f["dims"], f["exponents"])
-        ]
-        lines += _grid(["class", "dim B", "exponent"], rows)
-        lines.append(
+        yield "group algebra decomposition", [
+            f["statement"],
+            *_grid(["class", "dim B", "exponent"], zip(f["labels"], f["dims"], f["exponents"])),
             f"conservation: sum n_l dim B_l = {f['genus']} = genus  "
-            f"(orbit genus {f['orbit_genus']})"
-        )
-        lines.append("")
+            f"(orbit genus {f['orbit_genus']})",
+        ]
 
     for name, body in (doc.get("collections") or {}).items():
-        lines += _rule(f"collection '{name}'")
-        rows = []
-        for p in body["profiles"]:
-            rows.append(
-                [
-                    p["name"],
-                    p["description"],
-                    str(p["order"]),
-                    str(p["genus"]),
-                    "(" + ",".join(map(str, p["fixed_dims"])) + ")",
-                    p["statement"],
-                ]
-            )
-        lines += _grid(["", "subgroup", "order", "genus", "fixed dims", "induced"], rows)
         adm = body["admissibility"]
+        lines = _grid(
+            ["", "subgroup", "order", "genus", "fixed dims", "induced"],
+            [[p["name"], p["description"], p["order"], p["genus"],
+              f"({_listed(p['fixed_dims'], ',')})", p["statement"]]
+             for p in body["profiles"]],
+        )
         lines.append(
             f"admissibility (ambient {adm['ambient']}, order {adm['ambient_order']}): "
             f"{_yesno(adm['admissible'])}"
         )
-        sum_rows = [
-            [
-                label,
-                str(d),
-                str(s),
-                "yes" if sup else "no",
-                "-" if slack is None else str(slack),
-            ]
-            for label, d, s, sup, slack in zip(
+        lines += _grid(
+            ["class", "degree", "sum", "support", "slack"],
+            [[label, d, s, _yesno(sup), slack] for label, d, s, sup, slack in zip(
                 adm["labels"], adm["degrees"], adm["sums"], adm["support"], adm["slacks"]
-            )
-        ]
-        lines += _grid(["class", "degree", "sum", "support", "slack"], sum_rows)
-        if body.get("join") is not None:
-            j = body["join"]
+            )],
+        )
+        j = body.get("join")
+        if j is not None:
             lines.append(
                 f"join ambient: order {j['order']}, orbit genus {j['orbit_genus']}, "
-                f"factor dims ({', '.join(map(str, j['dims']))})"
+                f"factor dims ({_listed(j['dims'])})"
             )
         th = body.get("theorem1")
         if th is not None:
             lines.append(
                 f"decomposition: {th['statement']}  "
-                f"[quotient genera {', '.join(map(str, th['quotient_genera']))}; "
-                f"full: {_yesno(th['full'])}]"
+                f"[quotient genera {_listed(th['quotient_genera'])}; full: {_yesno(th['full'])}]"
             )
         elif body.get("theorem1_skipped"):
             lines.append(f"decomposition: skipped ({body['theorem1_skipped']})")
@@ -485,105 +451,68 @@ def render_text(doc: dict) -> str:
                 lines.append(f"  {p1['statement']}")
         tc = body.get("theorem_c")
         if tc is not None:
-            detail = []
             if tc["non_permuting_pair"] is not None:
-                i, j = tc["non_permuting_pair"]
-                detail.append(f"H{i} and H{j} do not permute")
+                i, k = tc["non_permuting_pair"]
+                detail = f"H{i} and H{k} do not permute"
             else:
-                detail.append("all pairs permute")
-                detail.append(
-                    "pairwise quotient genera ("
-                    + ", ".join(map(str, tc["pairwise_genera"]))
-                    + ")"
-                )
-            detail.append(f"genus sum {tc['genus_sum']}")
+                detail = f"all pairs permute; pairwise quotient genera ({_listed(tc['pairwise_genera'])})"
             lines.append(
                 f"pairwise-permuting criterion: applicable {_yesno(tc['applicable'])} "
-                f"({'; '.join(detail)})"
+                f"({detail}; genus sum {tc['genus_sum']})"
             )
         for c1 in body.get("corollary1") or []:
             lines.append(
                 f"Prym containment (k = {c1['k']}): complement sum {c1['complement_sum']}"
-                f" <= Prym dim {c1['prym_dim']}"
-                + ("  (equality)" if c1["equality"] else "")
+                f" <= Prym dim {c1['prym_dim']}" + ("  (equality)" if c1["equality"] else "")
             )
-        for d in body.get("discrepancies") or []:
-            lines.append(f"DISCREPANCY: {d['detail']}")
-        lines.append("")
+        lines += [f"DISCREPANCY: {d['detail']}" for d in body.get("discrepancies") or []]
+        yield f"collection '{name}'", lines
 
     if "rational_rep" in doc:
         rr = doc["rational_rep"]
-        lines += _rule("homology representation")
-        rows = [
-            [label, str(m)]
-            for label, m in zip(rr["labels"], rr["multiplicities"])
+        yield "homology representation", [
+            *_grid(["class", "multiplicity"], zip(rr["labels"], rr["multiplicities"])),
+            f"total degree {rr['total_degree']} = 2g",
         ]
-        lines += _grid(["class", "multiplicity"], rows)
-        lines.append(f"total degree {rr['total_degree']} = 2g")
-        lines.append("")
 
     if "results" in doc:
-        lines += _rule(f"admissible collections (max size {doc['search']['max_t']})")
-        lines.append(
-            f"require_full: {_yesno(doc['search']['require_full'])}, "
-            f"dedupe_conjugates: {_yesno(doc['search']['dedupe_conjugates'])}, "
-            f"found: {len(doc['results'])}"
-        )
-        rows = [
-            [
-                str(r["index"]),
-                ", ".join(r["subgroups"]),
-                ",".join(map(str, r["genera"])),
-                str(r["genus_sum"]),
-                "-" if r["dim_p"] is None else str(r["dim_p"]),
-            ]
-            for r in doc["results"]
+        search = doc["search"]
+        yield f"admissible collections (max size {search['max_t']})", [
+            f"require_full: {_yesno(search['require_full'])}, "
+            f"dedupe_conjugates: {_yesno(search['dedupe_conjugates'])}, "
+            f"found: {len(doc['results'])}",
+            *_grid(
+                ["#", "collection", "genera", "sum", "dim P"],
+                [[r["index"], _listed(r["subgroups"]), _listed(r["genera"], ","),
+                  r["genus_sum"], r["dim_p"]] for r in doc["results"]],
+            ),
         ]
-        lines += _grid(["#", "collection", "genera", "sum", "dim P"], rows)
-        lines.append("")
 
     if "plan" in doc:
         p = doc["plan"]
-        lines += _rule("fiber-product plan")
-        lines.append(
-            f"factor genera ({', '.join(map(str, p['genera']))}) over group of order "
-            f"{p['group_order']}, {p['branch_points']} branch points"
-        )
-        lines.append(
+        lines = [
+            f"factor genera ({_listed(p['genera'])}) over group of order "
+            f"{p['group_order']}, {p['branch_points']} branch points",
             f"genus {p['genus']} (formula {p['predicted_genus']}), "
-            f"dim P {p['dim_p']} (formula {p['predicted_dim_p']})"
-        )
-        lines.append(f"admissible: {_yesno(p['admissible'])}, full: {_yesno(p['full'])}")
-        lines.append(p["statement"])
+            f"dim P {p['dim_p']} (formula {p['predicted_dim_p']})",
+            f"admissible: {_yesno(p['admissible'])}, full: {_yesno(p['full'])}",
+            p["statement"],
+        ]
         if "elliptic_count" in p:
-            pair_text = ", ".join(
-                "(" + ",".join(f"E{i}" for i in pair) + ")" for pair in p["pairing"]
-            )
-            lines.append(
-                f"elliptic factors: {p['elliptic_count']}, pairing {pair_text}"
-            )
-            lines.append(p["elliptic_statement"])
-        lines.append("")
+            pairs = _listed("(" + _listed((f"E{i}" for i in pair), ",") + ")" for pair in p["pairing"])
+            lines += [f"elliptic factors: {p['elliptic_count']}, pairing {pairs}", p["elliptic_statement"]]
+        yield "fiber-product plan", lines
 
     if "theorem_b" in doc:
         tb = doc["theorem_b"]
-        lines += _rule("partition decomposition")
-        lines.append(
+        lines = [
             f"collection '{tb['collection']}' (t = {tb['t']}): partition {_yesno(tb['partition'])}"
-        )
+        ]
         if tb["partition"]:
-            lines.append(
+            lines += [
                 f"character identity: {_yesno(tb['character_identity'])}; "
-                f"per-class identities: {_yesno(tb['class_identities'])}"
-            )
-            lines.append(
-                f"dimension identity: {tb['dimension_lhs']} = {tb['dimension_rhs']}"
-            )
-            lines.append(f"all identities hold: {_yesno(tb['holds'])}")
-        lines.append("")
-
-    for d in doc.get("discrepancies") or []:
-        scope = f" [{d['collection']}]" if d.get("collection") else ""
-        lines.append(f"DISCREPANCY{scope}: {d['detail']}")
-    lines.append(f"status: {doc['status']}")
-    return "\n".join(lines) + "\n"
+                f"per-class identities: {_yesno(tb['class_identities'])}",
+                f"dimension identity: {tb['dimension_lhs']} = {tb['dimension_rhs']}",
+                f"all identities hold: {_yesno(tb['holds'])}",
+            ]
+        yield "partition decomposition", lines

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from jacdecomp import cli
+from jacdecomp import cli, groups
 from jacdecomp import scenario as scenario_module
 from jacdecomp.scenario import make_dihedral_scenario, make_fiber_scenario, parse_scenario
 
@@ -425,6 +425,9 @@ GOLDEN_CASES = {
     "search_d2q_q5.txt": ["search", "d2q?q=5", "--max-t", "3"],
     "search_d2q_q3_dedupe.txt": ["search", "d2q?q=3", "--max-t", "2", "--dedupe-conjugates"],
     "analyze_z3_torus.txt": ["analyze", Z3_TORUS],
+    "fiber_2_1.txt": ["fiber", "--genera", "2,1"],
+    "fiber_elliptic_5.txt": ["fiber", "--elliptic", "5"],
+    "chartable_d2q_q3.txt": ["chartable", "d2q?q=3"],
 }
 
 
@@ -440,7 +443,29 @@ def test_golden_reports(name):
     assert rendered == path.read_text(encoding="utf-8")
 
 
+def test_join_of_trivial_subgroups_is_a_group_with_no_names(capsys):
+    """The join of two trivial subgroups is repackaged with no generator names, so its
+    spanning tree gives no letters: the report is the one pinned here, exit 0."""
+    scenario = json.loads(Z3_TORUS)
+    scenario["collections"] = {"trivial": {"subgroups": [["1"], ["1"]]}}
+    assert cli.main(["analyze", json.dumps(scenario), "--ambient", "join"]) == 0
+    golden = GOLDEN_DIR / "analyze_z3_torus_trivial_join.txt"
+    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
+
 # -- exit-code contract under malformed input ----------------------------------------
+
+
+def test_closure_stops_at_the_cayley_table_limit(monkeypatch, capsys):
+    """A --max-order above the table's limit stops the closure at the limit, before the
+    whole group is closed: S5 (order 120) against a limit lowered to 100."""
+    monkeypatch.setattr(groups, "TABLE_ORDER_LIMIT", 100)
+    s5 = json.dumps({
+        "name": "s5", "group": {"generators": [[1, 2, 3, 4, 0], [1, 0, 2, 3, 4]], "names": ["c", "t"]},
+        "action": {"orbit_genus": 1, "periods": [], "vector": [], "handles": [["c", "1"]]},
+    })
+    assert cli.main(["chartable", s5, "--max-order", "1000"]) == 1
+    assert "closure exceeded the Cayley table limit 100" in capsys.readouterr().err
 
 
 def test_order_cap_below_one_exits_1(capsys, tmp_path):

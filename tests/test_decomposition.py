@@ -1161,6 +1161,10 @@ TWO_ROUTE_CHECKS = {
     "analyze_z3_torus.txt": _ANALYZE_CHECKS - {
         "proposition 2 dim P", "regular-plus-trivial form",
     },
+    "fiber_2_1.txt": _FIBER_CHECKS,
+    "fiber_elliptic_5.txt": _FIBER_CHECKS | {"parity genus", "elliptic complement"},
+    # the character table alone runs no two-route check
+    "chartable_d2q_q3.txt": set(),
     "fiber_1_1": _FIBER_CHECKS,
     "fiber_elliptic_5": _FIBER_CHECKS | {"parity genus", "elliptic complement"},
 }

@@ -890,10 +890,38 @@ def test_element_from_word_errors():
         element_from_word(group, "r^x")
 
 
+def _breadth_first_words(group):
+    """Words from a walk of the Cayley graph from the identity, breadth first, over
+    the names sorted by (index, name), with runs of one letter written as powers."""
+    names = sorted(group.generator_names.items(), key=lambda kv: (kv[1], kv[0]))
+    letters = {0: ()}
+    frontier = [0]
+    for x in frontier:
+        for name, g in names:
+            y = group.mul(x, g)
+            if y not in letters:
+                letters[y] = letters[x] + (name,)
+                frontier.append(y)
+    runs = ([(name, len(list(run))) for name, run in itertools.groupby(letters.get(i, ()))]
+            for i in range(group.order))
+    return ["*".join(name if k == 1 else f"{name}^{k}" for name, k in word) or "1" for word in runs]
+
+
 def test_element_word_round_trip():
-    for group in (preset_dihedral(3), preset_quaternion()):
-        for i in range(group.order):
-            assert element_from_word(group, group.element_word(i)) == i
+    r, s = hexagon_generators()
+    identity = Permutation(tuple(range(6)))
+    for group in group_library() + [
+        preset_dihedral(61),
+        semidirect_7_9(),
+        build_group([r, s, r], ["r", "s", "b"]),  # r named twice: the least name, b, is used
+        build_group([r, identity, s], ["r", "e", "s"]),  # a generator equal to the identity
+    ]:
+        words = [group.element_word(i) for i in range(group.order)]
+        assert words == _breadth_first_words(group)
+        assert [element_from_word(group, w) for w in words] == list(range(group.order))
+    unnamed = FiniteGroup(semidirect_7_9().elements, {})
+    assert [unnamed.element_word(i) for i in range(unnamed.order)] == ["1"] * unnamed.order
+    assert _breadth_first_words(unnamed) == ["1"] * unnamed.order
 
 
 @pytest.mark.parametrize("preset, argument", [
